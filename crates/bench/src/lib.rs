@@ -18,9 +18,9 @@ use std::time::Instant;
 pub use svg::bar_chart;
 pub use treelet_rt::{
     catch_job_panic, default_jobs, default_jobs_for, encode_prepared_bench, geometric_mean,
-    plan_schedule, plan_schedule_with, prepare_cache_key, run_indexed, run_scheduled,
-    run_weighted, Bench, BvhCache, CheckpointOptions, Schedule, SimConfig, SimError, SimResult,
-    SimSession, Sweep, SweepOutcome, Telemetry, TelemetryOptions, TelemetrySample,
+    plan_schedule, plan_schedule_with, prepare_cache_key, run_scheduled, run_weighted, Bench,
+    BvhCache, CheckpointOptions, Schedule, SimConfig, SimError, SimResult, SimSession, Sweep,
+    SweepOutcome, Telemetry, TelemetryOptions, TelemetrySample,
 };
 
 /// Default scene detail for the experiment suite (full evaluation scale;
@@ -212,22 +212,12 @@ impl Suite {
     /// # Panics
     ///
     /// Panics with the failing scene's recorded reason if any scene
-    /// fails; use [`Suite::run_all_robust`] to keep the survivors.
+    /// fails; use [`Suite::run_with`] to keep the survivors.
+    // A 16-scene suite makes the `SimError` payload size irrelevant.
+    #[allow(clippy::result_large_err)]
     pub fn run_all(&self, config: &SimConfig) -> Vec<SimResult> {
-        self.run_all_parallel(config, default_jobs_for(self.benches.len()))
-    }
-
-    /// [`Suite::run_all`] with an explicit worker count. `jobs == 1`
-    /// runs the scenes serially inline; any worker count produces
-    /// bit-identical per-scene results — including their
-    /// [`state_digest`](SimResult::state_digest)s — in suite order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `jobs` is zero, or with the failing scene's recorded
-    /// reason if any scene fails.
-    pub fn run_all_parallel(&self, config: &SimConfig, jobs: usize) -> Vec<SimResult> {
-        self.run_all_robust_with_jobs(jobs, |b| b.try_run(config))
+        let jobs = default_jobs_for(self.benches.len());
+        self.run_with(jobs, |_, b| b.try_run(config))
             .into_iter()
             .map(|outcome| match outcome {
                 SceneOutcome::Completed { result, .. } => result,
@@ -238,67 +228,22 @@ impl Suite {
             .collect()
     }
 
-    /// Runs `config` on every scene, recording failures instead of
-    /// propagating them: a scene that returns a [`SimError`] or panics is
-    /// reported as [`SceneOutcome::Failed`] while the other scenes'
-    /// results survive. A panicking scene is retried once (a typed error
-    /// is deterministic, so it is not).
-    // A 16-scene sweep makes the `SimError` payload size irrelevant.
-    #[allow(clippy::result_large_err)]
-    pub fn run_all_robust(&self, config: &SimConfig) -> Vec<SceneOutcome> {
-        self.run_all_robust_with(|b| b.try_run(config))
-    }
-
-    /// [`Suite::run_all_robust`] with crash-safe checkpointing: each
-    /// scene checkpoints into `dir/<scene>.rtsnap` (with a digest log
-    /// alongside) every `every` cycles and resumes from its checkpoint
-    /// when one is present, so a killed sweep picks up mid-scene instead
-    /// of starting over. Stale checkpoints from other runs are discarded
-    /// (see [`Bench::try_run_resumable`]).
+    /// Runs `run(index, bench)` on every scene across `jobs` workers,
+    /// recording failures instead of propagating them: a scene that
+    /// returns a [`SimError`] or panics is reported as
+    /// [`SceneOutcome::Failed`] while the other scenes' results survive.
+    /// A panicking scene is retried once (a typed error is
+    /// deterministic, so it is not); retries are surfaced on stderr and
+    /// in each outcome's `attempts` count.
     ///
-    /// # Errors
-    ///
-    /// Returns the error from creating `dir` (as its `Display` string)
-    /// before any scene runs; per-scene failures are reported in the
-    /// outcomes as usual.
-    #[allow(clippy::result_large_err)]
-    pub fn run_all_robust_resumable(
-        &self,
-        config: &SimConfig,
-        dir: &std::path::Path,
-        every: u64,
-    ) -> Result<Vec<SceneOutcome>, String> {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("could not create checkpoint dir {}: {e}", dir.display()))?;
-        Ok(self.run_all_robust_with(|b| {
-            let slug = b.scene().name().to_ascii_lowercase();
-            let opts = CheckpointOptions::new(every, dir.join(format!("{slug}.rtsnap")))
-                .with_digest_log(dir.join(format!("{slug}.digests")));
-            b.try_run_resumable(config, &opts)
-        }))
-    }
-
-    /// [`Suite::run_all_robust`] over an arbitrary per-scene runner —
-    /// lets experiment binaries sweep per-scene configs while keeping the
-    /// same isolation guarantees. Retries are surfaced on stderr and in
-    /// each outcome's `attempts` count.
-    #[allow(clippy::result_large_err)]
-    pub fn run_all_robust_with<F>(&self, run: F) -> Vec<SceneOutcome>
-    where
-        F: Fn(&Bench) -> Result<SimResult, SimError> + Sync,
-    {
-        self.run_all_robust_with_jobs(default_jobs_for(self.benches.len()), run)
-    }
-
-    /// [`Suite::run_all_robust_with`] with an explicit worker count.
     /// Scenes are scheduled by the cost model ([`run_weighted`]): each
     /// scene's estimated cost is its BVH node count × ray count, cheap
     /// scenes run inline on the caller's thread, expensive ones are
     /// claimed longest-first in cost-weighted chunks, and the worker
-    /// count is clamped to the machine's core count — a 16-scene suite
-    /// on a 4-core box runs 4 simulations at a time instead of
-    /// oversubscribing. Outcomes come back in suite order regardless of
-    /// which scene finished first.
+    /// count is clamped to the machine's core count. Outcomes come back
+    /// in suite order regardless of which scene finished first, and any
+    /// worker count produces bit-identical per-scene results — including
+    /// their [`state_digest`](SimResult::state_digest)s.
     ///
     /// # Panics
     ///
@@ -307,22 +252,22 @@ impl Suite {
     /// unwind through the pool, so one poisoned scene cannot take the
     /// rest of the sweep with it.
     #[allow(clippy::result_large_err)]
-    pub fn run_all_robust_with_jobs<F>(&self, jobs: usize, run: F) -> Vec<SceneOutcome>
+    pub fn run_with<F>(&self, jobs: usize, run: F) -> Vec<SceneOutcome>
     where
-        F: Fn(&Bench) -> Result<SimResult, SimError> + Sync,
+        F: Fn(usize, &Bench) -> Result<SimResult, SimError> + Sync,
     {
         let costs = self.scene_costs();
         run_weighted(jobs, &costs, |i| {
             let b = &self.benches[i];
             let mut attempts = 1;
-            let mut attempt = catch_job_panic(i, || run(b));
+            let mut attempt = catch_job_panic(i, || run(i, b));
             if matches!(attempt, Err(SimError::WorkerPanicked { .. })) {
                 // A panic may be environmental (e.g. stack exhaustion
                 // under thread contention); give the scene one more
                 // chance before recording it as lost. Typed errors are
                 // deterministic and are not retried.
                 attempts = 2;
-                attempt = catch_job_panic(i, || run(b));
+                attempt = catch_job_panic(i, || run(i, b));
             }
             match attempt {
                 Ok(result) => {
@@ -347,7 +292,7 @@ impl Suite {
     }
 }
 
-/// What happened to one scene of a [`Suite::run_all_robust`] sweep.
+/// What happened to one scene of a [`Suite::run_with`] sweep.
 // One outcome per scene: the size gap between a full `SimResult` and a
 // failure record doesn't matter at this cardinality.
 #[allow(clippy::large_enum_variant)]
@@ -560,9 +505,10 @@ mod tests {
         // And the acceptance-level oracle: simulation state digests are
         // bit-identical regardless of how the suite was prepared.
         let config = SimConfig::paper_baseline();
-        let from_cold = cold.run_all_parallel(&config, 1);
-        let from_warm = warm.run_all_parallel(&config, 4);
+        let from_cold = cold.run_with(1, |_, b| b.try_run(&config));
+        let from_warm = warm.run_with(4, |_, b| b.try_run(&config));
         for (a, b) in from_cold.iter().zip(&from_warm) {
+            let (a, b) = (a.result().unwrap(), b.result().unwrap());
             assert_eq!(a.state_digest, b.state_digest);
             assert_eq!(a.cycles, b.cycles);
         }
@@ -597,11 +543,12 @@ mod tests {
         // yields the serial run's per-scene digests, in suite order.
         let suite = Suite::prepare(0.05, Workload::new(rt_scene::WorkloadKind::Primary, 4, 4));
         let config = SimConfig::paper_treelet_prefetch();
-        let serial = suite.run_all_parallel(&config, 1);
-        let parallel = suite.run_all_parallel(&config, 4);
+        let serial = suite.run_with(1, |_, b| b.try_run(&config));
+        let parallel = suite.run_with(4, |_, b| b.try_run(&config));
         assert_eq!(serial.len(), SceneId::ALL.len());
         assert_eq!(serial.len(), parallel.len());
         for (a, b) in serial.iter().zip(&parallel) {
+            let (a, b) = (a.result().unwrap(), b.result().unwrap());
             assert_eq!(a.state_digest, b.state_digest);
             assert_eq!(a.cycles, b.cycles);
         }
@@ -614,7 +561,7 @@ mod tests {
         // still report results.
         let suite = Suite::prepare(0.05, Workload::new(rt_scene::WorkloadKind::Primary, 4, 4));
         let config = SimConfig::paper_baseline();
-        let outcomes = suite.run_all_robust_with(|b| {
+        let outcomes = suite.run_with(default_jobs_for(SceneId::ALL.len()), |_, b| {
             if b.scene() == SceneId::Ship {
                 panic!("injected fault");
             }
@@ -651,7 +598,7 @@ mod tests {
         let calls = AtomicUsize::new(0);
         let mut bad = SimConfig::paper_baseline();
         bad.num_sms = 0;
-        let outcomes = suite.run_all_robust_with(|b| {
+        let outcomes = suite.run_with(default_jobs_for(SceneId::ALL.len()), |_, b| {
             calls.fetch_add(1, Ordering::SeqCst);
             b.try_run(&bad)
         });
@@ -673,7 +620,7 @@ mod tests {
         let suite = Suite::prepare(0.05, Workload::new(rt_scene::WorkloadKind::Primary, 2, 2));
         let config = SimConfig::paper_baseline();
         let failed_once: Mutex<HashSet<SceneId>> = Mutex::new(HashSet::new());
-        let outcomes = suite.run_all_robust_with(|b| {
+        let outcomes = suite.run_with(default_jobs_for(SceneId::ALL.len()), |_, b| {
             if failed_once.lock().unwrap().insert(b.scene()) {
                 panic!("transient");
             }
@@ -694,9 +641,17 @@ mod tests {
             std::process::id()
         ));
         std::fs::remove_dir_all(&dir).ok();
-        let first = suite
-            .run_all_robust_resumable(&config, &dir, 2_000)
-            .unwrap();
+        std::fs::create_dir_all(&dir).unwrap();
+        // Each scene checkpoints into `dir/<scene>.rtsnap` (with a digest
+        // log alongside) and resumes from its checkpoint when present.
+        let resumable = |_: usize, b: &Bench| {
+            let slug = b.scene().name().to_ascii_lowercase();
+            let opts = CheckpointOptions::new(2_000, dir.join(format!("{slug}.rtsnap")))
+                .with_digest_log(dir.join(format!("{slug}.digests")));
+            b.try_run_resumable(&config, &opts)
+        };
+        let jobs = default_jobs_for(SceneId::ALL.len());
+        let first = suite.run_with(jobs, resumable);
         assert!(first.iter().all(|o| o.is_completed()));
         // Every scene opened its digest log; scenes that ran past the
         // first epoch also left a checkpoint behind.
@@ -709,9 +664,7 @@ mod tests {
         assert!(checkpoints > 0, "no scene reached its first epoch");
         // A second sweep resumes from the left-over final checkpoints,
         // replays each scene's tail, and lands on the same state.
-        let second = suite
-            .run_all_robust_resumable(&config, &dir, 2_000)
-            .unwrap();
+        let second = suite.run_with(jobs, resumable);
         for (a, b) in first.iter().zip(&second) {
             let (a, b) = (a.result().unwrap(), b.result().unwrap());
             assert_eq!(a.state_digest, b.state_digest);

@@ -124,12 +124,6 @@ impl PrefetchConfig {
         }
     }
 
-    /// The paper's default treelet prefetcher.
-    #[deprecated(note = "use PrefetchConfig::treelet()")]
-    pub fn treelet_default() -> Self {
-        PrefetchConfig::treelet()
-    }
-
     /// `true` if any prefetcher is active.
     pub fn is_enabled(&self) -> bool {
         !matches!(self, PrefetchConfig::None)
@@ -250,9 +244,10 @@ impl fmt::Display for SchedulerPolicy {
 /// Every `every` cycles (an *epoch*), the engine serializes its complete
 /// dynamic state into `path` — atomically, so a crash at any instant
 /// leaves either the previous checkpoint or the new one, never a torn
-/// file. `try_resume` restarts a killed run from that file and produces
-/// a bit-identical [`SimResult`](crate::SimResult) to the uninterrupted
-/// run.
+/// file. A session built with
+/// [`resume_from_checkpoint`](crate::SimSession::resume_from_checkpoint)
+/// restarts a killed run from that file and produces a bit-identical
+/// [`SimResult`](crate::SimResult) to the uninterrupted run.
 ///
 /// # Examples
 ///

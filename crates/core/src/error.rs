@@ -3,8 +3,8 @@
 //! Every way a simulation can refuse to run or fail to make progress is
 //! enumerated here, so callers (the CLI, the `Bench` sweep harness,
 //! scripted experiments) can react per cause instead of parsing panic
-//! strings. The legacy [`simulate`](crate::simulate) entry points remain
-//! panicking wrappers whose messages are these errors' `Display` output.
+//! strings. Harnesses that do abort on failure (`Suite::run_all` in
+//! `rt-bench`, the experiment binaries) panic with the `Display` output.
 
 use crate::config::LayoutChoice;
 use crate::prefetch::MappingMode;
@@ -141,9 +141,8 @@ impl fmt::Display for ProgressSnapshot {
 
 /// Why a simulation could not produce a result.
 ///
-/// Returned by [`try_simulate`](crate::try_simulate) and friends; the
-/// panicking [`simulate`](crate::simulate) wrappers panic with the
-/// `Display` form.
+/// Returned by [`SimSession`](crate::SimSession)'s `run*` methods and
+/// [`Bench::try_run`](crate::Bench::try_run).
 #[derive(Debug)]
 pub enum SimError {
     /// The configuration failed validation.

@@ -521,7 +521,7 @@ mod tests {
 
     fn view_fixture<'a>(
         counts: &'a CountTable,
-        per_warp: &'a dyn Fn(&mut dyn FnMut(&CountVec)),
+        per_warp: PerWarpVisitor<'a>,
         lines: &'a dyn Fn(u32) -> &'a [u64],
         meta: &'a dyn Fn(u32) -> u64,
     ) -> WarpBufferView<'a> {

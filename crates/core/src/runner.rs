@@ -15,17 +15,17 @@
 //! - **`jobs == 1` is literally serial** — the closure runs inline on
 //!   the caller's thread; no worker threads are spawned.
 //!
-//! Two pools are provided. [`run_indexed`] is the legacy uniform-cost
-//! pool: workers claim one index at a time from an atomic counter, which
-//! is fine when every job costs about the same. [`run_weighted`] is the
-//! cost-model scheduler used by [`Sweep`] and the `rt-bench` suite: each
-//! cell carries an estimated cost (BVH node count × ray count), cheap
-//! cells run inline on the caller's thread, expensive cells are sorted
+//! There is one pool: the cost-model scheduler [`run_weighted`]
+//! (planned by [`plan_schedule`], executed by [`run_scheduled`]), used
+//! by [`Sweep`], the `rt-bench` suite, and suite preparation. Each cell
+//! carries an estimated cost (BVH node count × ray count), cheap cells
+//! run inline on the caller's thread, expensive cells are sorted
 //! longest-first and claimed in cost-weighted chunks, and the worker
 //! count never exceeds the machine's actual core count — spawning more
 //! CPU-bound workers than cores is pure context-switch overhead, which
-//! is exactly the parallel-slower-than-serial regression this scheduler
-//! fixes on small machines.
+//! makes a parallel run slower than a serial one on small machines.
+//! Panics inside a cell unwind through the pool unless the caller wraps
+//! the cell in [`catch_job_panic`], as `Sweep` and the suite do.
 
 use crate::config::SimConfig;
 use crate::error::SimError;
@@ -63,64 +63,6 @@ pub fn default_jobs() -> usize {
 /// with five of them idle. Always at least 1, even for zero cells.
 pub fn default_jobs_for(cells: usize) -> usize {
     default_jobs().min(cells).max(1)
-}
-
-/// Runs `run(0..count)` across `jobs` workers and returns the results in
-/// index order.
-///
-/// Workers claim indices from a shared atomic counter (dynamic load
-/// balancing: a slow job never stalls the queue behind it) and collect
-/// `(index, result)` pairs privately; the pairs are merged and sorted
-/// after the scope joins, so output order is independent of completion
-/// order. With `jobs == 1` the closure runs inline on the caller's
-/// thread — byte-for-byte today's serial behaviour.
-///
-/// This is the *uniform-cost* pool: every index is assumed equally
-/// expensive. When per-job cost estimates exist, [`run_weighted`]
-/// schedules better.
-///
-/// # Panics
-///
-/// Panics if `jobs` is zero, and resumes the panic of any `run` call
-/// that panics (callers wanting per-job isolation wrap `run` in
-/// `catch_unwind`, as [`Suite::run_all_robust_with`] does in `rt-bench`).
-pub fn run_indexed<T, F>(jobs: usize, count: usize, run: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    assert!(jobs > 0, "need at least one worker");
-    if jobs == 1 || count <= 1 {
-        return (0..count).map(run).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let (next, run) = (&next, &run);
-    let mut indexed: Vec<(usize, T)> = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..jobs.min(count))
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut mine = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= count {
-                            break;
-                        }
-                        mine.push((i, run(i)));
-                    }
-                    mine
-                })
-            })
-            .collect();
-        workers
-            .into_iter()
-            .flat_map(|w| {
-                w.join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-            })
-            .collect()
-    });
-    indexed.sort_by_key(|&(i, _)| i);
-    indexed.into_iter().map(|(_, t)| t).collect()
 }
 
 /// Cells estimated cheaper than this (in [`Bench::estimated_cost`]
@@ -386,7 +328,7 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 /// message, instead of unwinding through the worker pool and killing
 /// every sibling job's results.
 ///
-/// This is the robust-path complement to [`run_indexed`]'s
+/// This is the robust-path complement to [`run_scheduled`]'s
 /// resume-unwind behaviour: sweeps and suite harnesses wrap each cell's
 /// runner in `catch_job_panic` so one poisoned cell is reported as a
 /// typed per-cell error while the rest of the grid completes.
@@ -521,54 +463,6 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
-    fn run_indexed_handles_empty_and_serial() {
-        let none: Vec<usize> = run_indexed(4, 0, |i| i);
-        assert!(none.is_empty());
-        let serial: Vec<usize> = run_indexed(1, 5, |i| i * 2);
-        assert_eq!(serial, vec![0, 2, 4, 6, 8]);
-    }
-
-    #[test]
-    fn run_indexed_preserves_order_under_a_slow_first_job() {
-        // The first job sleeps while the others race ahead; results must
-        // still come back in index order, and every index must run
-        // exactly once.
-        let calls = AtomicUsize::new(0);
-        let out: Vec<usize> = run_indexed(4, 16, |i| {
-            calls.fetch_add(1, Ordering::SeqCst);
-            if i == 0 {
-                std::thread::sleep(std::time::Duration::from_millis(50));
-            }
-            i
-        });
-        assert_eq!(out, (0..16).collect::<Vec<_>>());
-        assert_eq!(calls.load(Ordering::SeqCst), 16);
-    }
-
-    #[test]
-    fn run_indexed_with_more_workers_than_jobs() {
-        let out: Vec<usize> = run_indexed(8, 3, |i| i + 1);
-        assert_eq!(out, vec![1, 2, 3]);
-    }
-
-    #[test]
-    #[should_panic(expected = "need at least one worker")]
-    fn run_indexed_rejects_zero_workers() {
-        let _ = run_indexed(0, 1, |i| i);
-    }
-
-    #[test]
-    #[should_panic(expected = "job 2 exploded")]
-    fn run_indexed_propagates_worker_panics() {
-        let _ = run_indexed(2, 4, |i| {
-            if i == 2 {
-                panic!("job 2 exploded");
-            }
-            i
-        });
-    }
-
-    #[test]
     fn jobs_env_override_parses_strictly() {
         assert_eq!(jobs_from_env(Some("3")), Some(3));
         assert_eq!(jobs_from_env(Some(" 8 ")), Some(8));
@@ -681,6 +575,42 @@ mod tests {
         });
         assert_eq!(out, (0..16).collect::<Vec<_>>());
         assert_eq!(calls.load(Ordering::SeqCst), 16);
+    }
+
+    #[test]
+    fn run_weighted_handles_empty_and_serial() {
+        let none: Vec<usize> = run_weighted(4, &[], |i| i);
+        assert!(none.is_empty());
+        let serial: Vec<usize> = run_weighted(1, &[10_000_000; 5], |i| i * 2);
+        assert_eq!(serial, vec![0, 2, 4, 6, 8]);
+        // More workers than cells: every cell still runs once, in order.
+        let few: Vec<usize> = run_weighted(8, &[10_000_000; 3], |i| i + 1);
+        assert_eq!(few, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn run_scheduled_preserves_order_under_a_slow_first_cell() {
+        // The first cell sleeps while the other workers race ahead on a
+        // forced multi-worker plan; results must still come back in
+        // index order, and every index must run exactly once.
+        let plan = plan_schedule_with(4, 4, &[10_000_000; 16]);
+        assert!(plan.workers() > 1, "plan must exercise the threaded path");
+        let calls = AtomicUsize::new(0);
+        let out: Vec<usize> = run_scheduled(&plan, |i| {
+            calls.fetch_add(1, Ordering::SeqCst);
+            if i == 0 {
+                std::thread::sleep(std::time::Duration::from_millis(50));
+            }
+            i
+        });
+        assert_eq!(out, (0..16).collect::<Vec<_>>());
+        assert_eq!(calls.load(Ordering::SeqCst), 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one worker")]
+    fn run_weighted_rejects_zero_workers() {
+        let _ = run_weighted(0, &[1], |i| i);
     }
 
     #[test]

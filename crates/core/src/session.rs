@@ -1,10 +1,8 @@
 //! One front door for every way to run the simulator.
 //!
-//! Three PRs of feature growth left nine overlapping `simulate*` free
-//! functions; [`SimSession`] replaces that combinatorial surface with a
-//! builder. Construct a session over a BVH, a ray set (or batches of
-//! them), and a config, opt into telemetry / checkpointing / an external
-//! treelet assignment, and run:
+//! [`SimSession`] is a builder: construct a session over a BVH, a ray set
+//! (or batches of them), and a config, opt into telemetry /
+//! checkpointing / an external treelet assignment, and run:
 //!
 //! ```no_run
 //! use rt_scene::{SceneId, Workload};
@@ -112,28 +110,10 @@ impl<'a> SimSession<'a> {
         }
     }
 
-    /// The borrowing form of [`SimSession::batched`].
-    pub fn batched_borrowed(
-        bvh: &'a WideBvh,
-        batches: &'a [Vec<Ray>],
-        config: &'a SimConfig,
-    ) -> SimSession<'a> {
-        SimSession {
-            bvh,
-            rays: RaySource::Batches(batches),
-            config: Cow::Borrowed(config),
-            telemetry: None,
-            checkpoint: None,
-            resume: false,
-            treelets: None,
-        }
-    }
-
     /// Collects a [`Telemetry`] time-series, sampling the engine's
     /// counters every `opts.every` cycles. Sampling is read-only — the
     /// run's `state_digest` is bit-identical with telemetry on or off.
-    /// Retrieve the series with [`SimSession::run_with_telemetry`] or
-    /// [`SimSession::run_batches_with_telemetry`].
+    /// Retrieve the series with [`SimSession::run_with_telemetry`].
     pub fn telemetry(mut self, opts: TelemetryOptions) -> SimSession<'a> {
         self.telemetry = Some(opts);
         self
@@ -256,21 +236,6 @@ impl<'a> SimSession<'a> {
     /// earlier batches' results are discarded.
     pub fn run_batches(self) -> Result<Vec<SimResult>, SimError> {
         Ok(self.execute()?.0)
-    }
-
-    /// [`SimSession::run_batches`] plus the telemetry series sampled
-    /// across the whole session (cycle stamps are monotonic across
-    /// batches, since batches share one clock).
-    ///
-    /// # Errors
-    ///
-    /// As [`SimSession::run`].
-    pub fn run_batches_with_telemetry(mut self) -> Result<(Vec<SimResult>, Telemetry), SimError> {
-        if self.telemetry.is_none() {
-            self.telemetry = Some(TelemetryOptions::default());
-        }
-        let (results, telemetry) = self.execute()?;
-        Ok((results, telemetry.expect("telemetry options were set")))
     }
 
     /// Validates the option combination, forms treelets when none were
@@ -408,52 +373,10 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn session_matches_every_legacy_entry_point() {
-        let (bvh, rays) = fixture();
-        let config = SimConfig::paper_treelet_prefetch();
-        let legacy = crate::try_simulate(&bvh, &rays, &config).unwrap();
-        let session = SimSession::new(&bvh, &rays, config.clone()).run().unwrap();
-        assert_eq!(legacy.state_digest, session.state_digest);
-        assert_eq!(legacy.cycles, session.cycles);
-
-        let treelets = TreeletAssignment::try_form(&bvh, config.treelet_bytes).unwrap();
-        let legacy_t =
-            crate::try_simulate_with_treelets(&bvh, &rays, &config, &treelets).unwrap();
-        let session_t = SimSession::new(&bvh, &rays, config.clone())
-            .treelets(&treelets)
-            .run()
-            .unwrap();
-        assert_eq!(legacy_t.state_digest, session_t.state_digest);
-
-        let opts = TelemetryOptions::new(128);
-        let (legacy_r, legacy_tel) =
-            crate::try_simulate_with_telemetry(&bvh, &rays, &config, &opts).unwrap();
-        let (session_r, session_tel) = SimSession::new(&bvh, &rays, config.clone())
-            .telemetry(opts)
-            .run_with_telemetry()
-            .unwrap();
-        assert_eq!(legacy_r.state_digest, session_r.state_digest);
-        assert_eq!(legacy_tel.samples(), session_tel.samples());
-
-        let batches = vec![rays[..32].to_vec(), rays[32..].to_vec()];
-        let legacy_b = crate::try_simulate_batches(&bvh, &batches, &config).unwrap();
-        let session_b = SimSession::batched(&bvh, &batches, config)
-            .run_batches()
-            .unwrap();
-        assert_eq!(legacy_b.len(), session_b.len());
-        for (a, b) in legacy_b.iter().zip(&session_b) {
-            assert_eq!(a.state_digest, b.state_digest);
-            assert_eq!(a.cycles, b.cycles);
-        }
-    }
-
-    #[test]
     fn full_builder_combination_is_zero_perturbation() {
         // Telemetry + checkpointing + an external treelet assignment in
-        // one run — a combination the legacy entry points never offered.
-        // All observers are read-only or digest-neutral, so the result
-        // matches the bare run bit for bit.
+        // one run. All observers are read-only or digest-neutral, so the
+        // result matches the bare run bit for bit.
         let (bvh, rays) = fixture();
         let config = SimConfig::paper_treelet_prefetch();
         let treelets = TreeletAssignment::try_form(&bvh, config.treelet_bytes).unwrap();
@@ -559,28 +482,6 @@ mod tests {
             err,
             SimError::Config(ConfigError::UnsupportedBatchOption { what: "resume" })
         ));
-    }
-
-    #[test]
-    fn batched_telemetry_spans_the_whole_session() {
-        let (bvh, rays) = fixture();
-        let batches = vec![rays[..32].to_vec(), rays[32..].to_vec()];
-        let config = SimConfig::paper_treelet_prefetch();
-        let plain = SimSession::batched(&bvh, &batches, config.clone())
-            .run_batches()
-            .unwrap();
-        let (sampled, telemetry) = SimSession::batched(&bvh, &batches, config)
-            .telemetry(TelemetryOptions::new(128))
-            .run_batches_with_telemetry()
-            .unwrap();
-        for (a, b) in plain.iter().zip(&sampled) {
-            assert_eq!(a.state_digest, b.state_digest);
-        }
-        // One monotonic cycle axis across both batches — they share a
-        // clock, so the series never rewinds at a batch boundary.
-        let samples = telemetry.samples();
-        assert!(!samples.is_empty());
-        assert!(samples.windows(2).all(|w| w[0].cycle < w[1].cycle));
     }
 
     #[test]

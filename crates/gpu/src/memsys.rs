@@ -797,7 +797,7 @@ impl MemorySystem {
         next
     }
 
-    /// `true` when ticking the hierarchy before [`next_event_cycle`]
+    /// `true` when ticking the hierarchy before [`Self::next_event_cycle`]
     /// would be a no-op: no queued L2 probes to service and no
     /// undelivered completions.
     pub fn can_skip_idle(&self) -> bool {
