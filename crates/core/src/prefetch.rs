@@ -87,17 +87,14 @@ pub fn pseudo_vote(warps: &[Vec<u32>]) -> Option<Vote> {
 /// Computes the full vote from per-treelet ray counts (the simulator's
 /// incrementally maintained form of the warp-buffer view).
 ///
-/// The comparator is a total order over distinct keys (count, then lower
-/// treelet id), so the table's arbitrary iteration order cannot change
-/// the winner.
+/// The winner is the table's cached maximum under the same total order
+/// as [`full_vote`] (count, then lower treelet id), so this is O(1) on
+/// every cycle the leader was not decremented.
 pub fn full_vote_counts(global: &CountTable) -> Option<Vote> {
-    global
-        .iter_nonzero()
-        .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
-        .map(|(treelet, popularity)| Vote {
-            treelet,
-            popularity,
-        })
+    global.max().map(|(treelet, popularity)| Vote {
+        treelet,
+        popularity,
+    })
 }
 
 /// Computes the two-level pseudo vote from per-warp treelet counts, using
@@ -185,6 +182,33 @@ pub enum PrefetchEntry {
         /// where lines are enqueued immediately after the meta entry).
         gated_lines: Vec<u64>,
     },
+}
+
+/// One warp-buffer sample of the voter: what [`TreeletPrefetcher::submit`]
+/// receives, plus the resident-ray count it sets first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct VoterSample {
+    /// Rays resident in the warp buffer.
+    pub(crate) resident_rays: u32,
+    /// The configured voter's vote.
+    pub(crate) chosen: Option<Vote>,
+    /// The full vote, for pseudo-voter accuracy.
+    pub(crate) full: Option<Vote>,
+}
+
+/// What applying a vote does to the prefetcher.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Outcome {
+    /// The duplicate-treelet register matched (§4.1).
+    Duplicate,
+    /// The popularity ratio is below the heuristic's threshold.
+    BelowThreshold,
+    /// The treelet has no lines to fetch.
+    NoLines,
+    /// The queue cannot hold the treelet's entries.
+    QueueFull,
+    /// The treelet's first `n` lines enter the queue.
+    Enqueue(usize),
 }
 
 /// Prefetcher activity counters.
@@ -416,51 +440,86 @@ impl TreeletPrefetcher {
         self.submit(now, chosen, full, mapping, treelet_lines, meta_line);
     }
 
+    /// What applying `vote` would do with `resident_rays` rays resident
+    /// and a treelet of `line_count` lines.
+    fn outcome(
+        &self,
+        vote: Vote,
+        resident_rays: u32,
+        line_count: usize,
+        mapping: MappingMode,
+    ) -> Outcome {
+        // Duplicate-treelet register (§4.1): never prefetch the same
+        // treelet twice in a row.
+        if self.last_prefetched == Some(vote.treelet) {
+            return Outcome::Duplicate;
+        }
+        let denominator = resident_rays.clamp(1, self.max_rays);
+        let ratio = vote.popularity as f32 / denominator as f32;
+        let take = match self.heuristic {
+            PrefetchHeuristic::Always => line_count,
+            PrefetchHeuristic::Popularity(threshold) => {
+                if ratio < threshold {
+                    return Outcome::BelowThreshold;
+                }
+                line_count
+            }
+            PrefetchHeuristic::Partial => {
+                if line_count == 0 {
+                    0
+                } else {
+                    ((line_count as f32 * ratio).ceil() as usize).clamp(1, line_count)
+                }
+            }
+        };
+        if take == 0 {
+            return Outcome::NoLines;
+        }
+        let entries_needed = match mapping {
+            MappingMode::Packed => take,
+            _ => take + 1,
+        };
+        if self.queue.len() + entries_needed > self.queue_capacity {
+            return Outcome::QueueFull;
+        }
+        Outcome::Enqueue(take)
+    }
+
+    /// Adds `times` occurrences of a counter-only outcome to the stats.
+    ///
+    /// # Panics
+    ///
+    /// Panics on [`Outcome::Enqueue`] with `times > 0`: an enqueue
+    /// changes the queue, so it is never applied in bulk.
+    fn count(&mut self, outcome: Outcome, times: u64) {
+        if times == 0 {
+            return;
+        }
+        match outcome {
+            Outcome::Duplicate => self.stats.duplicate_suppressed += times,
+            Outcome::BelowThreshold => self.stats.threshold_suppressed += times,
+            Outcome::QueueFull => self.stats.queue_full_drops += times,
+            Outcome::NoLines => {}
+            Outcome::Enqueue(_) => unreachable!("an enqueue is an idle-skip event"),
+        }
+    }
+
     fn apply<F, M, L>(&mut self, vote: Vote, mapping: MappingMode, treelet_lines: &F, meta_line: &M)
     where
         F: Fn(u32) -> L,
         M: Fn(u32) -> u64,
         L: AsRef<[u64]>,
     {
-        // Duplicate-treelet register (§4.1): never prefetch the same
-        // treelet twice in a row.
-        if self.last_prefetched == Some(vote.treelet) {
-            self.stats.duplicate_suppressed += 1;
-            return;
-        }
-        let denominator = self.resident_rays.clamp(1, self.max_rays);
-        let ratio = vote.popularity as f32 / denominator as f32;
         let fetched = treelet_lines(vote.treelet);
         let all = fetched.as_ref();
-        let lines: &[u64] = match self.heuristic {
-            PrefetchHeuristic::Always => all,
-            PrefetchHeuristic::Popularity(threshold) => {
-                if ratio < threshold {
-                    self.stats.threshold_suppressed += 1;
-                    return;
-                }
-                all
-            }
-            PrefetchHeuristic::Partial => {
-                if all.is_empty() {
-                    all
-                } else {
-                    let take = ((all.len() as f32 * ratio).ceil() as usize).clamp(1, all.len());
-                    &all[..take]
-                }
+        let take = match self.outcome(vote, self.resident_rays, all.len(), mapping) {
+            Outcome::Enqueue(take) => take,
+            other => {
+                self.count(other, 1);
+                return;
             }
         };
-        if lines.is_empty() {
-            return;
-        }
-        let entries_needed = match mapping {
-            MappingMode::Packed => lines.len(),
-            _ => lines.len() + 1,
-        };
-        if self.queue.len() + entries_needed > self.queue_capacity {
-            self.stats.queue_full_drops += 1;
-            return;
-        }
+        let lines = &all[..take];
         self.stats.treelets_enqueued += 1;
         self.stats.lines_enqueued += lines.len() as u64;
         self.last_prefetched = Some(vote.treelet);
@@ -511,16 +570,107 @@ impl TreeletPrefetcher {
         self.queue.len()
     }
 
-    /// Cycle at which the currently staged decision will apply, if any
-    /// (used by the engine's idle-cycle skip to bound a fast-forward).
-    pub fn staged_ready_at(&self) -> Option<u64> {
-        self.staged.map(|(ready_at, _)| ready_at)
+    /// The first cycle at or after `now` at which polling and sampling
+    /// every cycle would enqueue a treelet, if the warp buffer keeps
+    /// yielding `sample` (`None` when no rays are resident) — the
+    /// idle-skip wake-up bound. `None` when no such cycle comes.
+    ///
+    /// While the warp buffer is frozen every sample yields the same vote,
+    /// and applying it changes only counters until one enqueues: the
+    /// duplicate register and the queue change only on an enqueue.
+    pub(crate) fn next_enqueue_at<F, L>(
+        &self,
+        now: u64,
+        sample: Option<&VoterSample>,
+        mapping: MappingMode,
+        treelet_lines: F,
+    ) -> Option<u64>
+    where
+        F: Fn(u32) -> L,
+        L: AsRef<[u64]>,
+    {
+        let enqueues = |vote: Vote, resident_rays: u32| {
+            let lines = treelet_lines(vote.treelet).as_ref().len();
+            matches!(
+                self.outcome(vote, resident_rays, lines, mapping),
+                Outcome::Enqueue(_)
+            )
+        };
+        let mut start = now;
+        if let Some((ready_at, vote)) = self.staged {
+            // The staged vote applies first, before any new sample.
+            start = ready_at.max(now);
+            if enqueues(vote, self.resident_rays) {
+                return Some(start);
+            }
+        }
+        let sample = sample?;
+        let vote = sample.chosen?;
+        let first = start.max(self.next_sample_at);
+        enqueues(vote, sample.resident_rays.max(1)).then_some(first + self.latency)
     }
 
-    /// Earliest cycle at which the prefetcher wants a fresh warp-buffer
-    /// sample (used by the engine's idle-cycle skip).
-    pub fn next_sample_at(&self) -> u64 {
-        self.next_sample_at
+    /// Advances the prefetcher as if it polled and sampled `sample` at
+    /// every cycle in `now..until`, in closed form: the counters,
+    /// `next_sample_at`, the resident-ray count and the staged vote end
+    /// as the cycle-by-cycle calls leave them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a decision in the range would enqueue, i.e. if `until`
+    /// is past [`TreeletPrefetcher::next_enqueue_at`].
+    pub(crate) fn skip_idle<F, L>(
+        &mut self,
+        now: u64,
+        until: u64,
+        sample: Option<&VoterSample>,
+        mapping: MappingMode,
+        treelet_lines: F,
+    ) where
+        F: Fn(u32) -> L,
+        L: AsRef<[u64]>,
+    {
+        let line_count = |t: u32| treelet_lines(t).as_ref().len();
+        let mut start = now;
+        if let Some((ready_at, vote)) = self.staged {
+            start = ready_at.max(now);
+            if start >= until {
+                // The staged vote blocks sampling until it applies.
+                return;
+            }
+            let outcome = self.outcome(vote, self.resident_rays, line_count(vote.treelet), mapping);
+            self.count(outcome, 1);
+            self.staged = None;
+        }
+        let Some(sample) = sample else { return };
+        let first = start.max(self.next_sample_at);
+        if first >= until {
+            return;
+        }
+        // Samples at first, first + step, ... below `until`; with a
+        // latency, each sample after the first applies the previous one.
+        let step = self.latency.max(1);
+        let samples = (until - first).div_ceil(step);
+        let last = first + (samples - 1) * step;
+        self.set_resident_rays(sample.resident_rays);
+        self.next_sample_at = last + step;
+        if self.voter == VoterKind::PseudoTwoLevel {
+            if let (Some(p), Some(f)) = (sample.chosen, sample.full) {
+                self.stats.pseudo_comparisons += samples;
+                if p.treelet == f.treelet {
+                    self.stats.pseudo_agreements += samples;
+                }
+            }
+        }
+        let Some(vote) = sample.chosen else { return };
+        self.stats.decisions += samples;
+        let outcome = self.outcome(vote, self.resident_rays, line_count(vote.treelet), mapping);
+        if self.latency == 0 {
+            self.count(outcome, samples);
+        } else {
+            self.count(outcome, samples - 1);
+            self.staged = Some((last + self.latency, vote));
+        }
     }
 
     /// Activity counters.
@@ -1045,6 +1195,114 @@ mod tests {
         assert_eq!(s.pseudo_comparisons, 1);
         assert_eq!(s.pseudo_agreements, 1);
         assert!((s.voter_accuracy() - 1.0).abs() < 1e-9);
+    }
+
+    /// Treelet 3 has no lines; the rest have 8.
+    fn lines_or_none(t: u32) -> Vec<u64> {
+        if t == 3 {
+            Vec::new()
+        } else {
+            lines_of(t)
+        }
+    }
+
+    /// One cycle of `decide` with a fixed warp-buffer sample.
+    fn step(
+        p: &mut TreeletPrefetcher,
+        now: u64,
+        sample: Option<&VoterSample>,
+        mapping: MappingMode,
+    ) {
+        if p.poll(now, mapping, lines_or_none, meta_of) {
+            if let Some(s) = sample {
+                p.set_resident_rays(s.resident_rays);
+                p.submit(now, s.chosen, s.full, mapping, lines_or_none, meta_of);
+            }
+        }
+    }
+
+    #[test]
+    fn idle_skip_matches_cycle_by_cycle_decisions() {
+        use rt_rng::prop::forall;
+        use rt_rng::Rng;
+        let vote = |rng: &mut rt_rng::SmallRng| Vote {
+            treelet: rng.gen_range(0..4u32),
+            popularity: rng.gen_range(1..17u32),
+        };
+        forall("idle_skip_matches_cycle_by_cycle_decisions", 512, |rng| {
+            let heuristic = match rng.gen_range(0..3u32) {
+                0 => PrefetchHeuristic::Always,
+                1 => PrefetchHeuristic::Popularity(0.5),
+                _ => PrefetchHeuristic::Partial,
+            };
+            let voter = if rng.gen_bool(0.5) {
+                VoterKind::Full
+            } else {
+                VoterKind::PseudoTwoLevel
+            };
+            let latency = [0, 1, 3, 7][rng.gen_range(0..4usize)];
+            let capacity = [8, 12, 64][rng.gen_range(0..3usize)];
+            let mapping = [
+                MappingMode::Packed,
+                MappingMode::LooseWait,
+                MappingMode::StrictWait,
+            ][rng.gen_range(0..3usize)];
+            // A random history before the idle stretch, so the stretch may
+            // start with a staged vote, a duplicate register and any
+            // resident-ray count; the queue then drains, as idle requires.
+            let history: Vec<(u32, Vote, Vote)> = (0..rng.gen_range(0..6usize))
+                .map(|_| (rng.gen_range(1..17u32), vote(rng), vote(rng)))
+                .collect();
+            let fresh = || {
+                let mut p = TreeletPrefetcher::new(heuristic, voter, latency, 16, capacity);
+                for (c, &(rays, chosen, full)) in history.iter().enumerate() {
+                    let sample = VoterSample {
+                        resident_rays: rays,
+                        chosen: Some(chosen),
+                        full: Some(full),
+                    };
+                    step(&mut p, c as u64, Some(&sample), mapping);
+                }
+                while p.pop().is_some() {}
+                p
+            };
+            let now = history.len() as u64;
+            let sample = rng.gen_bool(0.8).then(|| {
+                let full = vote(rng);
+                VoterSample {
+                    resident_rays: rng.gen_range(1..17u32),
+                    chosen: Some(if rng.gen_bool(0.5) { full } else { vote(rng) }),
+                    full: Some(full),
+                }
+            });
+            let horizon = now + 40;
+
+            // The first enqueue, cycle by cycle, against the prediction.
+            let mut reference = fresh();
+            let event = (now..horizon).find(|&c| {
+                step(&mut reference, c, sample.as_ref(), mapping);
+                reference.queue_len() > 0
+            });
+            let skipper = fresh();
+            let predicted = skipper.next_enqueue_at(now, sample.as_ref(), mapping, lines_or_none);
+            assert_eq!(predicted.filter(|&c| c < horizon), event);
+
+            // Any skip up to the event leaves the same state as stepping.
+            let until = rng.gen_range(now..event.unwrap_or(horizon) + 1);
+            let mut reference = fresh();
+            for c in now..until {
+                step(&mut reference, c, sample.as_ref(), mapping);
+            }
+            let mut skipper = fresh();
+            skipper.skip_idle(now, until, sample.as_ref(), mapping, lines_or_none);
+            assert_eq!(skipper.stats(), reference.stats());
+            assert_eq!(skipper.staged, reference.staged);
+            assert_eq!(skipper.next_sample_at, reference.next_sample_at);
+            assert_eq!(skipper.resident_rays, reference.resident_rays);
+            assert_eq!(skipper.last_prefetched, reference.last_prefetched);
+            assert_eq!(skipper.queue_len(), 0);
+            assert_eq!(reference.queue_len(), 0);
+        });
     }
 
     #[test]

@@ -22,6 +22,9 @@
 //!   one prefetch,
 //! - [`Prefetcher::observe_ray_retire`] — a ray completed (the hash
 //!   predictor records its path),
+//! - [`Prefetcher::next_decision_event`] / [`Prefetcher::skip_decisions`]
+//!   — the engine's idle skip asks when `decide` would next change more
+//!   than counters, then applies the skipped calls' counters in bulk,
 //! - [`Prefetcher::encode_state`] / [`Prefetcher::restore_state`] — the
 //!   RTSNAP checkpoint codec.
 
@@ -31,7 +34,7 @@ use crate::hashpath::{HashPathPrefetcher, HashPathStats};
 use crate::mta::{MtaPrefetcher, MtaStats};
 use crate::prefetch::{
     full_vote_counts, MappingMode, PrefetchEntry, PrefetcherStats, TreeletPrefetcher, Vote,
-    VoterKind,
+    VoterKind, VoterSample,
 };
 use rt_gpu_sim::{ByteReader, ByteWriter, CountTable, CountVec, DecodeError};
 use std::fmt;
@@ -145,6 +148,25 @@ impl<'a> WarpBufferView<'a> {
     }
 }
 
+/// Samples the warp buffer the way the treelet voter does: `None` when no
+/// resident ray reports a treelet, else the resident-ray count, the
+/// configured voter's vote and the full vote.
+fn voter_sample(voter: VoterKind, view: &WarpBufferView<'_>) -> Option<VoterSample> {
+    if !view.has_rays() {
+        return None;
+    }
+    let full = view.full_vote();
+    let chosen = match voter {
+        VoterKind::Full => full,
+        VoterKind::PseudoTwoLevel => view.pseudo_vote(),
+    };
+    Some(VoterSample {
+        resident_rays: view.resident_rays(),
+        chosen,
+        full,
+    })
+}
+
 /// Per-kind statistics from one prefetcher unit, used to fold per-SM
 /// counters into a run total.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -210,17 +232,19 @@ pub trait Prefetcher {
     /// Entries waiting in the prefetch queue.
     fn queue_len(&self) -> usize;
 
-    /// The cycle at which a staged (latency-delayed) decision applies,
-    /// if one is pending — an idle-skip wake-up bound.
-    fn staged_ready_at(&self) -> Option<u64> {
+    /// The first cycle at or after `now` at which [`Prefetcher::decide`]
+    /// would change more than counters, if every call sees the warp
+    /// buffer as `view` shows it — an idle-skip wake-up bound. `None`
+    /// when no such cycle comes.
+    fn next_decision_event(&self, _now: u64, _view: &WarpBufferView<'_>) -> Option<u64> {
         None
     }
 
-    /// The next cycle at which [`Prefetcher::decide`] could act, if the
-    /// predictor samples on a schedule — an idle-skip wake-up bound.
-    fn next_decision_at(&self) -> Option<u64> {
-        None
-    }
+    /// Advances the unit as if [`Prefetcher::decide`] ran with `view` at
+    /// every cycle in `now..until`. The engine calls it across an idle
+    /// skip, only when [`Prefetcher::next_decision_event`] is not before
+    /// `until`, so every such call would change only counters.
+    fn skip_decisions(&mut self, _now: u64, _until: u64, _view: &WarpBufferView<'_>) {}
 
     /// The treelet most recently prefetched, if the predictor tracks
     /// one (drives the OMR/PMR schedulers).
@@ -253,16 +277,28 @@ impl Prefetcher for TreeletPrefetcher {
         let meta = |t: u32| view.meta_line(t);
         // Poll unconditionally: it also applies staged decisions whose
         // latency elapsed, which must happen even with no rays resident.
-        if !(self.poll(now, view.mapping(), lines, meta) && view.has_rays()) {
+        if !self.poll(now, view.mapping(), lines, meta) {
             return;
         }
-        self.set_resident_rays(view.resident_rays());
-        let full = view.full_vote();
-        let chosen = match self.voter() {
-            VoterKind::Full => full,
-            VoterKind::PseudoTwoLevel => view.pseudo_vote(),
+        let Some(sample) = voter_sample(self.voter(), view) else {
+            return;
         };
-        self.submit(now, chosen, full, view.mapping(), lines, meta);
+        self.set_resident_rays(sample.resident_rays);
+        self.submit(now, sample.chosen, sample.full, view.mapping(), lines, meta);
+    }
+
+    fn next_decision_event(&self, now: u64, view: &WarpBufferView<'_>) -> Option<u64> {
+        let sample = voter_sample(self.voter(), view);
+        self.next_enqueue_at(now, sample.as_ref(), view.mapping(), |t| {
+            view.treelet_lines(t)
+        })
+    }
+
+    fn skip_decisions(&mut self, now: u64, until: u64, view: &WarpBufferView<'_>) {
+        let sample = voter_sample(self.voter(), view);
+        self.skip_idle(now, until, sample.as_ref(), view.mapping(), |t| {
+            view.treelet_lines(t)
+        });
     }
 
     fn pop_entry(&mut self) -> Option<PrefetchEntry> {
@@ -275,14 +311,6 @@ impl Prefetcher for TreeletPrefetcher {
 
     fn queue_len(&self) -> usize {
         TreeletPrefetcher::queue_len(self)
-    }
-
-    fn staged_ready_at(&self) -> Option<u64> {
-        TreeletPrefetcher::staged_ready_at(self)
-    }
-
-    fn next_decision_at(&self) -> Option<u64> {
-        Some(self.next_sample_at())
     }
 
     fn last_prefetched_treelet(&self) -> Option<u32> {
@@ -490,12 +518,12 @@ impl Prefetcher for PrefetcherUnit {
         delegate!(self, p => Prefetcher::queue_len(p))
     }
 
-    fn staged_ready_at(&self) -> Option<u64> {
-        delegate!(self, p => Prefetcher::staged_ready_at(p))
+    fn next_decision_event(&self, now: u64, view: &WarpBufferView<'_>) -> Option<u64> {
+        delegate!(self, p => p.next_decision_event(now, view))
     }
 
-    fn next_decision_at(&self) -> Option<u64> {
-        delegate!(self, p => p.next_decision_at())
+    fn skip_decisions(&mut self, now: u64, until: u64, view: &WarpBufferView<'_>) {
+        delegate!(self, p => p.skip_decisions(now, until, view))
     }
 
     fn last_prefetched_treelet(&self) -> Option<u32> {
@@ -580,8 +608,21 @@ mod tests {
         unit.observe_ray_retire(7, &[1, 2, 3]);
         Prefetcher::release_gated(&mut unit, vec![1]);
         assert_eq!(Prefetcher::queue_len(&unit), 0);
-        assert_eq!(unit.staged_ready_at(), None);
-        assert_eq!(unit.next_decision_at(), None);
+        let mut global = CountTable::with_key_capacity(8);
+        global.add(3, 2);
+        let mut warp = CountVec::with_capacity(4);
+        warp.add(3, 2);
+        let per_warp = |f: &mut dyn FnMut(&CountVec)| f(&warp);
+        static LINES: [u64; 2] = [64, 128];
+        let lines = |_t: u32| LINES.as_slice();
+        let meta = |_t: u32| 0u64;
+        let view = view_fixture(&global, &per_warp, &lines, &meta);
+        assert_eq!(unit.next_decision_event(0, &view), None);
+        unit.skip_decisions(0, 100, &view);
+        assert_eq!(
+            unit.unit_stats(),
+            PrefetchUnitStats::Mta(MtaStats::default())
+        );
         assert_eq!(unit.last_prefetched_treelet(), None);
     }
 

@@ -472,10 +472,36 @@ struct WarpSlot {
     /// At most one entry per resident ray, so a linear multiset beats a
     /// hashed map.
     counts: CountVec,
+    /// `counts.get(t)` for the SM's `match_treelet` `t` (0 without one):
+    /// the OMR/PMR match count, kept current at every count update.
+    /// Derived state, never encoded.
+    matching: u32,
     /// Which logical warp this is (shader mode).
     warp_id: usize,
     /// Which ray generation the warp is tracing (shader mode).
     generation: u32,
+}
+
+impl WarpSlot {
+    /// Adds one ray reporting treelet `t` to the slot's and the SM's
+    /// counts; `match_treelet` is the SM's.
+    fn count_ray(&mut self, global: &mut CountTable, match_treelet: Option<u32>, t: u32) {
+        self.counts.increment(t);
+        global.increment(t);
+        if match_treelet == Some(t) {
+            self.matching += 1;
+        }
+    }
+
+    /// Removes one ray reporting treelet `t` from the slot's and the SM's
+    /// counts.
+    fn uncount_ray(&mut self, global: &mut CountTable, match_treelet: Option<u32>, t: u32) {
+        self.counts.decrement(t);
+        global.decrement(t);
+        if match_treelet == Some(t) {
+            self.matching -= 1;
+        }
+    }
 }
 
 /// A warp waiting to enter the RT unit's warp buffer.
@@ -510,6 +536,23 @@ struct SmState {
     /// [`Prefetcher`] trait.
     unit: Option<PrefetcherUnit>,
     active_rays: usize,
+    /// The treelet the slots' `matching` counts refer to: the unit's
+    /// last-prefetched treelet as the OMR/PMR scheduler last saw it.
+    /// Derived state, never encoded; reset on restore.
+    match_treelet: Option<u32>,
+}
+
+impl SmState {
+    /// Points every slot's `matching` count at treelet `target`.
+    fn retarget_matches(&mut self, target: Option<u32>) {
+        if self.match_treelet == target {
+            return;
+        }
+        self.match_treelet = target;
+        for slot in self.slots.iter_mut().flatten() {
+            slot.matching = target.map_or(0, |t| slot.counts.get(t));
+        }
+    }
 }
 
 struct Engine<'a> {
@@ -538,6 +581,10 @@ struct Engine<'a> {
     rt_live_lanes: u64,
     /// Currently occupied warp-buffer slots (all SMs).
     occupied_slots: usize,
+    /// Occupied slots (all SMs) whose `ready` queue is non-empty — the
+    /// idle-skip eligibility test. Derived state, never encoded;
+    /// recounted on restore.
+    ready_slots: usize,
     /// Sum over cycles of occupied slots, for the occupancy stat.
     occupancy_integral: u64,
     /// Set whenever the current cycle did observable work (a warp
@@ -682,6 +729,7 @@ impl<'a> Engine<'a> {
                 counts_global: CountTable::with_key_capacity(treelets.count()),
                 unit: PrefetcherUnit::from_config(config),
                 active_rays: 0,
+                match_treelet: None,
             })
             .collect();
 
@@ -753,6 +801,7 @@ impl<'a> Engine<'a> {
             rt_entries: 0,
             rt_live_lanes: 0,
             occupied_slots: 0,
+            ready_slots: 0,
             occupancy_integral: 0,
             progress: false,
             last_progress,
@@ -904,62 +953,53 @@ impl<'a> Engine<'a> {
         // issues (or bumps cache MSHR-rejection counters on Retry, which
         // the digest covers) every cycle. Prefetcher queues must be empty
         // for the same reason.
-        if !self.mem.can_skip_idle() {
+        debug_assert_eq!(self.ready_slots, self.count_ready_slots());
+        if self.ready_slots > 0 || !self.mem.can_skip_idle() {
             return;
         }
         for s in &self.sms {
             if !s.shader_runqueue.is_empty() {
                 return;
             }
-            if s.slots
-                .iter()
-                .flatten()
-                .any(|slot| !slot.ready.is_empty())
-            {
-                return;
-            }
             if s.unit.as_ref().is_some_and(|u| u.queue_len() > 0) {
                 return;
             }
         }
-        // Earliest entry cycle at which any unit can act again.
-        let mut resume: Option<u64> = None;
-        let mut cand = |c: u64| match resume {
-            Some(r) if r <= c => {}
-            _ => resume = Some(c),
-        };
+        // Earliest entry cycle at which any unit can act again. With no
+        // candidate the state is frozen: skip straight toward the
+        // watchdog deadline (or the cycle limit) and let the normal path
+        // report the error.
+        let mut r = u64::MAX;
         if let Some(t) = self.mem.next_event_cycle() {
             // The tick at the end of entry cycle t-1 delivers the event.
-            cand(t.saturating_sub(1));
+            r = r.min(t.saturating_sub(1));
         }
         for s in &self.sms {
             if let Some(&Reverse((t, _))) = s.test_heap.peek() {
-                cand(t);
+                r = r.min(t);
             }
             if let Some(w) = s.warp_queue.front() {
                 // A front not yet ready enters at its ready_at; a ready
                 // front with no free slot waits on ray retirement, which
                 // cannot happen while idle — no candidate.
                 if w.ready_at >= now {
-                    cand(w.ready_at);
-                }
-            }
-            if let Some(u) = &s.unit {
-                if let Some(ready_at) = u.staged_ready_at() {
-                    cand(ready_at);
-                } else if !s.counts_global.is_empty() {
-                    // Sampling only fires with resident rays; counts are
-                    // frozen while idle.
-                    if let Some(t) = u.next_decision_at() {
-                        cand(t);
-                    }
+                    r = r.min(w.ready_at);
                 }
             }
         }
-        // With no candidate the state is frozen: skip straight toward the
-        // watchdog deadline (or the cycle limit) and let the normal path
-        // report the error.
-        let mut r = resume.unwrap_or(u64::MAX);
+        // The warp buffers are frozen while idle, so each prefetcher can
+        // say when a decision would first do more than bump counters.
+        // Asking costs a vote per SM: stop once no skip is possible.
+        for sm in 0..self.sms.len() {
+            if r <= now {
+                return;
+            }
+            if let Some(Some(t)) =
+                self.with_unit_view(sm, |unit, view| unit.next_decision_event(now, view))
+            {
+                r = r.min(t);
+            }
+        }
         // Watchdog: `last_progress` advances at every observed cycle with
         // scheduled future work, so cap the skip such that the deadline
         // observation is never jumped over.
@@ -995,6 +1035,9 @@ impl<'a> Engine<'a> {
         self.mem.skip_idle_to(r);
         // Closed forms of the per-cycle integrations over the skipped
         // iterations (entry cycles now..r-1, observed cycles now+1..=r).
+        for sm in 0..self.sms.len() {
+            self.with_unit_view(sm, |unit, view| unit.skip_decisions(now, r, view));
+        }
         self.occupancy_integral += self.occupied_slots as u64 * (r - now);
         if any_tests {
             // Tests pend throughout the skip (they would execute at or
@@ -1012,6 +1055,16 @@ impl<'a> Engine<'a> {
             // m - 1 still count as scheduled work.
             self.last_progress = self.last_progress.max(r.min(m - 1));
         }
+    }
+
+    /// Counts the occupied slots with a non-empty `ready` queue, the
+    /// value `ready_slots` maintains.
+    fn count_ready_slots(&self) -> usize {
+        self.sms
+            .iter()
+            .flat_map(|s| s.slots.iter().flatten())
+            .filter(|slot| !slot.ready.is_empty())
+            .count()
     }
 
     /// `true` when some SM holds time-scheduled future work: a pending
@@ -1096,7 +1149,7 @@ impl<'a> Engine<'a> {
         self.fill_warp_buffer(sm, now);
         self.drain_completions(sm, now);
         self.finish_tests(sm, now);
-        let issued_demand = self.schedule_demand(sm, now);
+        let issued_demand = self.schedule_demand(sm);
         if issued_demand {
             self.progress = true;
         }
@@ -1125,10 +1178,12 @@ impl<'a> Engine<'a> {
                 active: 0,
                 ready: VecDeque::with_capacity(lanes),
                 counts: CountVec::with_capacity(4),
+                matching: 0,
                 warp_id: pending.warp_id,
                 generation: pending.generation,
             };
-            for &r in &slot.rays {
+            for lane in 0..lanes {
+                let r = slot.rays[lane];
                 let ray = &mut self.rays[r as usize];
                 ray.slot = slot_idx;
                 if ray.is_done() {
@@ -1138,8 +1193,7 @@ impl<'a> Engine<'a> {
                 state.active_rays += 1;
                 slot.ready.push_back(r);
                 if let Some(t) = ray.current_treelet() {
-                    slot.counts.increment(t);
-                    state.counts_global.increment(t);
+                    slot.count_ray(&mut state.counts_global, state.match_treelet, t);
                 }
                 if !self.hash_keys.is_empty() {
                     if let Some(unit) = state.unit.as_mut() {
@@ -1151,6 +1205,8 @@ impl<'a> Engine<'a> {
                 self.rt_entries += 1;
                 self.rt_live_lanes += slot.active as u64;
                 self.occupied_slots += 1;
+                // Every active lane entered the ready queue.
+                self.ready_slots += 1;
                 state.slots[slot_idx] = Some(slot);
             } else {
                 // Every lane already dead (e.g. all rays missed the root):
@@ -1218,8 +1274,7 @@ impl<'a> Engine<'a> {
             .expect("ray's warp slot must be occupied");
         if ray.is_done() {
             if let Some(t) = old_treelet {
-                slot.counts.decrement(t);
-                state.counts_global.decrement(t);
+                slot.uncount_ray(&mut state.counts_global, state.match_treelet, t);
             }
             slot.active -= 1;
             state.active_rays -= 1;
@@ -1239,52 +1294,58 @@ impl<'a> Engine<'a> {
             let new_treelet = ray.current_treelet();
             if old_treelet != new_treelet {
                 if let Some(t) = old_treelet {
-                    slot.counts.decrement(t);
-                    state.counts_global.decrement(t);
+                    slot.uncount_ray(&mut state.counts_global, state.match_treelet, t);
                 }
                 if let Some(t) = new_treelet {
-                    slot.counts.increment(t);
-                    state.counts_global.increment(t);
+                    slot.count_ray(&mut state.counts_global, state.match_treelet, t);
                 }
             }
             ray.next_line = 0;
+            if slot.ready.is_empty() {
+                self.ready_slots += 1;
+            }
             slot.ready.push_back(r);
         }
     }
 
     /// Picks a warp per the scheduling policy and issues one line.
     /// Returns `true` if the memory scheduler was busy with demand work.
-    fn schedule_demand(&mut self, sm: usize, now: u64) -> bool {
+    fn schedule_demand(&mut self, sm: usize) -> bool {
         let slot_idx = {
-            let state = &self.sms[sm];
+            let state = &mut self.sms[sm];
             let last_prefetched = state.unit.as_ref().and_then(|u| u.last_prefetched_treelet());
+            let policy = match last_prefetched {
+                None => SchedulerPolicy::Baseline,
+                Some(_) => self.config.scheduler,
+            };
+            if policy != SchedulerPolicy::Baseline {
+                state.retarget_matches(last_prefetched);
+            }
             let candidates = state
                 .slots
                 .iter()
                 .enumerate()
                 .filter_map(|(i, s)| s.as_ref().map(|s| (i, s)))
-                .filter(|(_, s)| !s.ready.is_empty());
-            match (self.config.scheduler, last_prefetched) {
-                (SchedulerPolicy::Baseline, _) | (_, None) => {
+                .filter(|(_, s)| !s.ready.is_empty())
+                .inspect(|(_, s)| {
+                    if policy != SchedulerPolicy::Baseline {
+                        debug_assert_eq!(
+                            s.matching,
+                            last_prefetched.map_or(0, |t| s.counts.get(t)),
+                            "stale OMR/PMR match count"
+                        );
+                    }
+                });
+            match policy {
+                SchedulerPolicy::Baseline => {
                     candidates.min_by_key(|(_, s)| s.arrival).map(|(i, _)| i)
                 }
-                (SchedulerPolicy::OldestMatchingRay, Some(t)) => {
-                    let mut matching: Vec<(usize, u64)> = Vec::new();
-                    let mut all: Vec<(usize, u64)> = Vec::new();
-                    for (i, s) in candidates {
-                        all.push((i, s.arrival));
-                        if s.counts.get(t) > 0 {
-                            matching.push((i, s.arrival));
-                        }
-                    }
-                    matching
-                        .into_iter()
-                        .min_by_key(|&(_, a)| a)
-                        .or_else(|| all.into_iter().min_by_key(|&(_, a)| a))
-                        .map(|(i, _)| i)
-                }
-                (SchedulerPolicy::PrioritizeMostRays, Some(t)) => candidates
-                    .max_by_key(|(_, s)| (s.counts.get(t), Reverse(s.arrival)))
+                // Oldest matching warp, else the oldest warp.
+                SchedulerPolicy::OldestMatchingRay => candidates
+                    .min_by_key(|(_, s)| (s.matching == 0, s.arrival))
+                    .map(|(i, _)| i),
+                SchedulerPolicy::PrioritizeMostRays => candidates
+                    .max_by_key(|(_, s)| (s.matching, Reverse(s.arrival)))
                     .map(|(i, _)| i),
             }
         };
@@ -1321,6 +1382,9 @@ impl<'a> Engine<'a> {
                     }
                     if ray.next_line == step_lines {
                         slot.ready.pop_front();
+                        if slot.ready.is_empty() {
+                            self.ready_slots -= 1;
+                        }
                     }
                 }
                 Issue::Retry => {
@@ -1329,43 +1393,54 @@ impl<'a> Engine<'a> {
                 Issue::PrefetchDropped => unreachable!("demand loads are never dropped"),
             }
         }
-        let _ = now;
         issued > 0
+    }
+
+    /// Runs `f` on SM `sm`'s prefetcher with a view of its warp buffer;
+    /// `None` when the SM has no prefetcher.
+    fn with_unit_view<R>(
+        &mut self,
+        sm: usize,
+        f: impl FnOnce(&mut PrefetcherUnit, &WarpBufferView<'_>) -> R,
+    ) -> Option<R> {
+        let treelet_lines = &self.treelet_lines;
+        let meta_lines = &self.meta_lines;
+        let state = &mut self.sms[sm];
+        let unit = state.unit.as_mut()?;
+        let lines = |t: u32| treelet_lines[t as usize].as_slice();
+        let meta = |t: u32| meta_lines[t as usize];
+        let slots = &state.slots;
+        let per_warp = |f: &mut dyn FnMut(&CountVec)| {
+            for s in slots.iter().flatten() {
+                f(&s.counts);
+            }
+        };
+        let view = WarpBufferView::new(
+            self.mapping,
+            state.active_rays as u32,
+            &state.counts_global,
+            &per_warp,
+            &lines,
+            &meta,
+        );
+        Some(f(unit, &view))
     }
 
     fn run_prefetcher(&mut self, sm: usize, now: u64, issued_demand: bool) {
         // Unified prefetcher step: let the unit observe the warp buffer
         // and decide (the treelet voter samples/votes here, §4.1), then
         // drain one queued entry when the memory scheduler is idle.
-        let treelet_lines = &self.treelet_lines;
-        let meta_lines = &self.meta_lines;
-        let mapping = self.mapping;
+        if self
+            .with_unit_view(sm, |unit, view| unit.decide(now, view))
+            .is_none()
+            || issued_demand
+        {
+            return;
+        }
         let state = &mut self.sms[sm];
         let Some(unit) = state.unit.as_mut() else {
             return;
         };
-        {
-            let lines = |t: u32| treelet_lines[t as usize].as_slice();
-            let meta = |t: u32| meta_lines[t as usize];
-            let slots = &state.slots;
-            let per_warp = |f: &mut dyn FnMut(&CountVec)| {
-                for s in slots.iter().flatten() {
-                    f(&s.counts);
-                }
-            };
-            let view = WarpBufferView::new(
-                mapping,
-                state.active_rays as u32,
-                &state.counts_global,
-                &per_warp,
-                &lines,
-                &meta,
-            );
-            unit.decide(now, &view);
-        }
-        if issued_demand {
-            return;
-        }
         let Some(entry) = unit.pop_entry() else {
             return;
         };
@@ -1522,6 +1597,7 @@ impl<'a> Engine<'a> {
         for sm in &mut self.sms {
             restore_sm_state(sm, &mut r, num_rays)?;
         }
+        self.ready_slots = self.count_ready_slots();
         self.mem = MemorySystem::decode_state(&mut r, self.config.mem, self.config.num_sms)?;
         r.expect_end()?;
         Ok(())
@@ -1700,6 +1776,7 @@ fn restore_sm_state(
                 active,
                 ready,
                 counts,
+                matching: 0,
                 warp_id,
                 generation,
             })
@@ -1752,6 +1829,8 @@ fn restore_sm_state(
     sm.counts_global = decode_counts(r)?;
     restore_unit_state(&mut sm.unit, r)?;
     sm.active_rays = r.take_usize()?;
+    // Every restored slot's `matching` is 0: no treelet yet.
+    sm.match_treelet = None;
     Ok(())
 }
 

@@ -12,7 +12,10 @@
 //! The pinned values correspond to the CI suite cells
 //! `suite --detail 0.1 --res 16 --config {baseline,prefetch}`.
 
-use treelet_rt::{Bench, CheckpointOptions, PrefetchConfig, SimConfig, SimSession};
+use treelet_rt::{
+    Bench, CheckpointOptions, MappingMode, PrefetchConfig, PrefetchDestination, PrefetchHeuristic,
+    SchedulerPolicy, SimConfig, SimSession, VoterKind,
+};
 
 use rt_scene::{SceneId, Workload, WorkloadKind};
 
@@ -159,4 +162,70 @@ fn checkpoint_resume_round_trips_over_the_dense_tables() {
         );
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Treelet-prefetcher variants whose idle-skip handling differs from the
+/// default config's: staged decisions (voter latency), the pseudo voter's
+/// accuracy counters, threshold-suppressed and partial decisions, the
+/// mapping-table queue entries, the OMR scheduler, and L2 prefetches.
+fn treelet_variants() -> Vec<(String, SimConfig)> {
+    let prefetch = SimConfig::paper_treelet_prefetch;
+    let mut variants = Vec::new();
+    for latency in [0, 32, 512] {
+        for voter in [VoterKind::Full, VoterKind::PseudoTwoLevel] {
+            variants.push((
+                format!("{voter:?}/latency {latency}"),
+                prefetch().with_voter(voter, latency),
+            ));
+        }
+    }
+    for heuristic in [
+        PrefetchHeuristic::Popularity(0.5),
+        PrefetchHeuristic::Partial,
+    ] {
+        variants.push((format!("{heuristic}"), prefetch().with_heuristic(heuristic)));
+    }
+    for mode in [MappingMode::LooseWait, MappingMode::StrictWait] {
+        variants.push((format!("{mode:?}"), prefetch().with_mapping_mode(mode)));
+    }
+    variants.push((
+        "OMR".to_string(),
+        prefetch().with_scheduler(SchedulerPolicy::OldestMatchingRay),
+    ));
+    let mut l2 = prefetch();
+    l2.prefetch_destination = PrefetchDestination::L2;
+    variants.push(("L2 destination".to_string(), l2));
+    variants
+}
+
+#[test]
+fn idle_skip_is_bit_identical_across_treelet_variants() {
+    // Two scenes with different idle profiles: coherent primary rays and
+    // incoherent diffuse rays (many distinct treelets per SM).
+    let benches = [
+        ("WKND primary", bench(SceneId::Wknd)),
+        (
+            "CAR diffuse",
+            Bench::prepare(
+                SceneId::Car,
+                0.1,
+                Workload::new(WorkloadKind::Diffuse, 16, 16),
+            ),
+        ),
+    ];
+    for (scene, b) in &benches {
+        for (name, config) in treelet_variants() {
+            let mut naive = config.clone();
+            naive.idle_skip = false;
+            let skip = b.run(&config);
+            let step = b.run(&naive);
+            assert_eq!(skip.cycles, step.cycles, "{scene}/{name} cycles");
+            assert_eq!(
+                skip.state_digest, step.state_digest,
+                "{scene}/{name} digest"
+            );
+            assert_eq!(skip.prefetcher, step.prefetcher, "{scene}/{name} stats");
+            assert!(skip.prefetcher.is_some(), "{scene}/{name} runs a voter");
+        }
+    }
 }

@@ -15,7 +15,7 @@
 //!   O(1) insert/lookup/remove by direct indexing, iteration in id
 //!   order for free (canonical encode order without sorting).
 //! - [`CountTable`] — dense per-key counters with a sparse set of the
-//!   nonzero keys, so voting scans touch only live entries.
+//!   nonzero keys and a cached maximum, so the majority vote is O(1).
 //! - [`CountVec`] — a tiny linear-probe counter multiset for per-slot
 //!   treelet counts (a warp holds at most 32 rays, so linear scans win).
 //!
@@ -24,6 +24,7 @@
 //! (sorted or id-ordered) form the previous `HashMap`-based code used,
 //! so state digests are unaffected by the representation swap.
 
+use std::cell::Cell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -200,15 +201,21 @@ impl<V> IdWindow<V> {
 }
 
 /// Dense per-key counters (keys are small `u32`s, e.g. treelet ids) with
-/// a sparse set of the nonzero keys.
+/// a sparse set of the nonzero keys and a cached maximum.
 ///
 /// `increment`/`decrement` are O(1); iteration visits only nonzero keys,
-/// so majority-vote scans cost O(live treelets), not O(all treelets) and
-/// not a hash walk. Decrementing to zero removes the key from the sparse
-/// set — mirroring the old `HashMap` code, which removed zero entries —
-/// so the canonical sorted encoding of the nonzero pairs is byte-for-byte
-/// what `encode_counts` produced before.
-#[derive(Debug, Clone, Default)]
+/// so scans cost O(live treelets), not O(all treelets) and not a hash
+/// walk. Decrementing to zero removes the key from the sparse set —
+/// mirroring the old `HashMap` code, which removed zero entries — so the
+/// canonical sorted encoding of the nonzero pairs is byte-for-byte what
+/// `encode_counts` produced before.
+///
+/// [`CountTable::max`] answers the majority vote. Once queried, the table
+/// keeps its leader current: increments update it in O(1), and
+/// decrementing the leader only marks it stale, so the next query
+/// rescans. The leader starts stale, so a table nobody queries (a run
+/// without a voter) neither tracks it nor ever rescans.
+#[derive(Debug, Clone)]
 pub struct CountTable {
     counts: Vec<u32>,
     /// Nonzero keys in arbitrary order.
@@ -216,6 +223,23 @@ pub struct CountTable {
     /// `pos[key]` = index of `key` in `nonzero` (valid only while
     /// `counts[key] > 0`).
     pos: Vec<u32>,
+    /// The `(key, count)` maximum, unless `leader_stale` is set.
+    leader: Cell<Option<(u32, u32)>>,
+    /// Set until the first query and whenever the leader is decremented;
+    /// [`CountTable::max`] then rescans.
+    leader_stale: Cell<bool>,
+}
+
+impl Default for CountTable {
+    fn default() -> CountTable {
+        CountTable::with_key_capacity(0)
+    }
+}
+
+/// `true` when `(key, count)` ranks above `other` in the vote order:
+/// higher count first, then lower key.
+fn outranks((key, count): (u32, u32), other: Option<(u32, u32)>) -> bool {
+    other.is_none_or(|(k, c)| count > c || (count == c && key < k))
 }
 
 impl CountTable {
@@ -225,6 +249,15 @@ impl CountTable {
             counts: vec![0; keys],
             nonzero: Vec::new(),
             pos: vec![0; keys],
+            leader: Cell::new(None),
+            leader_stale: Cell::new(true),
+        }
+    }
+
+    /// Records that `key` now holds `count` after an increase.
+    fn raise(&mut self, key: u32, count: u32) {
+        if !self.leader_stale.get() && outranks((key, count), self.leader.get()) {
+            self.leader.set(Some((key, count)));
         }
     }
 
@@ -245,6 +278,7 @@ impl CountTable {
             self.nonzero.push(key);
         }
         self.counts[k] += 1;
+        self.raise(key, self.counts[k]);
     }
 
     /// Adds `n` to `key`'s count (no-op for `n == 0`) — the bulk form
@@ -260,6 +294,7 @@ impl CountTable {
             self.nonzero.push(key);
         }
         self.counts[k] += n;
+        self.raise(key, self.counts[k]);
     }
 
     /// Subtracts one from `key`'s count.
@@ -272,6 +307,9 @@ impl CountTable {
         let k = key as usize;
         debug_assert!(k < self.counts.len() && self.counts[k] > 0);
         self.counts[k] -= 1;
+        if self.leader.get().is_some_and(|(leader, _)| leader == key) {
+            self.leader_stale.set(true);
+        }
         if self.counts[k] == 0 {
             let at = self.pos[k] as usize;
             self.nonzero.swap_remove(at);
@@ -303,6 +341,25 @@ impl CountTable {
             .map(move |&k| (k, self.counts[k as usize]))
     }
 
+    /// The `(key, count)` pair with the highest count, the lowest key
+    /// among equal counts; `None` when every count is zero.
+    ///
+    /// O(1) unless this is the first query or the leader was
+    /// decremented since the last one, in which case this rescans the
+    /// nonzero keys once.
+    pub fn max(&self) -> Option<(u32, u32)> {
+        if self.leader_stale.replace(false) {
+            let mut best = None;
+            for pair in self.iter_nonzero() {
+                if outranks(pair, best) {
+                    best = Some(pair);
+                }
+            }
+            self.leader.set(best);
+        }
+        self.leader.get()
+    }
+
     /// Nonzero `(key, count)` pairs sorted by key — the canonical
     /// encoding order.
     pub fn sorted_pairs(&self) -> Vec<(u32, u32)> {
@@ -317,6 +374,7 @@ impl CountTable {
             self.counts[k as usize] = 0;
         }
         self.nonzero.clear();
+        self.leader.set(None);
     }
 }
 

@@ -1,8 +1,8 @@
 //! Property-based tests for the cache and DRAM models.
 
 use rt_gpu_sim::{
-    AccessKind, Cache, Dram, DramConfig, FillOrigin, MemConfig, MemorySystem, Organization,
-    ProbeOutcome,
+    AccessKind, Cache, CountTable, Dram, DramConfig, FillOrigin, MemConfig, MemorySystem,
+    Organization, ProbeOutcome,
 };
 use rt_rng::prop::forall;
 use rt_rng::{Rng, SmallRng};
@@ -182,5 +182,49 @@ fn dram_channel_counts_conserve_requests() {
         let per: u64 = dram.channel_accesses().iter().sum();
         assert_eq!(per, addrs.len() as u64);
         assert_eq!(dram.total_accesses(), addrs.len() as u64);
+    });
+}
+
+#[test]
+fn count_table_max_matches_a_full_scan() {
+    // Few keys and small counts make ties common, so the lowest-key
+    // tie-break is exercised as often as the count order.
+    forall("count_table_max_matches_a_full_scan", 256, |rng| {
+        let mut table = CountTable::default();
+        let mut reference = [0u32; 12];
+        for _ in 0..rng.gen_range(1..300usize) {
+            let key = rng.gen_range(0..12u32);
+            match rng.gen_range(0..10u32) {
+                0..=3 => {
+                    table.increment(key);
+                    reference[key as usize] += 1;
+                }
+                4..=7 => {
+                    if reference[key as usize] > 0 {
+                        table.decrement(key);
+                        reference[key as usize] -= 1;
+                    }
+                }
+                8 => {
+                    let n = rng.gen_range(0..4u32);
+                    table.add(key, n);
+                    reference[key as usize] += n;
+                }
+                _ => {
+                    if rng.gen_bool(0.2) {
+                        table.clear();
+                        reference = [0; 12];
+                    }
+                }
+            }
+            // Query only some steps, so stale leaders meet later updates.
+            if rng.gen_bool(0.5) {
+                let expected = (0..12u32)
+                    .map(|k| (k, reference[k as usize]))
+                    .filter(|&(_, c)| c > 0)
+                    .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)));
+                assert_eq!(table.max(), expected);
+            }
+        }
     });
 }
