@@ -207,14 +207,14 @@ pub(crate) fn try_run_engine(
             }
         }
     }
-    let live_traces: Vec<RayTrace> = all_traces.iter().flatten().cloned().collect();
-    let traversal = TraversalStats::of(&live_traces);
+    let traversal = TraversalStats::of(all_traces.iter().flatten());
     let line_bytes = config.mem.line_bytes;
+    // The compiled steps are all the timing model replays: each trace is
+    // freed once compiled.
     let compiled: Vec<Vec<CompiledStep>> = all_traces
-        .iter()
+        .into_iter()
         .map(|t| {
-            t.as_ref()
-                .map(|t| compile_trace(t, &image, line_bytes))
+            t.map(|t| compile_trace(&t, &image, line_bytes))
                 .unwrap_or_default()
         })
         .collect();
@@ -540,6 +540,28 @@ struct SmState {
     /// last-prefetched treelet as the OMR/PMR scheduler last saw it.
     /// Derived state, never encoded; reset on restore.
     match_treelet: Option<u32>,
+    /// The last demand retry of this SM's scheduler, if any. Cleared
+    /// whenever the warp buffer changes (a warp is admitted or a ray
+    /// advances); after an L1 fill it no longer matches. Derived state,
+    /// never encoded; reset on restore.
+    stall: Option<Stall>,
+}
+
+/// What a demand issue that returned `Issue::Retry` was made under.
+///
+/// Only an L1 fill frees an MSHR or makes a line resident or pending (a
+/// prefetch probe cannot allocate while the MSHRs are full). So while the
+/// SM sees no fill, its warp buffer is unchanged and the scheduler target
+/// is the same, the scheduler would pick the same ray and be refused the
+/// same line again.
+#[derive(Debug, Clone, Copy)]
+struct Stall {
+    /// `MemorySystem::l1_fills` of the SM at the retry.
+    fills: u64,
+    /// The scheduler target (the unit's last-prefetched treelet).
+    target: Option<u32>,
+    /// The refused line.
+    line: u64,
 }
 
 impl SmState {
@@ -730,6 +752,7 @@ impl<'a> Engine<'a> {
                 unit: PrefetcherUnit::from_config(config),
                 active_rays: 0,
                 match_treelet: None,
+                stall: None,
             })
             .collect();
 
@@ -1170,6 +1193,7 @@ impl<'a> Engine<'a> {
             let Some(pending) = state.warp_queue.pop_front() else {
                 break;
             };
+            state.stall = None;
             self.progress = true;
             let lanes = pending.rays.len();
             let mut slot = WarpSlot {
@@ -1268,6 +1292,7 @@ impl<'a> Engine<'a> {
         let old_treelet = ray.current_treelet();
         ray.step += 1;
         let state = &mut self.sms[sm];
+        state.stall = None;
         let slot_idx = ray.slot;
         let slot = state.slots[slot_idx]
             .as_mut()
@@ -1311,45 +1336,25 @@ impl<'a> Engine<'a> {
     /// Picks a warp per the scheduling policy and issues one line.
     /// Returns `true` if the memory scheduler was busy with demand work.
     fn schedule_demand(&mut self, sm: usize) -> bool {
-        let slot_idx = {
-            let state = &mut self.sms[sm];
-            let last_prefetched = state.unit.as_ref().and_then(|u| u.last_prefetched_treelet());
-            let policy = match last_prefetched {
-                None => SchedulerPolicy::Baseline,
-                Some(_) => self.config.scheduler,
-            };
-            if policy != SchedulerPolicy::Baseline {
-                state.retarget_matches(last_prefetched);
+        let target = self.sms[sm]
+            .unit
+            .as_ref()
+            .and_then(|u| u.last_prefetched_treelet());
+        // A stalled scheduler would retry the same line: count the
+        // rejection without selecting a warp or probing the L1.
+        if let Some(stall) = self.sms[sm].stall {
+            if stall.fills == self.mem.l1_fills(sm) && stall.target == target {
+                debug_assert_eq!(
+                    self.select_warp(sm, target)
+                        .map(|slot_idx| self.front_line(sm, slot_idx)),
+                    Some(stall.line),
+                    "a repeated retry must refuse the line the scheduler picks"
+                );
+                self.mem.repeat_retry(sm, stall.line);
+                return false;
             }
-            let candidates = state
-                .slots
-                .iter()
-                .enumerate()
-                .filter_map(|(i, s)| s.as_ref().map(|s| (i, s)))
-                .filter(|(_, s)| !s.ready.is_empty())
-                .inspect(|(_, s)| {
-                    if policy != SchedulerPolicy::Baseline {
-                        debug_assert_eq!(
-                            s.matching,
-                            last_prefetched.map_or(0, |t| s.counts.get(t)),
-                            "stale OMR/PMR match count"
-                        );
-                    }
-                });
-            match policy {
-                SchedulerPolicy::Baseline => {
-                    candidates.min_by_key(|(_, s)| s.arrival).map(|(i, _)| i)
-                }
-                // Oldest matching warp, else the oldest warp.
-                SchedulerPolicy::OldestMatchingRay => candidates
-                    .min_by_key(|(_, s)| (s.matching == 0, s.arrival))
-                    .map(|(i, _)| i),
-                SchedulerPolicy::PrioritizeMostRays => candidates
-                    .max_by_key(|(_, s)| (s.matching, Reverse(s.arrival)))
-                    .map(|(i, _)| i),
-            }
-        };
-        let Some(slot_idx) = slot_idx else {
+        }
+        let Some(slot_idx) = self.select_warp(sm, target) else {
             return false;
         };
 
@@ -1388,12 +1393,66 @@ impl<'a> Engine<'a> {
                     }
                 }
                 Issue::Retry => {
-                    break; // L1 MSHRs exhausted: stall the scheduler
+                    // L1 MSHRs exhausted: stall the scheduler.
+                    state.stall = Some(Stall {
+                        fills: self.mem.l1_fills(sm),
+                        target,
+                        line,
+                    });
+                    break;
                 }
                 Issue::PrefetchDropped => unreachable!("demand loads are never dropped"),
             }
         }
         issued > 0
+    }
+
+    /// The line the front ready ray of warp slot `slot_idx` issues next.
+    fn front_line(&self, sm: usize, slot_idx: usize) -> u64 {
+        let slot = self.sms[sm].slots[slot_idx]
+            .as_ref()
+            .expect("candidate slot occupied");
+        let ray = &self.rays[*slot.ready.front().expect("candidate has a ready ray") as usize];
+        ray.steps[ray.step].2[ray.next_line].0
+    }
+
+    /// The warp slot the SM's scheduling policy issues from next, or
+    /// `None` when no slot has a ready ray. `target` is the unit's
+    /// last-prefetched treelet; without one the policy is Baseline.
+    fn select_warp(&mut self, sm: usize, target: Option<u32>) -> Option<usize> {
+        let state = &mut self.sms[sm];
+        let policy = match target {
+            None => SchedulerPolicy::Baseline,
+            Some(_) => self.config.scheduler,
+        };
+        if policy != SchedulerPolicy::Baseline {
+            state.retarget_matches(target);
+        }
+        let candidates = state
+            .slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| s.as_ref().map(|s| (i, s)))
+            .filter(|(_, s)| !s.ready.is_empty())
+            .inspect(|(_, s)| {
+                if policy != SchedulerPolicy::Baseline {
+                    debug_assert_eq!(
+                        s.matching,
+                        target.map_or(0, |t| s.counts.get(t)),
+                        "stale OMR/PMR match count"
+                    );
+                }
+            });
+        match policy {
+            SchedulerPolicy::Baseline => candidates.min_by_key(|(_, s)| s.arrival).map(|(i, _)| i),
+            // Oldest matching warp, else the oldest warp.
+            SchedulerPolicy::OldestMatchingRay => candidates
+                .min_by_key(|(_, s)| (s.matching == 0, s.arrival))
+                .map(|(i, _)| i),
+            SchedulerPolicy::PrioritizeMostRays => candidates
+                .max_by_key(|(_, s)| (s.matching, Reverse(s.arrival)))
+                .map(|(i, _)| i),
+        }
     }
 
     /// Runs `f` on SM `sm`'s prefetcher with a view of its warp buffer;
@@ -1831,6 +1890,7 @@ fn restore_sm_state(
     sm.active_rays = r.take_usize()?;
     // Every restored slot's `matching` is 0: no treelet yet.
     sm.match_treelet = None;
+    sm.stall = None;
     Ok(())
 }
 

@@ -327,16 +327,18 @@ impl TraversalStats {
     /// # Panics
     ///
     /// Panics if `traces` is empty.
-    pub fn of(traces: &[RayTrace]) -> TraversalStats {
-        assert!(!traces.is_empty(), "need at least one trace");
-        let total: usize = traces.iter().map(RayTrace::nodes_visited).sum();
+    pub fn of<'a>(traces: impl IntoIterator<Item = &'a RayTrace>) -> TraversalStats {
+        let (mut count, mut total, mut max) = (0usize, 0usize, 0usize);
+        for trace in traces {
+            let nodes = trace.nodes_visited();
+            count += 1;
+            total += nodes;
+            max = max.max(nodes);
+        }
+        assert!(count > 0, "need at least one trace");
         TraversalStats {
-            avg_nodes_per_ray: total as f64 / traces.len() as f64,
-            max_nodes_per_ray: traces
-                .iter()
-                .map(RayTrace::nodes_visited)
-                .max()
-                .unwrap_or(0),
+            avg_nodes_per_ray: total as f64 / count as f64,
+            max_nodes_per_ray: max,
         }
     }
 }

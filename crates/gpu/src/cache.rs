@@ -389,6 +389,21 @@ impl Cache {
         }
     }
 
+    /// Counts the MSHR rejection of a demand probe of `addr` that is known
+    /// to miss with every MSHR in use, without probing.
+    pub(crate) fn repeat_rejection(&mut self, addr: u64) {
+        debug_assert!(
+            !self.contains(addr) && !self.is_pending(addr),
+            "repeated rejection of line {:#x}, which is resident or pending",
+            self.line_of(addr)
+        );
+        debug_assert!(
+            self.mshrs.len() >= self.mshr_capacity,
+            "repeated rejection with a free MSHR"
+        );
+        self.stats.mshr_rejections += 1;
+    }
+
     /// Installs the line containing `addr`, completing its MSHR entry.
     /// Evicts an LRU victim if the cache (or set) is full. Returns the
     /// evicted line, if any.

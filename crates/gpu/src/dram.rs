@@ -119,14 +119,21 @@ impl Dram {
     /// in completion order.
     pub fn drain_completed(&mut self, now: u64) -> Vec<u64> {
         let mut done = Vec::new();
+        self.drain_completed_into(now, &mut done);
+        done
+    }
+
+    /// [`Dram::drain_completed`] into `out` (cleared first), which keeps
+    /// its capacity across calls.
+    pub(crate) fn drain_completed_into(&mut self, now: u64, out: &mut Vec<u64>) {
+        out.clear();
         while let Some(&Reverse((t, id))) = self.completions.peek() {
             if t > now {
                 break;
             }
             self.completions.pop();
-            done.push(id);
+            out.push(id);
         }
-        done
     }
 
     /// Number of requests still in flight.

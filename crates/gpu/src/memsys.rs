@@ -14,8 +14,7 @@ use crate::codec::{ByteReader, ByteWriter, DecodeError};
 use crate::dram::{Dram, DramConfig};
 use crate::table::{FxHashMap, FxHashSet, IdWindow};
 use rt_rng::{Rng, SmallRng};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// Unique identifier of an accepted memory access.
 pub type RequestId = u64;
@@ -366,6 +365,234 @@ enum Event {
     DramSend { line: u64 },
 }
 
+/// An event due at core cycle `at`; `seq` orders events due together.
+#[derive(Debug, Clone, Copy)]
+struct Scheduled {
+    at: u64,
+    seq: u64,
+    event: Event,
+}
+
+/// Upper bound on the event ring's span in cycles. A configuration with
+/// longer delays still works: those events wait in the overflow list.
+const MAX_WHEEL_CYCLES: u64 = 1 << 14;
+
+/// End of an event chain.
+const NIL: u32 = u32::MAX;
+
+/// A scheduled event and the next node of its bucket's chain.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    s: Scheduled,
+    next: u32,
+}
+
+/// One bucket's chain of nodes; `tail` is meaningful only when `head`
+/// is not [`NIL`].
+#[derive(Debug, Clone, Copy)]
+struct Chain {
+    head: u32,
+    tail: u32,
+}
+
+const EMPTY_CHAIN: Chain = Chain {
+    head: NIL,
+    tail: NIL,
+};
+
+/// Scheduled events, bucketed by the cycle they fire at.
+///
+/// A ring of per-cycle buckets covers cycles `now..now + len`. Each
+/// bucket chains its events in `seq` order, so firing bucket by bucket
+/// yields `(at, seq)` order. The bucket of `now`, the last cycle fired,
+/// stays open: an event scheduled for the current cycle after it fired
+/// goes first on the next tick. The chains run through one node slab
+/// with a free list, so scheduling allocates only when more events are
+/// pending than ever before.
+///
+/// Events beyond the ring wait in `far`, sorted by `(at, seq)`, and move
+/// into their bucket as soon as the ring reaches them, before anything
+/// else can be scheduled there. The ring spans the longest delay the
+/// configuration schedules (up to [`MAX_WHEEL_CYCLES`]), so only decoded
+/// events ever use `far`.
+#[derive(Debug)]
+struct EventWheel {
+    /// Power-of-two ring; cycle `t`'s bucket is `t & (len - 1)`.
+    buckets: Vec<Chain>,
+    nodes: Vec<Node>,
+    /// Head of the free-node list.
+    free: u32,
+    /// The open bucket's cycle. Ring events are due in `now..now + len`;
+    /// decoded events already overdue sit, in order, in the open bucket.
+    now: u64,
+    /// Events in the ring.
+    pending: usize,
+    /// Events due at `now + len` or later, sorted by `(at, seq)`.
+    far: Vec<Scheduled>,
+}
+
+impl EventWheel {
+    /// An empty wheel at cycle `now` whose ring covers delays up to
+    /// `horizon` cycles, counted from the open bucket's cycle or the one
+    /// after it (events fired from a leftover open bucket schedule from
+    /// the next cycle).
+    fn new(now: u64, horizon: u64) -> EventWheel {
+        let len = (horizon.min(MAX_WHEEL_CYCLES) + 2).next_power_of_two();
+        EventWheel {
+            buckets: vec![EMPTY_CHAIN; len as usize],
+            nodes: Vec::new(),
+            free: NIL,
+            now,
+            pending: 0,
+            far: Vec::new(),
+        }
+    }
+
+    /// A wheel at cycle `now` holding `events`, in any order (a stable
+    /// sort by `(at, seq)` puts each cycle's events in `seq` order).
+    fn from_events(now: u64, horizon: u64, mut events: Vec<Scheduled>) -> EventWheel {
+        events.sort_by_key(|s| (s.at, s.seq));
+        let mut wheel = EventWheel::new(now, horizon);
+        for s in events {
+            wheel.push(s);
+        }
+        wheel
+    }
+
+    fn mask(&self) -> u64 {
+        self.buckets.len() as u64 - 1
+    }
+
+    fn len(&self) -> usize {
+        self.pending + self.far.len()
+    }
+
+    /// Adds `s`. Events due in one cycle must arrive in `seq` order: live
+    /// scheduling allocates increasing `seq`s, and decode sorts first.
+    fn push(&mut self, s: Scheduled) {
+        if s.at.max(self.now) - self.now < self.buckets.len() as u64 {
+            self.link(s);
+        } else {
+            let i = self.far.partition_point(|e| (e.at, e.seq) <= (s.at, s.seq));
+            self.far.insert(i, s);
+        }
+    }
+
+    /// Appends `s` to its bucket's chain (overdue events to the open
+    /// bucket's).
+    fn link(&mut self, s: Scheduled) {
+        let bucket = (s.at.max(self.now) & self.mask()) as usize;
+        let node = Node { s, next: NIL };
+        let i = if self.free == NIL {
+            self.nodes.push(node);
+            u32::try_from(self.nodes.len() - 1).expect("fewer than 2^32 pending events")
+        } else {
+            let i = self.free;
+            self.free = self.nodes[i as usize].next;
+            self.nodes[i as usize] = node;
+            i
+        };
+        let chain = &mut self.buckets[bucket];
+        if chain.head == NIL {
+            chain.head = i;
+        } else {
+            self.nodes[chain.tail as usize].next = i;
+        }
+        chain.tail = i;
+        self.pending += 1;
+    }
+
+    /// Removes and returns the next event due at or before cycle `to`.
+    fn pop_due(&mut self, to: u64) -> Option<Event> {
+        loop {
+            let bucket = (self.now & self.mask()) as usize;
+            let head = self.buckets[bucket].head;
+            if head != NIL {
+                let node = self.nodes[head as usize];
+                self.buckets[bucket].head = node.next;
+                self.nodes[head as usize].next = self.free;
+                self.free = head;
+                self.pending -= 1;
+                return Some(node.s.event);
+            }
+            if self.now >= to {
+                return None;
+            }
+            let next = if self.pending > 0 {
+                self.now + 1
+            } else {
+                self.far.first().map_or(to, |s| s.at.min(to))
+            };
+            self.move_to(next);
+        }
+    }
+
+    /// Moves the open bucket forward to cycle `to`, or to the first
+    /// pending event's cycle if that comes first, without firing anything.
+    fn advance(&mut self, to: u64) {
+        let next = self.next_at().map_or(to, |t| t.min(to));
+        if next > self.now {
+            self.move_to(next);
+        }
+    }
+
+    /// Opens the bucket of cycle `now`, which no pending event precedes,
+    /// and moves in the overflow events the ring now reaches.
+    fn move_to(&mut self, now: u64) {
+        self.now = now;
+        if !self.far.is_empty() {
+            let reach = now.saturating_add(self.buckets.len() as u64);
+            let n = self.far.partition_point(|s| s.at < reach);
+            let reached: Vec<Scheduled> = self.far.drain(..n).collect();
+            for s in reached {
+                self.link(s);
+            }
+        }
+    }
+
+    /// The earliest cycle any event is due at.
+    fn next_at(&self) -> Option<u64> {
+        if self.pending > 0 {
+            let mask = self.mask();
+            for d in 0..self.buckets.len() as u64 {
+                let head = self.buckets[(self.now.wrapping_add(d) & mask) as usize].head;
+                if head != NIL {
+                    return Some(self.nodes[head as usize].s.at);
+                }
+            }
+        }
+        self.far.first().map(|s| s.at)
+    }
+
+    /// Every pending event, in `(at, seq)` order.
+    fn sorted(&self) -> Vec<Scheduled> {
+        let mut all = Vec::with_capacity(self.len());
+        for chain in &self.buckets {
+            let mut i = chain.head;
+            while i != NIL {
+                let node = &self.nodes[i as usize];
+                all.push(node.s);
+                i = node.next;
+            }
+        }
+        all.extend_from_slice(&self.far);
+        all.sort_by_key(|s| (s.at, s.seq));
+        all
+    }
+}
+
+/// The longest delay, in core cycles, `config` can schedule an event at.
+fn event_horizon(config: &MemConfig) -> u64 {
+    let (spike, dram_delay) = config
+        .fault_injection
+        .map_or((0, 0), |f| (f.spike_cycles, f.dram_delay_cycles));
+    config
+        .l1_latency
+        .saturating_add(spike)
+        .max(config.l2_latency)
+        .max(dram_delay)
+}
+
 /// Who is waiting on an L2 line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum L2Requester {
@@ -389,16 +616,21 @@ pub struct MemorySystem {
     l1: Vec<Cache>,
     l2: Cache,
     dram: Dram,
-    events: BinaryHeap<Reverse<(u64, u64, usize)>>,
-    event_pool: Vec<Event>,
-    /// Reusable `event_pool` slots of already-fired events.
-    free_events: Vec<usize>,
+    events: EventWheel,
     /// Per-partition L2 probe queues.
     l2_queues: Vec<VecDeque<(L2Requester, u64, FillOrigin)>>,
     /// Requests waiting for an L1 line, per SM: line -> request ids.
     l1_waiters: Vec<FxHashMap<u64, Vec<RequestId>>>,
     /// SMs waiting for an L2 line.
     l2_waiters: FxHashMap<u64, Vec<usize>>,
+    /// Emptied waiter lists, reused so that a miss allocates nothing.
+    spare_l1_waiters: Vec<Vec<RequestId>>,
+    spare_l2_waiters: Vec<Vec<usize>>,
+    /// Lines DRAM completed this tick (a buffer kept across ticks).
+    dram_done: Vec<u64>,
+    /// L1 fills delivered per SM. Derived state: not encoded, and zero
+    /// after a decode.
+    l1_fills: Vec<u64>,
     /// DRAM in-flight lines (avoids duplicate sends).
     dram_pending: FxHashSet<u64>,
     /// Issue metadata per live request, keyed by the monotonically
@@ -452,14 +684,16 @@ impl MemorySystem {
             cycle: 0,
             next_req: 0,
             next_seq: 0,
-            events: BinaryHeap::with_capacity(256),
-            event_pool: Vec::with_capacity(256),
-            free_events: Vec::with_capacity(256),
+            events: EventWheel::new(0, event_horizon(&config)),
             l2_queues: (0..config.l2_partitions)
                 .map(|_| VecDeque::with_capacity(64))
                 .collect(),
             l1_waiters: (0..num_sms).map(|_| FxHashMap::default()).collect(),
             l2_waiters: FxHashMap::default(),
+            spare_l1_waiters: Vec::new(),
+            spare_l2_waiters: Vec::new(),
+            dram_done: Vec::new(),
+            l1_fills: vec![0; num_sms],
             dram_pending: FxHashSet::default(),
             meta: IdWindow::new(),
             completed_out: vec![Vec::new(); num_sms],
@@ -490,17 +724,11 @@ impl MemorySystem {
     }
 
     fn schedule(&mut self, at: u64, event: Event) {
-        let idx = match self.free_events.pop() {
-            Some(idx) => {
-                self.event_pool[idx] = event;
-                idx
-            }
-            None => {
-                self.event_pool.push(event);
-                self.event_pool.len() - 1
-            }
-        };
-        self.events.push(Reverse((at, self.next_seq, idx)));
+        self.events.push(Scheduled {
+            at,
+            seq: self.next_seq,
+            event,
+        });
         self.next_seq += 1;
     }
 
@@ -531,12 +759,12 @@ impl MemorySystem {
                     return Issue::PrefetchDropped;
                 }
                 let req = self.alloc_req(kind);
-                self.l1_waiters[sm].entry(line).or_default().push(req);
+                self.add_l1_waiter(sm, line, req);
                 Issue::Pending(req)
             }
             ProbeOutcome::Miss => {
                 let req = self.alloc_req(kind);
-                self.l1_waiters[sm].entry(line).or_default().push(req);
+                self.add_l1_waiter(sm, line, req);
                 let spike = self.fault_spike();
                 self.schedule(
                     self.cycle + self.config.l1_latency + spike,
@@ -550,6 +778,35 @@ impl MemorySystem {
             }
             ProbeOutcome::NoMshr => Issue::Retry,
         }
+    }
+
+    fn add_l1_waiter(&mut self, sm: usize, line: u64, req: RequestId) {
+        let spare = &mut self.spare_l1_waiters;
+        self.l1_waiters[sm]
+            .entry(line)
+            .or_insert_with(|| spare.pop().unwrap_or_default())
+            .push(req);
+    }
+
+    /// L1 fills delivered to `sm` so far.
+    ///
+    /// Only a fill frees an L1 MSHR or makes a line resident, so a demand
+    /// access that returned [`Issue::Retry`] keeps returning it until this
+    /// count moves; see [`MemorySystem::repeat_retry`].
+    pub fn l1_fills(&self, sm: usize) -> u64 {
+        self.l1_fills[sm]
+    }
+
+    /// Repeats a demand access from `sm` to `addr` that returned
+    /// [`Issue::Retry`], with no L1 fill to `sm` since (the
+    /// [`MemorySystem::l1_fills`] count unchanged): counts the MSHR
+    /// rejection the probe would count, without probing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sm` is out of range.
+    pub fn repeat_retry(&mut self, sm: usize, addr: u64) {
+        self.l1[sm].repeat_rejection(addr);
     }
 
     fn alloc_req(&mut self, kind: AccessKind) -> RequestId {
@@ -626,13 +883,7 @@ impl MemorySystem {
     pub fn tick(&mut self) {
         self.cycle += 1;
         // 1. Fire due events.
-        while let Some(&Reverse((t, _, idx))) = self.events.peek() {
-            if t > self.cycle {
-                break;
-            }
-            self.events.pop();
-            let event = self.event_pool[idx];
-            self.free_events.push(idx);
+        while let Some(event) = self.events.pop_due(self.cycle) {
             self.handle_event(event);
         }
         // 2. Service each L2 partition's probe queue (bounded ports per
@@ -677,21 +928,30 @@ impl MemorySystem {
         }
         // 3. Drain DRAM completions.
         let mem_now = self.mem_cycles(self.cycle);
-        for line in self.dram.drain_completed(mem_now) {
+        let mut done = std::mem::take(&mut self.dram_done);
+        self.dram.drain_completed_into(mem_now, &mut done);
+        for &line in &done {
             self.dram_pending.remove(&line);
             self.stats.dram_to_l2_lines += 1;
             self.l2.fill(line, self.cycle);
-            if let Some(sms) = self.l2_waiters.remove(&line) {
-                for sm in sms {
+            if let Some(mut sms) = self.l2_waiters.remove(&line) {
+                for &sm in &sms {
                     self.stats.l2_to_l1_lines += 1;
                     self.schedule(self.cycle, Event::L1Fill { sm, line });
                 }
+                sms.clear();
+                self.spare_l2_waiters.push(sms);
             }
         }
+        self.dram_done = done;
     }
 
     fn add_l2_waiter(&mut self, line: u64, sm: usize) {
-        let waiters = self.l2_waiters.entry(line).or_default();
+        let spare = &mut self.spare_l2_waiters;
+        let waiters = self
+            .l2_waiters
+            .entry(line)
+            .or_insert_with(|| spare.pop().unwrap_or_default());
         if !waiters.contains(&sm) {
             waiters.push(sm);
         }
@@ -706,10 +966,13 @@ impl MemorySystem {
             }
             Event::L1Fill { sm, line } => {
                 self.l1[sm].fill(line, self.cycle);
-                if let Some(reqs) = self.l1_waiters[sm].remove(&line) {
-                    for req in reqs {
+                self.l1_fills[sm] += 1;
+                if let Some(mut reqs) = self.l1_waiters[sm].remove(&line) {
+                    for &req in &reqs {
                         self.complete(sm, req);
                     }
+                    reqs.clear();
+                    self.spare_l1_waiters.push(reqs);
                 }
             }
             Event::DramSend { line } => {
@@ -789,7 +1052,7 @@ impl MemorySystem {
     /// that work, so idle-skipping callers may jump at most to the cycle
     /// before it.
     pub fn next_event_cycle(&self) -> Option<u64> {
-        let mut next = self.events.peek().map(|&Reverse((t, _, _))| t);
+        let mut next = self.events.next_at();
         if let Some(mem_t) = self.dram.next_completion() {
             let core_t = self.core_cycle_for_mem(mem_t);
             next = Some(next.map_or(core_t, |n| n.min(core_t)));
@@ -819,6 +1082,9 @@ impl MemorySystem {
             "idle skip past a scheduled event"
         );
         self.cycle = cycle;
+        // Keep the ring aligned with the clock, so events scheduled from
+        // here on land in it.
+        self.events.advance(cycle);
     }
 
     /// `true` while any request is in flight anywhere in the hierarchy.
@@ -826,7 +1092,7 @@ impl MemorySystem {
         !self.meta.is_empty()
             || self.l2_queues.iter().any(|q| !q.is_empty())
             || self.dram.in_flight() > 0
-            || !self.events.is_empty()
+            || self.events.len() > 0
     }
 
     /// Latency / traffic statistics.
@@ -978,16 +1244,15 @@ impl MemorySystem {
         self.l2.encode_state(w);
         self.dram.encode_state(w);
 
-        // Live events as (at, seq, event) triples, sorted. Pool indices
-        // are compacted on decode; `seq` values are preserved so future
-        // events keep ordering against `next_seq`.
-        let mut live: Vec<(u64, u64, usize)> = self.events.iter().map(|Reverse(t)| *t).collect();
-        live.sort_unstable();
+        // Live events as (at, seq, event) triples in (at, seq) order;
+        // `seq` values are preserved so future events keep ordering
+        // against `next_seq`.
+        let live = self.events.sorted();
         w.put_len(live.len());
-        for (at, seq, idx) in live {
-            w.put_u64(at);
-            w.put_u64(seq);
-            encode_event(self.event_pool[idx], w);
+        for s in live {
+            w.put_u64(s.at);
+            w.put_u64(s.seq);
+            encode_event(s.event, w);
         }
 
         w.put_len(self.l2_queues.len());
@@ -1102,8 +1367,7 @@ impl MemorySystem {
         let dram = Dram::decode_state(r)?;
 
         let n = r.take_len(17)?;
-        let mut events = BinaryHeap::with_capacity(n);
-        let mut event_pool = Vec::with_capacity(n);
+        let mut live = Vec::with_capacity(n);
         for _ in 0..n {
             let at = r.take_u64()?;
             let seq = r.take_u64()?;
@@ -1113,10 +1377,9 @@ impl MemorySystem {
                 )));
             }
             let event = decode_event(r)?;
-            let idx = event_pool.len();
-            event_pool.push(event);
-            events.push(Reverse((at, seq, idx)));
+            live.push(Scheduled { at, seq, event });
         }
+        let events = EventWheel::from_events(cycle, event_horizon(&config), live);
 
         let n = r.take_len(8)?;
         if n != config.l2_partitions {
@@ -1252,11 +1515,13 @@ impl MemorySystem {
             l2,
             dram,
             events,
-            event_pool,
-            free_events: Vec::new(),
             l2_queues,
             l1_waiters,
             l2_waiters,
+            spare_l1_waiters: Vec::new(),
+            spare_l2_waiters: Vec::new(),
+            dram_done: Vec::new(),
+            l1_fills: vec![0; num_sms],
             dram_pending,
             meta,
             completed_out,
@@ -1942,5 +2207,69 @@ mod tests {
             ms.tick();
         }
         assert!(ms.dram_utilization() > 0.0);
+    }
+
+    /// An event that carries its own `(at, seq)` in its line.
+    fn tagged(at: u64, seq: u64) -> Scheduled {
+        let event = Event::DramSend {
+            line: (at << 32) | seq,
+        };
+        Scheduled { at, seq, event }
+    }
+
+    /// Fires every event due by `to`, recording `(at, seq)`.
+    fn fire(wheel: &mut EventWheel, to: u64, out: &mut Vec<(u64, u64)>) {
+        while let Some(Event::DramSend { line }) = wheel.pop_due(to) {
+            out.push((line >> 32, line & 0xffff_ffff));
+        }
+    }
+
+    #[test]
+    fn event_wheel_fires_in_at_seq_order_like_a_heap() {
+        // Random delays around and past the ring's span, overdue decoded
+        // events, skips and cycle-by-cycle ticks, against a sorted model.
+        let mut rng = SmallRng::seed_from_u64(0x5eed);
+        for case in 0..200 {
+            let horizon = rng.gen_range(0..40u64);
+            let start = rng.gen_range(0..100u64);
+            let mut seq = 0u64;
+            let mut model: Vec<(u64, u64)> = Vec::new();
+            let mut decoded = Vec::new();
+            for _ in 0..rng.gen_range(0..20usize) {
+                // Decoded events may be overdue or far out.
+                let at = rng.gen_range(0..start + 3 * horizon + 10);
+                decoded.push(tagged(at, seq));
+                model.push((at, seq));
+                seq += 1;
+            }
+            decoded.reverse();
+            let mut wheel = EventWheel::from_events(start, horizon, decoded);
+            let mut now = start;
+            let mut fired = Vec::new();
+            for _ in 0..60 {
+                for _ in 0..rng.gen_range(0..4usize) {
+                    let at = now + rng.gen_range(0..2 * horizon + 3);
+                    wheel.push(tagged(at, seq));
+                    model.push((at, seq));
+                    seq += 1;
+                }
+                model.sort_unstable();
+                assert_eq!(wheel.next_at(), model.first().map(|e| e.0), "case {case}");
+                assert_eq!(wheel.len(), model.len(), "case {case}");
+                let due = model.iter().take_while(|e| e.0 <= now + 1).count();
+                if due == 0 && rng.gen_bool(0.3) {
+                    // An idle skip to just before the next event.
+                    let to = model.first().map_or(now + 50, |e| e.0 - 1);
+                    wheel.advance(to);
+                    now = to;
+                    continue;
+                }
+                now += 1;
+                fire(&mut wheel, now, &mut fired);
+                let want: Vec<(u64, u64)> = model.drain(..due).collect();
+                assert_eq!(fired, want, "case {case} at cycle {now}");
+                fired.clear();
+            }
+        }
     }
 }
