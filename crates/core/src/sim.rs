@@ -22,7 +22,8 @@ use rt_bvh::{MemoryImage, PackOptions, TreeStats, WideBvh};
 use rt_geometry::Ray;
 use rt_gpu_sim::{
     fnv1a64, AccessKind, ByteReader, ByteWriter, CacheStats, CountTable, CountVec, DecodeError,
-    FillOrigin, FxBuildHasher, FxHashMap, Issue, MemorySystem, PrefetchEffect, RequestId,
+    FillOrigin, FxBuildHasher, FxHashMap, FxHashSet, Issue, MemorySystem, PrefetchEffect,
+    RequestId,
 };
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -231,10 +232,16 @@ pub(crate) fn try_run_engine(
         }
     }
 
-    // Per-treelet cache lines, front (upper levels) first. With the
+    // Per-treelet cache lines, front (upper levels) first, and mapping
+    // lines: only the treelet prefetcher reads them. With the
     // triangle-prefetch extension, leaf members' primitive lines follow
     // the node lines (so PARTIAL still prioritizes upper nodes).
-    let treelet_lines: Vec<Vec<u64>> = (0..treelets.count() as u32)
+    let treelet_count = match config.prefetch {
+        PrefetchConfig::Treelet { .. } => treelets.count() as u32,
+        _ => 0,
+    };
+    let mut seen = FxHashSet::default();
+    let treelet_lines: Vec<Vec<u64>> = (0..treelet_count)
         .map(|g| {
             let mut lines: Vec<u64> = treelets
                 .members(g)
@@ -254,12 +261,12 @@ pub(crate) fn try_run_engine(
                     }
                 }
             }
-            let mut seen = std::collections::HashSet::new();
+            seen.clear();
             lines.retain(|l| seen.insert(*l));
             lines
         })
         .collect();
-    let meta_lines: Vec<u64> = (0..treelets.count() as u32)
+    let meta_lines: Vec<u64> = (0..treelet_count)
         .map(|g| {
             image
                 .mapping_entry_addr(treelets.members(g)[0])
@@ -529,6 +536,13 @@ struct SmState {
     /// Shader work serialized on the SM's issue port (shader mode).
     shader_runqueue: VecDeque<ShaderJob>,
     slots: Vec<Option<WarpSlot>>,
+    /// The occupied slots whose `ready` queue is non-empty, in no
+    /// particular order: `select_warp` breaks ties by slot index. Derived
+    /// state, never encoded; rebuilt on restore.
+    ready_list: Vec<usize>,
+    /// Occupied slots. Derived state, never encoded; recounted on
+    /// restore.
+    occupied: usize,
     test_heap: BinaryHeap<Reverse<(u64, u32)>>,
     req_map: FxHashMap<RequestId, ReqOwner>,
     counts_global: CountTable,
@@ -565,6 +579,30 @@ struct Stall {
 }
 
 impl SmState {
+    /// Removes `slot_idx`, whose `ready` queue just drained, from
+    /// `ready_list`.
+    fn unlist_ready(ready_list: &mut Vec<usize>, slot_idx: usize) {
+        let pos = ready_list
+            .iter()
+            .position(|&i| i == slot_idx)
+            .expect("a slot with ready rays is listed");
+        ready_list.swap_remove(pos);
+    }
+
+    /// Recomputes the derived slot bookkeeping from the slots.
+    fn recount_slots(&mut self) {
+        self.ready_list.clear();
+        self.occupied = 0;
+        for (i, slot) in self.slots.iter().enumerate() {
+            if let Some(slot) = slot {
+                self.occupied += 1;
+                if !slot.ready.is_empty() {
+                    self.ready_list.push(i);
+                }
+            }
+        }
+    }
+
     /// Points every slot's `matching` count at treelet `target`.
     fn retarget_matches(&mut self, target: Option<u32>) {
         if self.match_treelet == target {
@@ -582,6 +620,8 @@ struct Engine<'a> {
     mem: MemorySystem,
     rays: Vec<RayCtx>,
     sms: Vec<SmState>,
+    /// Per-treelet cache lines and mapping lines (treelet prefetcher
+    /// only, else empty). Static replay data, never encoded.
     treelet_lines: Vec<Vec<u64>>,
     meta_lines: Vec<u64>,
     /// Per-ray hash-predictor keys (hash configs only, else empty).
@@ -601,12 +641,6 @@ struct Engine<'a> {
     /// Warp-buffer entries and live lanes, for the SIMT-efficiency stat.
     rt_entries: u64,
     rt_live_lanes: u64,
-    /// Currently occupied warp-buffer slots (all SMs).
-    occupied_slots: usize,
-    /// Occupied slots (all SMs) whose `ready` queue is non-empty — the
-    /// idle-skip eligibility test. Derived state, never encoded;
-    /// recounted on restore.
-    ready_slots: usize,
     /// Sum over cycles of occupied slots, for the occupancy stat.
     occupancy_integral: u64,
     /// Set whenever the current cycle did observable work (a warp
@@ -746,6 +780,8 @@ impl<'a> Engine<'a> {
                 warp_queue: VecDeque::with_capacity(warps_per_sm),
                 shader_runqueue: VecDeque::new(),
                 slots: (0..config.warp_buffer_size).map(|_| None).collect(),
+                ready_list: Vec::with_capacity(config.warp_buffer_size),
+                occupied: 0,
                 test_heap: BinaryHeap::new(),
                 req_map: FxHashMap::default(),
                 counts_global: CountTable::with_key_capacity(treelets.count()),
@@ -823,8 +859,6 @@ impl<'a> Engine<'a> {
             lanes_total,
             rt_entries: 0,
             rt_live_lanes: 0,
-            occupied_slots: 0,
-            ready_slots: 0,
             occupancy_integral: 0,
             progress: false,
             last_progress,
@@ -918,7 +952,7 @@ impl<'a> Engine<'a> {
             for sm in 0..self.config.num_sms {
                 self.step_sm(sm);
             }
-            self.occupancy_integral += self.occupied_slots as u64;
+            self.occupancy_integral += self.occupied_slots() as u64;
             self.mem.tick();
             let now = self.mem.cycle();
             let advanced = self.progress || self.scheduled_work_pending(now);
@@ -976,8 +1010,7 @@ impl<'a> Engine<'a> {
         // issues (or bumps cache MSHR-rejection counters on Retry, which
         // the digest covers) every cycle. Prefetcher queues must be empty
         // for the same reason.
-        debug_assert_eq!(self.ready_slots, self.count_ready_slots());
-        if self.ready_slots > 0 || !self.mem.can_skip_idle() {
+        if self.sms.iter().any(|s| !s.ready_list.is_empty()) || !self.mem.can_skip_idle() {
             return;
         }
         for s in &self.sms {
@@ -1061,7 +1094,7 @@ impl<'a> Engine<'a> {
         for sm in 0..self.sms.len() {
             self.with_unit_view(sm, |unit, view| unit.skip_decisions(now, r, view));
         }
-        self.occupancy_integral += self.occupied_slots as u64 * (r - now);
+        self.occupancy_integral += self.occupied_slots() as u64 * (r - now);
         if any_tests {
             // Tests pend throughout the skip (they would execute at or
             // before the resume entry cycle): every skipped observation
@@ -1080,14 +1113,9 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Counts the occupied slots with a non-empty `ready` queue, the
-    /// value `ready_slots` maintains.
-    fn count_ready_slots(&self) -> usize {
-        self.sms
-            .iter()
-            .flat_map(|s| s.slots.iter().flatten())
-            .filter(|slot| !slot.ready.is_empty())
-            .count()
+    /// Currently occupied warp-buffer slots (all SMs).
+    fn occupied_slots(&self) -> usize {
+        self.sms.iter().map(|s| s.occupied).sum()
     }
 
     /// `true` when some SM holds time-scheduled future work: a pending
@@ -1108,11 +1136,7 @@ impl<'a> Engine<'a> {
         ProgressSnapshot {
             cycle: now,
             rays_remaining: self.remaining,
-            warp_buffer_occupancy: self
-                .sms
-                .iter()
-                .map(|s| s.slots.iter().filter(|slot| slot.is_some()).count())
-                .collect(),
+            warp_buffer_occupancy: self.sms.iter().map(|s| s.occupied).collect(),
             outstanding_requests: self.mem.outstanding_requests(),
             outstanding_request_ids: ids,
             l2_queue_depth: self.mem.l2_queue_depth(),
@@ -1140,7 +1164,7 @@ impl<'a> Engine<'a> {
         TelemetrySample {
             cycle: now,
             rays_remaining: self.remaining as u64,
-            warp_buffer_occupancy: self.occupied_slots,
+            warp_buffer_occupancy: self.occupied_slots(),
             warp_queue_depth: self.sms.iter().map(|s| s.warp_queue.len()).sum(),
             test_heap_depth: self.sms.iter().map(|s| s.test_heap.len()).sum(),
             prefetch_queue_depth: self
@@ -1181,13 +1205,18 @@ impl<'a> Engine<'a> {
 
     fn fill_warp_buffer(&mut self, sm: usize, now: u64) {
         let state = &mut self.sms[sm];
+        // The next warp enters only after its raygen shader issued, and
+        // only into a free slot.
+        let front_ready =
+            |state: &SmState| state.warp_queue.front().is_some_and(|w| w.ready_at <= now);
+        if !front_ready(state) || state.occupied == state.slots.len() {
+            return;
+        }
         for slot_idx in 0..state.slots.len() {
             if state.slots[slot_idx].is_some() {
                 continue;
             }
-            // The next warp enters only after its raygen shader issued.
-            let ready = state.warp_queue.front().is_some_and(|w| w.ready_at <= now);
-            if !ready {
+            if !front_ready(state) {
                 break;
             }
             let Some(pending) = state.warp_queue.pop_front() else {
@@ -1228,9 +1257,9 @@ impl<'a> Engine<'a> {
             if slot.active > 0 {
                 self.rt_entries += 1;
                 self.rt_live_lanes += slot.active as u64;
-                self.occupied_slots += 1;
+                state.occupied += 1;
                 // Every active lane entered the ready queue.
-                self.ready_slots += 1;
+                state.ready_list.push(slot_idx);
                 state.slots[slot_idx] = Some(slot);
             } else {
                 // Every lane already dead (e.g. all rays missed the root):
@@ -1310,9 +1339,13 @@ impl<'a> Engine<'a> {
                 }
             }
             if slot.active == 0 {
+                debug_assert!(
+                    slot.ready.is_empty(),
+                    "a warp with no active ray has a ready one"
+                );
                 let (warp_id, generation) = (slot.warp_id, slot.generation);
                 state.slots[slot_idx] = None; // warp cleared from the buffer
-                self.occupied_slots -= 1;
+                state.occupied -= 1;
                 self.warp_generation_done(sm, warp_id, generation);
             }
         } else {
@@ -1327,7 +1360,7 @@ impl<'a> Engine<'a> {
             }
             ray.next_line = 0;
             if slot.ready.is_empty() {
-                self.ready_slots += 1;
+                state.ready_list.push(slot_idx);
             }
             slot.ready.push_back(r);
         }
@@ -1388,7 +1421,7 @@ impl<'a> Engine<'a> {
                     if ray.next_line == step_lines {
                         slot.ready.pop_front();
                         if slot.ready.is_empty() {
-                            self.ready_slots -= 1;
+                            SmState::unlist_ready(&mut state.ready_list, slot_idx);
                         }
                     }
                 }
@@ -1419,6 +1452,11 @@ impl<'a> Engine<'a> {
     /// The warp slot the SM's scheduling policy issues from next, or
     /// `None` when no slot has a ready ray. `target` is the unit's
     /// last-prefetched treelet; without one the policy is Baseline.
+    ///
+    /// Only the slots in `ready_list` are candidates, and the slot index
+    /// breaks ties: the pick is the one an in-order scan of every slot
+    /// makes (`min_by_key` keeps the first minimum, `max_by_key` the
+    /// last maximum), which debug builds check.
     fn select_warp(&mut self, sm: usize, target: Option<u32>) -> Option<usize> {
         let state = &mut self.sms[sm];
         let policy = match target {
@@ -1428,31 +1466,31 @@ impl<'a> Engine<'a> {
         if policy != SchedulerPolicy::Baseline {
             state.retarget_matches(target);
         }
-        let candidates = state
-            .slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|s| (i, s)))
-            .filter(|(_, s)| !s.ready.is_empty())
-            .inspect(|(_, s)| {
-                if policy != SchedulerPolicy::Baseline {
-                    debug_assert_eq!(
-                        s.matching,
-                        target.map_or(0, |t| s.counts.get(t)),
-                        "stale OMR/PMR match count"
-                    );
-                }
-            });
-        match policy {
-            SchedulerPolicy::Baseline => candidates.min_by_key(|(_, s)| s.arrival).map(|(i, _)| i),
+        let slots = &state.slots;
+        let candidates = state.ready_list.iter().map(|&i| {
+            let s = slots[i].as_ref().expect("listed slot occupied");
+            if policy != SchedulerPolicy::Baseline {
+                debug_assert_eq!(
+                    s.matching,
+                    target.map_or(0, |t| s.counts.get(t)),
+                    "stale OMR/PMR match count"
+                );
+            }
+            (i, s)
+        });
+        let pick = match policy {
+            SchedulerPolicy::Baseline => candidates.min_by_key(|&(i, s)| (s.arrival, i)),
             // Oldest matching warp, else the oldest warp.
-            SchedulerPolicy::OldestMatchingRay => candidates
-                .min_by_key(|(_, s)| (s.matching == 0, s.arrival))
-                .map(|(i, _)| i),
-            SchedulerPolicy::PrioritizeMostRays => candidates
-                .max_by_key(|(_, s)| (s.matching, Reverse(s.arrival)))
-                .map(|(i, _)| i),
+            SchedulerPolicy::OldestMatchingRay => {
+                candidates.min_by_key(|&(i, s)| (s.matching == 0, s.arrival, i))
+            }
+            SchedulerPolicy::PrioritizeMostRays => {
+                candidates.max_by_key(|&(i, s)| (s.matching, Reverse(s.arrival), i))
+            }
         }
+        .map(|(i, _)| i);
+        debug_assert_eq!(pick, scan_select(slots, policy), "ready list out of date");
+        pick
     }
 
     /// Runs `f` on SM `sm`'s prefetcher with a view of its warp buffer;
@@ -1553,7 +1591,7 @@ impl<'a> Engine<'a> {
         w.put_usize(self.remaining);
         w.put_u64(self.rt_entries);
         w.put_u64(self.rt_live_lanes);
-        w.put_usize(self.occupied_slots);
+        w.put_usize(self.occupied_slots());
         w.put_u64(self.occupancy_integral);
         w.put_u64(self.last_progress);
         w.put_len(self.rays.len());
@@ -1600,7 +1638,7 @@ impl<'a> Engine<'a> {
         self.remaining = r.take_usize()?;
         self.rt_entries = r.take_u64()?;
         self.rt_live_lanes = r.take_u64()?;
-        self.occupied_slots = r.take_usize()?;
+        let occupied_slots = r.take_usize()?;
         self.occupancy_integral = r.take_u64()?;
         self.last_progress = r.take_u64()?;
         let n = r.take_len(1)?;
@@ -1656,7 +1694,12 @@ impl<'a> Engine<'a> {
         for sm in &mut self.sms {
             restore_sm_state(sm, &mut r, num_rays)?;
         }
-        self.ready_slots = self.count_ready_slots();
+        if occupied_slots != self.occupied_slots() {
+            return Err(DecodeError::malformed(format!(
+                "checkpoint counts {occupied_slots} occupied warp-buffer slots, its slots hold {}",
+                self.occupied_slots()
+            )));
+        }
         self.mem = MemorySystem::decode_state(&mut r, self.config.mem, self.config.num_sms)?;
         r.expect_end()?;
         Ok(())
@@ -1891,7 +1934,28 @@ fn restore_sm_state(
     // Every restored slot's `matching` is 0: no treelet yet.
     sm.match_treelet = None;
     sm.stall = None;
+    sm.recount_slots();
     Ok(())
+}
+
+/// `select_warp`'s pick by an in-order scan of every slot, the reference
+/// its ready list is checked against.
+fn scan_select(slots: &[Option<WarpSlot>], policy: SchedulerPolicy) -> Option<usize> {
+    let candidates = slots
+        .iter()
+        .enumerate()
+        .filter_map(|(i, s)| s.as_ref().map(|s| (i, s)))
+        .filter(|(_, s)| !s.ready.is_empty());
+    match policy {
+        SchedulerPolicy::Baseline => candidates.min_by_key(|(_, s)| s.arrival),
+        SchedulerPolicy::OldestMatchingRay => {
+            candidates.min_by_key(|(_, s)| (s.matching == 0, s.arrival))
+        }
+        SchedulerPolicy::PrioritizeMostRays => {
+            candidates.max_by_key(|(_, s)| (s.matching, Reverse(s.arrival)))
+        }
+    }
+    .map(|(i, _)| i)
 }
 
 /// Reads the prefetcher presence flags and, for the configured unit, its

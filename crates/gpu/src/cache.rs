@@ -7,14 +7,11 @@
 //! (Fig. 20).
 //!
 //! Storage is organization-specific (see [`Storage`]): the fully
-//! associative L1 keeps a hash map of resident lines plus a lazy,
-//! *bounded* min-heap of `(last_use, line)` eviction candidates, while
+//! associative L1 keeps its resident lines in a slot arena linked in
+//! `last_use` order, so a touch, a fill and an eviction are O(1), while
 //! the set-associative L2 holds its lines directly in per-set way
 //! arrays — a probe is a set-index computation plus a ≤`ways`-entry
 //! scan, with no hashing at all.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use crate::codec::{ByteReader, ByteWriter, DecodeError};
 use crate::table::{FxHashMap, FxHashSet};
@@ -141,7 +138,7 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 struct Line {
     last_use: u64,
     origin: FillOrigin,
@@ -157,19 +154,153 @@ struct MshrEntry {
     demand_merged: bool,
 }
 
+/// "No slot" in [`FaLines`]' links.
+const NIL: usize = usize::MAX;
+
+/// A resident line of [`FaLines`], linked into its `last_use` order.
+#[derive(Debug)]
+struct FaSlot {
+    line: u64,
+    state: Line,
+    prev: usize,
+    next: usize,
+}
+
+/// Fully associative line storage: an arena of slots (one per resident
+/// line, reused after eviction), a doubly linked list through them in
+/// non-decreasing `last_use` order (head oldest), and a line → slot
+/// index.
+///
+/// A touch relinks its slot by walking back from the tail past the
+/// slots used later, so the order holds for any `now`; under a monotone
+/// clock the walk stops at once. The victim is the smallest line in the
+/// head run of equal `last_use` — exactly `argmin (last_use, line)`.
+/// The order is derived from the lines' `last_use`, so it is never
+/// encoded and decode rebuilds it.
+#[derive(Debug)]
+struct FaLines {
+    slots: Vec<FaSlot>,
+    free: Vec<usize>,
+    index: FxHashMap<u64, usize>,
+    head: usize,
+    tail: usize,
+}
+
+impl FaLines {
+    fn with_capacity(lines: usize) -> FaLines {
+        FaLines {
+            slots: Vec::with_capacity(lines),
+            free: Vec::new(),
+            index: FxHashMap::with_capacity_and_hasher(lines, Default::default()),
+            head: NIL,
+            tail: NIL,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    fn get(&self, line: u64) -> Option<&Line> {
+        self.index.get(&line).map(|&i| &self.slots[i].state)
+    }
+
+    /// Marks `line` used at `now` and returns its state, if resident.
+    fn touch(&mut self, line: u64, now: u64) -> Option<&mut Line> {
+        let i = *self.index.get(&line)?;
+        self.unlink(i);
+        self.slots[i].state.last_use = now;
+        self.link_by_age(i);
+        Some(&mut self.slots[i].state)
+    }
+
+    /// Adds `line`, which must not be resident.
+    fn insert(&mut self, line: u64, state: Line) {
+        let slot = FaSlot {
+            line,
+            state,
+            prev: NIL,
+            next: NIL,
+        };
+        let i = match self.free.pop() {
+            Some(i) => {
+                self.slots[i] = slot;
+                i
+            }
+            None => {
+                self.slots.push(slot);
+                self.slots.len() - 1
+            }
+        };
+        let previous = self.index.insert(line, i);
+        debug_assert!(previous.is_none(), "line {line:#x} inserted twice");
+        self.link_by_age(i);
+    }
+
+    /// Removes and returns the resident line minimizing `(last_use, line)`.
+    fn evict_lru(&mut self) -> Option<(u64, Line)> {
+        let mut victim = self.head;
+        let oldest = self.slots.get(victim)?.state.last_use;
+        let mut i = self.slots[victim].next;
+        while i != NIL && self.slots[i].state.last_use == oldest {
+            if self.slots[i].line < self.slots[victim].line {
+                victim = i;
+            }
+            i = self.slots[i].next;
+        }
+        self.unlink(victim);
+        self.free.push(victim);
+        let FaSlot { line, state, .. } = self.slots[victim];
+        self.index.remove(&line);
+        Some((line, state))
+    }
+
+    fn unlink(&mut self, i: usize) {
+        let FaSlot { prev, next, .. } = self.slots[i];
+        match prev {
+            NIL => self.head = next,
+            p => self.slots[p].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.slots[n].prev = prev,
+        }
+    }
+
+    /// Links unlinked slot `i` after the last slot used no later than it.
+    fn link_by_age(&mut self, i: usize) {
+        let t = self.slots[i].state.last_use;
+        let mut prev = self.tail;
+        while prev != NIL && self.slots[prev].state.last_use > t {
+            prev = self.slots[prev].prev;
+        }
+        let next = match prev {
+            NIL => std::mem::replace(&mut self.head, i),
+            p => std::mem::replace(&mut self.slots[p].next, i),
+        };
+        match next {
+            NIL => self.tail = i,
+            n => self.slots[n].prev = i,
+        }
+        self.slots[i].prev = prev;
+        self.slots[i].next = next;
+    }
+
+    /// Resident `(line, state)` pairs, least recently used first.
+    fn iter(&self) -> impl Iterator<Item = (u64, &Line)> + '_ {
+        std::iter::successors((self.head != NIL).then_some(self.head), |&i| {
+            let next = self.slots[i].next;
+            (next != NIL).then_some(next)
+        })
+        .map(|i| (self.slots[i].line, &self.slots[i].state))
+    }
+}
+
 /// Organization-specific line storage.
 #[derive(Debug)]
 enum Storage {
-    /// Fully associative: resident lines in a hash map, eviction
-    /// candidates in a lazy min-heap of `(last_use, line)`. Stale heap
-    /// entries (superseded by a later touch) are skipped at eviction
-    /// time and purged wholesale whenever the heap outgrows
-    /// [`Cache::fa_heap_limit`] — the heap is a cache of the
-    /// `argmin (last_use, line)` computation, never authoritative state.
-    Fa {
-        lines: FxHashMap<u64, Line>,
-        lru: BinaryHeap<Reverse<(u64, u64)>>,
-    },
+    /// Fully associative: see [`FaLines`].
+    Fa(FaLines),
     /// Set associative: each set's ways hold `(line, state)` directly, in
     /// insertion order. Victim selection scans the ≤`ways` entries for
     /// the minimum `last_use` (first minimum wins) and `swap_remove`s it,
@@ -233,13 +364,7 @@ impl Cache {
         let (ways, storage) = match organization {
             Organization::FullyAssociative => (
                 capacity_lines,
-                Storage::Fa {
-                    lines: FxHashMap::with_capacity_and_hasher(
-                        capacity_lines,
-                        Default::default(),
-                    ),
-                    lru: BinaryHeap::with_capacity(capacity_lines * 2),
-                },
+                Storage::Fa(FaLines::with_capacity(capacity_lines)),
             ),
             Organization::SetAssociative { sets } => {
                 assert!(
@@ -282,12 +407,6 @@ impl Cache {
         }
     }
 
-    /// Stale-entry bound of the fully associative LRU heap: when the heap
-    /// grows past this, it is rebuilt from the resident lines.
-    fn fa_heap_limit(&self) -> usize {
-        (self.capacity_lines * 4).max(64)
-    }
-
     /// Probes the cache for the line containing `addr` at time `now`.
     ///
     /// On [`ProbeOutcome::Miss`] an MSHR entry is allocated and the caller
@@ -301,24 +420,18 @@ impl Cache {
             self.stats.prefetch_probes += 1;
         }
         let set = self.set_of(line);
-        let heap_limit = self.fa_heap_limit();
         let entry = match &mut self.storage {
-            Storage::Fa { lines, lru } => {
-                let entry = lines.get_mut(&line);
-                if entry.is_some() {
-                    lru.push(Reverse((now, line)));
-                    if lru.len() > heap_limit {
-                        // Defer the rebuild: `entry` borrows `lines`.
-                        // Handled below once the hit is classified.
-                    }
-                }
-                entry
-            }
-            Storage::Sa { sets } => sets[set].iter_mut().find(|(l, _)| *l == line).map(|(_, e)| e),
+            Storage::Fa(fa) => fa.touch(line, now),
+            Storage::Sa { sets } => sets[set]
+                .iter_mut()
+                .find(|(l, _)| *l == line)
+                .map(|(_, e)| {
+                    e.last_use = now;
+                    e
+                }),
         };
         if let Some(entry) = entry {
-            entry.last_use = now;
-            let outcome = match origin {
+            match origin {
                 FillOrigin::Demand => {
                     let on_prefetch = entry.origin == FillOrigin::Prefetch;
                     if on_prefetch && !entry.read_by_demand {
@@ -340,14 +453,7 @@ impl Cache {
                         filled_by_prefetch: entry.origin == FillOrigin::Prefetch,
                     }
                 }
-            };
-            if let Storage::Fa { lines, lru } = &mut self.storage {
-                if lru.len() > heap_limit {
-                    lru.clear();
-                    lru.extend(lines.iter().map(|(&l, e)| Reverse((e.last_use, l))));
-                }
             }
-            outcome
         } else if let Some(mshr) = self.mshrs.get_mut(&line) {
             match origin {
                 FillOrigin::Demand => {
@@ -419,21 +525,13 @@ impl Cache {
         let read_by_demand = mshr.as_ref().is_some_and(|m| m.demand_merged);
         let victim = self.evict_if_needed(line);
         let set = self.set_of(line);
-        let heap_limit = self.fa_heap_limit();
         let entry = Line {
             last_use: now,
             origin,
             read_by_demand,
         };
         match &mut self.storage {
-            Storage::Fa { lines, lru } => {
-                lines.insert(line, entry);
-                lru.push(Reverse((now, line)));
-                if lru.len() > heap_limit {
-                    lru.clear();
-                    lru.extend(lines.iter().map(|(&l, e)| Reverse((e.last_use, l))));
-                }
-            }
+            Storage::Fa(fa) => fa.insert(line, entry),
             Storage::Sa { sets } => sets[set].push((line, entry)),
         }
         self.resident += 1;
@@ -445,24 +543,11 @@ impl Cache {
         let capacity_lines = self.capacity_lines;
         let ways = self.ways;
         let (victim, entry) = match &mut self.storage {
-            Storage::Fa { lines, lru } => {
-                if lines.len() < capacity_lines {
+            Storage::Fa(fa) => {
+                if fa.len() < capacity_lines {
                     return None;
                 }
-                // Lazy heap: pop until an entry matches the line's current
-                // last_use. The victim is the resident line minimizing
-                // (last_use, line).
-                let victim = loop {
-                    let Reverse((ts, line)) =
-                        lru.pop().expect("LRU heap empty while cache is full");
-                    if let Some(entry) = lines.get(&line) {
-                        if entry.last_use == ts {
-                            break line;
-                        }
-                    }
-                };
-                let entry = lines.remove(&victim).expect("victim must be resident");
-                (victim, entry)
+                fa.evict_lru().expect("a full cache holds a line")
             }
             Storage::Sa { sets } => {
                 let members = &mut sets[set];
@@ -488,7 +573,7 @@ impl Cache {
 
     fn line_entry(&self, line: u64) -> Option<&Line> {
         match &self.storage {
-            Storage::Fa { lines, .. } => lines.get(&line),
+            Storage::Fa(fa) => fa.get(line),
             Storage::Sa { sets } => sets[self.set_of(line)]
                 .iter()
                 .find(|(l, _)| *l == line)
@@ -531,7 +616,7 @@ impl Cache {
     /// Iterates resident `(line, state)` pairs in storage order.
     fn iter_lines(&self) -> Box<dyn Iterator<Item = (u64, &Line)> + '_> {
         match &self.storage {
-            Storage::Fa { lines, .. } => Box::new(lines.iter().map(|(&l, e)| (l, e))),
+            Storage::Fa(fa) => Box::new(fa.iter()),
             Storage::Sa { sets } => Box::new(
                 sets.iter()
                     .flat_map(|set| set.iter().map(|(l, e)| (*l, e))),
@@ -564,9 +649,9 @@ impl Cache {
     /// in way order — set-associative victim selection tie-breaks on
     /// position (`min_by_key` returns the first minimum, then
     /// `swap_remove` reshuffles), so order is architecturally significant
-    /// state. The fully associative LRU heap is *not* encoded: it is a
-    /// lazy cache of `argmin (last_use, line)` over the resident lines
-    /// and is rebuilt exactly from them on decode.
+    /// state. The fully associative LRU list is *not* encoded: it is the
+    /// resident lines ordered by `last_use`, and decode rebuilds it from
+    /// them.
     pub(crate) fn encode_state(&self, w: &mut ByteWriter) {
         w.put_usize(self.capacity_lines);
         match self.organization {
@@ -601,7 +686,7 @@ impl Cache {
         }
 
         match &self.storage {
-            Storage::Fa { .. } => {
+            Storage::Fa(_) => {
                 // One organization-defined set with no explicit member
                 // list (membership is the line map itself).
                 w.put_len(1);
@@ -724,13 +809,14 @@ impl Cache {
                         "fully associative caches carry no explicit set members",
                     ));
                 }
-                // Rebuild the lazy eviction heap from the resident lines
-                // (one fresh entry per line — the canonical minimal heap).
-                let lru = lines
-                    .iter()
-                    .map(|(&l, e)| Reverse((e.last_use, l)))
-                    .collect();
-                Storage::Fa { lines, lru }
+                // Link the resident lines in `(last_use, line)` order.
+                let mut sorted: Vec<(u64, Line)> = lines.into_iter().collect();
+                sorted.sort_unstable_by_key(|&(l, e)| (e.last_use, l));
+                let mut fa = FaLines::with_capacity(sorted.len());
+                for (l, e) in sorted {
+                    fa.insert(l, e);
+                }
+                Storage::Fa(fa)
             }
             Organization::SetAssociative { .. } => {
                 let mut sets = Vec::with_capacity(set_count);
@@ -995,65 +1081,83 @@ mod tests {
     }
 
     #[test]
-    fn fa_lru_heap_stays_bounded_under_hit_storms() {
+    fn fa_lru_arena_stays_bounded_under_hit_storms() {
         let mut c = small_cache();
         for (i, addr) in [0x000u64, 0x040, 0x080, 0x0c0].iter().enumerate() {
             c.probe(*addr, FillOrigin::Demand, i as u64);
             c.fill(*addr, i as u64);
         }
-        // Hammer the same lines with hits; the lazy heap must compact
-        // instead of growing one entry per hit.
+        // Hammer the same lines with hits: a touch relinks a slot, it
+        // never adds one.
         for t in 0..100_000u64 {
             c.probe((t % 4) * 0x40, FillOrigin::Demand, 10 + t);
         }
-        let Storage::Fa { lru, .. } = &c.storage else {
+        let Storage::Fa(fa) = &c.storage else {
             panic!("expected fully associative storage");
         };
-        assert!(
-            lru.len() <= c.fa_heap_limit(),
-            "heap grew to {} entries (limit {})",
-            lru.len(),
-            c.fa_heap_limit()
-        );
+        assert_eq!(fa.slots.len(), c.capacity_lines);
+        assert_eq!(fa.len(), c.capacity_lines);
     }
 
     #[test]
     fn fa_eviction_matches_naive_argmin_model() {
-        // Drive the cache with a deterministic pseudo-random access mix
-        // and check every eviction against a brute-force reference model:
-        // the victim is always the resident line minimizing
-        // (last_use, line), regardless of heap compactions.
-        let mut c = Cache::new(8, Organization::FullyAssociative, 16, 64);
+        // Drive the cache with a deterministic pseudo-random mix of demand
+        // and prefetch accesses at a clock that mostly ticks but also
+        // repeats and steps back, and check every eviction against a
+        // brute-force reference model: the victim is always the resident
+        // line minimizing (last_use, line). Halfway through, the cache is
+        // encoded and decoded, and the copy must evict the same lines.
+        let mut caches = vec![Cache::new(8, Organization::FullyAssociative, 16, 64)];
         let mut model: Vec<(u64, u64)> = Vec::new(); // (line, last_use)
         let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut now = 1u64;
         for t in 1..40_000u64 {
+            if t == 20_000 {
+                let mut w = ByteWriter::new();
+                caches[0].encode_state(&mut w);
+                let bytes = w.into_bytes();
+                let back = Cache::decode_state(&mut ByteReader::new(&bytes)).unwrap();
+                caches.push(back);
+            }
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             let line = ((state >> 33) % 24) * 64;
-            match c.probe(line, FillOrigin::Demand, t) {
-                ProbeOutcome::Hit { .. } => {
-                    let e = model.iter_mut().find(|(l, _)| *l == line).unwrap();
-                    e.1 = t;
+            now = match (state >> 20) % 8 {
+                0 => now,
+                1 => now.saturating_sub((state >> 40) % 6),
+                _ => now + 1,
+            };
+            let origin = if (state >> 10).is_multiple_of(4) {
+                FillOrigin::Prefetch
+            } else {
+                FillOrigin::Demand
+            };
+            let resident = model.iter().position(|&(l, _)| l == line);
+            let expect = if let Some(pos) = resident {
+                model[pos].1 = now;
+                None
+            } else {
+                let victim = (model.len() == 8).then(|| {
+                    let &(l, _) = model.iter().min_by_key(|&&(l, ts)| (ts, l)).unwrap();
+                    model.retain(|&(m, _)| m != l);
+                    l
+                });
+                model.push((line, now));
+                victim
+            };
+            for c in &mut caches {
+                match c.probe(line, origin, now) {
+                    ProbeOutcome::Hit { .. } => assert!(resident.is_some(), "hit at t={t}"),
+                    ProbeOutcome::Miss => {
+                        assert!(resident.is_none(), "miss at t={t}");
+                        assert_eq!(c.fill(line, now), expect, "divergence at t={t}");
+                    }
+                    other => panic!("unexpected outcome {other:?}"),
                 }
-                ProbeOutcome::Miss => {
-                    let victim = c.fill(line, t);
-                    let expect = if model.len() == 8 {
-                        let &(l, _) = model
-                            .iter()
-                            .min_by_key(|&&(l, ts)| (ts, l))
-                            .unwrap();
-                        model.retain(|&(m, _)| m != l);
-                        Some(l)
-                    } else {
-                        None
-                    };
-                    assert_eq!(victim, expect, "divergence at t={t}");
-                    model.push((line, t));
-                }
-                other => panic!("unexpected outcome {other:?}"),
             }
         }
+        assert_eq!(caches.len(), 2);
     }
 
     #[test]

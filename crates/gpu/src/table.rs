@@ -3,14 +3,17 @@
 //!
 //! The cycle loop keys almost everything by values that are either
 //! *dense* (monotonically allocated [`RequestId`](crate::RequestId)s,
-//! small treelet ids) or *well mixed already* (64-byte-aligned cache-line
-//! addresses). `std`'s default SipHash spends more time hashing such keys
-//! than the table operation itself costs, so this module provides:
+//! small treelet ids) or cache-line addresses. `std`'s default SipHash
+//! spends more time hashing such keys than the table operation itself
+//! costs, so this module provides:
 //!
 //! - [`FxHasher`] — a hand-rolled rotate-xor-multiply hasher (the
 //!   firefox/rustc "FxHash" construction) with [`FxHashMap`] /
 //!   [`FxHashSet`] aliases for the residual true-hash cases. Hand-rolled
-//!   rather than imported, per the crate's zero-dependency policy.
+//!   rather than imported, per the crate's zero-dependency policy. Line
+//!   addresses are 64-byte aligned, so a bare multiply leaves their low
+//!   six hash bits zero; `finish` rotates the well-mixed high bits down
+//!   to where `HashMap` takes its bucket index.
 //! - [`IdWindow`] — a sliding window over monotonically allocated ids:
 //!   O(1) insert/lookup/remove by direct indexing, iteration in id
 //!   order for free (canonical encode order without sorting).
@@ -84,9 +87,12 @@ impl Hasher for FxHasher {
         self.add_to_hash(i as u64);
     }
 
+    /// The hash with its high bits rotated down: `HashMap` indexes
+    /// buckets by the low bits, which the multiply mixes least (and, for
+    /// aligned keys, leaves zero). The rotation is rustc-hash 2's.
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        self.hash.rotate_left(26)
     }
 }
 
@@ -470,8 +476,6 @@ mod tests {
         let a = build.hash_one(0x1234_5678_9abc_def0u64);
         let b = build.hash_one(0x1234_5678_9abc_def0u64);
         assert_eq!(a, b);
-        // Line addresses differing only in low bits must not collide in
-        // the high bits the table uses.
         let h1 = build.hash_one(0x1_0000u64);
         let h2 = build.hash_one(0x1_0040u64);
         assert_ne!(h1, h2);
@@ -479,6 +483,18 @@ mod tests {
         let h3 = build.hash_one("abc");
         let h4 = build.hash_one("abd");
         assert_ne!(h3, h4);
+    }
+
+    #[test]
+    fn fx_hash_spreads_line_aligned_keys() {
+        // `HashMap` picks the bucket from the hash's low bits: 1,024
+        // consecutive 64-byte lines must reach at least half of 2,048
+        // buckets, not one in 64 of them.
+        let build = FxBuildHasher::default();
+        let buckets: HashSet<u64> = (0..1024u64)
+            .map(|i| build.hash_one(0x4000_0000 + i * 64) & 2047)
+            .collect();
+        assert!(buckets.len() >= 512, "{} distinct buckets", buckets.len());
     }
 
     #[test]
