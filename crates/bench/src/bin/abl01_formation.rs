@@ -2,8 +2,8 @@
 //! "optimizing treelet formation with statistical metrics") — the paper's
 //! greedy BFS vs a depth-first variant vs surface-area-weighted growth.
 
-use rt_bench::{geometric_mean, pct, print_scene_table, Suite};
-use treelet_rt::{FormationPolicy, SimConfig, TreeletAssignment, TreeletMetrics};
+use rt_bench::{pct, print_scene_table, Suite};
+use treelet_rt::{geometric_mean, FormationPolicy, SimConfig, TreeletAssignment, TreeletMetrics};
 
 fn main() {
     let suite = Suite::prepare_default();

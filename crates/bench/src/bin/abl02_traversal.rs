@@ -3,8 +3,8 @@
 //! efficiency each contributes (DESIGN.md §6 calls these out as ablation
 //! targets).
 
-use rt_bench::{geometric_mean, print_scene_table, Suite};
-use treelet_rt::{SimConfig, TraversalOptions};
+use rt_bench::{print_scene_table, Suite};
+use treelet_rt::{geometric_mean, SimConfig, TraversalOptions};
 
 fn main() {
     let suite = Suite::prepare_default();

@@ -4,9 +4,9 @@
 //! rays, true diffuse bounces (traced off the primary hits), specular
 //! bounces, and surface-sampled shadow rays.
 
-use rt_bench::{pct, SimConfig};
+use rt_bench::pct;
 use rt_scene::{Scene, SceneId, Workload, WorkloadKind};
-use treelet_rt::{bounce_rays, direction_coherence, BounceKind, SimSession};
+use treelet_rt::{bounce_rays, direction_coherence, BounceKind, SimConfig, SimSession};
 
 fn main() {
     let detail = std::env::var("TREELET_DETAIL")

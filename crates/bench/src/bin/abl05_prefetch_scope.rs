@@ -3,8 +3,8 @@
 //! nodes, and (b) installing prefetches into the shared L2 instead of the
 //! L1 (trading first-use latency for zero L1 pollution).
 
-use rt_bench::{geometric_mean, pct, print_scene_table, Suite};
-use treelet_rt::{PrefetchDestination, SimConfig};
+use rt_bench::{pct, print_scene_table, Suite};
+use treelet_rt::{geometric_mean, PrefetchDestination, SimConfig};
 
 fn main() {
     let suite = Suite::prepare_default();

@@ -1,8 +1,8 @@
 //! Figure 7: overall speedup and power of treelet prefetching with the
 //! ALWAYS heuristic, PMR scheduler, and 512-byte treelets.
 
-use rt_bench::{geometric_mean, pct, print_scene_table, Suite};
-use treelet_rt::SimConfig;
+use rt_bench::{pct, print_scene_table, Suite};
+use treelet_rt::{geometric_mean, SimConfig};
 
 fn main() {
     let suite = Suite::prepare_default();

@@ -4,9 +4,9 @@
 //! (Demoullin et al.) against treelet prefetching, with a per-prefetcher
 //! useful/late/useless timeliness taxonomy.
 
-use rt_bench::{geometric_mean, pct, print_scene_table, Suite, SUITE_DETAIL};
+use rt_bench::{pct, print_scene_table, Suite, SUITE_DETAIL};
 use rt_scene::{Workload, WorkloadKind};
-use treelet_rt::{PrefetchConfig, PrefetchUsefulness, SimConfig, SimResult};
+use treelet_rt::{geometric_mean, PrefetchConfig, PrefetchUsefulness, SimConfig, SimResult};
 
 fn taxonomy(results: &[SimResult]) -> (PrefetchUsefulness, u64) {
     let mut acc = PrefetchUsefulness::default();

@@ -2,8 +2,8 @@
 //! and the additional gain from treelet prefetching (top), with the
 //! baseline scheduler as in the paper.
 
-use rt_bench::{geometric_mean, pct, print_scene_table, Suite};
-use treelet_rt::{SchedulerPolicy, SimConfig};
+use rt_bench::{pct, print_scene_table, Suite};
+use treelet_rt::{geometric_mean, SchedulerPolicy, SimConfig};
 
 fn main() {
     let suite = Suite::prepare_default();

@@ -2,8 +2,8 @@
 //! POPULARITY with 0.25 / 0.5 / 0.75 thresholds, PARTIAL) against the
 //! baseline RT unit.
 
-use rt_bench::{geometric_mean, pct, print_scene_table, Suite};
-use treelet_rt::{PrefetchHeuristic, SimConfig};
+use rt_bench::{pct, print_scene_table, Suite};
+use treelet_rt::{geometric_mean, PrefetchHeuristic, SimConfig};
 
 fn main() {
     let suite = Suite::prepare_default();

@@ -1,8 +1,8 @@
 //! Figure 13: performance of the RT-unit treelet schedulers (baseline,
 //! OMR, PMR) with treelet prefetching enabled.
 
-use rt_bench::{geometric_mean, pct, print_scene_table, Suite};
-use treelet_rt::{SchedulerPolicy, SimConfig};
+use rt_bench::{pct, print_scene_table, Suite};
+use treelet_rt::{geometric_mean, SchedulerPolicy, SimConfig};
 
 fn main() {
     let suite = Suite::prepare_default();

@@ -2,8 +2,8 @@
 //! unmodified BVH with a node-to-treelet mapping table under the Loose
 //! Wait (optimistic) and Strict Wait (pessimistic) schedules.
 
-use rt_bench::{geometric_mean, pct, print_scene_table, Suite};
-use treelet_rt::{MappingMode, SimConfig};
+use rt_bench::{pct, print_scene_table, Suite};
+use treelet_rt::{geometric_mean, MappingMode, SimConfig};
 
 fn main() {
     let suite = Suite::prepare_default();

@@ -1,8 +1,8 @@
 //! Figure 15: DRAM load-balancing effect of adding a 256-byte stride
 //! between 512-byte treelet slots (roots 768 B apart instead of 512 B).
 
-use rt_bench::{geometric_mean, pct, print_scene_table, Suite};
-use treelet_rt::{LayoutChoice, SimConfig};
+use rt_bench::{pct, print_scene_table, Suite};
+use treelet_rt::{geometric_mean, LayoutChoice, SimConfig};
 
 fn main() {
     let suite = Suite::prepare_default();

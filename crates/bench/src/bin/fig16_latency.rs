@@ -3,8 +3,8 @@
 //! first-level table counting one thread per cycle; 128 cycles to four
 //! tables; 32 cycles to a table per warp-buffer entry (§6.5).
 
-use rt_bench::{geometric_mean, pct, print_scene_table, Suite};
-use treelet_rt::{SimConfig, VoterKind};
+use rt_bench::{pct, print_scene_table, Suite};
+use treelet_rt::{geometric_mean, SimConfig, VoterKind};
 
 fn main() {
     let suite = Suite::prepare_default();

@@ -2,8 +2,8 @@
 //! the idealized full voter — the accuracy loss should not cost
 //! performance.
 
-use rt_bench::{geometric_mean, pct, print_scene_table, Suite};
-use treelet_rt::{SimConfig, VoterKind};
+use rt_bench::{pct, print_scene_table, Suite};
+use treelet_rt::{geometric_mean, SimConfig, VoterKind};
 
 fn main() {
     let suite = Suite::prepare_default();

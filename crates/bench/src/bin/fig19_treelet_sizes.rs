@@ -1,8 +1,8 @@
 //! Figure 19: performance with different maximum treelet sizes (256,
 //! 512, 1024, 2048 bytes).
 
-use rt_bench::{geometric_mean, pct, print_scene_table, Suite};
-use treelet_rt::SimConfig;
+use rt_bench::{pct, print_scene_table, Suite};
+use treelet_rt::{geometric_mean, SimConfig};
 
 fn main() {
     let suite = Suite::prepare_default();

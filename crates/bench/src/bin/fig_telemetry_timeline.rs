@@ -11,9 +11,9 @@
 //! opening the files. `TREELET_TELEMETRY_EVERY` overrides the sampling
 //! interval (default 1000 cycles).
 
-use rt_bench::{Suite, TelemetryOptions};
+use rt_bench::Suite;
 use std::path::PathBuf;
-use treelet_rt::SimConfig;
+use treelet_rt::{SimConfig, TelemetryOptions};
 
 fn main() -> std::io::Result<()> {
     let dir =

@@ -10,50 +10,19 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod microbench;
 mod svg;
 
 use rt_scene::{SceneId, Workload};
 use std::time::Instant;
 pub use svg::bar_chart;
-pub use treelet_rt::{
-    catch_job_panic, default_jobs, default_jobs_for, encode_prepared_bench, geometric_mean,
-    plan_schedule, plan_schedule_with, prepare_cache_key, run_scheduled, run_weighted, Bench,
-    BvhCache, CheckpointOptions, Schedule, SimConfig, SimError, SimResult, SimSession, Sweep,
-    SweepOutcome, Telemetry, TelemetryOptions, TelemetrySample,
+use treelet_rt::{
+    catch_job_panic, default_jobs_for, geometric_mean, run_weighted, Bench, BvhCache, SimConfig,
+    SimError, SimResult,
 };
 
 /// Default scene detail for the experiment suite (full evaluation scale;
 /// see `DESIGN.md` for the scaling rationale).
 pub const SUITE_DETAIL: f32 = 1.0;
-
-/// Options steering [`Suite::prepare_with`]: worker count, progress
-/// verbosity, and the preparation cache.
-#[derive(Debug, Default)]
-pub struct PrepareOptions {
-    /// Worker count for sharding preparation across scenes; `None`
-    /// uses [`default_jobs_for`] the scene count (so `RT_JOBS` applies).
-    /// Any count produces bit-identical benches in suite order.
-    pub jobs: Option<usize>,
-    /// Suppress the per-scene progress lines — for bench bins that
-    /// print their own headers and for output-sensitive harnesses.
-    pub quiet: bool,
-    /// Content-addressed preparation cache; `None` builds from scratch.
-    pub cache: Option<BvhCache>,
-}
-
-impl PrepareOptions {
-    /// The defaults interactive binaries want: automatic worker count,
-    /// progress on stderr, and the `RT_BVH_CACHE` environment cache
-    /// when one is configured.
-    pub fn standard() -> PrepareOptions {
-        PrepareOptions {
-            jobs: None,
-            quiet: false,
-            cache: BvhCache::from_env(),
-        }
-    }
-}
 
 /// Parses an optional `TREELET_DETAIL`-style override. Pure (no
 /// environment access) so the rejection paths are unit-testable:
@@ -64,7 +33,7 @@ impl PrepareOptions {
 /// # Errors
 ///
 /// A human-readable description of why the value was rejected.
-pub fn parse_detail_override(raw: Option<&str>) -> Result<Option<f32>, String> {
+fn parse_detail_override(raw: Option<&str>) -> Result<Option<f32>, String> {
     let Some(raw) = raw else { return Ok(None) };
     let trimmed = raw.trim();
     if trimmed.is_empty() {
@@ -84,7 +53,7 @@ pub fn parse_detail_override(raw: Option<&str>) -> Result<Option<f32>, String> {
 /// warns on stderr (it used to be silently ignored — a typo'd
 /// `TREELET_DETAIL=0.1x` would quietly run the full-detail suite for
 /// minutes) and falls back to the default.
-pub fn suite_detail_from_env() -> f32 {
+fn suite_detail_from_env() -> f32 {
     let raw = std::env::var("TREELET_DETAIL").ok();
     match parse_detail_override(raw.as_deref()) {
         Ok(Some(detail)) => detail,
@@ -106,14 +75,15 @@ pub struct Suite {
 impl Suite {
     /// Prepares every scene of the paper's Table 2 at `detail` with the
     /// given ray workload, printing progress to stderr: preparation is
-    /// sharded across the cost-model scheduler (biggest scenes first)
-    /// and served from the `RT_BVH_CACHE` cache when one is configured.
-    /// See [`Suite::prepare_with`] for explicit control.
+    /// sharded across the cost-model scheduler (biggest scenes first,
+    /// `RT_JOBS` overriding the worker count) and served from the
+    /// `RT_BVH_CACHE` cache when one is configured.
     pub fn prepare(detail: f32, workload: Workload) -> Suite {
-        Suite::prepare_with(detail, workload, &PrepareOptions::standard())
+        let jobs = default_jobs_for(SceneId::ALL.len());
+        Suite::prepare_with(detail, workload, jobs, BvhCache::from_env().as_ref())
     }
 
-    /// Prepares the suite under explicit [`PrepareOptions`].
+    /// Prepares the suite on `jobs` workers, through `cache` if given.
     ///
     /// Scene generation, BVH construction, and ray generation for each
     /// scene are independent and deterministic, so the cells shard
@@ -133,12 +103,15 @@ impl Suite {
     ///
     /// Panics with the scene's [`SceneError`](rt_scene::SceneError)
     /// message if `detail` is rejected.
-    pub fn prepare_with(detail: f32, workload: Workload, opts: &PrepareOptions) -> Suite {
+    fn prepare_with(
+        detail: f32,
+        workload: Workload,
+        jobs: usize,
+        cache: Option<&BvhCache>,
+    ) -> Suite {
         let t0 = Instant::now();
         let scenes = SceneId::ALL;
-        let jobs = opts.jobs.unwrap_or_else(|| default_jobs_for(scenes.len()));
         let costs = Suite::prepare_costs();
-        let cache = opts.cache.as_ref();
         let benches = run_weighted(jobs, &costs, |i| {
             let id = scenes[i];
             let c0 = Instant::now();
@@ -146,26 +119,22 @@ impl Suite {
                 Ok(bench) => bench,
                 Err(e) => panic!("preparing {id}: {e}"),
             };
-            if !opts.quiet {
-                eprintln!(
-                    "prepared {id}: {} triangles, {} nodes in {:.1?}",
-                    bench.bvh().triangles().len(),
-                    bench.bvh().node_count(),
-                    c0.elapsed()
-                );
-            }
+            eprintln!(
+                "prepared {id}: {} triangles, {} nodes in {:.1?}",
+                bench.bvh().triangles().len(),
+                bench.bvh().node_count(),
+                c0.elapsed()
+            );
             bench
         });
-        if !opts.quiet {
-            match cache {
-                Some(c) => eprintln!(
-                    "suite prepared in {:.1?} ({} cache hits, {} misses)",
-                    t0.elapsed(),
-                    c.hits(),
-                    c.misses()
-                ),
-                None => eprintln!("suite prepared in {:.1?}", t0.elapsed()),
-            }
+        match cache {
+            Some(c) => eprintln!(
+                "suite prepared in {:.1?} ({} cache hits, {} misses)",
+                t0.elapsed(),
+                c.hits(),
+                c.misses()
+            ),
+            None => eprintln!("suite prepared in {:.1?}", t0.elapsed()),
         }
         Suite { benches }
     }
@@ -186,8 +155,8 @@ impl Suite {
 
     /// Prepares the suite with the paper's default workload (32×32
     /// primary rays, 1 SPP) at the default detail, honoring the
-    /// `TREELET_DETAIL` environment variable for quick runs (invalid
-    /// values warn and fall back — see [`suite_detail_from_env`]).
+    /// `TREELET_DETAIL` environment variable for quick runs (an invalid
+    /// value warns on stderr and falls back to [`SUITE_DETAIL`]).
     pub fn prepare_default() -> Suite {
         Suite::prepare(suite_detail_from_env(), Workload::paper_default())
     }
@@ -199,7 +168,7 @@ impl Suite {
 
     /// Per-scene cost estimates in suite order — the inputs the
     /// cost-model scheduler plans with (see [`run_weighted`]).
-    pub fn scene_costs(&self) -> Vec<u64> {
+    fn scene_costs(&self) -> Vec<u64> {
         self.benches.iter().map(Bench::estimated_cost).collect()
     }
 
@@ -212,7 +181,7 @@ impl Suite {
     /// # Panics
     ///
     /// Panics with the failing scene's recorded reason if any scene
-    /// fails; use [`Suite::run_with`] to keep the survivors.
+    /// fails.
     // A 16-scene suite makes the `SimError` payload size irrelevant.
     #[allow(clippy::result_large_err)]
     pub fn run_all(&self, config: &SimConfig) -> Vec<SimResult> {
@@ -220,8 +189,8 @@ impl Suite {
         self.run_with(jobs, |_, b| b.try_run(config))
             .into_iter()
             .map(|outcome| match outcome {
-                SceneOutcome::Completed { result, .. } => result,
-                SceneOutcome::Failed { scene, reason, .. } => {
+                SceneOutcome::Completed { result } => result,
+                SceneOutcome::Failed { scene, reason } => {
                     panic!("scene {scene} failed: {reason}")
                 }
             })
@@ -233,8 +202,7 @@ impl Suite {
     /// returns a [`SimError`] or panics is reported as
     /// [`SceneOutcome::Failed`] while the other scenes' results survive.
     /// A panicking scene is retried once (a typed error is
-    /// deterministic, so it is not); retries are surfaced on stderr and
-    /// in each outcome's `attempts` count.
+    /// deterministic, so it is not); retries are surfaced on stderr.
     ///
     /// Scenes are scheduled by the cost model ([`run_weighted`]): each
     /// scene's estimated cost is its BVH node count × ray count, cheap
@@ -252,7 +220,7 @@ impl Suite {
     /// unwind through the pool, so one poisoned scene cannot take the
     /// rest of the sweep with it.
     #[allow(clippy::result_large_err)]
-    pub fn run_with<F>(&self, jobs: usize, run: F) -> Vec<SceneOutcome>
+    fn run_with<F>(&self, jobs: usize, run: F) -> Vec<SceneOutcome>
     where
         F: Fn(usize, &Bench) -> Result<SimResult, SimError> + Sync,
     {
@@ -274,7 +242,7 @@ impl Suite {
                     if attempts > 1 {
                         eprintln!("scene {} completed on attempt {attempts}", b.scene());
                     }
-                    SceneOutcome::Completed { result, attempts }
+                    SceneOutcome::Completed { result }
                 }
                 Err(e) => {
                     eprintln!(
@@ -284,7 +252,6 @@ impl Suite {
                     SceneOutcome::Failed {
                         scene: b.scene(),
                         reason: e.to_string(),
-                        attempts,
                     }
                 }
             }
@@ -297,13 +264,11 @@ impl Suite {
 // failure record doesn't matter at this cardinality.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
-pub enum SceneOutcome {
+enum SceneOutcome {
     /// The simulation finished and produced a result.
     Completed {
         /// The scene's result.
         result: SimResult,
-        /// How many runner invocations it took (2 after a retried panic).
-        attempts: u32,
     },
     /// The simulation returned an error or panicked; the sweep went on
     /// without it.
@@ -312,32 +277,7 @@ pub enum SceneOutcome {
         scene: SceneId,
         /// The `SimError` message or panic payload.
         reason: String,
-        /// How many runner invocations were made before giving up.
-        attempts: u32,
     },
-}
-
-impl SceneOutcome {
-    /// The result, if the scene completed.
-    pub fn result(&self) -> Option<&SimResult> {
-        match self {
-            SceneOutcome::Completed { result, .. } => Some(result),
-            SceneOutcome::Failed { .. } => None,
-        }
-    }
-
-    /// Whether the scene completed.
-    pub fn is_completed(&self) -> bool {
-        matches!(self, SceneOutcome::Completed { .. })
-    }
-
-    /// How many runner invocations this scene took.
-    pub fn attempts(&self) -> u32 {
-        match self {
-            SceneOutcome::Completed { attempts, .. }
-            | SceneOutcome::Failed { attempts, .. } => *attempts,
-        }
-    }
 }
 
 /// Slugifies a table title into a file-name-safe stem.
@@ -362,7 +302,7 @@ fn slugify(title: &str) -> String {
 /// # Errors
 ///
 /// Returns any I/O error from creating or writing the file.
-pub fn write_csv(
+fn write_csv(
     dir: &std::path::Path,
     title: &str,
     columns: &[&str],
@@ -435,6 +375,44 @@ pub fn pct(speedup: f64) -> String {
 #[allow(clippy::result_large_err)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
+    use std::sync::Mutex;
+    use treelet_rt::{encode_prepared_bench, CheckpointOptions};
+
+    impl SceneOutcome {
+        /// The result, if the scene completed.
+        fn result(&self) -> Option<&SimResult> {
+            match self {
+                SceneOutcome::Completed { result } => Some(result),
+                SceneOutcome::Failed { .. } => None,
+            }
+        }
+
+        /// Whether the scene completed.
+        fn is_completed(&self) -> bool {
+            matches!(self, SceneOutcome::Completed { .. })
+        }
+    }
+
+    /// Counts the runner invocations each scene gets, so the retry tests
+    /// can see how many attempts [`Suite::run_with`] made.
+    #[derive(Default)]
+    struct Attempts(Mutex<HashMap<SceneId, u32>>);
+
+    impl Attempts {
+        /// Records one invocation for `scene`; returns its attempt number.
+        fn record(&self, scene: SceneId) -> u32 {
+            let mut counts = self.0.lock().unwrap();
+            let n = counts.entry(scene).or_default();
+            *n += 1;
+            *n
+        }
+
+        /// How many invocations `scene` got.
+        fn of(&self, scene: SceneId) -> u32 {
+            self.0.lock().unwrap().get(&scene).copied().unwrap_or(0)
+        }
+    }
 
     #[test]
     fn pct_formats_paper_style() {
@@ -479,23 +457,16 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         let workload = Workload::new(rt_scene::WorkloadKind::Primary, 4, 4);
         let detail = 0.05;
-        let quiet = |jobs, cache| PrepareOptions {
-            jobs: Some(jobs),
-            quiet: true,
-            cache,
-        };
         // Cold serial prepare populates the cache.
         let cold_cache = BvhCache::open(&dir).unwrap();
-        let cold = Suite::prepare_with(detail, workload, &quiet(1, Some(cold_cache)));
+        let cold = Suite::prepare_with(detail, workload, 1, Some(&cold_cache));
         // Parallel uncached prepare.
-        let parallel = Suite::prepare_with(detail, workload, &quiet(4, None));
+        let parallel = Suite::prepare_with(detail, workload, 4, None);
         // Warm parallel prepare must be all hits.
         let warm_cache = BvhCache::open(&dir).unwrap();
-        let warm_opts = quiet(4, Some(warm_cache));
-        let warm = Suite::prepare_with(detail, workload, &warm_opts);
-        let c = warm_opts.cache.as_ref().unwrap();
+        let warm = Suite::prepare_with(detail, workload, 4, Some(&warm_cache));
         assert_eq!(
-            (c.hits(), c.misses()),
+            (warm_cache.hits(), warm_cache.misses()),
             (SceneId::ALL.len() as u64, 0),
             "warm prepare must be served entirely from cache"
         );
@@ -539,18 +510,31 @@ mod tests {
 
     #[test]
     fn parallel_suite_digests_match_serial() {
-        // The determinism contract behind `--jobs N`: every worker count
-        // yields the serial run's per-scene digests, in suite order.
-        let suite = Suite::prepare(0.05, Workload::new(rt_scene::WorkloadKind::Primary, 4, 4));
-        let config = SimConfig::paper_treelet_prefetch();
-        let serial = suite.run_with(1, |_, b| b.try_run(&config));
-        let parallel = suite.run_with(4, |_, b| b.try_run(&config));
-        assert_eq!(serial.len(), SceneId::ALL.len());
-        assert_eq!(serial.len(), parallel.len());
-        for (a, b) in serial.iter().zip(&parallel) {
-            let (a, b) = (a.result().unwrap(), b.result().unwrap());
-            assert_eq!(a.state_digest, b.state_digest);
-            assert_eq!(a.cycles, b.cycles);
+        // The determinism contract behind `--jobs N` and `idle_skip`: for
+        // both paper configs, every worker count and the naive
+        // cycle-by-cycle loop yield the serial run's per-scene cycles and
+        // digests, in suite order.
+        let suite = Suite::prepare(0.1, Workload::new(rt_scene::WorkloadKind::Primary, 16, 16));
+        for config in [
+            SimConfig::paper_baseline(),
+            SimConfig::paper_treelet_prefetch(),
+        ] {
+            let no_skip = SimConfig {
+                idle_skip: false,
+                ..config.clone()
+            };
+            let run = |jobs, config: &SimConfig| -> Vec<(u64, u64)> {
+                suite
+                    .run_with(jobs, |_, b| b.try_run(config))
+                    .iter()
+                    .map(|o| o.result().unwrap())
+                    .map(|r| (r.cycles, r.state_digest))
+                    .collect()
+            };
+            let serial = run(1, &config);
+            assert_eq!(serial.len(), SceneId::ALL.len());
+            assert_eq!(serial, run(4, &config), "--jobs 4");
+            assert_eq!(serial, run(4, &no_skip), "idle_skip = false");
         }
     }
 
@@ -561,7 +545,9 @@ mod tests {
         // still report results.
         let suite = Suite::prepare(0.05, Workload::new(rt_scene::WorkloadKind::Primary, 4, 4));
         let config = SimConfig::paper_baseline();
+        let attempts = Attempts::default();
         let outcomes = suite.run_with(default_jobs_for(SceneId::ALL.len()), |_, b| {
+            attempts.record(b.scene());
             if b.scene() == SceneId::Ship {
                 panic!("injected fault");
             }
@@ -572,23 +558,18 @@ mod tests {
         assert_eq!(completed, SceneId::ALL.len() - 1);
         let failed: Vec<_> = outcomes.iter().filter(|o| !o.is_completed()).collect();
         match failed.as_slice() {
-            [SceneOutcome::Failed {
-                scene,
-                reason,
-                attempts,
-            }] => {
+            [SceneOutcome::Failed { scene, reason }] => {
                 assert_eq!(*scene, SceneId::Ship);
                 assert!(reason.contains("injected fault"), "reason: {reason}");
                 // A panicking scene gets its one retry before being lost.
-                assert_eq!(*attempts, 2);
+                assert_eq!(attempts.of(SceneId::Ship), 2);
             }
             other => panic!("expected exactly one failure, got {other:?}"),
         }
         // Scenes that never panicked completed on their first attempt.
-        assert!(outcomes
-            .iter()
-            .filter(|o| o.is_completed())
-            .all(|o| o.attempts() == 1));
+        for scene in SceneId::ALL.into_iter().filter(|&s| s != SceneId::Ship) {
+            assert_eq!(attempts.of(scene), 1, "{scene}");
+        }
     }
 
     #[test]
@@ -605,7 +586,6 @@ mod tests {
         // Typed errors are deterministic: one attempt per scene, no retry.
         assert_eq!(calls.load(Ordering::SeqCst), SceneId::ALL.len());
         assert!(outcomes.iter().all(|o| !o.is_completed()));
-        assert!(outcomes.iter().all(|o| o.attempts() == 1));
         for o in &outcomes {
             if let SceneOutcome::Failed { reason, .. } = o {
                 assert!(reason.contains("invalid simulation config"));
@@ -615,13 +595,11 @@ mod tests {
 
     #[test]
     fn robust_sweep_retries_a_transient_panic() {
-        use std::collections::HashSet;
-        use std::sync::Mutex;
         let suite = Suite::prepare(0.05, Workload::new(rt_scene::WorkloadKind::Primary, 2, 2));
         let config = SimConfig::paper_baseline();
-        let failed_once: Mutex<HashSet<SceneId>> = Mutex::new(HashSet::new());
+        let attempts = Attempts::default();
         let outcomes = suite.run_with(default_jobs_for(SceneId::ALL.len()), |_, b| {
-            if failed_once.lock().unwrap().insert(b.scene()) {
+            if attempts.record(b.scene()) == 1 {
                 panic!("transient");
             }
             b.try_run(&config)
@@ -629,7 +607,7 @@ mod tests {
         // Every scene panicked on its first attempt and succeeded on the
         // retry, so the whole sweep still completes — in two attempts.
         assert!(outcomes.iter().all(|o| o.is_completed()));
-        assert!(outcomes.iter().all(|o| o.attempts() == 2));
+        assert!(SceneId::ALL.into_iter().all(|s| attempts.of(s) == 2));
     }
 
     #[test]

@@ -91,8 +91,6 @@ pub struct Schedule {
     inline: Vec<usize>,
     chunks: Vec<Vec<usize>>,
     workers: usize,
-    inline_cost: u64,
-    chunked_cost: u64,
 }
 
 impl Schedule {
@@ -118,16 +116,6 @@ impl Schedule {
         &self.chunks
     }
 
-    /// Summed estimated cost of the inline cells.
-    pub fn inline_cost(&self) -> u64 {
-        self.inline_cost
-    }
-
-    /// Summed estimated cost of the chunked cells.
-    pub fn chunked_cost(&self) -> u64 {
-        self.chunked_cost
-    }
-
     /// A serial plan: every cell inline on the caller, nothing spawned.
     fn serial(costs: &[u64]) -> Schedule {
         Schedule {
@@ -135,8 +123,6 @@ impl Schedule {
             inline: (0..costs.len()).collect(),
             chunks: Vec::new(),
             workers: 1,
-            inline_cost: costs.iter().sum(),
-            chunked_cost: 0,
         }
     }
 }
@@ -221,11 +207,9 @@ pub fn plan_schedule_with(jobs: usize, hardware: usize, costs: &[u64]) -> Schedu
     }
     Schedule {
         cells: costs.len(),
-        inline_cost: inline.iter().map(|&i| costs[i]).sum(),
         inline,
         chunks,
         workers,
-        chunked_cost,
     }
 }
 
@@ -519,8 +503,10 @@ mod tests {
         ];
         let plan = plan_schedule_with(4, 8, &costs);
         assert_eq!(plan.inline_cells(), &[0, 2]);
-        assert_eq!(plan.inline_cost(), 30);
-        assert_eq!(plan.chunked_cost(), 220_000_000);
+        let inline_cost: u64 = plan.inline_cells().iter().map(|&i| costs[i]).sum();
+        let chunked_cost: u64 = plan.chunks().iter().flatten().map(|&i| costs[i]).sum();
+        assert_eq!(inline_cost, 30);
+        assert_eq!(chunked_cost, 220_000_000);
         assert!(plan.workers() > 1);
         // Every big cell appears exactly once across the chunks, and the
         // claim order is longest-cell-first.
