@@ -14,7 +14,7 @@
 
 use treelet_rt::{
     Bench, CheckpointOptions, MappingMode, PrefetchConfig, PrefetchDestination, PrefetchHeuristic,
-    SchedulerPolicy, SimConfig, SimSession, TelemetryOptions, VoterKind,
+    SchedulerPolicy, ShaderProgram, SimConfig, SimSession, TelemetryOptions, VoterKind,
 };
 
 use rt_scene::{SceneId, Workload, WorkloadKind};
@@ -30,7 +30,24 @@ fn bench(scene: SceneId) -> Bench {
 /// the paper baseline — the same cells the bakeoff harness runs — so a
 /// change to the unified `Prefetcher` dispatch that perturbs any one of
 /// them fails here by name rather than shifting bakeoff output silently.
-fn golden() -> [(SceneId, &'static str, SimConfig, u64, u64); 10] {
+///
+/// The remaining rows pin replay paths the paper configs leave out:
+/// two-stack traversal without a prefetcher, Strict-Wait mapping loads,
+/// triangle lines in the prefetched treelets, and a path-tracer shader
+/// (dead lanes and bounce generations).
+fn golden() -> [(SceneId, &'static str, SimConfig, u64, u64); 18] {
+    let strict_wait =
+        || SimConfig::paper_treelet_prefetch().with_mapping_mode(MappingMode::StrictWait);
+    let triangles = || {
+        let mut c = SimConfig::paper_treelet_prefetch();
+        c.prefetch_triangles = true;
+        c
+    };
+    let shader = || {
+        let mut c = SimConfig::paper_treelet_prefetch();
+        c.shader = Some(ShaderProgram::path_tracer());
+        c
+    };
     [
         (
             SceneId::Wknd,
@@ -101,6 +118,62 @@ fn golden() -> [(SceneId, &'static str, SimConfig, u64, u64); 10] {
             SimConfig::paper_baseline().with_prefetcher(PrefetchConfig::hash()),
             3749,
             0x7e1e8998ca0d4163,
+        ),
+        (
+            SceneId::Wknd,
+            "traversal-only",
+            SimConfig::paper_treelet_traversal_only(),
+            2125,
+            0x2fe389b935f5653b,
+        ),
+        (
+            SceneId::Car,
+            "traversal-only",
+            SimConfig::paper_treelet_traversal_only(),
+            3751,
+            0x5e0251e0782d8ef4,
+        ),
+        (
+            SceneId::Wknd,
+            "strict-wait",
+            strict_wait(),
+            1875,
+            0xa798d9bd2b2d5136,
+        ),
+        (
+            SceneId::Car,
+            "strict-wait",
+            strict_wait(),
+            3467,
+            0x4a6769697a0ed355,
+        ),
+        (
+            SceneId::Wknd,
+            "triangles",
+            triangles(),
+            1345,
+            0xb2b813072e8225da,
+        ),
+        (
+            SceneId::Car,
+            "triangles",
+            triangles(),
+            2822,
+            0x0fd856b2d1014baf,
+        ),
+        (
+            SceneId::Wknd,
+            "shader",
+            shader(),
+            2455,
+            0xbc3de925fee6ca34,
+        ),
+        (
+            SceneId::Car,
+            "shader",
+            shader(),
+            3723,
+            0x63c007d19d258776,
         ),
     ]
 }
