@@ -272,9 +272,9 @@ mod tests {
         let b = bench.run(&SimConfig::paper_treelet_prefetch());
         // Same functional workload: identical traversal counts for the
         // same algorithm would be equal; different algorithms may differ,
-        // but ray counts and tree stats always match.
+        // but ray counts and treelet counts always match.
         assert_eq!(a.rays, b.rays);
-        assert_eq!(a.tree, b.tree);
+        assert_eq!(a.treelet_count, b.treelet_count);
     }
 
     #[test]

@@ -5,6 +5,9 @@
 //! this cycle-level model replays those sequences through the RT unit —
 //! warp buffer, memory scheduler, operation units, treelet prefetcher,
 //! and prefetch queue — on top of the `rt-gpu-sim` memory hierarchy.
+//! The hand-off is a `Replay`: every ray's trace compiled into a few
+//! flat arrays (per ray its steps, per step its treelet, vote, leaf flag
+//! and cache lines), each trace freed as soon as it is compiled.
 
 use crate::config::{CheckpointOptions, LayoutChoice, PrefetchConfig, SchedulerPolicy, SimConfig};
 use crate::error::{ProgressSnapshot, SimError};
@@ -16,9 +19,9 @@ use crate::prefetch::{MappingMode, PrefetchEntry, PrefetchUsefulness, Prefetcher
 use crate::prefetcher::{PrefetchUnitStats, Prefetcher, PrefetcherUnit, WarpBufferView};
 use crate::snapshot::{self, Checkpoint, DigestRecord, SnapshotError};
 use crate::telemetry::{Telemetry, TelemetrySample};
-use crate::traversal::{compile_trace, trace_ray_with, CompiledStep, RayTrace, TraversalStats};
+use crate::traversal::{push_step_lines, trace_ray_with, RayTrace, TraversalStats};
 use crate::treelet::TreeletAssignment;
-use rt_bvh::{MemoryImage, PackOptions, TreeStats, WideBvh};
+use rt_bvh::{MemoryImage, PackOptions, WideBvh};
 use rt_geometry::Ray;
 use rt_gpu_sim::{
     fnv1a64, AccessKind, ByteReader, ByteWriter, CacheStats, CountTable, CountVec, DecodeError,
@@ -71,8 +74,6 @@ pub struct SimResult {
     pub activity: ActivityCounts,
     /// Power/energy report.
     pub power: PowerReport,
-    /// BVH statistics of the scene (Table 2).
-    pub tree: TreeStats,
     /// Number of treelets formed (Table 2).
     pub treelet_count: usize,
     /// Mean fraction of live lanes per warp entering the RT unit. Lanes
@@ -131,6 +132,22 @@ pub(crate) fn run_identity(
     fnv1a64(w.bytes())
 }
 
+/// The memory image `config`'s layout gives `bvh`.
+fn memory_image(bvh: &WideBvh, config: &SimConfig, treelets: &TreeletAssignment) -> MemoryImage {
+    match config.layout {
+        LayoutChoice::DepthFirst => MemoryImage::depth_first(bvh),
+        LayoutChoice::TreeletPacked { extra_stride } => MemoryImage::treelet_packed(
+            bvh,
+            treelets.as_slices(),
+            PackOptions {
+                slot_bytes: treelets.max_bytes(),
+                extra_stride,
+            },
+        ),
+        LayoutChoice::MappingTable => MemoryImage::depth_first(bvh).with_mapping_table(),
+    }
+}
+
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn try_run_engine(
     bvh: &WideBvh,
@@ -155,82 +172,12 @@ pub(crate) fn try_run_engine(
         });
     }
 
-    let image = match config.layout {
-        LayoutChoice::DepthFirst => MemoryImage::depth_first(bvh),
-        LayoutChoice::TreeletPacked { extra_stride } => MemoryImage::treelet_packed(
-            bvh,
-            treelets.as_slices(),
-            PackOptions {
-                slot_bytes: treelets.max_bytes(),
-                extra_stride,
-            },
-        ),
-        LayoutChoice::MappingTable => MemoryImage::depth_first(bvh).with_mapping_table(),
-    };
-
-    let trace_one =
-        |r: &Ray| trace_ray_with(bvh, treelets, r, config.traversal, config.traversal_options);
-    // Hash-predictor runs precompute each ray's prediction key (dead
-    // lanes keep a placeholder; they never enter the warp buffer).
-    let hash_quant = match config.prefetch {
-        PrefetchConfig::Hash {
-            origin_bits,
-            dir_bits,
-            seed,
-            ..
-        } => Some((origin_bits, dir_bits, seed)),
-        _ => None,
-    };
-    let scene_bounds = bvh.root_aabb();
-    let key_of = |r: &Ray| {
-        let (origin_bits, dir_bits, seed) = hash_quant.expect("hash config");
-        hash_ray_key(r, &scene_bounds, origin_bits, dir_bits, seed)
-    };
-    let mut hash_keys: Vec<u64> = match hash_quant {
-        Some(_) => rays.iter().map(key_of).collect(),
-        None => Vec::new(),
-    };
-    // Generation 0: the supplied rays. With a shader program, bounce
-    // generations follow, lane-aligned (dead lanes are None).
-    let mut all_traces: Vec<Option<RayTrace>> = rays.iter().map(|r| Some(trace_one(r))).collect();
-    if let Some(program) = config.shader {
-        let mut current: Vec<Option<Ray>> = rays.iter().copied().map(Some).collect();
-        for g in 1..=program.bounces {
-            current = crate::workloads::bounce_rays_indexed(
-                bvh,
-                &current,
-                program.bounce_kind,
-                program.seed.wrapping_add(g as u64),
-            );
-            all_traces.extend(current.iter().map(|r| r.as_ref().map(trace_one)));
-            if hash_quant.is_some() {
-                hash_keys.extend(current.iter().map(|r| r.as_ref().map_or(0, key_of)));
-            }
-        }
-    }
-    let traversal = TraversalStats::of(all_traces.iter().flatten());
+    let image = memory_image(bvh, config, treelets);
     let line_bytes = config.mem.line_bytes;
-    // The compiled steps are all the timing model replays: each trace is
-    // freed once compiled.
-    let compiled: Vec<Vec<CompiledStep>> = all_traces
-        .into_iter()
-        .map(|t| {
-            t.map(|t| compile_trace(&t, &image, line_bytes))
-                .unwrap_or_default()
-        })
-        .collect();
-
+    let replay = Replay::compile(bvh, rays, config, treelets, &image);
+    let traversal = replay.traversal_stats();
     // Operation-unit activity is fixed by the functional traces.
-    let mut activity = ActivityCounts::default();
-    for steps in &compiled {
-        for s in steps {
-            if s.is_leaf {
-                activity.tri_tests += (s.lines.len() as u64).saturating_sub(1).max(1);
-            } else {
-                activity.box_tests += rt_bvh::WIDE_ARITY as u64;
-            }
-        }
-    }
+    let mut activity = replay.activity();
 
     // Per-treelet cache lines, front (upper levels) first, and mapping
     // lines: only the treelet prefetcher reads them. With the
@@ -277,15 +224,7 @@ pub(crate) fn try_run_engine(
         .collect();
 
     let mut start_cycle = mem.cycle();
-    let mut engine = Engine::new(
-        config,
-        &compiled,
-        treelets,
-        treelet_lines,
-        meta_lines,
-        hash_keys,
-        mem,
-    );
+    let mut engine = Engine::new(config, replay, treelets, treelet_lines, meta_lines, mem);
     let mut resumed_epoch = None;
     if let Some(ck) = resume {
         engine
@@ -399,7 +338,6 @@ pub(crate) fn try_run_engine(
         dram_to_l2_lines: engine.mem.stats().dram_to_l2_lines,
         activity,
         power,
-        tree: TreeStats::of(bvh),
         treelet_count: treelets.count(),
         simt_efficiency: if engine.rt_entries == 0 {
             1.0
@@ -417,26 +355,215 @@ pub(crate) fn try_run_engine(
     Ok((result, engine.mem))
 }
 
-/// One traversal step as the timing model replays it: the node's
-/// treelet, whether it is a leaf, and the cache lines it fetches.
-type StepData = (u32, bool, Vec<(u64, AccessKind)>);
-
-/// A ray's replay state in the timing model.
+/// Every ray's compiled trace, as the timing model replays it: a few
+/// flat arrays instead of heap vectors per ray and per step. Ray `r`'s
+/// steps are `ray_start[r]..ray_start[r + 1]`, and step `s`'s cache
+/// lines are `lines[line_start[s]..line_start[s + 1]]`, node line first
+/// (an [`AccessKind::Node`] load), then a leaf's triangle lines.
+///
+/// Static replay data, rebuilt from the inputs on resume, never encoded.
 #[derive(Debug)]
-struct RayCtx {
-    steps: Vec<StepData>,
-    /// Per step, the treelet this ray reports to the prefetcher: the
+struct Replay {
+    /// Per ray, its first step, plus one closing entry.
+    ray_start: Vec<u32>,
+    /// Per step, the visited node's treelet.
+    step_treelet: Vec<u32>,
+    /// Per step, the treelet the ray reports to the prefetcher: the
     /// treelet it *will traverse next* (§4.1 — the prefetcher identifies
     /// "treelets that will be traversed next"). A ray entering treelet T
     /// reports T (its deeper nodes are still ahead); a ray already inside
     /// T reports the treelet it will move to after T — in hardware, the
     /// top of its other-treelet stack.
-    vote: Vec<u32>,
+    step_vote: Vec<u32>,
+    /// Per step, whether the node is a leaf (it pays the primitive-test
+    /// latency).
+    step_leaf: Vec<bool>,
+    /// Per step, its first line, plus one closing entry.
+    line_start: Vec<u32>,
+    lines: Vec<u64>,
+    /// Rays with a trace (dead shader lanes have none), for the
+    /// traversal statistics.
+    traced: usize,
+    /// Per ray, its hash-predictor key (hash configs only, else empty;
+    /// dead lanes keep a placeholder, they never enter the warp buffer).
+    hash_keys: Vec<u64>,
+}
+
+impl Replay {
+    /// Traces every ray `config` replays and compiles the traces against
+    /// `image`. Generation 0 is `rays`; with a shader program, bounce
+    /// generations follow, lane-aligned (dead lanes have no trace). Each
+    /// trace is freed once compiled.
+    fn compile(
+        bvh: &WideBvh,
+        rays: &[Ray],
+        config: &SimConfig,
+        treelets: &TreeletAssignment,
+        image: &MemoryImage,
+    ) -> Replay {
+        let mut ray_start = Vec::with_capacity(rays.len() + 1);
+        ray_start.push(0);
+        let mut replay = Replay {
+            ray_start,
+            step_treelet: Vec::new(),
+            step_vote: Vec::new(),
+            step_leaf: Vec::new(),
+            line_start: vec![0],
+            lines: Vec::new(),
+            traced: 0,
+            hash_keys: Vec::new(),
+        };
+        let hash_quant = match config.prefetch {
+            PrefetchConfig::Hash {
+                origin_bits,
+                dir_bits,
+                seed,
+                ..
+            } => Some((origin_bits, dir_bits, seed)),
+            _ => None,
+        };
+        let scene_bounds = bvh.root_aabb();
+        let mut push = |r: Option<&Ray>| {
+            let trace = r.map(|r| {
+                trace_ray_with(bvh, treelets, r, config.traversal, config.traversal_options)
+            });
+            replay.push(trace.as_ref(), image, config.mem.line_bytes);
+            if let Some((origin_bits, dir_bits, seed)) = hash_quant {
+                replay.hash_keys.push(r.map_or(0, |r| {
+                    hash_ray_key(r, &scene_bounds, origin_bits, dir_bits, seed)
+                }));
+            }
+        };
+        rays.iter().for_each(|r| push(Some(r)));
+        if let Some(program) = config.shader {
+            let mut current: Vec<Option<Ray>> = rays.iter().copied().map(Some).collect();
+            for g in 1..=program.bounces {
+                current = crate::workloads::bounce_rays_indexed(
+                    bvh,
+                    &current,
+                    program.bounce_kind,
+                    program.seed.wrapping_add(g as u64),
+                );
+                current.iter().for_each(|r| push(r.as_ref()));
+            }
+        }
+        replay
+    }
+
+    /// Appends one ray: `trace` compiled against `image` in
+    /// `line_bytes`-sized lines, or no steps for a dead lane.
+    fn push(&mut self, trace: Option<&RayTrace>, image: &MemoryImage, line_bytes: u64) {
+        let first = self.step_treelet.len();
+        if let Some(trace) = trace {
+            self.traced += 1;
+            for step in &trace.steps {
+                push_step_lines(step, image, line_bytes, &mut self.lines);
+                self.line_start.push(index(self.lines.len()));
+                self.step_treelet.push(step.treelet);
+                self.step_leaf.push(step.tri_range.is_some());
+            }
+        }
+        self.ray_start.push(index(self.step_treelet.len()));
+        // Entering steps vote for their own treelet; interior steps for
+        // the next different treelet in the trace (the ray's pending
+        // treelet). A ray ending inside a treelet has no pending treelet
+        // and keeps voting for its own.
+        let treelets = &self.step_treelet[first..];
+        let n = treelets.len();
+        self.step_vote.resize(first + n, 0);
+        let votes = &mut self.step_vote[first..];
+        let mut next_diff = treelets.last().copied().unwrap_or(0);
+        for i in (0..n).rev() {
+            if i + 1 < n && treelets[i + 1] != treelets[i] {
+                next_diff = treelets[i + 1];
+            }
+            let entering = i == 0 || treelets[i - 1] != treelets[i];
+            votes[i] = if entering { treelets[i] } else { next_diff };
+        }
+    }
+
+    /// Rays replayed (every generation's, dead lanes included).
+    fn rays(&self) -> usize {
+        self.ray_start.len() - 1
+    }
+
+    /// Ray `r`'s first step and step count.
+    fn ray_steps(&self, r: usize) -> (u32, u32) {
+        let first = self.ray_start[r];
+        (first, self.ray_start[r + 1] - first)
+    }
+
+    /// Step `s`'s cache lines, in issue order.
+    fn step_lines(&self, s: usize) -> &[u64] {
+        &self.lines[self.line_start[s] as usize..self.line_start[s + 1] as usize]
+    }
+
+    /// Node-visit statistics over the traced rays.
+    fn traversal_stats(&self) -> TraversalStats {
+        let max = (0..self.rays()).map(|r| self.ray_steps(r).1).max();
+        TraversalStats {
+            avg_nodes_per_ray: self.step_treelet.len() as f64 / self.traced as f64,
+            max_nodes_per_ray: max.unwrap_or(0) as usize,
+        }
+    }
+
+    /// The operation units' box and triangle tests.
+    fn activity(&self) -> ActivityCounts {
+        let mut activity = ActivityCounts::default();
+        for (s, &leaf) in self.step_leaf.iter().enumerate() {
+            if leaf {
+                activity.tri_tests += (self.step_lines(s).len() as u64).saturating_sub(1).max(1);
+            } else {
+                activity.box_tests += rt_bvh::WIDE_ARITY as u64;
+            }
+        }
+        activity
+    }
+
+    /// Ray `r`'s node-line path for the hash predictor: each step's node
+    /// line, front first, consecutive duplicates removed, at most
+    /// `max_lines` long.
+    fn node_path(&self, r: usize, max_lines: usize, path: &mut Vec<u64>) {
+        path.clear();
+        let (first, len) = self.ray_steps(r);
+        for s in first as usize..(first + len) as usize {
+            if path.len() == max_lines {
+                break;
+            }
+            let line = self.lines[self.line_start[s] as usize];
+            if path.last() != Some(&line) {
+                path.push(line);
+            }
+        }
+    }
+}
+
+/// A replay offset as stored: step and line counts fit 32 bits.
+fn index(n: usize) -> u32 {
+    u32::try_from(n).expect("replay offsets fit 32 bits")
+}
+
+/// The kind of the `i`th line of a step: the node record comes first,
+/// triangle data after it.
+fn line_kind(i: usize) -> AccessKind {
+    if i == 0 {
+        AccessKind::Node
+    } else {
+        AccessKind::Triangle
+    }
+}
+
+/// A ray's replay state in the timing model.
+#[derive(Debug)]
+struct RayCtx {
+    /// The ray's first step in the [`Replay`] and its step count.
+    first: u32,
+    len: u32,
+    /// Steps completed.
     step: usize,
     /// Index into the current step's line list of the next line to
-    /// issue. Lines issue front-to-back (the node line first); the
-    /// cursor replaces the old per-step clone-and-reverse scratch
-    /// vector, so the steady state allocates nothing.
+    /// issue. Lines issue front-to-back (the node line first), so the
+    /// steady state allocates nothing.
     next_line: usize,
     outstanding: u32,
     /// Warp-buffer slot currently holding this ray.
@@ -445,17 +572,22 @@ struct RayCtx {
 
 impl RayCtx {
     fn is_done(&self) -> bool {
-        self.step >= self.steps.len()
+        self.step >= self.len as usize
     }
 
-    fn current_treelet(&self) -> Option<u32> {
-        self.vote.get(self.step).copied()
+    /// The current step's index in the [`Replay`], if any is left.
+    fn current_step(&self) -> Option<usize> {
+        (!self.is_done()).then(|| self.first as usize + self.step)
+    }
+
+    fn current_treelet(&self, replay: &Replay) -> Option<u32> {
+        self.current_step().map(|s| replay.step_vote[s])
     }
 
     /// The current step's not-yet-issued lines, in issue order.
-    fn pending_lines(&self) -> &[(u64, AccessKind)] {
-        match self.steps.get(self.step) {
-            Some(step) => &step.2[self.next_line..],
+    fn pending_lines<'r>(&self, replay: &'r Replay) -> &'r [u64] {
+        match self.current_step() {
+            Some(s) => &replay.step_lines(s)[self.next_line..],
             None => &[],
         }
     }
@@ -618,17 +750,18 @@ impl SmState {
 struct Engine<'a> {
     config: &'a SimConfig,
     mem: MemorySystem,
+    /// Every ray's compiled trace (static replay data, never encoded).
+    replay: Replay,
     rays: Vec<RayCtx>,
     sms: Vec<SmState>,
     /// Per-treelet cache lines and mapping lines (treelet prefetcher
     /// only, else empty). Static replay data, never encoded.
     treelet_lines: Vec<Vec<u64>>,
     meta_lines: Vec<u64>,
-    /// Per-ray hash-predictor keys (hash configs only, else empty).
-    /// Static replay data derived from the inputs, never encoded.
-    hash_keys: Vec<u64>,
-    /// Per-ray deduplicated node-line paths (hash configs only).
-    hash_paths: Vec<Vec<u64>>,
+    /// The hash predictor's path length cap (hash configs only, else 0)
+    /// and a scratch buffer the retiring ray's path is listed into.
+    hash_path_lines: usize,
+    hash_path: Vec<u64>,
     mapping: MappingMode,
     remaining: usize,
     /// Lane ids (generation-0 ray indices) per logical warp.
@@ -669,68 +802,18 @@ impl std::fmt::Debug for Engine<'_> {
 impl<'a> Engine<'a> {
     fn new(
         config: &'a SimConfig,
-        compiled: &[Vec<CompiledStep>],
+        replay: Replay,
         treelets: &TreeletAssignment,
         treelet_lines: Vec<Vec<u64>>,
         meta_lines: Vec<u64>,
-        hash_keys: Vec<u64>,
         mem: MemorySystem,
     ) -> Engine<'a> {
-        let rays: Vec<RayCtx> = compiled
-            .iter()
-            .map(|steps| {
-                let step_data: Vec<StepData> = steps
-                    .iter()
-                    .map(|s| {
-                        let lines: Vec<(u64, AccessKind)> = s
-                            .lines
-                            .iter()
-                            .enumerate()
-                            .map(|(i, &l)| {
-                                (
-                                    l,
-                                    if i == 0 {
-                                        AccessKind::Node
-                                    } else {
-                                        AccessKind::Triangle
-                                    },
-                                )
-                            })
-                            .collect();
-                        (s.treelet, s.is_leaf, lines)
-                    })
-                    .collect();
-                // Per-step prefetcher vote: entering steps report their
-                // own treelet; interior steps report the next different
-                // treelet in the trace (the ray's pending treelet).
-                let n = step_data.len();
-                let mut next_diff = vec![0u32; n];
-                for i in (0..n).rev() {
-                    next_diff[i] = if i + 1 < n {
-                        if step_data[i + 1].0 != step_data[i].0 {
-                            step_data[i + 1].0
-                        } else {
-                            next_diff[i + 1]
-                        }
-                    } else {
-                        // A ray ending inside a treelet has no pending
-                        // treelet; it keeps reporting its own.
-                        step_data[i].0
-                    };
-                }
-                let vote: Vec<u32> = (0..n)
-                    .map(|i| {
-                        let entering = i == 0 || step_data[i - 1].0 != step_data[i].0;
-                        if entering {
-                            step_data[i].0
-                        } else {
-                            next_diff[i]
-                        }
-                    })
-                    .collect();
+        let rays: Vec<RayCtx> = (0..replay.rays())
+            .map(|r| {
+                let (first, len) = replay.ray_steps(r);
                 RayCtx {
-                    steps: step_data,
-                    vote,
+                    first,
+                    len,
                     step: 0,
                     next_line: 0,
                     outstanding: 0,
@@ -743,29 +826,9 @@ impl<'a> Engine<'a> {
             PrefetchConfig::Treelet { mapping, .. } => mapping,
             _ => MappingMode::Packed,
         };
-        // Hash-predictor replay data: each ray's node-line path (front
-        // first, consecutive duplicates removed, capped at the config's
-        // line budget) is static, so it lives outside the encoded
-        // dynamic state alongside the keys.
-        let hash_paths: Vec<Vec<u64>> = match config.prefetch {
-            PrefetchConfig::Hash { max_path_lines, .. } => compiled
-                .iter()
-                .map(|steps| {
-                    let mut path: Vec<u64> = Vec::new();
-                    for s in steps {
-                        if path.len() == max_path_lines {
-                            break;
-                        }
-                        if let Some(&line) = s.lines.first() {
-                            if path.last() != Some(&line) {
-                                path.push(line);
-                            }
-                        }
-                    }
-                    path
-                })
-                .collect(),
-            _ => Vec::new(),
+        let hash_path_lines = match config.prefetch {
+            PrefetchConfig::Hash { max_path_lines, .. } => max_path_lines,
+            _ => 0,
         };
         // Every warp this SM will ever queue is known up front (pure
         // replay queues them all in the constructor; shader mode feeds
@@ -846,12 +909,13 @@ impl<'a> Engine<'a> {
         Engine {
             config,
             mem,
+            replay,
             rays,
             sms,
             treelet_lines,
             meta_lines,
-            hash_keys,
-            hash_paths,
+            hash_path_lines,
+            hash_path: Vec::new(),
             mapping,
             remaining,
             warp_lanes,
@@ -1245,12 +1309,12 @@ impl<'a> Engine<'a> {
                 slot.active += 1;
                 state.active_rays += 1;
                 slot.ready.push_back(r);
-                if let Some(t) = ray.current_treelet() {
+                if let Some(t) = ray.current_treelet(&self.replay) {
                     slot.count_ray(&mut state.counts_global, state.match_treelet, t);
                 }
-                if !self.hash_keys.is_empty() {
+                if !self.replay.hash_keys.is_empty() {
                     if let Some(unit) = state.unit.as_mut() {
-                        unit.observe_ray_enter(self.hash_keys[r as usize]);
+                        unit.observe_ray_enter(self.replay.hash_keys[r as usize]);
                     }
                 }
             }
@@ -1284,9 +1348,10 @@ impl<'a> Engine<'a> {
                 ReqOwner::Ray(r) => {
                     let ray = &mut self.rays[r as usize];
                     ray.outstanding -= 1;
-                    if ray.outstanding == 0 && !ray.is_done() && ray.pending_lines().is_empty() {
-                        let is_leaf = ray.steps[ray.step].1;
-                        let latency = if is_leaf {
+                    // The last line of a step arrived: its test starts.
+                    let issued = ray.outstanding == 0 && ray.pending_lines(&self.replay).is_empty();
+                    if let Some(s) = ray.current_step().filter(|_| issued) {
+                        let latency = if self.replay.step_leaf[s] {
                             self.config.tri_test_latency
                         } else {
                             self.config.node_test_latency
@@ -1318,7 +1383,7 @@ impl<'a> Engine<'a> {
     fn advance_ray(&mut self, sm: usize, r: u32) {
         self.progress = true;
         let ray = &mut self.rays[r as usize];
-        let old_treelet = ray.current_treelet();
+        let old_treelet = ray.current_treelet(&self.replay);
         ray.step += 1;
         let state = &mut self.sms[sm];
         state.stall = None;
@@ -1333,9 +1398,11 @@ impl<'a> Engine<'a> {
             slot.active -= 1;
             state.active_rays -= 1;
             self.remaining -= 1;
-            if !self.hash_paths.is_empty() {
+            if !self.replay.hash_keys.is_empty() {
                 if let Some(unit) = state.unit.as_mut() {
-                    unit.observe_ray_retire(self.hash_keys[r as usize], &self.hash_paths[r as usize]);
+                    self.replay
+                        .node_path(r as usize, self.hash_path_lines, &mut self.hash_path);
+                    unit.observe_ray_retire(self.replay.hash_keys[r as usize], &self.hash_path);
                 }
             }
             if slot.active == 0 {
@@ -1349,7 +1416,7 @@ impl<'a> Engine<'a> {
                 self.warp_generation_done(sm, warp_id, generation);
             }
         } else {
-            let new_treelet = ray.current_treelet();
+            let new_treelet = ray.current_treelet(&self.replay);
             if old_treelet != new_treelet {
                 if let Some(t) = old_treelet {
                     slot.uncount_ray(&mut state.counts_global, state.match_treelet, t);
@@ -1404,8 +1471,9 @@ impl<'a> Engine<'a> {
                 break;
             };
             let ray = &mut self.rays[r as usize];
-            let step_lines = ray.steps[ray.step].2.len();
-            let (line, kind) = ray.steps[ray.step].2[ray.next_line];
+            let pending = ray.pending_lines(&self.replay);
+            let (line, last) = (pending[0], pending.len() == 1);
+            let kind = line_kind(ray.next_line);
             let issue = self.mem.access(sm, line, FillOrigin::Demand, kind);
             match issue {
                 Issue::Hit(req) | Issue::Pending(req) => {
@@ -1418,7 +1486,7 @@ impl<'a> Engine<'a> {
                         // every demand load, the GHB only misses.
                         unit.observe_demand(slot_idx as u32, line, matches!(issue, Issue::Pending(_)));
                     }
-                    if ray.next_line == step_lines {
+                    if last {
                         slot.ready.pop_front();
                         if slot.ready.is_empty() {
                             SmState::unlist_ready(&mut state.ready_list, slot_idx);
@@ -1446,7 +1514,7 @@ impl<'a> Engine<'a> {
             .as_ref()
             .expect("candidate slot occupied");
         let ray = &self.rays[*slot.ready.front().expect("candidate has a ready ray") as usize];
-        ray.steps[ray.step].2[ray.next_line].0
+        ray.pending_lines(&self.replay)[0]
     }
 
     /// The warp slot the SM's scheduling policy issues from next, or
@@ -1599,11 +1667,11 @@ impl<'a> Engine<'a> {
             w.put_usize(ray.step);
             // The cursor encodes as the not-yet-issued suffix in reverse,
             // byte-identical to the pop-from-back scratch list it replaced.
-            let pending = ray.pending_lines();
+            let pending = ray.pending_lines(&self.replay);
             w.put_len(pending.len());
-            for &(line, kind) in pending.iter().rev() {
+            for (i, &line) in pending.iter().enumerate().rev() {
                 w.put_u64(line);
-                w.put_u8(kind.tag());
+                w.put_u8(line_kind(ray.next_line + i).tag());
             }
             w.put_u32(ray.outstanding);
             w.put_usize(ray.slot);
@@ -1650,36 +1718,34 @@ impl<'a> Engine<'a> {
         }
         for ray in &mut self.rays {
             ray.step = r.take_usize()?;
-            if ray.step > ray.steps.len() {
+            if ray.step > ray.len as usize {
                 return Err(DecodeError::malformed(format!(
                     "ray step {} past the end of its {}-step trace",
-                    ray.step,
-                    ray.steps.len()
+                    ray.step, ray.len
                 )));
             }
             let k = r.take_len(9)?;
-            let lines: &[(u64, AccessKind)] = match ray.steps.get(ray.step) {
-                Some(step) => &step.2,
-                None => &[],
-            };
+            ray.next_line = 0;
+            let lines = ray.pending_lines(&self.replay);
             if k > lines.len() {
                 return Err(DecodeError::malformed(format!(
                     "ray has {k} pending lines, its current step holds {}",
                     lines.len()
                 )));
             }
-            ray.next_line = lines.len() - k;
+            let next_line = lines.len() - k;
             // The payload lists the pending suffix back-to-front; each
-            // entry must match the trace rebuilt from the same inputs.
-            for i in 0..k {
+            // entry must match the replay rebuilt from the same inputs.
+            for i in (next_line..lines.len()).rev() {
                 let line = r.take_u64()?;
                 let kind = AccessKind::from_tag(r.take_u8()?)?;
-                if (line, kind) != lines[lines.len() - 1 - i] {
+                if (line, kind) != (lines[i], line_kind(i)) {
                     return Err(DecodeError::malformed(format!(
                         "pending line {line:#x} disagrees with the rebuilt trace"
                     )));
                 }
             }
+            ray.next_line = next_line;
             ray.outstanding = r.take_u32()?;
             ray.slot = r.take_usize()?;
         }
@@ -2178,6 +2244,7 @@ mod tests {
     use crate::config::SimConfig;
     use crate::session::SimSession;
     use crate::telemetry::TelemetryOptions;
+    use crate::traversal::compile_trace;
     use rt_scene::{Scene, SceneId, Workload, WorkloadKind};
 
     fn fixture() -> (WideBvh, Vec<Ray>) {
@@ -2322,6 +2389,77 @@ mod tests {
         assert!(expected > 0);
         assert_eq!(result.l1.demand_accesses(), expected);
         assert!(result.node_load_latency > 0.0);
+    }
+
+    #[test]
+    fn replay_matches_compile_trace_for_every_ray() {
+        // The flat replay must list exactly what `compile_trace` lists,
+        // step by step, under every memory image; the triangle-prefetch
+        // extension changes only the prefetched treelet lines, never a
+        // ray's own.
+        let (bvh, rays) = fixture();
+        let layouts = [
+            LayoutChoice::DepthFirst,
+            LayoutChoice::TreeletPacked { extra_stride: 0 },
+            LayoutChoice::MappingTable,
+        ];
+        for layout in layouts {
+            for prefetch_triangles in [false, true] {
+                let mut config = SimConfig::paper_treelet_prefetch();
+                config.layout = layout;
+                config.prefetch_triangles = prefetch_triangles;
+                let treelets = TreeletAssignment::form(&bvh, config.treelet_bytes);
+                let image = memory_image(&bvh, &config, &treelets);
+                let replay = Replay::compile(&bvh, &rays, &config, &treelets, &image);
+                assert_eq!(replay.rays(), rays.len());
+                let mut steps = 0;
+                for (r, ray) in rays.iter().enumerate() {
+                    let trace = trace_ray_with(
+                        &bvh,
+                        &treelets,
+                        ray,
+                        config.traversal,
+                        config.traversal_options,
+                    );
+                    let expected = compile_trace(&trace, &image, config.mem.line_bytes);
+                    let (first, len) = replay.ray_steps(r);
+                    assert_eq!(len as usize, expected.len(), "{layout:?} ray {r} steps");
+                    for (i, step) in expected.iter().enumerate() {
+                        let s = first as usize + i;
+                        let lines = replay.step_lines(s);
+                        assert_eq!(lines, step.lines.as_slice(), "{layout:?} ray {r} step {i}");
+                        let kinds: Vec<AccessKind> = (0..lines.len()).map(line_kind).collect();
+                        assert_eq!(kinds[0], AccessKind::Node);
+                        assert!(kinds[1..].iter().all(|&k| k == AccessKind::Triangle));
+                        assert_eq!(replay.step_treelet[s], step.treelet);
+                        assert_eq!(replay.step_leaf[s], step.is_leaf);
+                        // Entering a treelet votes for it; inside one, the
+                        // vote is the next different treelet on the trace.
+                        let entering = i == 0 || expected[i - 1].treelet != step.treelet;
+                        let vote = if entering {
+                            step.treelet
+                        } else {
+                            expected[i + 1..]
+                                .iter()
+                                .map(|t| t.treelet)
+                                .find(|&t| t != step.treelet)
+                                .unwrap_or(step.treelet)
+                        };
+                        assert_eq!(
+                            replay.step_vote[s], vote,
+                            "{layout:?} ray {r} step {i} vote"
+                        );
+                    }
+                    steps += expected.len();
+                }
+                assert!(steps > 0);
+                assert!(
+                    (0..steps).any(|s| replay.step_leaf[s] && replay.step_lines(s).len() > 1),
+                    "no leaf step with triangle lines"
+                );
+                assert_eq!(replay.step_treelet.len(), steps);
+            }
+        }
     }
 
     #[test]

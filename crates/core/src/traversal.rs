@@ -286,22 +286,12 @@ pub struct CompiledStep {
 /// Panics if `line_bytes` is zero.
 pub fn compile_trace(trace: &RayTrace, image: &MemoryImage, line_bytes: u64) -> Vec<CompiledStep> {
     assert!(line_bytes > 0, "line size must be nonzero");
-    let line_of = |addr: u64| addr / line_bytes * line_bytes;
     trace
         .steps
         .iter()
         .map(|s| {
-            let mut lines = vec![line_of(image.node_addr(s.node))];
-            if let Some((first, count)) = s.tri_range {
-                let begin = image.triangle_addr(first);
-                let end = begin + count as u64 * rt_bvh::TRIANGLE_SIZE_BYTES;
-                let mut addr = line_of(begin);
-                while addr < end {
-                    lines.push(addr);
-                    addr += line_bytes;
-                }
-            }
-            lines.dedup();
+            let mut lines = Vec::new();
+            push_step_lines(s, image, line_bytes, &mut lines);
             CompiledStep {
                 node: s.node,
                 treelet: s.treelet,
@@ -310,6 +300,35 @@ pub fn compile_trace(trace: &RayTrace, image: &MemoryImage, line_bytes: u64) -> 
             }
         })
         .collect()
+}
+
+/// Appends the cache lines `step` fetches to `out`, in issue order: the
+/// node record's line, then a leaf's triangle-data lines, with a
+/// triangle line equal to the node line dropped. This is the one
+/// definition both [`compile_trace`] and the timing model's replay use.
+pub(crate) fn push_step_lines(
+    step: &TraceStep,
+    image: &MemoryImage,
+    line_bytes: u64,
+    out: &mut Vec<u64>,
+) {
+    let line_of = |addr: u64| addr / line_bytes * line_bytes;
+    let node_line = line_of(image.node_addr(step.node));
+    out.push(node_line);
+    if let Some((first, count)) = step.tri_range {
+        let begin = image.triangle_addr(first);
+        let end = begin + count as u64 * rt_bvh::TRIANGLE_SIZE_BYTES;
+        // Triangle lines ascend, so only the first can repeat the line
+        // before it (the node's).
+        let mut addr = line_of(begin);
+        if addr == node_line {
+            addr += line_bytes;
+        }
+        while addr < end {
+            out.push(addr);
+            addr += line_bytes;
+        }
+    }
 }
 
 /// Per-workload node-visit statistics (the paper's Table 3).

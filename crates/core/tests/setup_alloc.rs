@@ -1,0 +1,102 @@
+//! A simulation's set-up allocates per ray, not per traversal step.
+//!
+//! A counting global allocator tallies this thread's allocations over
+//! one run at 16×16 and one at 32×32 rays of the same scene and config.
+//! The difference, divided by the 768 rays the larger run adds, is what
+//! one more ray costs: tracing it, compiling its trace into the replay,
+//! and replaying it. A replay that kept a heap vector per step would pay
+//! several allocations per node visited, so this bound fails loudly if
+//! per-step allocations come back.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use rt_scene::{SceneId, Workload, WorkloadKind};
+use treelet_rt::{Bench, SimConfig};
+
+/// The system allocator, counting each allocation on the calling thread
+/// (the test harness runs other tests on other threads).
+struct Counting;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: a thread being torn down may still allocate.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged, so `System` upholds the `GlobalAlloc` contract; counting
+// touches only a const-initialized thread-local `Cell`, which neither
+// allocates nor unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: the caller's `layout` contract is passed through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: the caller's `layout` contract is passed through.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        // SAFETY: `ptr` was allocated by `System` with `layout` (every
+        // allocation goes through this type), as the caller guarantees.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as for `realloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations one run of `config` makes on `bench`.
+fn run_allocations(bench: &Bench, config: &SimConfig) -> u64 {
+    let before = allocations();
+    let result = bench.run(config);
+    let after = allocations();
+    assert!(result.cycles > 0);
+    after - before
+}
+
+#[test]
+fn set_up_allocates_per_ray_not_per_step() {
+    let configs = [
+        ("baseline", SimConfig::paper_baseline()),
+        ("prefetch", SimConfig::paper_treelet_prefetch()),
+    ];
+    let mut report = Vec::new();
+    for scene in [SceneId::Wknd, SceneId::Car] {
+        let prepare =
+            |res| Bench::prepare(scene, 0.1, Workload::new(WorkloadKind::Primary, res, res));
+        let (small, large) = (prepare(16), prepare(32));
+        let added = (large.rays().len() - small.rays().len()) as f64;
+        for (name, config) in &configs {
+            let per_ray = (run_allocations(&large, config) as f64
+                - run_allocations(&small, config) as f64)
+                / added;
+            report.push((format!("{scene}/{name}"), per_ray));
+        }
+    }
+    for (cell, per_ray) in &report {
+        println!("{cell}: {per_ray:.1} allocations per added ray");
+    }
+    assert!(
+        report.iter().all(|&(_, per_ray)| per_ray < 8.0),
+        "some cell allocates 8 or more times per added ray: {report:?}"
+    );
+}

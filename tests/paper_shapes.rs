@@ -3,7 +3,7 @@
 //! suite stays fast in debug builds. The full-scale numbers live in the
 //! `rt-bench` harness binaries and EXPERIMENTS.md.
 
-use treelet_prefetching::bvh::WideBvh;
+use treelet_prefetching::bvh::{TreeStats, WideBvh};
 use treelet_prefetching::scene::{Scene, SceneId, Workload, WorkloadKind};
 use treelet_prefetching::treelet::{
     MappingMode, PrefetchConfig, SimConfig, SimResult, SimSession,
@@ -126,7 +126,8 @@ fn cache_resident_scene_has_high_hit_rate() {
     // WKND's BVH fits in the L1 — the reason the paper sees no speedup
     // there.
     let base = run(SceneId::Wknd, 0.4, &SimConfig::paper_baseline());
-    let footprint = base.tree.total_bytes();
+    let scene = Scene::build_with_detail(SceneId::Wknd, 0.4);
+    let footprint = TreeStats::of(&WideBvh::build(scene.mesh.into_triangles())).total_bytes();
     assert!(
         footprint < 512 * 1024,
         "WKND stand-in too large: {footprint} bytes"
