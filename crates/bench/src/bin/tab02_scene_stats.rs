@@ -5,7 +5,6 @@
 //! of the suite is preserved.
 
 use rt_bench::Suite;
-use treelet_rt::TreeletAssignment;
 
 fn main() {
     let suite = Suite::prepare_default();
@@ -16,7 +15,7 @@ fn main() {
     );
     for bench in suite.benches() {
         let stats = bench.tree_stats();
-        let treelets = TreeletAssignment::form(bench.bvh(), 512);
+        let treelets = bench.treelets();
         let paper = bench.scene().paper_stats();
         println!(
             "{:<7} {:>12.2} {:>7} {:>12} | {:>12.1} {:>7} {:>12}",

@@ -120,9 +120,10 @@ impl MemoryImage {
 
     /// Lays out nodes grouped by treelet.
     ///
-    /// `treelets[g]` lists the node indices of treelet `g` in their
-    /// within-treelet order (treelet root first; the paper forms treelets
-    /// breadth-first so upper-level nodes come first). Each treelet
+    /// The `g`th item of `treelets` lists the node indices of treelet
+    /// `g` in their within-treelet order (treelet root first; the paper
+    /// forms treelets breadth-first so upper-level nodes come first): a
+    /// `&[Vec<u32>]`, or a flat assignment's slices. Each treelet
     /// occupies one fixed-size slot so treelet identity is visible in the
     /// upper address bits.
     ///
@@ -130,9 +131,9 @@ impl MemoryImage {
     ///
     /// Panics if a treelet exceeds its slot, if a node appears in more
     /// than one treelet, or if some node is in no treelet.
-    pub fn treelet_packed(
+    pub fn treelet_packed<T: AsRef<[u32]>>(
         bvh: &WideBvh,
-        treelets: &[Vec<u32>],
+        treelets: impl IntoIterator<Item = T>,
         options: PackOptions,
     ) -> MemoryImage {
         assert!(
@@ -144,8 +145,10 @@ impl MemoryImage {
         let mut node_addrs = vec![u64::MAX; n];
         let mut group_of = vec![u32::MAX; n];
         let pitch = options.slot_bytes + options.extra_stride;
-        let mut groups = Vec::with_capacity(treelets.len());
-        for (g, members) in treelets.iter().enumerate() {
+        let treelets = treelets.into_iter();
+        let mut groups = Vec::with_capacity(treelets.size_hint().0);
+        for (g, members) in treelets.enumerate() {
+            let members = members.as_ref();
             let base = NODE_REGION_BASE + g as u64 * pitch;
             let bytes = members.len() as u64 * NODE_SIZE_BYTES;
             assert!(
@@ -167,7 +170,7 @@ impl MemoryImage {
             node_addrs.iter().all(|&a| a != u64::MAX),
             "some nodes are in no treelet"
         );
-        let end = NODE_REGION_BASE + treelets.len() as u64 * pitch;
+        let end = NODE_REGION_BASE + groups.len() as u64 * pitch;
         Self::finish(
             LayoutKind::TreeletPacked,
             node_addrs,

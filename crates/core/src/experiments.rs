@@ -4,6 +4,7 @@
 use crate::config::SimConfig;
 use crate::session::SimSession;
 use crate::sim::SimResult;
+use crate::treelet::{TreeletAssignment, DEFAULT_TREELET_BYTES};
 use rt_bvh::{TreeStats, WideBvh};
 use rt_geometry::Ray;
 use rt_scene::{Scene, SceneError, SceneId, Workload};
@@ -17,7 +18,12 @@ use rt_scene::{Scene, SceneError, SceneId, Workload};
 pub const DEFAULT_DETAIL: f32 = 0.5;
 
 /// A prepared scene workload: geometry built, BVH constructed, rays
-/// generated — ready to simulate under any [`SimConfig`].
+/// generated, default treelets formed — ready to simulate under any
+/// [`SimConfig`].
+///
+/// Like the paper, which forms treelets once when the BVH is built
+/// (§3.1), a bench forms its default-budget assignment once, and every
+/// run whose config asks for that budget and formation uses it.
 ///
 /// # Examples
 ///
@@ -35,6 +41,8 @@ pub struct Bench {
     id: SceneId,
     bvh: WideBvh,
     rays: Vec<Ray>,
+    /// The [`DEFAULT_TREELET_BYTES`], breadth-first assignment.
+    treelets: TreeletAssignment,
 }
 
 impl Bench {
@@ -66,13 +74,22 @@ impl Bench {
         workload: Workload,
     ) -> Result<Bench, SceneError> {
         let scene_data = Scene::try_build_with_detail(scene, detail)?;
-        let rays = workload.generate(&scene_data);
-        let bvh = WideBvh::build(scene_data.mesh.into_triangles());
-        Ok(Bench {
-            id: scene,
+        Ok(Bench::from_scene(scene_data, workload))
+    }
+
+    /// Prepares an already built `scene` (a paper scene or a loaded
+    /// mesh): generates the `workload` rays, builds the BVH and forms the
+    /// default treelets.
+    pub fn from_scene(scene: Scene, workload: Workload) -> Bench {
+        let rays = workload.generate(&scene);
+        let bvh = WideBvh::build(scene.mesh.into_triangles());
+        let treelets = TreeletAssignment::form(&bvh, DEFAULT_TREELET_BYTES);
+        Bench {
+            id: scene.id,
             bvh,
             rays,
-        })
+            treelets,
+        }
     }
 
     /// [`Bench::try_prepare`] backed by a preparation cache: a valid
@@ -109,20 +126,25 @@ impl Bench {
 
     /// Reassembles a bench from artifact-decoded parts. The codec layer
     /// ([`decode_prepared_bench`](crate::decode_prepared_bench)) is the
-    /// only caller; it has already validated the tree and rays.
-    pub(crate) fn from_cached_parts(id: SceneId, bvh: WideBvh, rays: Vec<Ray>) -> Bench {
-        Bench { id, bvh, rays }
+    /// only caller; it has already validated the tree, the rays, and the
+    /// assignment's budget and coverage.
+    pub(crate) fn from_cached_parts(
+        id: SceneId,
+        bvh: WideBvh,
+        rays: Vec<Ray>,
+        treelets: TreeletAssignment,
+    ) -> Bench {
+        Bench {
+            id,
+            bvh,
+            rays,
+            treelets,
+        }
     }
 
     /// The scene this bench was prepared from.
     pub fn scene(&self) -> SceneId {
         self.id
-    }
-
-    /// Decomposes the bench into its owned BVH and rays, for callers
-    /// that manage the pieces themselves.
-    pub fn into_parts(self) -> (WideBvh, Vec<Ray>) {
-        (self.bvh, self.rays)
     }
 
     /// The prepared BVH.
@@ -133,6 +155,13 @@ impl Bench {
     /// The prepared rays.
     pub fn rays(&self) -> &[Ray] {
         &self.rays
+    }
+
+    /// The default treelet assignment: [`DEFAULT_TREELET_BYTES`] formed
+    /// breadth-first, once per bench (or read back from the preparation
+    /// cache).
+    pub fn treelets(&self) -> &TreeletAssignment {
+        &self.treelets
     }
 
     /// BVH statistics (Table 2 row).
@@ -153,9 +182,11 @@ impl Bench {
 
     /// A [`SimSession`] over this bench's BVH and rays — the front door
     /// for runs needing option combinations the convenience methods
-    /// below don't cover.
+    /// below don't cover. The session runs on the bench's
+    /// [`treelets`](Bench::treelets) when its config asks for the default
+    /// budget and formation, and forms its own otherwise.
     pub fn session(&self, config: SimConfig) -> SimSession<'_> {
-        SimSession::new(&self.bvh, &self.rays, config)
+        SimSession::new(&self.bvh, &self.rays, config).default_treelets(&self.treelets)
     }
 
     /// Runs the simulation under `config`.
@@ -175,7 +206,9 @@ impl Bench {
     /// instead of panicking on invalid configs, watchdog aborts, or
     /// uncovered BVHs.
     pub fn try_run(&self, config: &SimConfig) -> Result<SimResult, crate::SimError> {
-        SimSession::borrowed(&self.bvh, &self.rays, config).run()
+        SimSession::borrowed(&self.bvh, &self.rays, config)
+            .default_treelets(&self.treelets)
+            .run()
     }
 
     /// Runs under `config` while collecting a telemetry time-series

@@ -42,7 +42,7 @@ impl TreeletMetrics {
     /// Panics if the assignment does not match the BVH's node count.
     pub fn of(bvh: &WideBvh, treelets: &TreeletAssignment) -> TreeletMetrics {
         let n = bvh.node_count();
-        let covered: usize = treelets.as_slices().iter().map(Vec::len).sum();
+        let covered = treelets.covered_nodes();
         assert_eq!(n, covered, "assignment covers {covered} of {n} nodes");
 
         // Parent map for depth computation.

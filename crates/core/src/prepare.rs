@@ -17,15 +17,19 @@
 //! - scene id and detail factor (geometry),
 //! - workload kind, resolution, and seed (rays),
 //! - the BVH builder's `max_leaf_tris` (tree shape),
+//! - the default treelet budget and the formation version (the rider),
 //! - the artifact codec version (format).
 //!
 //! It deliberately excludes *budget-style knobs* that only affect how a
-//! prepared bench is later simulated — treelet byte budgets, prefetch
-//! configuration, scheduler policy — the same rule the rt-served store
-//! applies to its result identities. The artifact carries the
-//! default-budget treelet assignment as a rider section; a simulation
-//! sweeping other budgets re-forms in O(nodes), which is noise next to
-//! the SAH build.
+//! prepared bench is later simulated — the treelet budget a config asks
+//! for, prefetch configuration, scheduler policy — the same rule the
+//! rt-served store applies to its result identities. The artifact
+//! carries the default-budget treelet assignment as a rider section,
+//! which a cache hit hands to the bench, so runs at the default budget
+//! never form treelets; a simulation sweeping other budgets re-forms in
+//! O(nodes), which is noise next to the SAH build. Because runs read the
+//! rider, the key names the formation that wrote it: a formation change
+//! bumps the formation version and misses every old entry.
 //!
 //! ## Store rules (mirroring the rt-served store)
 //!
@@ -39,7 +43,7 @@
 //!   full, permissions) degrades to pass-through with a warning.
 
 use crate::experiments::Bench;
-use crate::treelet::{TreeletAssignment, DEFAULT_TREELET_BYTES};
+use crate::treelet::{TreeletAssignment, DEFAULT_TREELET_BYTES, FORMATION_VERSION};
 use rt_bvh::{BvhArtifact, BVH_ARTIFACT_VERSION, DEFAULT_MAX_LEAF_TRIS};
 use rt_geometry::Ray;
 use rt_gpu_sim::{fnv1a64, ByteReader, ByteWriter, DecodeError};
@@ -84,6 +88,8 @@ pub fn prepare_cache_key(scene: SceneId, detail: f32, workload: &Workload) -> u6
     w.put_u32(workload.height);
     w.put_u64(workload.seed);
     w.put_u32(DEFAULT_MAX_LEAF_TRIS);
+    w.put_u64(DEFAULT_TREELET_BYTES);
+    w.put_u32(FORMATION_VERSION);
     fnv1a64(w.bytes())
 }
 
@@ -106,18 +112,18 @@ pub fn encode_prepared_bench(bench: &Bench, key: u64) -> Vec<u8> {
         rays.put_f32(r.t_max);
     }
     artifact.push_section(RAYS_SECTION, rays.into_bytes());
-    let assignment = TreeletAssignment::form(bench.bvh(), DEFAULT_TREELET_BYTES);
     let mut treelets = ByteWriter::new();
-    assignment.encode(&mut treelets);
+    bench.treelets().encode(&mut treelets);
     artifact.push_section(TREELET_SECTION, treelets.into_bytes());
     artifact.to_bytes()
 }
 
 /// Decodes an artifact written by [`encode_prepared_bench`] back into a
-/// ready-to-simulate [`Bench`] for `scene` plus its cached
-/// default-budget [`TreeletAssignment`], verifying the container
-/// (magic, version, checksum), the echoed content key, the tree's
-/// structural invariants, and the assignment's coverage of the tree.
+/// ready-to-simulate [`Bench`] for `scene` plus a copy of its cached
+/// default-budget [`TreeletAssignment`] (the bench keeps its own),
+/// verifying the container (magic, version, checksum), the echoed
+/// content key, the tree's structural invariants, and the assignment's
+/// budget and coverage of the tree.
 ///
 /// # Errors
 ///
@@ -128,6 +134,13 @@ pub fn decode_prepared_bench(
     key: u64,
     bytes: &[u8],
 ) -> Result<(Bench, TreeletAssignment), DecodeError> {
+    let bench = decode_bench(scene, key, bytes)?;
+    let treelets = bench.treelets().clone();
+    Ok((bench, treelets))
+}
+
+/// [`decode_prepared_bench`] without the copy of the assignment.
+fn decode_bench(scene: SceneId, key: u64, bytes: &[u8]) -> Result<Bench, DecodeError> {
     let artifact = BvhArtifact::from_bytes(bytes)?;
     if artifact.identity != key {
         return Err(DecodeError::malformed(format!(
@@ -162,8 +175,16 @@ pub fn decode_prepared_bench(
     let mut t = ByteReader::new(treelet_bytes);
     let assignment = TreeletAssignment::decode(&mut t, artifact.bvh.node_count())?;
     t.expect_end()?;
-    Ok((
-        Bench::from_cached_parts(scene, artifact.bvh, rays),
+    if assignment.max_bytes() != DEFAULT_TREELET_BYTES {
+        return Err(DecodeError::malformed(format!(
+            "treelet rider formed at {} B, not the default {DEFAULT_TREELET_BYTES} B",
+            assignment.max_bytes()
+        )));
+    }
+    Ok(Bench::from_cached_parts(
+        scene,
+        artifact.bvh,
+        rays,
         assignment,
     ))
 }
@@ -247,8 +268,8 @@ impl BvhCache {
                 return None;
             }
         };
-        match decode_prepared_bench(scene, key, &bytes) {
-            Ok((bench, _assignment)) => {
+        match decode_bench(scene, key, &bytes) {
+            Ok(bench) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(bench)
             }
@@ -372,6 +393,56 @@ mod tests {
         let (decoded, assignment) = decode_prepared_bench(SceneId::Wknd, key, &bytes).unwrap();
         let fresh = TreeletAssignment::form(decoded.bvh(), DEFAULT_TREELET_BYTES);
         assert_eq!(assignment, fresh);
+    }
+
+    #[test]
+    fn a_rider_formed_at_another_budget_is_refused() {
+        // Runs read the rider as the default assignment, so one formed at
+        // any other budget must never decode, even checksum-valid.
+        let bench = Bench::try_prepare(SceneId::Wknd, 0.2, workload()).unwrap();
+        let bytes = encode_prepared_bench(&bench, 3);
+        let mut artifact = BvhArtifact::from_bytes(&bytes).unwrap();
+        let mut rider = ByteWriter::new();
+        TreeletAssignment::form(bench.bvh(), 2 * DEFAULT_TREELET_BYTES).encode(&mut rider);
+        let section = artifact
+            .sections
+            .iter_mut()
+            .find(|s| s.tag == TREELET_SECTION)
+            .unwrap();
+        section.bytes = rider.into_bytes();
+        match decode_prepared_bench(SceneId::Wknd, 3, &artifact.to_bytes()) {
+            Err(DecodeError::Malformed { what }) => assert!(what.contains("1024 B"), "{what}"),
+            other => panic!("expected a budget rejection, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn key_carries_the_rider_formation() {
+        // The key hashes the default budget and the formation version
+        // after every other input: bumping either names a new entry.
+        let base = prepare_cache_key(SceneId::Wknd, 0.5, &workload());
+        let mut w = ByteWriter::new();
+        w.put_bytes(b"rt-prepare-key");
+        w.put_u32(BVH_ARTIFACT_VERSION);
+        w.put_len(4);
+        w.put_bytes(b"WKND");
+        w.put_u32(0.5f32.to_bits());
+        w.put_u8(0);
+        w.put_u32(8);
+        w.put_u32(8);
+        w.put_u64(workload().seed);
+        w.put_u32(DEFAULT_MAX_LEAF_TRIS);
+        let prefix = w.bytes().to_vec();
+        let key = |bytes: u64, version: u32| {
+            let mut w = ByteWriter::new();
+            w.put_bytes(&prefix);
+            w.put_u64(bytes);
+            w.put_u32(version);
+            fnv1a64(w.bytes())
+        };
+        assert_eq!(base, key(DEFAULT_TREELET_BYTES, FORMATION_VERSION));
+        assert_ne!(base, key(DEFAULT_TREELET_BYTES, FORMATION_VERSION + 1));
+        assert_ne!(base, key(2 * DEFAULT_TREELET_BYTES, FORMATION_VERSION));
     }
 
     #[test]

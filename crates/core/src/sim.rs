@@ -7,7 +7,7 @@
 //! and prefetch queue — on top of the `rt-gpu-sim` memory hierarchy.
 //! The hand-off is a `Replay`: every ray's trace compiled into a few
 //! flat arrays (per ray its steps, per step its treelet, vote, leaf flag
-//! and cache lines), each trace freed as soon as it is compiled.
+//! and cache lines), every ray traced into one reused scratch.
 
 use crate::config::{CheckpointOptions, LayoutChoice, PrefetchConfig, SchedulerPolicy, SimConfig};
 use crate::error::{ProgressSnapshot, SimError};
@@ -19,7 +19,7 @@ use crate::prefetch::{MappingMode, PrefetchEntry, PrefetchUsefulness, Prefetcher
 use crate::prefetcher::{PrefetchUnitStats, Prefetcher, PrefetcherUnit, WarpBufferView};
 use crate::snapshot::{self, Checkpoint, DigestRecord, SnapshotError};
 use crate::telemetry::{Telemetry, TelemetrySample};
-use crate::traversal::{push_step_lines, trace_ray_with, RayTrace, TraversalStats};
+use crate::traversal::{push_step_lines, trace_into, TraceScratch, TraceStep, TraversalStats};
 use crate::treelet::TreeletAssignment;
 use rt_bvh::{MemoryImage, PackOptions, WideBvh};
 use rt_geometry::Ray;
@@ -164,7 +164,7 @@ pub(crate) fn try_run_engine(
     if rays.is_empty() {
         return Err(SimError::EmptyInput { what: "ray" });
     }
-    let assigned = treelets.as_slices().iter().map(Vec::len).sum::<usize>();
+    let assigned = treelets.covered_nodes();
     if bvh.node_count() != assigned {
         return Err(SimError::TreeletCoverage {
             nodes: bvh.node_count(),
@@ -179,40 +179,13 @@ pub(crate) fn try_run_engine(
     // Operation-unit activity is fixed by the functional traces.
     let mut activity = replay.activity();
 
-    // Per-treelet cache lines, front (upper levels) first, and mapping
-    // lines: only the treelet prefetcher reads them. With the
-    // triangle-prefetch extension, leaf members' primitive lines follow
-    // the node lines (so PARTIAL still prioritizes upper nodes).
+    // Per-treelet cache lines and mapping lines: only the treelet
+    // prefetcher reads them.
     let treelet_count = match config.prefetch {
         PrefetchConfig::Treelet { .. } => treelets.count() as u32,
         _ => 0,
     };
-    let mut seen = FxHashSet::default();
-    let treelet_lines: Vec<Vec<u64>> = (0..treelet_count)
-        .map(|g| {
-            let mut lines: Vec<u64> = treelets
-                .members(g)
-                .iter()
-                .map(|&n| image.node_addr(n) / line_bytes * line_bytes)
-                .collect();
-            if config.prefetch_triangles {
-                for &n in treelets.members(g) {
-                    if let rt_bvh::WideNode::Leaf { first, count, .. } = &bvh.nodes()[n as usize] {
-                        let begin = image.triangle_addr(*first);
-                        let end = begin + *count as u64 * rt_bvh::TRIANGLE_SIZE_BYTES;
-                        let mut addr = begin / line_bytes * line_bytes;
-                        while addr < end {
-                            lines.push(addr);
-                            addr += line_bytes;
-                        }
-                    }
-                }
-            }
-            seen.clear();
-            lines.retain(|l| seen.insert(*l));
-            lines
-        })
-        .collect();
+    let treelet_lines = TreeletLines::new(bvh, config, treelets, treelet_count, &image);
     let meta_lines: Vec<u64> = (0..treelet_count)
         .map(|g| {
             image
@@ -393,7 +366,7 @@ impl Replay {
     /// Traces every ray `config` replays and compiles the traces against
     /// `image`. Generation 0 is `rays`; with a shader program, bounce
     /// generations follow, lane-aligned (dead lanes have no trace). Each
-    /// trace is freed once compiled.
+    /// ray is traced into one reused scratch and compiled from it.
     fn compile(
         bvh: &WideBvh,
         rays: &[Ray],
@@ -423,11 +396,20 @@ impl Replay {
             _ => None,
         };
         let scene_bounds = bvh.root_aabb();
+        let mut scratch = TraceScratch::default();
         let mut push = |r: Option<&Ray>| {
-            let trace = r.map(|r| {
-                trace_ray_with(bvh, treelets, r, config.traversal, config.traversal_options)
+            let steps = r.map(|r| {
+                trace_into(
+                    bvh,
+                    treelets,
+                    r,
+                    config.traversal,
+                    config.traversal_options,
+                    &mut scratch,
+                );
+                scratch.steps.as_slice()
             });
-            replay.push(trace.as_ref(), image, config.mem.line_bytes);
+            replay.push(steps, image, config.mem.line_bytes);
             if let Some((origin_bits, dir_bits, seed)) = hash_quant {
                 replay.hash_keys.push(r.map_or(0, |r| {
                     hash_ray_key(r, &scene_bounds, origin_bits, dir_bits, seed)
@@ -450,13 +432,13 @@ impl Replay {
         replay
     }
 
-    /// Appends one ray: `trace` compiled against `image` in
+    /// Appends one ray: its traced `steps` compiled against `image` in
     /// `line_bytes`-sized lines, or no steps for a dead lane.
-    fn push(&mut self, trace: Option<&RayTrace>, image: &MemoryImage, line_bytes: u64) {
+    fn push(&mut self, steps: Option<&[TraceStep]>, image: &MemoryImage, line_bytes: u64) {
         let first = self.step_treelet.len();
-        if let Some(trace) = trace {
+        if let Some(steps) = steps {
             self.traced += 1;
-            for step in &trace.steps {
+            for step in steps {
                 push_step_lines(step, image, line_bytes, &mut self.lines);
                 self.line_start.push(index(self.lines.len()));
                 self.step_treelet.push(step.treelet);
@@ -535,6 +517,79 @@ impl Replay {
                 path.push(line);
             }
         }
+    }
+}
+
+/// Every treelet's cache lines, front (upper levels) first, as the
+/// treelet prefetcher fetches them: treelet `g`'s lines are
+/// `lines[start[g]..start[g + 1]]`. Static replay data, never encoded.
+#[derive(Debug)]
+struct TreeletLines {
+    /// Per treelet, its first line, plus one closing entry.
+    start: Vec<u32>,
+    lines: Vec<u64>,
+}
+
+impl TreeletLines {
+    /// The lines of treelets `0..count` laid out by `image`. With the
+    /// triangle-prefetch extension, leaf members' primitive lines follow
+    /// the node lines (so PARTIAL still prioritizes upper nodes).
+    fn new(
+        bvh: &WideBvh,
+        config: &SimConfig,
+        treelets: &TreeletAssignment,
+        count: u32,
+        image: &MemoryImage,
+    ) -> TreeletLines {
+        let line_bytes = config.mem.line_bytes;
+        let mut start = Vec::with_capacity(count as usize + 1);
+        start.push(0);
+        let nodes = if count == 0 {
+            0
+        } else {
+            treelets.covered_nodes()
+        };
+        let mut lines = Vec::with_capacity(nodes);
+        let mut seen = FxHashSet::default();
+        for g in 0..count {
+            let first = lines.len();
+            let members = treelets.members(g);
+            lines.extend(
+                members
+                    .iter()
+                    .map(|&n| image.node_addr(n) / line_bytes * line_bytes),
+            );
+            if config.prefetch_triangles {
+                for &n in members {
+                    if let rt_bvh::WideNode::Leaf { first, count, .. } = &bvh.nodes()[n as usize] {
+                        let begin = image.triangle_addr(*first);
+                        let end = begin + *count as u64 * rt_bvh::TRIANGLE_SIZE_BYTES;
+                        let mut addr = begin / line_bytes * line_bytes;
+                        while addr < end {
+                            lines.push(addr);
+                            addr += line_bytes;
+                        }
+                    }
+                }
+            }
+            // Drop repeats within the treelet, keeping first positions.
+            seen.clear();
+            let mut kept = first;
+            for i in first..lines.len() {
+                if seen.insert(lines[i]) {
+                    lines[kept] = lines[i];
+                    kept += 1;
+                }
+            }
+            lines.truncate(kept);
+            start.push(index(kept));
+        }
+        TreeletLines { start, lines }
+    }
+
+    /// Treelet `t`'s lines.
+    fn of(&self, t: u32) -> &[u64] {
+        &self.lines[self.start[t as usize] as usize..self.start[t as usize + 1] as usize]
     }
 }
 
@@ -756,7 +811,7 @@ struct Engine<'a> {
     sms: Vec<SmState>,
     /// Per-treelet cache lines and mapping lines (treelet prefetcher
     /// only, else empty). Static replay data, never encoded.
-    treelet_lines: Vec<Vec<u64>>,
+    treelet_lines: TreeletLines,
     meta_lines: Vec<u64>,
     /// The hash predictor's path length cap (hash configs only, else 0)
     /// and a scratch buffer the retiring ray's path is listed into.
@@ -804,7 +859,7 @@ impl<'a> Engine<'a> {
         config: &'a SimConfig,
         replay: Replay,
         treelets: &TreeletAssignment,
-        treelet_lines: Vec<Vec<u64>>,
+        treelet_lines: TreeletLines,
         meta_lines: Vec<u64>,
         mem: MemorySystem,
     ) -> Engine<'a> {
@@ -1572,7 +1627,7 @@ impl<'a> Engine<'a> {
         let meta_lines = &self.meta_lines;
         let state = &mut self.sms[sm];
         let unit = state.unit.as_mut()?;
-        let lines = |t: u32| treelet_lines[t as usize].as_slice();
+        let lines = |t: u32| treelet_lines.of(t);
         let meta = |t: u32| meta_lines[t as usize];
         let slots = &state.slots;
         let per_warp = |f: &mut dyn FnMut(&CountVec)| {
@@ -2244,7 +2299,7 @@ mod tests {
     use crate::config::SimConfig;
     use crate::session::SimSession;
     use crate::telemetry::TelemetryOptions;
-    use crate::traversal::compile_trace;
+    use crate::traversal::{compile_trace, trace_ray_with};
     use rt_scene::{Scene, SceneId, Workload, WorkloadKind};
 
     fn fixture() -> (WideBvh, Vec<Ray>) {

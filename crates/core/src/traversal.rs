@@ -105,9 +105,43 @@ pub fn trace_ray_with(
     algorithm: TraversalAlgorithm,
     options: TraversalOptions,
 ) -> RayTrace {
+    let mut scratch = TraceScratch::default();
+    let hit = trace_into(bvh, treelets, ray, algorithm, options, &mut scratch);
+    RayTrace {
+        steps: scratch.steps,
+        hit,
+    }
+}
+
+/// Traversal buffers reused from ray to ray: the visited steps and the
+/// two node stacks (the baseline uses only the first). Tracing many rays
+/// through one scratch allocates only when a ray outgrows them.
+#[derive(Debug, Default)]
+pub(crate) struct TraceScratch {
+    /// The last traced ray's visited nodes, in order.
+    pub(crate) steps: Vec<TraceStep>,
+    current: Vec<(u32, f32)>,
+    other: Vec<(u32, f32)>,
+}
+
+/// Traces `ray` into `scratch`, replacing its steps, and returns the
+/// closest hit: [`trace_ray_with`] without a fresh allocation per ray.
+pub(crate) fn trace_into(
+    bvh: &WideBvh,
+    treelets: &TreeletAssignment,
+    ray: &Ray,
+    algorithm: TraversalAlgorithm,
+    options: TraversalOptions,
+    scratch: &mut TraceScratch,
+) -> HitRecord {
+    scratch.steps.clear();
+    scratch.current.clear();
+    scratch.other.clear();
     match algorithm {
-        TraversalAlgorithm::BaselineDfs => trace_dfs(bvh, treelets, ray, options),
-        TraversalAlgorithm::TwoStackTreelet => trace_two_stack(bvh, treelets, ray, options),
+        TraversalAlgorithm::BaselineDfs => trace_dfs(bvh, treelets, ray, options, scratch),
+        TraversalAlgorithm::TwoStackTreelet => {
+            trace_two_stack(bvh, treelets, ray, options, scratch)
+        }
     }
 }
 
@@ -171,12 +205,16 @@ fn trace_dfs(
     treelets: &TreeletAssignment,
     ray: &Ray,
     options: TraversalOptions,
-) -> RayTrace {
+    scratch: &mut TraceScratch,
+) -> HitRecord {
     let mut ray = *ray;
     let mut hit = HitRecord::new();
-    let mut steps = Vec::new();
+    let TraceScratch {
+        steps,
+        current: stack,
+        ..
+    } = scratch;
     let inv = ray.inv_direction();
-    let mut stack: Vec<(u32, f32)> = Vec::with_capacity(64);
     if let Some(t) = bvh.root_aabb().intersect(&ray, inv) {
         stack.push((bvh.root(), t));
     }
@@ -190,7 +228,7 @@ fn trace_dfs(
             treelets,
             &mut ray,
             &mut hit,
-            &mut steps,
+            steps,
             node,
             options,
             &mut children,
@@ -198,7 +236,7 @@ fn trace_dfs(
         stack.extend_from_slice(children.as_slice());
     }
     // Without early termination the closest hit must still be correct.
-    RayTrace { steps, hit }
+    hit
 }
 
 fn trace_two_stack(
@@ -206,13 +244,16 @@ fn trace_two_stack(
     treelets: &TreeletAssignment,
     ray: &Ray,
     options: TraversalOptions,
-) -> RayTrace {
+    scratch: &mut TraceScratch,
+) -> HitRecord {
     let mut ray = *ray;
     let mut hit = HitRecord::new();
-    let mut steps = Vec::new();
+    let TraceScratch {
+        steps,
+        current,
+        other,
+    } = scratch;
     let inv = ray.inv_direction();
-    let mut current: Vec<(u32, f32)> = Vec::with_capacity(16);
-    let mut other: Vec<(u32, f32)> = Vec::with_capacity(64);
     if let Some(t) = bvh.root_aabb().intersect(&ray, inv) {
         current.push((bvh.root(), t));
     }
@@ -246,7 +287,7 @@ fn trace_two_stack(
             treelets,
             &mut ray,
             &mut hit,
-            &mut steps,
+            steps,
             node,
             options,
             &mut children,
@@ -260,7 +301,7 @@ fn trace_two_stack(
             }
         }
     }
-    RayTrace { steps, hit }
+    hit
 }
 
 /// A trace step compiled against a memory image: the cache-line addresses

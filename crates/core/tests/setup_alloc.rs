@@ -1,12 +1,18 @@
-//! A simulation's set-up allocates per ray, not per traversal step.
+//! A simulation's set-up allocates a few flat blocks per cell and about
+//! one per ray, not one per traversal step, treelet or cache set.
 //!
 //! A counting global allocator tallies this thread's allocations over
 //! one run at 16×16 and one at 32×32 rays of the same scene and config.
 //! The difference, divided by the 768 rays the larger run adds, is what
 //! one more ray costs: tracing it, compiling its trace into the replay,
-//! and replaying it. A replay that kept a heap vector per step would pay
-//! several allocations per node visited, so this bound fails loudly if
-//! per-step allocations come back.
+//! and replaying it. A replay that kept a heap vector per step, or a
+//! fresh traversal buffer per ray, would pay several allocations per
+//! ray, so this bound fails loudly if either comes back.
+//!
+//! The 16×16 run's own total bounds what a whole cell costs. A cell
+//! that formed its treelets again (one block per treelet), kept a vector
+//! per treelet's lines, or one per L2 set (3,072 of them) would pay
+//! thousands of allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -79,24 +85,29 @@ fn set_up_allocates_per_ray_not_per_step() {
         ("baseline", SimConfig::paper_baseline()),
         ("prefetch", SimConfig::paper_treelet_prefetch()),
     ];
-    let mut report = Vec::new();
-    for scene in [SceneId::Wknd, SceneId::Car] {
+    let mut per_ray = Vec::new();
+    let mut per_cell = Vec::new();
+    for scene in [SceneId::Wknd, SceneId::Car, SceneId::Park] {
         let prepare =
             |res| Bench::prepare(scene, 0.1, Workload::new(WorkloadKind::Primary, res, res));
         let (small, large) = (prepare(16), prepare(32));
         let added = (large.rays().len() - small.rays().len()) as f64;
         for (name, config) in &configs {
-            let per_ray = (run_allocations(&large, config) as f64
-                - run_allocations(&small, config) as f64)
-                / added;
-            report.push((format!("{scene}/{name}"), per_ray));
+            let cell = run_allocations(&small, config);
+            let slope = (run_allocations(&large, config) as f64 - cell as f64) / added;
+            per_ray.push((format!("{scene}/{name}"), slope));
+            per_cell.push((format!("{scene}/{name}"), cell));
         }
     }
-    for (cell, per_ray) in &report {
-        println!("{cell}: {per_ray:.1} allocations per added ray");
+    for ((cell, slope), (_, total)) in per_ray.iter().zip(&per_cell) {
+        println!("{cell}: {slope:.2} allocations per added ray, {total} per 16x16 cell");
     }
     assert!(
-        report.iter().all(|&(_, per_ray)| per_ray < 8.0),
-        "some cell allocates 8 or more times per added ray: {report:?}"
+        per_ray.iter().all(|&(_, slope)| slope < 2.0),
+        "some cell allocates 2 or more times per added ray: {per_ray:?}"
+    );
+    assert!(
+        per_cell.iter().all(|&(_, total)| total < 1_500),
+        "some 16x16 cell allocates 1,500 or more times: {per_cell:?}"
     );
 }

@@ -1361,9 +1361,20 @@ impl MemorySystem {
         }
         let mut l1 = Vec::with_capacity(n);
         for _ in 0..n {
-            l1.push(Cache::decode_state(r)?);
+            l1.push(Cache::decode_state(
+                r,
+                (config.l1_lines, Organization::FullyAssociative),
+            )?);
         }
-        let l2 = Cache::decode_state(r)?;
+        let l2 = Cache::decode_state(
+            r,
+            (
+                config.l2_lines,
+                Organization::SetAssociative {
+                    sets: config.l2_sets,
+                },
+            ),
+        )?;
         let dram = Dram::decode_state(r)?;
 
         let n = r.take_len(17)?;

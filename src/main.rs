@@ -13,17 +13,17 @@
 //!                           [--obj path.obj] [--compare]
 //! ```
 
+use std::borrow::Cow;
 use std::process::ExitCode;
 use treelet_prefetching::bvh::MemoryImage;
-use treelet_prefetching::bvh::{TreeStats, WideBvh, NODE_SIZE_BYTES};
-use treelet_prefetching::geometry::Ray;
+use treelet_prefetching::bvh::NODE_SIZE_BYTES;
 use treelet_prefetching::gpu::FaultInjection;
 use treelet_prefetching::scene::{load_obj, Camera, Scene, SceneId, Workload, WorkloadKind};
 use treelet_prefetching::treelet::{
     compile_trace, default_jobs_for, first_divergence, read_digest_log, trace_ray, write_traces,
-    Bench, BvhCache, CheckpointOptions, PrefetchConfig, PrefetchHeuristic, SchedulerPolicy, SimConfig,
-    SimError, SimSession, Sweep, SweepOutcome, Telemetry, TelemetryOptions, TreeletAssignment,
-    DEFAULT_TELEMETRY_EVERY,
+    Bench, BvhCache, CheckpointOptions, PrefetchConfig, PrefetchHeuristic, SchedulerPolicy,
+    SimConfig, SimError, Sweep, SweepOutcome, Telemetry, TelemetryOptions, TreeletAssignment,
+    DEFAULT_TELEMETRY_EVERY, DEFAULT_TREELET_BYTES,
 };
 
 /// Parsed command line.
@@ -882,29 +882,31 @@ fn resolve_bvh_cache(flag: Option<&str>) -> Result<Option<BvhCache>, Failure> {
     }
 }
 
-/// Builds the command's BVH and workload rays, going through the
-/// content-addressed preparation cache when one is configured. `--obj`
-/// meshes are never cached: the cache key identifies paper scenes by
-/// name and detail, not arbitrary mesh files.
-fn prepare_inputs(options: &Options) -> Result<(WideBvh, Vec<Ray>), Failure> {
+/// Prepares the command's bench (BVH, workload rays, default treelets),
+/// going through the content-addressed preparation cache when one is
+/// configured. `--obj` meshes are never cached: the cache key identifies
+/// paper scenes by name and detail, not arbitrary mesh files.
+fn prepare_inputs(options: &Options) -> Result<Bench, Failure> {
     let workload = Workload::new(options.workload, options.res, options.res);
     if options.obj.is_none() {
         let cache = resolve_bvh_cache(options.bvh_cache.as_deref())?;
-        let bench = Bench::try_prepare_cached(
-            options.scene,
-            options.detail,
-            workload,
-            cache.as_ref(),
-        )
-        .map_err(|e| Failure {
-            message: e.to_string(),
-            code: 2,
-        })?;
-        return Ok(bench.into_parts());
+        return Bench::try_prepare_cached(options.scene, options.detail, workload, cache.as_ref())
+            .map_err(|e| Failure {
+                message: e.to_string(),
+                code: 2,
+            });
     }
-    let scene = build_scene(options)?;
-    let rays = workload.generate(&scene);
-    Ok((WideBvh::build(scene.mesh.into_triangles()), rays))
+    Ok(Bench::from_scene(build_scene(options)?, workload))
+}
+
+/// The bench's own treelets when `bytes` is the default budget, else a
+/// fresh breadth-first assignment at `bytes`.
+fn treelets_at(bench: &Bench, bytes: u64) -> Result<Cow<'_, TreeletAssignment>, Failure> {
+    if bytes == DEFAULT_TREELET_BYTES {
+        return Ok(Cow::Borrowed(bench.treelets()));
+    }
+    let formed = TreeletAssignment::try_form(bench.bvh(), bytes).map_err(SimError::from)?;
+    Ok(Cow::Owned(formed))
 }
 
 /// Scene-construction failures (bad detail, triangle-budget overflow)
@@ -959,10 +961,9 @@ fn cmd_scenes() {
 }
 
 fn cmd_stats(options: &Options) -> Result<(), Failure> {
-    let (bvh, rays) = prepare_inputs(options)?;
-    let stats = TreeStats::of(&bvh);
-    let treelets =
-        TreeletAssignment::try_form(&bvh, options.treelet_bytes).map_err(SimError::from)?;
+    let bench = prepare_inputs(options)?;
+    let stats = bench.tree_stats();
+    let treelets = treelets_at(&bench, options.treelet_bytes)?;
     println!(
         "scene:     {}",
         options.obj.as_deref().unwrap_or(options.scene.name())
@@ -985,7 +986,8 @@ fn cmd_stats(options: &Options) -> Result<(), Failure> {
     // was given), so a scene can be profiled in one command.
     if let Some(telemetry_opts) = telemetry_options(options).map_err(invalid)? {
         let config = build_config(options);
-        let (result, telemetry) = SimSession::new(&bvh, &rays, config)
+        let (result, telemetry) = bench
+            .session(config)
             .telemetry(telemetry_opts)
             .run_with_telemetry()?;
         print_telemetry_summary(&telemetry, result.cycles);
@@ -1103,11 +1105,11 @@ fn checkpoint_options(options: &Options) -> Result<Option<CheckpointOptions>, St
 }
 
 fn cmd_run(options: &Options) -> Result<(), Failure> {
-    let (bvh, rays) = prepare_inputs(options)?;
+    let bench = prepare_inputs(options)?;
     let config = build_config(options);
     let telemetry_opts = telemetry_options(options).map_err(invalid)?;
     let mut telemetry = None;
-    let mut session = SimSession::new(&bvh, &rays, config);
+    let mut session = bench.session(config);
     if let Some(ck) = checkpoint_options(options).map_err(invalid)? {
         session = session.checkpoint(ck);
         if options.resume {
@@ -1124,7 +1126,7 @@ fn cmd_run(options: &Options) -> Result<(), Failure> {
     };
     if options.compare {
         let base_config = apply_robustness(SimConfig::paper_baseline(), options);
-        let base = SimSession::new(&bvh, &rays, base_config).run()?;
+        let base = bench.session(base_config).run()?;
         println!(
             "baseline: {:>10} cycles | selected: {:>10} cycles | speedup {:.3}x",
             base.cycles,
@@ -1218,15 +1220,15 @@ fn cmd_bisect(log_a: &str, log_b: &str) -> Result<(), Failure> {
 
 fn cmd_trace(options: &Options, out_path: &str) -> Result<(), Failure> {
     use treelet_prefetching::treelet::TraversalAlgorithm;
-    let (bvh, rays) = prepare_inputs(options)?;
+    let bench = prepare_inputs(options)?;
+    let (bvh, rays) = (bench.bvh(), bench.rays());
     let config = build_config(options);
-    let treelets =
-        TreeletAssignment::try_form(&bvh, options.treelet_bytes).map_err(SimError::from)?;
+    let treelets = treelets_at(&bench, options.treelet_bytes)?;
     let image = match config.traversal {
         // The trace dump pairs the algorithm with its natural layout.
-        TraversalAlgorithm::BaselineDfs => MemoryImage::depth_first(&bvh),
+        TraversalAlgorithm::BaselineDfs => MemoryImage::depth_first(bvh),
         TraversalAlgorithm::TwoStackTreelet => MemoryImage::treelet_packed(
-            &bvh,
+            bvh,
             treelets.as_slices(),
             treelet_prefetching::bvh::PackOptions {
                 slot_bytes: options.treelet_bytes,
@@ -1236,7 +1238,7 @@ fn cmd_trace(options: &Options, out_path: &str) -> Result<(), Failure> {
     };
     let traces: Vec<_> = rays
         .iter()
-        .map(|r| compile_trace(&trace_ray(&bvh, &treelets, r, config.traversal), &image, 64))
+        .map(|r| compile_trace(&trace_ray(bvh, &treelets, r, config.traversal), &image, 64))
         .collect();
     let file = std::fs::File::create(out_path)
         .map_err(|e| Failure::from(format!("{out_path}: {e}")))?;
