@@ -102,10 +102,7 @@ impl MemoryImage {
             placed += 1;
             // Push children in reverse so the first child is placed next
             // (true depth-first address order).
-            let children: Vec<u32> = bvh.nodes()[id as usize].child_nodes().collect();
-            for &c in children.iter().rev() {
-                stack.push(c);
-            }
+            stack.extend(bvh.nodes()[id as usize].child_nodes().rev());
         }
         debug_assert_eq!(placed, n, "depth-first layout missed nodes");
         Self::finish(
@@ -338,6 +335,31 @@ mod tests {
             addrs[addrs.len() - 1],
             NODE_REGION_BASE + (bvh.node_count() as u64 - 1) * NODE_SIZE_BYTES
         );
+    }
+
+    #[test]
+    fn depth_first_places_nodes_in_preorder() {
+        // Node, then each child's subtree in child order: the address
+        // order every pinned digest was taken with.
+        fn preorder(bvh: &WideBvh, id: u32, out: &mut Vec<u32>) {
+            out.push(id);
+            for c in bvh.nodes()[id as usize].child_nodes() {
+                preorder(bvh, c, out);
+            }
+        }
+        let bvh = WideBvh::build(grid(40));
+        let mut order = Vec::new();
+        preorder(&bvh, bvh.root(), &mut order);
+        assert_eq!(order.len(), bvh.node_count());
+        assert!(bvh.node_count() > 5, "the tree must have several levels");
+        let img = MemoryImage::depth_first(&bvh);
+        for (i, &node) in order.iter().enumerate() {
+            assert_eq!(
+                img.node_addr(node),
+                NODE_REGION_BASE + i as u64 * NODE_SIZE_BYTES,
+                "node {node} is not at preorder position {i}"
+            );
+        }
     }
 
     #[test]

@@ -74,7 +74,7 @@ impl WideNode {
     }
 
     /// Child node indices (empty for leaves).
-    pub fn child_nodes(&self) -> impl Iterator<Item = u32> + '_ {
+    pub fn child_nodes(&self) -> impl DoubleEndedIterator<Item = u32> + '_ {
         match self {
             WideNode::Internal { children } => children.as_slice(),
             WideNode::Leaf { .. } => &[],

@@ -25,8 +25,7 @@ use rt_bvh::{MemoryImage, PackOptions, WideBvh};
 use rt_geometry::Ray;
 use rt_gpu_sim::{
     fnv1a64, AccessKind, ByteReader, ByteWriter, CacheStats, CountTable, CountVec, DecodeError,
-    FillOrigin, FxBuildHasher, FxHashMap, FxHashSet, Issue, MemorySystem, PrefetchEffect,
-    RequestId,
+    FillOrigin, FxHashSet, IdWindow, Issue, MemorySystem, PrefetchEffect, RequestId,
 };
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -648,12 +647,174 @@ impl RayCtx {
     }
 }
 
+/// What an in-flight request was issued for.
 #[derive(Debug)]
 enum ReqOwner {
     Ray(u32),
     PrefetchLine,
     /// A Strict-Wait mapping load gating treelet lines.
     PrefetchMeta(Vec<u64>),
+}
+
+/// [`ReqOwner`] as [`Owners`] stores it: a Strict-Wait load's gated
+/// lines live in a side slab, so every entry is a few bytes.
+#[derive(Debug, Clone, Copy)]
+enum OwnerTag {
+    Ray(u32),
+    PrefetchLine,
+    /// The slot of [`Owners::gated`] holding the gated lines.
+    PrefetchMeta(u32),
+}
+
+/// The owner of one in-flight request and the SM that issued it.
+#[derive(Debug, Clone, Copy)]
+struct Owner {
+    sm: u32,
+    tag: OwnerTag,
+}
+
+/// Who owns each in-flight request, for every SM.
+///
+/// The memory system allocates request ids in increasing order and
+/// completes most requests within a few hundred cycles, so the owners sit
+/// in one window indexed by the id: an issue and a completion each cost
+/// an index, not a hash. Each SM's owners encode in id order.
+///
+/// L2-destination prefetches never complete, so their owners would pin
+/// the window's start for the rest of the run. They go to an append-only
+/// list per SM instead, merged with the window at encode.
+#[derive(Debug)]
+struct Owners {
+    live: IdWindow<Owner>,
+    /// Gated lines of the in-flight Strict-Wait loads; `free_gated`
+    /// lists the emptied slots.
+    gated: Vec<Vec<u64>>,
+    free_gated: Vec<u32>,
+    /// Per SM, its L2-destination prefetches, in id order.
+    l2_prefetches: Vec<Vec<RequestId>>,
+}
+
+impl Owners {
+    fn new(num_sms: usize) -> Owners {
+        Owners {
+            live: IdWindow::new(),
+            gated: Vec::new(),
+            free_gated: Vec::new(),
+            l2_prefetches: vec![Vec::new(); num_sms],
+        }
+    }
+
+    /// Records `owner` for `req`, issued by `sm` after every id already
+    /// recorded.
+    fn insert(&mut self, req: RequestId, sm: usize, owner: ReqOwner) {
+        let tag = match owner {
+            ReqOwner::Ray(r) => OwnerTag::Ray(r),
+            ReqOwner::PrefetchLine => OwnerTag::PrefetchLine,
+            ReqOwner::PrefetchMeta(lines) => {
+                let slot = match self.free_gated.pop() {
+                    Some(slot) => {
+                        self.gated[slot as usize] = lines;
+                        slot
+                    }
+                    None => {
+                        self.gated.push(lines);
+                        index(self.gated.len() - 1)
+                    }
+                };
+                OwnerTag::PrefetchMeta(slot)
+            }
+        };
+        let previous = self.live.insert(req, Owner { sm: index(sm), tag });
+        debug_assert!(previous.is_none(), "request {req} owned twice");
+    }
+
+    /// Records an L2-destination prefetch `req` of `sm`, which never
+    /// completes.
+    fn push_l2_prefetch(&mut self, req: RequestId, sm: usize) {
+        self.l2_prefetches[sm].push(req);
+    }
+
+    /// Removes and returns the owner of completed request `req` of `sm`.
+    fn remove(&mut self, req: RequestId, sm: usize) -> Option<ReqOwner> {
+        let owner = self.live.remove(req)?;
+        debug_assert_eq!(
+            owner.sm as usize, sm,
+            "request {req} completed on another SM"
+        );
+        Some(match owner.tag {
+            OwnerTag::Ray(r) => ReqOwner::Ray(r),
+            OwnerTag::PrefetchLine => ReqOwner::PrefetchLine,
+            OwnerTag::PrefetchMeta(slot) => {
+                self.free_gated.push(slot);
+                ReqOwner::PrefetchMeta(std::mem::take(&mut self.gated[slot as usize]))
+            }
+        })
+    }
+
+    /// Writes `sm`'s owners in id order: the window's and the
+    /// L2-destination prefetches, merged.
+    fn encode_sm(&self, sm: usize, w: &mut ByteWriter) {
+        let of_sm = |(_, o): &(RequestId, &Owner)| o.sm as usize == sm;
+        let l2 = &self.l2_prefetches[sm];
+        w.put_len(self.live.iter().filter(of_sm).count() + l2.len());
+        let mut live = self.live.iter().filter(of_sm).peekable();
+        let mut l2 = l2.iter().copied().peekable();
+        loop {
+            let from_l2 = match (live.peek(), l2.peek()) {
+                (None, None) => break,
+                (Some(&(id, _)), Some(&l2_id)) => l2_id < id,
+                (None, Some(_)) => true,
+                (Some(_), None) => false,
+            };
+            if from_l2 {
+                w.put_u64(l2.next().expect("peeked"));
+                w.put_u8(1);
+                continue;
+            }
+            let (req, owner) = live.next().expect("peeked");
+            w.put_u64(req);
+            match owner.tag {
+                OwnerTag::Ray(r) => {
+                    w.put_u8(0);
+                    w.put_u32(r);
+                }
+                OwnerTag::PrefetchLine => w.put_u8(1),
+                OwnerTag::PrefetchMeta(slot) => {
+                    let gated = &self.gated[slot as usize];
+                    w.put_u8(2);
+                    w.put_len(gated.len());
+                    for &line in gated {
+                        w.put_u64(line);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Rebuilds the table from every SM's decoded `(id, sm, owner)`
+    /// entries. With `l2_destination`, prefetch-line owners are
+    /// L2-destination prefetches.
+    fn restore(
+        num_sms: usize,
+        mut entries: Vec<(RequestId, usize, ReqOwner)>,
+        l2_destination: bool,
+    ) -> Result<Owners, DecodeError> {
+        entries.sort_unstable_by_key(|&(req, _, _)| req);
+        if let Some(w) = entries.windows(2).find(|w| w[0].0 == w[1].0) {
+            return Err(DecodeError::malformed(format!(
+                "duplicate in-flight request {}",
+                w[0].0
+            )));
+        }
+        let mut owners = Owners::new(num_sms);
+        for (req, sm, owner) in entries {
+            match owner {
+                ReqOwner::PrefetchLine if l2_destination => owners.push_l2_prefetch(req, sm),
+                owner => owners.insert(req, sm, owner),
+            }
+        }
+        Ok(owners)
+    }
 }
 
 #[derive(Debug)]
@@ -666,10 +827,6 @@ struct WarpSlot {
     /// At most one entry per resident ray, so a linear multiset beats a
     /// hashed map.
     counts: CountVec,
-    /// `counts.get(t)` for the SM's `match_treelet` `t` (0 without one):
-    /// the OMR/PMR match count, kept current at every count update.
-    /// Derived state, never encoded.
-    matching: u32,
     /// Which logical warp this is (shader mode).
     warp_id: usize,
     /// Which ray generation the warp is tracing (shader mode).
@@ -678,24 +835,48 @@ struct WarpSlot {
 
 impl WarpSlot {
     /// Adds one ray reporting treelet `t` to the slot's and the SM's
-    /// counts; `match_treelet` is the SM's.
-    fn count_ray(&mut self, global: &mut CountTable, match_treelet: Option<u32>, t: u32) {
+    /// counts, and to the slot's `matching` count if `t` is the SM's
+    /// `match_treelet`.
+    fn count_ray(
+        &mut self,
+        matching: &mut u32,
+        global: &mut CountTable,
+        match_treelet: Option<u32>,
+        t: u32,
+    ) {
         self.counts.increment(t);
         global.increment(t);
         if match_treelet == Some(t) {
-            self.matching += 1;
+            *matching += 1;
         }
     }
 
     /// Removes one ray reporting treelet `t` from the slot's and the SM's
-    /// counts.
-    fn uncount_ray(&mut self, global: &mut CountTable, match_treelet: Option<u32>, t: u32) {
+    /// counts, and from `matching` if `t` is the SM's `match_treelet`.
+    fn uncount_ray(
+        &mut self,
+        matching: &mut u32,
+        global: &mut CountTable,
+        match_treelet: Option<u32>,
+        t: u32,
+    ) {
         self.counts.decrement(t);
         global.decrement(t);
         if match_treelet == Some(t) {
-            self.matching -= 1;
+            *matching -= 1;
         }
     }
+}
+
+/// What `select_warp` orders an occupied slot by.
+#[derive(Debug, Clone, Copy, Default)]
+struct SlotKey {
+    /// The slot's `arrival`.
+    arrival: u64,
+    /// The slot's `counts.get(t)` for the SM's `match_treelet` `t` (0
+    /// without one): the OMR/PMR match count, kept current at every
+    /// count update.
+    matching: u32,
 }
 
 /// A warp waiting to enter the RT unit's warp buffer.
@@ -705,6 +886,17 @@ struct PendingWarp {
     warp_id: usize,
     generation: u32,
     rays: Vec<u32>,
+}
+
+/// Appends `warp` to `queue`. Warps queue at their raygen stagger
+/// (`position × raygen_interval`) or at the current cycle, so a queue is
+/// sorted by `ready_at` and its back is its latest warp.
+fn queue_warp(queue: &mut VecDeque<PendingWarp>, warp: PendingWarp) {
+    debug_assert!(
+        queue.back().is_none_or(|b| b.ready_at <= warp.ready_at),
+        "warp queued out of ready_at order"
+    );
+    queue.push_back(warp);
 }
 
 /// Shader work occupying the SM's issue port before the warp's next
@@ -723,6 +915,10 @@ struct SmState {
     /// Shader work serialized on the SM's issue port (shader mode).
     shader_runqueue: VecDeque<ShaderJob>,
     slots: Vec<Option<WarpSlot>>,
+    /// Each occupied slot's scheduling key, by slot index, so a pick
+    /// reads one small array instead of every candidate slot. Derived
+    /// state, never encoded; rebuilt on restore.
+    keys: Vec<SlotKey>,
     /// The occupied slots whose `ready` queue is non-empty, in no
     /// particular order: `select_warp` breaks ties by slot index. Derived
     /// state, never encoded; rebuilt on restore.
@@ -731,13 +927,12 @@ struct SmState {
     /// restore.
     occupied: usize,
     test_heap: BinaryHeap<Reverse<(u64, u32)>>,
-    req_map: FxHashMap<RequestId, ReqOwner>,
     counts_global: CountTable,
     /// The SM's prefetcher (if any), driven through the unified
     /// [`Prefetcher`] trait.
     unit: Option<PrefetcherUnit>,
     active_rays: usize,
-    /// The treelet the slots' `matching` counts refer to: the unit's
+    /// The treelet the keys' `matching` counts refer to: the unit's
     /// last-prefetched treelet as the OMR/PMR scheduler last saw it.
     /// Derived state, never encoded; reset on restore.
     match_treelet: Option<u32>,
@@ -766,6 +961,25 @@ struct Stall {
 }
 
 impl SmState {
+    /// An idle SM of `config` for a BVH of `treelets` treelets, with room
+    /// for `warps` queued warps.
+    fn new(config: &SimConfig, treelets: usize, warps: usize) -> SmState {
+        SmState {
+            warp_queue: VecDeque::with_capacity(warps),
+            shader_runqueue: VecDeque::new(),
+            slots: (0..config.warp_buffer_size).map(|_| None).collect(),
+            keys: vec![SlotKey::default(); config.warp_buffer_size],
+            ready_list: Vec::with_capacity(config.warp_buffer_size),
+            occupied: 0,
+            test_heap: BinaryHeap::new(),
+            counts_global: CountTable::with_key_capacity(treelets),
+            unit: PrefetcherUnit::from_config(config),
+            active_rays: 0,
+            match_treelet: None,
+            stall: None,
+        }
+    }
+
     /// Removes `slot_idx`, whose `ready` queue just drained, from
     /// `ready_list`.
     fn unlist_ready(ready_list: &mut Vec<usize>, slot_idx: usize) {
@@ -776,13 +990,19 @@ impl SmState {
         ready_list.swap_remove(pos);
     }
 
-    /// Recomputes the derived slot bookkeeping from the slots.
+    /// Recomputes the derived slot bookkeeping from the slots, with no
+    /// `match_treelet`.
     fn recount_slots(&mut self) {
         self.ready_list.clear();
         self.occupied = 0;
+        self.match_treelet = None;
         for (i, slot) in self.slots.iter().enumerate() {
             if let Some(slot) = slot {
                 self.occupied += 1;
+                self.keys[i] = SlotKey {
+                    arrival: slot.arrival,
+                    matching: 0,
+                };
                 if !slot.ready.is_empty() {
                     self.ready_list.push(i);
                 }
@@ -790,14 +1010,16 @@ impl SmState {
         }
     }
 
-    /// Points every slot's `matching` count at treelet `target`.
+    /// Points every occupied slot's `matching` count at treelet `target`.
     fn retarget_matches(&mut self, target: Option<u32>) {
         if self.match_treelet == target {
             return;
         }
         self.match_treelet = target;
-        for slot in self.slots.iter_mut().flatten() {
-            slot.matching = target.map_or(0, |t| slot.counts.get(t));
+        for (slot, key) in self.slots.iter().zip(&mut self.keys) {
+            if let Some(slot) = slot {
+                key.matching = target.map_or(0, |t| slot.counts.get(t));
+            }
         }
     }
 }
@@ -813,6 +1035,8 @@ struct Engine<'a> {
     /// only, else empty). Static replay data, never encoded.
     treelet_lines: TreeletLines,
     meta_lines: Vec<u64>,
+    /// The owner of every in-flight request.
+    owners: Owners,
     /// The hash predictor's path length cap (hash configs only, else 0)
     /// and a scratch buffer the retiring ray's path is listed into.
     hash_path_lines: usize,
@@ -894,20 +1118,7 @@ impl<'a> Engine<'a> {
             .div_ceil(config.num_sms)
             + 1;
         let mut sms: Vec<SmState> = (0..config.num_sms)
-            .map(|_| SmState {
-                warp_queue: VecDeque::with_capacity(warps_per_sm),
-                shader_runqueue: VecDeque::new(),
-                slots: (0..config.warp_buffer_size).map(|_| None).collect(),
-                ready_list: Vec::with_capacity(config.warp_buffer_size),
-                occupied: 0,
-                test_heap: BinaryHeap::new(),
-                req_map: FxHashMap::default(),
-                counts_global: CountTable::with_key_capacity(treelets.count()),
-                unit: PrefetcherUnit::from_config(config),
-                active_rays: 0,
-                match_treelet: None,
-                stall: None,
-            })
+            .map(|_| SmState::new(config, treelets.count(), warps_per_sm))
             .collect();
 
         // In shader mode the ray array holds all generations
@@ -931,23 +1142,29 @@ impl<'a> Engine<'a> {
                     // Pure replay: warps become available after their
                     // raygen stagger.
                     let position = sms[sm].warp_queue.len() as u64;
-                    sms[sm].warp_queue.push_back(PendingWarp {
-                        ready_at: position * config.raygen_interval,
-                        warp_id: w,
-                        generation: 0,
-                        rays: lanes.clone(),
-                    });
+                    queue_warp(
+                        &mut sms[sm].warp_queue,
+                        PendingWarp {
+                            ready_at: position * config.raygen_interval,
+                            warp_id: w,
+                            generation: 0,
+                            rays: lanes.clone(),
+                        },
+                    );
                 }
                 Some(program) => {
                     // Shader mode: the raygen program runs on the SM's
                     // issue port first.
                     if program.raygen_ops == 0 {
-                        sms[sm].warp_queue.push_back(PendingWarp {
-                            ready_at: 0,
-                            warp_id: w,
-                            generation: 0,
-                            rays: lanes.clone(),
-                        });
+                        queue_warp(
+                            &mut sms[sm].warp_queue,
+                            PendingWarp {
+                                ready_at: 0,
+                                warp_id: w,
+                                generation: 0,
+                                rays: lanes.clone(),
+                            },
+                        );
                     } else {
                         sms[sm].shader_runqueue.push_back(ShaderJob {
                             warp_id: w,
@@ -969,6 +1186,7 @@ impl<'a> Engine<'a> {
             sms,
             treelet_lines,
             meta_lines,
+            owners: Owners::new(config.num_sms),
             hash_path_lines,
             hash_path: Vec::new(),
             mapping,
@@ -1011,12 +1229,15 @@ impl<'a> Engine<'a> {
                 .pop_front()
                 .expect("front checked above");
             let rays = self.generation_rays(job.warp_id, job.next_generation);
-            self.sms[sm].warp_queue.push_back(PendingWarp {
-                ready_at: now,
-                warp_id: job.warp_id,
-                generation: job.next_generation,
-                rays,
-            });
+            queue_warp(
+                &mut self.sms[sm].warp_queue,
+                PendingWarp {
+                    ready_at: now,
+                    warp_id: job.warp_id,
+                    generation: job.next_generation,
+                    rays,
+                },
+            );
         }
     }
 
@@ -1036,12 +1257,15 @@ impl<'a> Engine<'a> {
             return;
         }
         if program.shade_ops == 0 {
-            self.sms[sm].warp_queue.push_back(PendingWarp {
-                ready_at: self.mem.cycle(),
-                warp_id,
-                generation: next,
-                rays: next_rays,
-            });
+            queue_warp(
+                &mut self.sms[sm].warp_queue,
+                PendingWarp {
+                    ready_at: self.mem.cycle(),
+                    warp_id,
+                    generation: next,
+                    rays: next_rays,
+                },
+            );
         } else {
             self.sms[sm].shader_runqueue.push_back(ShaderJob {
                 warp_id,
@@ -1181,12 +1405,7 @@ impl<'a> Engine<'a> {
         let window = self.config.progress_window;
         let any_tests = self.sms.iter().any(|s| !s.test_heap.is_empty());
         if !any_tests {
-            let max_warp_ready = self
-                .sms
-                .iter()
-                .flat_map(|s| s.warp_queue.iter().map(|w| w.ready_at))
-                .filter(|&t| t > now)
-                .max();
+            let max_warp_ready = self.latest_warp_ready(now);
             let deadline_base = match max_warp_ready {
                 // Work stays scheduled until m; the watchdog can first
                 // fire at m - 1 + window.
@@ -1219,13 +1438,7 @@ impl<'a> Engine<'a> {
             // before the resume entry cycle): every skipped observation
             // counts as scheduled work.
             self.last_progress = self.last_progress.max(r);
-        } else if let Some(m) = self
-            .sms
-            .iter()
-            .flat_map(|s| s.warp_queue.iter().map(|w| w.ready_at))
-            .filter(|&t| t > now)
-            .max()
-        {
+        } else if let Some(m) = self.latest_warp_ready(now) {
             // Warp arrivals pend until cycle m: observed cycles up to
             // m - 1 still count as scheduled work.
             self.last_progress = self.last_progress.max(r.min(m - 1));
@@ -1244,8 +1457,18 @@ impl<'a> Engine<'a> {
     /// watchdog must not treat them as a stall.
     fn scheduled_work_pending(&self, now: u64) -> bool {
         self.sms.iter().any(|s| {
-            !s.test_heap.is_empty() || s.warp_queue.iter().any(|w| w.ready_at > now)
+            !s.test_heap.is_empty() || s.warp_queue.back().is_some_and(|w| w.ready_at > now)
         })
+    }
+
+    /// The latest `ready_at` after `now` of any queued warp: each queue
+    /// is sorted, so its back is its latest.
+    fn latest_warp_ready(&self, now: u64) -> Option<u64> {
+        self.sms
+            .iter()
+            .filter_map(|s| s.warp_queue.back().map(|w| w.ready_at))
+            .filter(|&t| t > now)
+            .max()
     }
 
     /// Captures the diagnostic state the watchdog errors report.
@@ -1350,9 +1573,13 @@ impl<'a> Engine<'a> {
                 active: 0,
                 ready: VecDeque::with_capacity(lanes),
                 counts: CountVec::with_capacity(4),
-                matching: 0,
                 warp_id: pending.warp_id,
                 generation: pending.generation,
+            };
+            let key = &mut state.keys[slot_idx];
+            *key = SlotKey {
+                arrival: now,
+                matching: 0,
             };
             for lane in 0..lanes {
                 let r = slot.rays[lane];
@@ -1365,7 +1592,12 @@ impl<'a> Engine<'a> {
                 state.active_rays += 1;
                 slot.ready.push_back(r);
                 if let Some(t) = ray.current_treelet(&self.replay) {
-                    slot.count_ray(&mut state.counts_global, state.match_treelet, t);
+                    slot.count_ray(
+                        &mut key.matching,
+                        &mut state.counts_global,
+                        state.match_treelet,
+                        t,
+                    );
                 }
                 if !self.replay.hash_keys.is_empty() {
                     if let Some(unit) = state.unit.as_mut() {
@@ -1396,7 +1628,7 @@ impl<'a> Engine<'a> {
         self.mem.drain_completed_into(sm, &mut completed);
         for &req in &completed {
             self.progress = true;
-            let Some(owner) = self.sms[sm].req_map.remove(&req) else {
+            let Some(owner) = self.owners.remove(req, sm) else {
                 continue;
             };
             match owner {
@@ -1446,9 +1678,10 @@ impl<'a> Engine<'a> {
         let slot = state.slots[slot_idx]
             .as_mut()
             .expect("ray's warp slot must be occupied");
+        let matching = &mut state.keys[slot_idx].matching;
         if ray.is_done() {
             if let Some(t) = old_treelet {
-                slot.uncount_ray(&mut state.counts_global, state.match_treelet, t);
+                slot.uncount_ray(matching, &mut state.counts_global, state.match_treelet, t);
             }
             slot.active -= 1;
             state.active_rays -= 1;
@@ -1474,10 +1707,10 @@ impl<'a> Engine<'a> {
             let new_treelet = ray.current_treelet(&self.replay);
             if old_treelet != new_treelet {
                 if let Some(t) = old_treelet {
-                    slot.uncount_ray(&mut state.counts_global, state.match_treelet, t);
+                    slot.uncount_ray(matching, &mut state.counts_global, state.match_treelet, t);
                 }
                 if let Some(t) = new_treelet {
-                    slot.count_ray(&mut state.counts_global, state.match_treelet, t);
+                    slot.count_ray(matching, &mut state.counts_global, state.match_treelet, t);
                 }
             }
             ray.next_line = 0;
@@ -1535,7 +1768,7 @@ impl<'a> Engine<'a> {
                     issued += 1;
                     ray.outstanding += 1;
                     ray.next_line += 1;
-                    state.req_map.insert(req, ReqOwner::Ray(r));
+                    self.owners.insert(req, sm, ReqOwner::Ray(r));
                     if let Some(unit) = state.unit.as_mut() {
                         // Each unit filters the stream itself: MTA takes
                         // every demand load, the GHB only misses.
@@ -1576,10 +1809,10 @@ impl<'a> Engine<'a> {
     /// `None` when no slot has a ready ray. `target` is the unit's
     /// last-prefetched treelet; without one the policy is Baseline.
     ///
-    /// Only the slots in `ready_list` are candidates, and the slot index
-    /// breaks ties: the pick is the one an in-order scan of every slot
-    /// makes (`min_by_key` keeps the first minimum, `max_by_key` the
-    /// last maximum), which debug builds check.
+    /// Only the slots in `ready_list` are candidates, ordered by their
+    /// `keys`, and the slot index breaks ties: the pick is the one an
+    /// in-order scan of every slot makes (`min_by_key` keeps the first
+    /// minimum, `max_by_key` the last maximum), which debug builds check.
     fn select_warp(&mut self, sm: usize, target: Option<u32>) -> Option<usize> {
         let state = &mut self.sms[sm];
         let policy = match target {
@@ -1589,30 +1822,24 @@ impl<'a> Engine<'a> {
         if policy != SchedulerPolicy::Baseline {
             state.retarget_matches(target);
         }
-        let slots = &state.slots;
-        let candidates = state.ready_list.iter().map(|&i| {
-            let s = slots[i].as_ref().expect("listed slot occupied");
-            if policy != SchedulerPolicy::Baseline {
-                debug_assert_eq!(
-                    s.matching,
-                    target.map_or(0, |t| s.counts.get(t)),
-                    "stale OMR/PMR match count"
-                );
-            }
-            (i, s)
-        });
+        let keys = &state.keys;
+        let candidates = state.ready_list.iter().map(|&i| (i, keys[i]));
         let pick = match policy {
-            SchedulerPolicy::Baseline => candidates.min_by_key(|&(i, s)| (s.arrival, i)),
+            SchedulerPolicy::Baseline => candidates.min_by_key(|&(i, k)| (k.arrival, i)),
             // Oldest matching warp, else the oldest warp.
             SchedulerPolicy::OldestMatchingRay => {
-                candidates.min_by_key(|&(i, s)| (s.matching == 0, s.arrival, i))
+                candidates.min_by_key(|&(i, k)| (k.matching == 0, k.arrival, i))
             }
             SchedulerPolicy::PrioritizeMostRays => {
-                candidates.max_by_key(|&(i, s)| (s.matching, Reverse(s.arrival), i))
+                candidates.max_by_key(|&(i, k)| (k.matching, Reverse(k.arrival), i))
             }
         }
         .map(|(i, _)| i);
-        debug_assert_eq!(pick, scan_select(slots, policy), "ready list out of date");
+        debug_assert_eq!(
+            pick,
+            scan_select(&state.slots, policy, target),
+            "ready list or scheduler keys out of date"
+        );
         pick
     }
 
@@ -1665,28 +1892,29 @@ impl<'a> Engine<'a> {
             return;
         };
         match entry {
-            PrefetchEntry::Line(addr) => {
-                let issue = match self.config.prefetch_destination {
-                    crate::PrefetchDestination::L1 => {
+            PrefetchEntry::Line(addr) => match self.config.prefetch_destination {
+                crate::PrefetchDestination::L1 => {
+                    let issue =
                         self.mem
-                            .access(sm, addr, FillOrigin::Prefetch, AccessKind::Prefetch)
+                            .access(sm, addr, FillOrigin::Prefetch, AccessKind::Prefetch);
+                    if let Some(req) = issue.request_id() {
+                        self.owners.insert(req, sm, ReqOwner::PrefetchLine);
                     }
-                    crate::PrefetchDestination::L2 => self.mem.prefetch_l2(addr),
-                };
-                match issue {
-                    Issue::Pending(req) | Issue::Hit(req) => {
-                        state.req_map.insert(req, ReqOwner::PrefetchLine);
-                    }
-                    Issue::PrefetchDropped | Issue::Retry => {}
                 }
-            }
+                crate::PrefetchDestination::L2 => {
+                    if let Some(req) = self.mem.prefetch_l2(addr).request_id() {
+                        self.owners.push_l2_prefetch(req, sm);
+                    }
+                }
+            },
             PrefetchEntry::Meta { addr, gated_lines } => {
                 match self
                     .mem
                     .access(sm, addr, FillOrigin::Prefetch, AccessKind::Meta)
                 {
                     Issue::Pending(req) | Issue::Hit(req) => {
-                        state.req_map.insert(req, ReqOwner::PrefetchMeta(gated_lines));
+                        self.owners
+                            .insert(req, sm, ReqOwner::PrefetchMeta(gated_lines));
                     }
                     Issue::PrefetchDropped => {
                         // Mapping entry already cached: the gated lines
@@ -1732,8 +1960,8 @@ impl<'a> Engine<'a> {
             w.put_usize(ray.slot);
         }
         w.put_len(self.sms.len());
-        for sm in &self.sms {
-            encode_sm_state(sm, &mut w);
+        for (i, sm) in self.sms.iter().enumerate() {
+            encode_sm_state(sm, |w| self.owners.encode_sm(i, w), &mut w);
         }
         self.mem.encode_state(&mut w);
         w.into_bytes()
@@ -1812,9 +2040,17 @@ impl<'a> Engine<'a> {
             )));
         }
         let num_rays = self.rays.len();
-        for sm in &mut self.sms {
-            restore_sm_state(sm, &mut r, num_rays)?;
+        let mut owners = Vec::new();
+        for (i, sm) in self.sms.iter_mut().enumerate() {
+            for (req, owner) in restore_sm_state(sm, &mut r, num_rays)? {
+                owners.push((req, i, owner));
+            }
         }
+        self.owners = Owners::restore(
+            self.sms.len(),
+            owners,
+            self.config.prefetch_destination == crate::PrefetchDestination::L2,
+        )?;
         if occupied_slots != self.occupied_slots() {
             return Err(DecodeError::malformed(format!(
                 "checkpoint counts {occupied_slots} occupied warp-buffer slots, its slots hold {}",
@@ -1828,8 +2064,8 @@ impl<'a> Engine<'a> {
 }
 
 /// Serializes one SM's dynamic state (see [`Engine::encode_dynamic`] for
-/// the ordering rules).
-fn encode_sm_state(sm: &SmState, w: &mut ByteWriter) {
+/// the ordering rules); `encode_owners` writes its request owners.
+fn encode_sm_state(sm: &SmState, encode_owners: impl FnOnce(&mut ByteWriter), w: &mut ByteWriter) {
     w.put_len(sm.warp_queue.len());
     for pending in &sm.warp_queue {
         w.put_u64(pending.ready_at);
@@ -1877,26 +2113,7 @@ fn encode_sm_state(sm: &SmState, w: &mut ByteWriter) {
         w.put_u64(t);
         w.put_u32(ray);
     }
-    let mut reqs: Vec<(RequestId, &ReqOwner)> = sm.req_map.iter().map(|(&k, v)| (k, v)).collect();
-    reqs.sort_unstable_by_key(|&(k, _)| k);
-    w.put_len(reqs.len());
-    for (req, owner) in reqs {
-        w.put_u64(req);
-        match owner {
-            ReqOwner::Ray(r) => {
-                w.put_u8(0);
-                w.put_u32(*r);
-            }
-            ReqOwner::PrefetchLine => w.put_u8(1),
-            ReqOwner::PrefetchMeta(gated) => {
-                w.put_u8(2);
-                w.put_len(gated.len());
-                for &line in gated {
-                    w.put_u64(line);
-                }
-            }
-        }
-    }
+    encode_owners(w);
     encode_counts(&sm.counts_global, w);
     // The legacy layout writes three presence flags (treelet, MTA, GHB)
     // so pre-existing digests stay bit-identical; the hash predictor is
@@ -1936,16 +2153,22 @@ fn encode_sm_state(sm: &SmState, w: &mut ByteWriter) {
     w.put_usize(sm.active_rays);
 }
 
-/// Restores one SM's dynamic state in place.
+/// Restores one SM's dynamic state in place, returning its request
+/// owners for the engine's table.
 fn restore_sm_state(
     sm: &mut SmState,
     r: &mut ByteReader<'_>,
     num_rays: usize,
-) -> Result<(), DecodeError> {
+) -> Result<Vec<(RequestId, ReqOwner)>, DecodeError> {
     let n = r.take_len(20)?;
     sm.warp_queue = VecDeque::with_capacity(n);
     for _ in 0..n {
         let ready_at = r.take_u64()?;
+        if sm.warp_queue.back().is_some_and(|w| w.ready_at > ready_at) {
+            return Err(DecodeError::malformed(format!(
+                "warp queue goes back to ready_at {ready_at}"
+            )));
+        }
         let warp_id = r.take_usize()?;
         let generation = r.take_u32()?;
         let k = r.take_len(4)?;
@@ -1999,7 +2222,6 @@ fn restore_sm_state(
                 active,
                 ready,
                 counts,
-                matching: 0,
                 warp_id,
                 generation,
             })
@@ -2015,7 +2237,7 @@ fn restore_sm_state(
         sm.test_heap.push(Reverse((t, ray)));
     }
     let n = r.take_len(9)?;
-    sm.req_map = FxHashMap::with_capacity_and_hasher(n, FxBuildHasher::default());
+    let mut owners = Vec::with_capacity(n);
     for _ in 0..n {
         let req = r.take_u64()?;
         let owner = match r.take_u8()? {
@@ -2043,40 +2265,41 @@ fn restore_sm_state(
                 )))
             }
         };
-        if sm.req_map.insert(req, owner).is_some() {
-            return Err(DecodeError::malformed(format!(
-                "duplicate in-flight request {req}"
-            )));
-        }
+        owners.push((req, owner));
     }
     sm.counts_global = decode_counts(r)?;
     restore_unit_state(&mut sm.unit, r)?;
     sm.active_rays = r.take_usize()?;
-    // Every restored slot's `matching` is 0: no treelet yet.
-    sm.match_treelet = None;
     sm.stall = None;
+    // Every restored key's `matching` is 0: no treelet yet.
     sm.recount_slots();
-    Ok(())
+    Ok(owners)
 }
 
-/// `select_warp`'s pick by an in-order scan of every slot, the reference
-/// its ready list is checked against.
-fn scan_select(slots: &[Option<WarpSlot>], policy: SchedulerPolicy) -> Option<usize> {
+/// `select_warp`'s pick by an in-order scan of every slot, counting each
+/// slot's rays in treelet `target` afresh: the reference its ready list
+/// and scheduler keys are checked against.
+fn scan_select(
+    slots: &[Option<WarpSlot>],
+    policy: SchedulerPolicy,
+    target: Option<u32>,
+) -> Option<usize> {
     let candidates = slots
         .iter()
         .enumerate()
         .filter_map(|(i, s)| s.as_ref().map(|s| (i, s)))
-        .filter(|(_, s)| !s.ready.is_empty());
+        .filter(|(_, s)| !s.ready.is_empty())
+        .map(|(i, s)| (i, s.arrival, target.map_or(0, |t| s.counts.get(t))));
     match policy {
-        SchedulerPolicy::Baseline => candidates.min_by_key(|(_, s)| s.arrival),
+        SchedulerPolicy::Baseline => candidates.min_by_key(|&(_, arrival, _)| arrival),
         SchedulerPolicy::OldestMatchingRay => {
-            candidates.min_by_key(|(_, s)| (s.matching == 0, s.arrival))
+            candidates.min_by_key(|&(_, arrival, matching)| (matching == 0, arrival))
         }
         SchedulerPolicy::PrioritizeMostRays => {
-            candidates.max_by_key(|(_, s)| (s.matching, Reverse(s.arrival)))
+            candidates.max_by_key(|&(_, arrival, matching)| (matching, Reverse(arrival)))
         }
     }
-    .map(|(i, _)| i)
+    .map(|(i, _, _)| i)
 }
 
 /// Reads the prefetcher presence flags and, for the configured unit, its
@@ -3106,6 +3329,132 @@ mod tests {
             assert!(snapshot::first_divergence(&full_log, &resumed_log).is_none());
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn l2_destination_prefetch_owners_survive_resume() {
+        // L2-destination prefetches never complete, so their owners stay
+        // recorded for the rest of the run, outside the owner window, and
+        // every checkpoint carries them merged in id order.
+        let scene = Scene::build_with_detail(SceneId::Wknd, 0.1);
+        let rays = Workload::new(WorkloadKind::Primary, 16, 16).generate(&scene);
+        let bvh = WideBvh::build(scene.mesh.into_triangles());
+        let mut config = SimConfig::paper_treelet_prefetch();
+        config.prefetch_destination = crate::PrefetchDestination::L2;
+        let straight = SimSession::borrowed(&bvh, &rays, &config).run().unwrap();
+        assert!(
+            straight.prefetch_effect_l2.total() > 0,
+            "no L2 prefetch issued"
+        );
+        let dir = ckpt_dir("l2-owners");
+        let opts = CheckpointOptions::new((straight.cycles / 5).max(1), dir.join("l2.rtsnap"));
+        let mut truncated = config.clone();
+        truncated.max_cycles = straight.cycles * 2 / 3;
+        match SimSession::borrowed(&bvh, &rays, &truncated)
+            .checkpoint(opts.clone())
+            .run()
+        {
+            Err(SimError::CycleLimitExceeded { .. }) => {}
+            other => panic!("expected budget exhaustion, got {other:?}"),
+        }
+        let ck = snapshot::read_checkpoint(&opts.path).unwrap();
+        assert!(ck.cycle < straight.cycles && ck.rays_remaining > 0);
+        let resumed = SimSession::borrowed(&bvh, &rays, &config)
+            .checkpoint(opts.clone())
+            .resume_from_checkpoint()
+            .run()
+            .unwrap();
+        assert_eq!(resumed.state_digest, straight.state_digest);
+        assert_eq!(format!("{resumed:?}"), format!("{straight:?}"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn owners_encode_each_sm_in_id_order() {
+        let mut owners = Owners::new(2);
+        owners.insert(3, 0, ReqOwner::Ray(7));
+        owners.push_l2_prefetch(4, 0);
+        owners.insert(5, 1, ReqOwner::PrefetchMeta(vec![0x40, 0x80]));
+        owners.push_l2_prefetch(6, 1);
+        owners.insert(8, 0, ReqOwner::Ray(11));
+        owners.push_l2_prefetch(9, 0);
+        assert!(matches!(owners.remove(3, 0), Some(ReqOwner::Ray(7))));
+        assert!(
+            owners.remove(4, 0).is_none(),
+            "an L2 prefetch never completes"
+        );
+        let encode = |owners: &Owners, sm| {
+            let mut w = ByteWriter::new();
+            owners.encode_sm(sm, &mut w);
+            w.into_bytes()
+        };
+        let mut want = ByteWriter::new();
+        want.put_len(3);
+        want.put_u64(4);
+        want.put_u8(1);
+        want.put_u64(8);
+        want.put_u8(0);
+        want.put_u32(11);
+        want.put_u64(9);
+        want.put_u8(1);
+        assert_eq!(encode(&owners, 0), want.into_bytes());
+        let mut want = ByteWriter::new();
+        want.put_len(2);
+        want.put_u64(5);
+        want.put_u8(2);
+        want.put_len(2);
+        want.put_u64(0x40);
+        want.put_u64(0x80);
+        want.put_u64(6);
+        want.put_u8(1);
+        assert_eq!(encode(&owners, 1), want.into_bytes());
+        // Restore takes every SM's entries in any order.
+        let entries = vec![
+            (9, 0, ReqOwner::PrefetchLine),
+            (6, 1, ReqOwner::PrefetchLine),
+            (8, 0, ReqOwner::Ray(11)),
+            (5, 1, ReqOwner::PrefetchMeta(vec![0x40, 0x80])),
+            (4, 0, ReqOwner::PrefetchLine),
+        ];
+        let back = Owners::restore(2, entries, true).unwrap();
+        for sm in 0..2 {
+            assert_eq!(encode(&back, sm), encode(&owners, sm));
+        }
+        // One request owned by two SMs is refused.
+        let twice = vec![(5, 0, ReqOwner::Ray(1)), (5, 1, ReqOwner::Ray(2))];
+        assert!(matches!(
+            Owners::restore(2, twice, false),
+            Err(DecodeError::Malformed { .. })
+        ));
+    }
+
+    #[test]
+    fn restore_refuses_a_warp_queue_out_of_ready_order() {
+        let config = SimConfig::paper_baseline();
+        let queue = |ready: [u64; 2]| {
+            let mut w = ByteWriter::new();
+            w.put_len(2);
+            for ready_at in ready {
+                w.put_u64(ready_at);
+                w.put_usize(0);
+                w.put_u32(0);
+                w.put_len(0);
+            }
+            w.into_bytes()
+        };
+        let restore = |bytes: &[u8]| {
+            let mut sm = SmState::new(&config, 1, 2);
+            restore_sm_state(&mut sm, &mut ByteReader::new(bytes), 64).map(|_| ())
+        };
+        match restore(&queue([10, 5])) {
+            Err(DecodeError::Malformed { what }) => assert!(what.contains("warp queue"), "{what}"),
+            other => panic!("expected a malformed queue, got {other:?}"),
+        }
+        // In order, the queue decodes and the truncated rest is refused.
+        assert!(matches!(
+            restore(&queue([5, 10])),
+            Err(DecodeError::UnexpectedEof { .. })
+        ));
     }
 
     #[test]

@@ -15,6 +15,7 @@
 
 use crate::codec::{ByteReader, ByteWriter, DecodeError};
 use crate::table::{FxHashMap, FxHashSet};
+use std::collections::hash_map::Entry;
 
 /// Who caused a line to be (or be being) fetched.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -152,6 +153,84 @@ struct MshrEntry {
     /// Set when a demand access merged with an in-flight prefetch (used to
     /// classify the prefetch as Late on fill).
     demand_merged: bool,
+    /// The fetch went upstream (the L2's DRAM send); set by the memory
+    /// system.
+    sent: bool,
+    /// Who waits for the line, in arrival order: request ids at an L1,
+    /// SM indices at the L2. The memory system records them and the fill
+    /// hands them back.
+    waiters: Vec<u64>,
+}
+
+/// The MSHR file: a slab of entries and a line → slot index.
+///
+/// A slot freed by a fill is reused by a later miss, and its waiter list
+/// keeps its capacity, so a miss allocates nothing once as many lines
+/// have been pending at once as ever will be. A probe hands out the slot
+/// of the entry it found or allocated, so the caller records a waiter
+/// without a second lookup.
+#[derive(Debug, Default)]
+struct Mshrs {
+    index: FxHashMap<u64, usize>,
+    entries: Vec<MshrEntry>,
+    free: Vec<usize>,
+}
+
+impl Mshrs {
+    fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    fn slot(&self, line: u64) -> Option<usize> {
+        self.index.get(&line).copied()
+    }
+
+    /// Allocates an entry for `line`, which must have none, and returns
+    /// its slot.
+    fn insert(&mut self, line: u64, origin: FillOrigin) -> usize {
+        let slot = Mshrs::alloc(&mut self.entries, &mut self.free, origin);
+        let previous = self.index.insert(line, slot);
+        debug_assert!(previous.is_none(), "two MSHRs for line {line:#x}");
+        slot
+    }
+
+    /// Takes a free slot for a new entry of `origin`, not yet indexed.
+    fn alloc(entries: &mut Vec<MshrEntry>, free: &mut Vec<usize>, origin: FillOrigin) -> usize {
+        match free.pop() {
+            Some(slot) => {
+                let entry = &mut entries[slot];
+                debug_assert!(entry.waiters.is_empty(), "a freed MSHR kept its waiters");
+                entry.origin = origin;
+                entry.demand_merged = false;
+                entry.sent = false;
+                slot
+            }
+            None => {
+                entries.push(MshrEntry {
+                    origin,
+                    demand_merged: false,
+                    sent: false,
+                    waiters: Vec::new(),
+                });
+                entries.len() - 1
+            }
+        }
+    }
+
+    /// Frees `line`'s entry and returns its slot, whose fields (waiters
+    /// included) stay readable until the next insert.
+    fn remove(&mut self, line: u64) -> Option<usize> {
+        let slot = self.index.remove(&line)?;
+        self.free.push(slot);
+        Some(slot)
+    }
+
+    /// Live `(line, entry)` pairs, in no particular order.
+    fn iter(&self) -> impl Iterator<Item = (u64, &MshrEntry)> + '_ {
+        self.index
+            .iter()
+            .map(|(&line, &slot)| (line, &self.entries[slot]))
+    }
 }
 
 /// "No slot" in [`FaLines`]' links.
@@ -396,7 +475,7 @@ pub struct Cache {
     organization: Organization,
     ways: usize,
     line_bytes: u64,
-    mshrs: FxHashMap<u64, MshrEntry>,
+    mshrs: Mshrs,
     mshr_capacity: usize,
     /// Prefetched lines evicted before any demand read; a later demand
     /// miss on one of these reclassifies the prefetch as Early.
@@ -444,7 +523,7 @@ impl Cache {
             organization,
             ways,
             line_bytes,
-            mshrs: FxHashMap::default(),
+            mshrs: Mshrs::default(),
             mshr_capacity,
             evicted_unread: FxHashSet::default(),
             stats: CacheStats::default(),
@@ -472,6 +551,18 @@ impl Cache {
     /// dropped (classified *too late*) — the caller should not forward
     /// them.
     pub fn probe(&mut self, addr: u64, origin: FillOrigin, now: u64) -> ProbeOutcome {
+        self.probe_mshr(addr, origin, now).0
+    }
+
+    /// [`Cache::probe`], also returning the MSHR slot a
+    /// [`ProbeOutcome::PendingHit`] merged into or a [`ProbeOutcome::Miss`]
+    /// allocated, for [`Cache::add_waiter`].
+    pub(crate) fn probe_mshr(
+        &mut self,
+        addr: u64,
+        origin: FillOrigin,
+        now: u64,
+    ) -> (ProbeOutcome, Option<usize>) {
         let line = self.line_of(addr);
         if origin == FillOrigin::Prefetch {
             self.stats.prefetch_probes += 1;
@@ -490,7 +581,7 @@ impl Cache {
             }
         };
         if let Some(entry) = entry {
-            match origin {
+            let outcome = match origin {
                 FillOrigin::Demand => {
                     let on_prefetch = entry.origin == FillOrigin::Prefetch;
                     if on_prefetch && !entry.read_by_demand {
@@ -512,46 +603,106 @@ impl Cache {
                         filled_by_prefetch: entry.origin == FillOrigin::Prefetch,
                     }
                 }
-            }
-        } else if let Some(mshr) = self.mshrs.get_mut(&line) {
-            match origin {
-                FillOrigin::Demand => {
-                    self.stats.demand_pending_hits += 1;
-                    if mshr.origin == FillOrigin::Prefetch && !mshr.demand_merged {
-                        mshr.demand_merged = true;
-                        self.effect.late += 1;
-                    }
-                }
-                FillOrigin::Prefetch => {
-                    self.effect.too_late += 1;
-                }
-            }
-            ProbeOutcome::PendingHit
-        } else {
-            if self.mshrs.len() >= self.mshr_capacity {
-                self.stats.mshr_rejections += 1;
-                return ProbeOutcome::NoMshr;
-            }
-            match origin {
-                FillOrigin::Demand => {
-                    self.stats.demand_misses += 1;
-                    // A demand miss on a line whose prefetched copy was
-                    // evicted unread: the prefetch was Early.
-                    if self.evicted_unread.remove(&line) {
-                        self.effect.early += 1;
-                    }
-                }
-                FillOrigin::Prefetch => self.stats.prefetch_misses += 1,
-            }
-            self.mshrs.insert(
-                line,
-                MshrEntry {
-                    origin,
-                    demand_merged: false,
-                },
-            );
-            ProbeOutcome::Miss
+            };
+            return (outcome, None);
         }
+        // One hash finds the line's MSHR or the place for a new one.
+        let pending = self.mshrs.len();
+        let Mshrs {
+            index,
+            entries,
+            free,
+        } = &mut self.mshrs;
+        match index.entry(line) {
+            Entry::Occupied(e) => {
+                let slot = *e.get();
+                let mshr = &mut entries[slot];
+                match origin {
+                    FillOrigin::Demand => {
+                        self.stats.demand_pending_hits += 1;
+                        if mshr.origin == FillOrigin::Prefetch && !mshr.demand_merged {
+                            mshr.demand_merged = true;
+                            self.effect.late += 1;
+                        }
+                    }
+                    FillOrigin::Prefetch => {
+                        self.effect.too_late += 1;
+                    }
+                }
+                (ProbeOutcome::PendingHit, Some(slot))
+            }
+            Entry::Vacant(v) => {
+                if pending >= self.mshr_capacity {
+                    self.stats.mshr_rejections += 1;
+                    return (ProbeOutcome::NoMshr, None);
+                }
+                match origin {
+                    FillOrigin::Demand => {
+                        self.stats.demand_misses += 1;
+                        // A demand miss on a line whose prefetched copy
+                        // was evicted unread: the prefetch was Early.
+                        if !self.evicted_unread.is_empty() && self.evicted_unread.remove(&line) {
+                            self.effect.early += 1;
+                        }
+                    }
+                    FillOrigin::Prefetch => self.stats.prefetch_misses += 1,
+                }
+                let slot = Mshrs::alloc(entries, free, origin);
+                v.insert(slot);
+                (ProbeOutcome::Miss, Some(slot))
+            }
+        }
+    }
+
+    /// Appends `waiter` to the waiters of the MSHR in `slot`, which a
+    /// probe just returned.
+    pub(crate) fn add_waiter(&mut self, slot: usize, waiter: u64) {
+        self.mshrs.entries[slot].waiters.push(waiter);
+    }
+
+    /// [`Cache::add_waiter`], unless `waiter` already waits there.
+    pub(crate) fn add_waiter_once(&mut self, slot: usize, waiter: u64) {
+        let waiters = &mut self.mshrs.entries[slot].waiters;
+        if !waiters.contains(&waiter) {
+            waiters.push(waiter);
+        }
+    }
+
+    /// Marks the fetch of pending `line` as sent upstream. `false` when
+    /// it was sent already, or no MSHR waits for the line.
+    pub(crate) fn mark_sent(&mut self, line: u64) -> bool {
+        match self.mshrs.slot(line) {
+            Some(slot) => !std::mem::replace(&mut self.mshrs.entries[slot].sent, true),
+            None => false,
+        }
+    }
+
+    /// Pending lines with at least one waiter, with their waiters in
+    /// arrival order; in no particular line order.
+    pub(crate) fn waiting_lines(&self) -> impl Iterator<Item = (u64, &[u64])> + '_ {
+        self.mshrs
+            .iter()
+            .filter(|(_, m)| !m.waiters.is_empty())
+            .map(|(line, m)| (line, m.waiters.as_slice()))
+    }
+
+    /// Pending lines whose fetch was sent upstream, in no particular
+    /// order.
+    pub(crate) fn sent_lines(&self) -> impl Iterator<Item = u64> + '_ {
+        self.mshrs
+            .iter()
+            .filter(|(_, m)| m.sent)
+            .map(|(line, _)| line)
+    }
+
+    /// The MSHR slot of pending `line`, if any (for restoring waiters).
+    pub(crate) fn mshr_slot(&self, line: u64) -> Option<usize> {
+        self.mshrs.slot(line)
+    }
+
+    /// The waiters of the MSHR in `slot`, in arrival order.
+    pub(crate) fn waiters(&self, slot: usize) -> &[u64] {
+        &self.mshrs.entries[slot].waiters
     }
 
     /// Counts the MSHR rejection of a demand probe of `addr` that is known
@@ -569,19 +720,47 @@ impl Cache {
         self.stats.mshr_rejections += 1;
     }
 
-    /// Installs the line containing `addr`, completing its MSHR entry.
-    /// Evicts an LRU victim if the cache (or set) is full. Returns the
-    /// evicted line, if any.
+    /// Installs the line containing `addr`, completing its MSHR entry
+    /// and dropping its waiters. Evicts an LRU victim if the cache (or
+    /// set) is full. Returns the evicted line, if any.
     pub fn fill(&mut self, addr: u64, now: u64) -> Option<u64> {
-        let line = self.line_of(addr);
-        let mshr = self.mshrs.remove(&line);
-        if self.contains(line) {
-            return None; // already resident (e.g. racing fills)
+        let (victim, freed) = self.install(addr, now);
+        if let Some(slot) = freed {
+            self.mshrs.entries[slot].waiters.clear();
         }
-        let origin = mshr.as_ref().map_or(FillOrigin::Demand, |m| m.origin);
-        // A prefetch whose in-flight window absorbed a demand load counts
-        // as read the moment it lands (the demand consumes it).
-        let read_by_demand = mshr.as_ref().is_some_and(|m| m.demand_merged);
+        victim
+    }
+
+    /// [`Cache::fill`], appending the MSHR's waiters to `woken` in
+    /// arrival order.
+    pub(crate) fn fill_waking(&mut self, addr: u64, now: u64, woken: &mut Vec<u64>) -> Option<u64> {
+        let (victim, freed) = self.install(addr, now);
+        if let Some(slot) = freed {
+            woken.append(&mut self.mshrs.entries[slot].waiters);
+        }
+        victim
+    }
+
+    /// Installs the line containing `addr` and frees its MSHR. Returns the
+    /// evicted line and the freed MSHR's slot.
+    fn install(&mut self, addr: u64, now: u64) -> (Option<u64>, Option<usize>) {
+        let line = self.line_of(addr);
+        let freed = self.mshrs.remove(line);
+        let (origin, read_by_demand) = match freed {
+            Some(slot) => {
+                // A probe allocates an MSHR only for an absent line, and
+                // only a fill, which frees it, makes the line resident.
+                debug_assert!(!self.contains(line), "pending line {line:#x} is resident");
+                let m = &self.mshrs.entries[slot];
+                // A prefetch whose in-flight window absorbed a demand load
+                // counts as read the moment it lands (the demand consumes
+                // it).
+                (m.origin, m.demand_merged)
+            }
+            // Already resident (e.g. racing fills).
+            None if self.contains(line) => return (None, None),
+            None => (FillOrigin::Demand, false),
+        };
         let victim = self.evict_if_needed(line);
         let set = self.set_of(line);
         let entry = Line {
@@ -594,7 +773,7 @@ impl Cache {
             Storage::Sa(sa) => sa.push(set, (line, entry)),
         }
         self.resident += 1;
-        victim
+        (victim, freed)
     }
 
     fn evict_if_needed(&mut self, incoming: u64) -> Option<u64> {
@@ -648,7 +827,7 @@ impl Cache {
 
     /// Whether the line containing `addr` has an in-flight MSHR entry.
     pub fn is_pending(&self, addr: u64) -> bool {
-        self.mshrs.contains_key(&self.line_of(addr))
+        self.mshrs.slot(self.line_of(addr)).is_some()
     }
 
     /// Number of resident lines.
@@ -691,8 +870,8 @@ impl Cache {
         // In-flight prefetches with no merged demand are also unused.
         let inflight_unread = self
             .mshrs
-            .values()
-            .filter(|m| m.origin == FillOrigin::Prefetch && !m.demand_merged)
+            .iter()
+            .filter(|(_, m)| m.origin == FillOrigin::Prefetch && !m.demand_merged)
             .count() as u64;
         self.effect.unused += resident_unread + inflight_unread + self.evicted_unread.len() as u64;
         self.evicted_unread.clear();
@@ -732,11 +911,12 @@ impl Cache {
             w.put_bool(line.read_by_demand);
         }
 
-        let mut keys: Vec<u64> = self.mshrs.keys().copied().collect();
-        keys.sort_unstable();
-        w.put_len(keys.len());
-        for k in keys {
-            let entry = &self.mshrs[&k];
+        // Waiters and the sent flag belong to the memory system's
+        // sections, which it writes from these entries.
+        let mut mshrs: Vec<(u64, &MshrEntry)> = self.mshrs.iter().collect();
+        mshrs.sort_unstable_by_key(|&(k, _)| k);
+        w.put_len(mshrs.len());
+        for (k, entry) in mshrs {
             w.put_u64(k);
             encode_origin(entry.origin, w);
             w.put_bool(entry.demand_merged);
@@ -847,19 +1027,16 @@ impl Cache {
         let resident = lines.len();
 
         let n = r.take_len(10)?;
-        let mut mshrs: FxHashMap<u64, MshrEntry> =
-            FxHashMap::with_capacity_and_hasher(n, Default::default());
+        let mut mshrs = Mshrs::default();
         for _ in 0..n {
             let k = r.take_u64()?;
             let origin = decode_origin(r)?;
             let demand_merged = r.take_bool()?;
-            mshrs.insert(
-                k,
-                MshrEntry {
-                    origin,
-                    demand_merged,
-                },
-            );
+            if mshrs.slot(k).is_some() {
+                return Err(DecodeError::malformed(format!("two MSHRs for line {k:#x}")));
+            }
+            let slot = mshrs.insert(k, origin);
+            mshrs.entries[slot].demand_merged = demand_merged;
         }
 
         let set_count = r.take_len(8)?;
@@ -987,6 +1164,36 @@ mod tests {
         let s = c.stats();
         assert_eq!(s.demand_misses, 1);
         assert_eq!(s.demand_hits_on_demand, 1);
+    }
+
+    #[test]
+    fn fill_hands_back_waiters_in_arrival_order() {
+        let mut c = small_cache();
+        let (outcome, slot) = c.probe_mshr(0x100, FillOrigin::Demand, 1);
+        assert_eq!(outcome, ProbeOutcome::Miss);
+        c.add_waiter(slot.unwrap(), 7);
+        for (now, waiter) in [(2, 3u64), (3, 9)] {
+            let (outcome, slot) = c.probe_mshr(0x100, FillOrigin::Demand, now);
+            assert_eq!(outcome, ProbeOutcome::PendingHit);
+            c.add_waiter(slot.unwrap(), waiter);
+        }
+        // Another line's MSHR keeps its own waiters, deduplicated on
+        // request.
+        let (_, other) = c.probe_mshr(0x200, FillOrigin::Prefetch, 4);
+        for waiter in [5, 5, 2] {
+            c.add_waiter_once(other.unwrap(), waiter);
+        }
+        let mut woken = vec![1];
+        c.fill_waking(0x100, 5, &mut woken);
+        assert_eq!(woken, [1, 7, 3, 9], "appended, in arrival order");
+        woken.clear();
+        c.fill_waking(0x200, 6, &mut woken);
+        assert_eq!(woken, [5, 2]);
+        // A later miss reuses a freed entry, with no waiters.
+        let (outcome, slot) = c.probe_mshr(0x300, FillOrigin::Demand, 7);
+        assert_eq!(outcome, ProbeOutcome::Miss);
+        assert!(c.waiters(slot.unwrap()).is_empty());
+        assert_eq!(c.mshrs.entries.len(), 2);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::cache::{
 };
 use crate::codec::{ByteReader, ByteWriter, DecodeError};
 use crate::dram::{Dram, DramConfig};
-use crate::table::{FxHashMap, FxHashSet, IdWindow};
+use crate::table::IdWindow;
 use rt_rng::{Rng, SmallRng};
 use std::collections::VecDeque;
 
@@ -613,26 +613,22 @@ pub struct MemorySystem {
     cycle: u64,
     next_req: RequestId,
     next_seq: u64,
+    /// Who waits for a pending line lives in its MSHR: an L1's MSHRs
+    /// hold the request ids waiting for the line, the L2's the SMs
+    /// waiting for it and whether the line went to DRAM.
     l1: Vec<Cache>,
     l2: Cache,
     dram: Dram,
     events: EventWheel,
     /// Per-partition L2 probe queues.
     l2_queues: Vec<VecDeque<(L2Requester, u64, FillOrigin)>>,
-    /// Requests waiting for an L1 line, per SM: line -> request ids.
-    l1_waiters: Vec<FxHashMap<u64, Vec<RequestId>>>,
-    /// SMs waiting for an L2 line.
-    l2_waiters: FxHashMap<u64, Vec<usize>>,
-    /// Emptied waiter lists, reused so that a miss allocates nothing.
-    spare_l1_waiters: Vec<Vec<RequestId>>,
-    spare_l2_waiters: Vec<Vec<usize>>,
     /// Lines DRAM completed this tick (a buffer kept across ticks).
     dram_done: Vec<u64>,
+    /// The waiters a fill hands back (a buffer kept across fills).
+    woken: Vec<u64>,
     /// L1 fills delivered per SM. Derived state: not encoded, and zero
     /// after a decode.
     l1_fills: Vec<u64>,
-    /// DRAM in-flight lines (avoids duplicate sends).
-    dram_pending: FxHashSet<u64>,
     /// Issue metadata per live request, keyed by the monotonically
     /// allocated request id.
     meta: IdWindow<(AccessKind, u64)>,
@@ -688,13 +684,9 @@ impl MemorySystem {
             l2_queues: (0..config.l2_partitions)
                 .map(|_| VecDeque::with_capacity(64))
                 .collect(),
-            l1_waiters: (0..num_sms).map(|_| FxHashMap::default()).collect(),
-            l2_waiters: FxHashMap::default(),
-            spare_l1_waiters: Vec::new(),
-            spare_l2_waiters: Vec::new(),
             dram_done: Vec::new(),
+            woken: Vec::new(),
             l1_fills: vec![0; num_sms],
-            dram_pending: FxHashSet::default(),
             meta: IdWindow::new(),
             completed_out: vec![Vec::new(); num_sms],
             stats: MemStats::default(),
@@ -742,7 +734,8 @@ impl MemorySystem {
     /// Panics if `sm` is out of range.
     pub fn access(&mut self, sm: usize, addr: u64, origin: FillOrigin, kind: AccessKind) -> Issue {
         let line = self.l1[sm].line_of(addr);
-        match self.l1[sm].probe(addr, origin, self.cycle) {
+        let (outcome, mshr) = self.l1[sm].probe_mshr(addr, origin, self.cycle);
+        match outcome {
             ProbeOutcome::Hit { .. } => {
                 if origin == FillOrigin::Prefetch {
                     return Issue::PrefetchDropped;
@@ -759,12 +752,12 @@ impl MemorySystem {
                     return Issue::PrefetchDropped;
                 }
                 let req = self.alloc_req(kind);
-                self.add_l1_waiter(sm, line, req);
+                self.l1[sm].add_waiter(mshr.expect("a pending hit names its MSHR"), req);
                 Issue::Pending(req)
             }
             ProbeOutcome::Miss => {
                 let req = self.alloc_req(kind);
-                self.add_l1_waiter(sm, line, req);
+                self.l1[sm].add_waiter(mshr.expect("a miss names its MSHR"), req);
                 let spike = self.fault_spike();
                 self.schedule(
                     self.cycle + self.config.l1_latency + spike,
@@ -778,14 +771,6 @@ impl MemorySystem {
             }
             ProbeOutcome::NoMshr => Issue::Retry,
         }
-    }
-
-    fn add_l1_waiter(&mut self, sm: usize, line: u64, req: RequestId) {
-        let spare = &mut self.spare_l1_waiters;
-        self.l1_waiters[sm]
-            .entry(line)
-            .or_insert_with(|| spare.pop().unwrap_or_default())
-            .push(req);
     }
 
     /// L1 fills delivered to `sm` so far.
@@ -893,7 +878,8 @@ impl MemorySystem {
                 let Some(&(who, line, origin)) = self.l2_queues[partition].front() else {
                     break;
                 };
-                match self.l2.probe(line, origin, self.cycle) {
+                let (outcome, mshr) = self.l2.probe_mshr(line, origin, self.cycle);
+                match outcome {
                     ProbeOutcome::Hit { .. } => {
                         self.l2_queues[partition].pop_front();
                         if let L2Requester::Sm(sm) = who {
@@ -904,21 +890,18 @@ impl MemorySystem {
                             );
                         }
                     }
-                    ProbeOutcome::PendingHit => {
+                    ProbeOutcome::PendingHit | ProbeOutcome::Miss => {
                         self.l2_queues[partition].pop_front();
                         if let L2Requester::Sm(sm) = who {
-                            self.add_l2_waiter(line, sm);
+                            let mshr = mshr.expect("a pending hit or miss names its MSHR");
+                            self.l2.add_waiter_once(mshr, sm as u64);
                         }
-                    }
-                    ProbeOutcome::Miss => {
-                        self.l2_queues[partition].pop_front();
-                        if let L2Requester::Sm(sm) = who {
-                            self.add_l2_waiter(line, sm);
+                        if outcome == ProbeOutcome::Miss {
+                            self.schedule(
+                                self.cycle + self.config.l2_latency,
+                                Event::DramSend { line },
+                            );
                         }
-                        self.schedule(
-                            self.cycle + self.config.l2_latency,
-                            Event::DramSend { line },
-                        );
                     }
                     // Head-of-line stall in this partition; retry next
                     // cycle.
@@ -930,31 +913,24 @@ impl MemorySystem {
         let mem_now = self.mem_cycles(self.cycle);
         let mut done = std::mem::take(&mut self.dram_done);
         self.dram.drain_completed_into(mem_now, &mut done);
+        let mut woken = std::mem::take(&mut self.woken);
         for &line in &done {
-            self.dram_pending.remove(&line);
             self.stats.dram_to_l2_lines += 1;
-            self.l2.fill(line, self.cycle);
-            if let Some(mut sms) = self.l2_waiters.remove(&line) {
-                for &sm in &sms {
-                    self.stats.l2_to_l1_lines += 1;
-                    self.schedule(self.cycle, Event::L1Fill { sm, line });
-                }
-                sms.clear();
-                self.spare_l2_waiters.push(sms);
+            woken.clear();
+            self.l2.fill_waking(line, self.cycle, &mut woken);
+            for &sm in &woken {
+                self.stats.l2_to_l1_lines += 1;
+                self.schedule(
+                    self.cycle,
+                    Event::L1Fill {
+                        sm: sm as usize,
+                        line,
+                    },
+                );
             }
         }
+        self.woken = woken;
         self.dram_done = done;
-    }
-
-    fn add_l2_waiter(&mut self, line: u64, sm: usize) {
-        let spare = &mut self.spare_l2_waiters;
-        let waiters = self
-            .l2_waiters
-            .entry(line)
-            .or_insert_with(|| spare.pop().unwrap_or_default());
-        if !waiters.contains(&sm) {
-            waiters.push(sm);
-        }
     }
 
     fn handle_event(&mut self, event: Event) {
@@ -965,21 +941,20 @@ impl MemorySystem {
                 self.l2_queues[p].push_back((who, line, origin));
             }
             Event::L1Fill { sm, line } => {
-                self.l1[sm].fill(line, self.cycle);
+                let mut woken = std::mem::take(&mut self.woken);
+                woken.clear();
+                self.l1[sm].fill_waking(line, self.cycle, &mut woken);
                 self.l1_fills[sm] += 1;
-                if let Some(mut reqs) = self.l1_waiters[sm].remove(&line) {
-                    for &req in &reqs {
-                        self.complete(sm, req);
-                    }
-                    reqs.clear();
-                    self.spare_l1_waiters.push(reqs);
+                for &req in &woken {
+                    self.complete(sm, req);
                 }
+                self.woken = woken;
             }
             Event::DramSend { line } => {
                 let delay = self.fault_dram_delay();
                 if delay > 0 {
                     self.schedule(self.cycle + delay, Event::DramSend { line });
-                } else if self.dram_pending.insert(line) {
+                } else if self.l2.mark_sent(line) {
                     let send_index = self.dram_sends;
                     self.dram_sends += 1;
                     let dropped = self
@@ -1128,9 +1103,9 @@ impl MemorySystem {
 
     /// Requests waiting on an L1 fill, per SM.
     pub fn l1_waiter_counts(&self) -> Vec<usize> {
-        self.l1_waiters
+        self.l1
             .iter()
-            .map(|waiters| waiters.values().map(Vec::len).sum())
+            .map(|cache| cache.waiting_lines().map(|(_, w)| w.len()).sum())
             .collect()
     }
 
@@ -1233,6 +1208,15 @@ impl MemorySystem {
     /// state digests rely on). Queues and waiter lists are written
     /// verbatim because their order is architecturally meaningful.
     pub fn encode_state(&self, w: &mut ByteWriter) {
+        self.encode_head(w);
+        self.encode_l1_waiters(w);
+        self.encode_l2_waiters(w);
+        self.encode_dram_pending(w);
+        self.encode_tail(w);
+    }
+
+    /// The clock, caches, DRAM, events and L2 probe queues.
+    fn encode_head(&self, w: &mut ByteWriter) {
         w.put_u64(self.cycle);
         w.put_u64(self.next_req);
         w.put_u64(self.next_seq);
@@ -1264,46 +1248,56 @@ impl MemorySystem {
                 encode_origin(origin, w);
             }
         }
+    }
 
-        // Per-SM maps, flattened in (sm, line) order — the same bytes the
-        // old flat sorted map produced.
-        let total: usize = self.l1_waiters.iter().map(FxHashMap::len).sum();
+    /// Every L1 MSHR with waiters, in (sm, line) order, with its request
+    /// ids in arrival order.
+    fn encode_l1_waiters(&self, w: &mut ByteWriter) {
+        let total: usize = self.l1.iter().map(|c| c.waiting_lines().count()).sum();
         w.put_len(total);
-        let mut lines: Vec<u64> = Vec::new();
-        for (sm, waiters) in self.l1_waiters.iter().enumerate() {
+        let mut lines: Vec<(u64, &[u64])> = Vec::new();
+        for (sm, cache) in self.l1.iter().enumerate() {
             lines.clear();
-            lines.extend(waiters.keys().copied());
-            lines.sort_unstable();
-            for &line in &lines {
+            lines.extend(cache.waiting_lines());
+            lines.sort_unstable_by_key(|&(line, _)| line);
+            for &(line, reqs) in &lines {
                 w.put_usize(sm);
                 w.put_u64(line);
-                let reqs = &waiters[&line];
                 w.put_len(reqs.len());
                 for &req in reqs {
                     w.put_u64(req);
                 }
             }
         }
+    }
 
-        let mut keys: Vec<u64> = self.l2_waiters.keys().copied().collect();
-        keys.sort_unstable();
-        w.put_len(keys.len());
-        for line in keys {
+    /// Every L2 MSHR with waiting SMs, in line order.
+    fn encode_l2_waiters(&self, w: &mut ByteWriter) {
+        let mut lines: Vec<(u64, &[u64])> = self.l2.waiting_lines().collect();
+        lines.sort_unstable_by_key(|&(line, _)| line);
+        w.put_len(lines.len());
+        for (line, sms) in lines {
             w.put_u64(line);
-            let sms = &self.l2_waiters[&line];
             w.put_len(sms.len());
             for &sm in sms {
-                w.put_usize(sm);
+                w.put_u64(sm);
             }
         }
+    }
 
-        let mut pending: Vec<u64> = self.dram_pending.iter().copied().collect();
+    /// The L2 MSHRs whose line went to DRAM, in line order.
+    fn encode_dram_pending(&self, w: &mut ByteWriter) {
+        let mut pending: Vec<u64> = self.l2.sent_lines().collect();
         pending.sort_unstable();
         w.put_len(pending.len());
         for line in pending {
             w.put_u64(line);
         }
+    }
 
+    /// Request metadata, completions, statistics, the fault RNG and the
+    /// audit counters.
+    fn encode_tail(&self, w: &mut ByteWriter) {
         // IdWindow iterates in ascending id order — already canonical.
         w.put_len(self.meta.len());
         for (req, &(kind, issued)) in self.meta.iter() {
@@ -1366,7 +1360,7 @@ impl MemorySystem {
                 (config.l1_lines, Organization::FullyAssociative),
             )?);
         }
-        let l2 = Cache::decode_state(
+        let mut l2 = Cache::decode_state(
             r,
             (
                 config.l2_lines,
@@ -1412,9 +1406,8 @@ impl MemorySystem {
             l2_queues.push(queue);
         }
 
+        // Waiters and DRAM sends attach to the MSHRs the caches decoded.
         let n = r.take_len(24)?;
-        let mut l1_waiters: Vec<FxHashMap<u64, Vec<RequestId>>> =
-            (0..num_sms).map(|_| FxHashMap::default()).collect();
         for _ in 0..n {
             let sm = r.take_usize()?;
             if sm >= num_sms {
@@ -1424,20 +1417,17 @@ impl MemorySystem {
             }
             let line = r.take_u64()?;
             let reqs = r.take_len(8)?;
-            let mut ids = Vec::with_capacity(reqs);
+            let slot = waiter_slot(&l1[sm], line, reqs, "L1")?;
             for _ in 0..reqs {
-                ids.push(r.take_u64()?);
+                l1[sm].add_waiter(slot, r.take_u64()?);
             }
-            l1_waiters[sm].insert(line, ids);
         }
 
         let n = r.take_len(16)?;
-        let mut l2_waiters: FxHashMap<u64, Vec<usize>> =
-            FxHashMap::with_capacity_and_hasher(n, Default::default());
         for _ in 0..n {
             let line = r.take_u64()?;
             let sms = r.take_len(8)?;
-            let mut waiting = Vec::with_capacity(sms);
+            let slot = waiter_slot(&l2, line, sms, "L2")?;
             for _ in 0..sms {
                 let sm = r.take_usize()?;
                 if sm >= num_sms {
@@ -1445,16 +1435,18 @@ impl MemorySystem {
                         "L2 waiter names SM {sm} of {num_sms}"
                     )));
                 }
-                waiting.push(sm);
+                l2.add_waiter(slot, sm as u64);
             }
-            l2_waiters.insert(line, waiting);
         }
 
         let n = r.take_len(8)?;
-        let mut dram_pending: FxHashSet<u64> =
-            FxHashSet::with_capacity_and_hasher(n, Default::default());
         for _ in 0..n {
-            dram_pending.insert(r.take_u64()?);
+            let line = r.take_u64()?;
+            if !l2.mark_sent(line) {
+                return Err(DecodeError::malformed(format!(
+                    "DRAM-pending line {line:#x} has no L2 MSHR or is listed twice"
+                )));
+            }
         }
 
         let n = r.take_len(17)?;
@@ -1527,13 +1519,9 @@ impl MemorySystem {
             dram,
             events,
             l2_queues,
-            l1_waiters,
-            l2_waiters,
-            spare_l1_waiters: Vec::new(),
-            spare_l2_waiters: Vec::new(),
             dram_done: Vec::new(),
+            woken: Vec::new(),
             l1_fills: vec![0; num_sms],
-            dram_pending,
             meta,
             completed_out,
             stats,
@@ -1543,6 +1531,26 @@ impl MemorySystem {
             audit_double_completions,
             audit_dropped,
         })
+    }
+}
+
+/// The MSHR slot of `cache` a decoded list of `count` waiters of `line`
+/// attaches to: the line must be pending, and listed once with at least
+/// one waiter (the encoder writes no empty list).
+fn waiter_slot(cache: &Cache, line: u64, count: usize, level: &str) -> Result<usize, DecodeError> {
+    if count == 0 {
+        return Err(DecodeError::malformed(format!(
+            "{level} waiter list of line {line:#x} is empty"
+        )));
+    }
+    match cache.mshr_slot(line) {
+        None => Err(DecodeError::malformed(format!(
+            "{level} waiters of line {line:#x} have no MSHR"
+        ))),
+        Some(slot) if !cache.waiters(slot).is_empty() => Err(DecodeError::malformed(format!(
+            "{level} waiters of line {line:#x} are listed twice"
+        ))),
+        Some(slot) => Ok(slot),
     }
 }
 
@@ -2107,6 +2115,60 @@ mod tests {
         }
         assert_eq!(encoded(&back), encoded(&ms));
         assert_eq!(back.audit(), ms.audit());
+    }
+
+    #[test]
+    fn decode_refuses_waiters_and_dram_sends_without_an_mshr() {
+        // `with` holds an L1 waiter, an L2 waiter and a line at DRAM;
+        // `bare` holds no MSHR. Each of `with`'s three sections, spliced
+        // into `bare`'s state, names a line no MSHR waits for.
+        let mut with = sys();
+        with.access(0, 0x12_0000, FillOrigin::Demand, AccessKind::Node);
+        for _ in 0..1_000 {
+            if with.l2.sent_lines().next().is_some() {
+                break;
+            }
+            with.tick();
+        }
+        assert_eq!(with.l1_waiter_counts(), vec![1, 0]);
+        assert_eq!(with.l2.waiting_lines().count(), 1);
+        assert_eq!(with.l2.sent_lines().count(), 1);
+        let bare = sys();
+        let part = |encode: fn(&MemorySystem, &mut ByteWriter), ms: &MemorySystem| {
+            let mut w = ByteWriter::new();
+            encode(ms, &mut w);
+            w.into_bytes()
+        };
+        let sections: [fn(&MemorySystem, &mut ByteWriter); 3] = [
+            MemorySystem::encode_l1_waiters,
+            MemorySystem::encode_l2_waiters,
+            MemorySystem::encode_dram_pending,
+        ];
+        for forged in 0..3 {
+            let mut bytes = part(MemorySystem::encode_head, &bare);
+            for (i, &section) in sections.iter().enumerate() {
+                bytes.extend(part(section, if i == forged { &with } else { &bare }));
+            }
+            bytes.extend(part(MemorySystem::encode_tail, &bare));
+            let decoded = MemorySystem::decode_state(
+                &mut ByteReader::new(&bytes),
+                MemConfig::paper_default(),
+                2,
+            );
+            match decoded {
+                Err(DecodeError::Malformed { what }) => {
+                    assert!(what.contains("MSHR"), "{what}")
+                }
+                other => panic!("section {forged}: expected a malformed state, got {other:?}"),
+            }
+        }
+        // Unforged, the splice is `bare`'s own encoding.
+        let mut bytes = part(MemorySystem::encode_head, &bare);
+        for section in sections {
+            bytes.extend(part(section, &bare));
+        }
+        bytes.extend(part(MemorySystem::encode_tail, &bare));
+        assert_eq!(bytes, encoded(&bare));
     }
 
     #[test]
