@@ -17,7 +17,12 @@
 //! | identity  | 8     | caller-chosen cache key echoed into the file |
 //! | bvh       | var   | nodes + triangles (see below)                |
 //! | sections  | var   | tagged opaque blobs appended by higher layers|
-//! | checksum  | 8     | FNV-1a 64 over everything above              |
+//! | checksum  | 8     | [`artifact_checksum`] over everything above  |
+//!
+//! Version 2 replaced version 1's byte-serial FNV-1a checksum with
+//! [`artifact_checksum`], which reads eight bytes per step: the
+//! checksum covers the whole artifact (tens of MB for a suite), and a
+//! byte-serial hash was a third of the cost of writing one.
 //!
 //! The node payload stores only the [`WideNode`] array and the
 //! reordered triangle buffer; the [`ChildSoa`](crate::ChildSoa) mirror
@@ -40,7 +45,7 @@
 
 use crate::wide::{WideBvh, WideChild, WideNode, WIDE_ARITY};
 use rt_geometry::{Aabb, Triangle, Vec3};
-use rt_gpu_sim::{fnv1a64, ByteReader, ByteWriter, DecodeError};
+use rt_gpu_sim::{ByteReader, ByteWriter, DecodeError};
 
 /// Container magic: the codec name, doubling as the on-disk format id.
 pub const BVH_ARTIFACT_MAGIC: [u8; 7] = *b"RTBVH01";
@@ -49,11 +54,77 @@ pub const BVH_ARTIFACT_MAGIC: [u8; 7] = *b"RTBVH01";
 /// mismatched versions outright ([`DecodeError::UnsupportedVersion`]),
 /// and cache layers fold the version into the content key so a bumped
 /// binary simply repopulates alongside old entries.
-pub const BVH_ARTIFACT_VERSION: u32 = 1;
+pub const BVH_ARTIFACT_VERSION: u32 = 2;
 
 /// Node tag bytes in the serialized node array.
 const TAG_LEAF: u8 = 0;
 const TAG_INTERNAL: u8 = 1;
+
+/// Magic, version and identity.
+const HEADER_BYTES: usize = BVH_ARTIFACT_MAGIC.len() + 4 + 8;
+/// One leaf record: tag, AABB, first triangle and count.
+const LEAF_BYTES: usize = 1 + 24 + 8;
+/// One child of an internal record (after its tag and child count):
+/// AABB and node index.
+const CHILD_BYTES: usize = 24 + 4;
+/// One triangle: nine `f32`.
+const TRIANGLE_BYTES: usize = 36;
+
+/// Odd multipliers of [`artifact_checksum`]'s four lanes.
+const LANE_MUL: [u64; 4] = [
+    0x9e37_79b9_7f4a_7c15,
+    0xbf58_476d_1ce4_e5b9,
+    0x94d0_49bb_1331_11eb,
+    0xd6e8_feb8_6659_fd93,
+];
+
+/// One [`artifact_checksum`] step: xor, odd multiply, rotate — each a
+/// bijection.
+#[inline]
+fn mix(lane: u64, word: u64, mul: u64) -> u64 {
+    (lane ^ word).wrapping_mul(mul).rotate_left(31)
+}
+
+/// The `RTBVH01` container checksum: four lanes, seeded with their
+/// multipliers, each fold every fourth little-endian `u64` word of
+/// `bytes` (xor the word in, multiply by the lane's odd constant, rotate
+/// by 31), a zero-padded tail word goes to the next lane in turn, and
+/// the length and the lanes fold into one word the same way, which a
+/// multiply-xorshift finish spreads.
+///
+/// For a fixed word each step is a bijection of the lane, and for a
+/// fixed lane a bijection of the word, so any change confined to one
+/// 8-byte word (every single-bit flip, for one) always changes the
+/// checksum. The four lanes are independent, so the loop runs at about a
+/// word per cycle where byte-serial FNV-1a takes a multiply per byte.
+/// Not a cryptographic hash, and not the state digest: digests,
+/// checkpoints and cache keys stay on FNV-1a.
+pub fn artifact_checksum(bytes: &[u8]) -> u64 {
+    let mut lanes = LANE_MUL;
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        for ((lane, word), mul) in lanes.iter_mut().zip(block.chunks_exact(8)).zip(LANE_MUL) {
+            let word = u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
+            *lane = mix(*lane, word, mul);
+        }
+    }
+    for ((lane, tail), mul) in lanes
+        .iter_mut()
+        .zip(blocks.remainder().chunks(8))
+        .zip(LANE_MUL)
+    {
+        let mut word = [0u8; 8];
+        word[..tail.len()].copy_from_slice(tail);
+        *lane = mix(*lane, u64::from_le_bytes(word), mul);
+    }
+    let mut h = bytes.len() as u64;
+    for (lane, mul) in lanes.into_iter().zip(LANE_MUL) {
+        h = mix(h, lane, mul);
+    }
+    h ^= h >> 32;
+    h = h.wrapping_mul(LANE_MUL[0]);
+    h ^ (h >> 29)
+}
 
 /// One opaque tagged blob carried in a [`BvhArtifact`] alongside the
 /// tree — rays, treelet assignments, whatever a higher layer needs to
@@ -83,20 +154,6 @@ pub struct BvhArtifact {
 }
 
 impl BvhArtifact {
-    /// Wraps a built tree with its content identity and no sections.
-    pub fn new(identity: u64, bvh: WideBvh) -> BvhArtifact {
-        BvhArtifact {
-            identity,
-            bvh,
-            sections: Vec::new(),
-        }
-    }
-
-    /// Appends a rider section.
-    pub fn push_section(&mut self, tag: u32, bytes: Vec<u8>) {
-        self.sections.push(ArtifactSection { tag, bytes });
-    }
-
     /// The first section with `tag`, if present.
     pub fn section(&self, tag: u32) -> Option<&[u8]> {
         self.sections
@@ -105,22 +162,15 @@ impl BvhArtifact {
             .map(|s| s.bytes.as_slice())
     }
 
-    /// Serializes the artifact into its container bytes.
+    /// Serializes the artifact into its container bytes
+    /// (see [`encode_artifact`]).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.put_bytes(&BVH_ARTIFACT_MAGIC);
-        w.put_u32(BVH_ARTIFACT_VERSION);
-        w.put_u64(self.identity);
-        encode_wide_bvh(&self.bvh, &mut w);
-        w.put_len(self.sections.len());
-        for s in &self.sections {
-            w.put_u32(s.tag);
-            w.put_len(s.bytes.len());
-            w.put_bytes(&s.bytes);
-        }
-        let checksum = fnv1a64(w.bytes());
-        w.put_u64(checksum);
-        w.into_bytes()
+        let sections: Vec<(u32, &[u8])> = self
+            .sections
+            .iter()
+            .map(|s| (s.tag, s.bytes.as_slice()))
+            .collect();
+        encode_artifact(self.identity, &self.bvh, &sections)
     }
 
     /// Decodes an `RTBVH01` container, verifying magic, version,
@@ -155,7 +205,7 @@ impl BvhArtifact {
         let body_len = r.position();
         let found = r.take_u64()?;
         r.expect_end()?;
-        let expected = fnv1a64(&bytes[..body_len]);
+        let expected = artifact_checksum(&bytes[..body_len]);
         if found != expected {
             return Err(DecodeError::ChecksumMismatch { expected, found });
         }
@@ -167,47 +217,94 @@ impl BvhArtifact {
     }
 }
 
-fn put_vec3(w: &mut ByteWriter, v: Vec3) {
-    w.put_f32(v.x);
-    w.put_f32(v.y);
-    w.put_f32(v.z);
+/// Writes an `RTBVH01` container from borrowed parts: the content
+/// `identity`, the tree, and `(tag, payload)` rider sections in order.
+///
+/// The container is sized up front and written into one buffer, and
+/// nothing is copied but the bytes themselves: the tree is read where
+/// it lies, so encoding a prepared bench neither clones its tree nor
+/// regrows the output.
+pub fn encode_artifact(identity: u64, bvh: &WideBvh, sections: &[(u32, &[u8])]) -> Vec<u8> {
+    let section_bytes: usize = sections.iter().map(|(_, b)| 4 + 8 + b.len()).sum();
+    let len = HEADER_BYTES + wide_bvh_encoded_len(bvh) + 8 + section_bytes + 8;
+    let mut w = ByteWriter::with_capacity(len);
+    w.put_bytes(&BVH_ARTIFACT_MAGIC);
+    w.put_u32(BVH_ARTIFACT_VERSION);
+    w.put_u64(identity);
+    encode_wide_bvh(bvh, &mut w);
+    w.put_len(sections.len());
+    for &(tag, bytes) in sections {
+        w.put_u32(tag);
+        w.put_len(bytes.len());
+        w.put_bytes(bytes);
+    }
+    let checksum = artifact_checksum(w.bytes());
+    w.put_u64(checksum);
+    debug_assert_eq!(w.len(), len, "artifact size estimate");
+    w.into_bytes()
 }
 
-fn put_aabb(w: &mut ByteWriter, b: &Aabb) {
-    put_vec3(w, b.min);
-    put_vec3(w, b.max);
+/// Bytes [`encode_wide_bvh`] writes for `bvh`.
+fn wide_bvh_encoded_len(bvh: &WideBvh) -> usize {
+    let nodes: usize = bvh
+        .nodes()
+        .iter()
+        .map(|node| match node {
+            WideNode::Leaf { .. } => LEAF_BYTES,
+            WideNode::Internal { children } => 2 + children.len() * CHILD_BYTES,
+        })
+        .sum();
+    8 + nodes + 8 + bvh.triangles().len() * TRIANGLE_BYTES
+}
+
+fn vec3_into(out: &mut [u8], v: Vec3) {
+    out[0..4].copy_from_slice(&v.x.to_le_bytes());
+    out[4..8].copy_from_slice(&v.y.to_le_bytes());
+    out[8..12].copy_from_slice(&v.z.to_le_bytes());
+}
+
+fn aabb_into(out: &mut [u8], b: &Aabb) {
+    vec3_into(&mut out[0..12], b.min);
+    vec3_into(&mut out[12..24], b.max);
 }
 
 /// Appends a built tree's nodes and triangles to `w` (no container
-/// framing — [`BvhArtifact::to_bytes`] is the framed front door).
+/// framing — [`encode_artifact`] is the framed front door).
 ///
-/// The `ChildSoa` mirror is intentionally not written: it is derived
-/// from the nodes on decode.
+/// Each record is assembled on the stack and appended in one copy. The
+/// `ChildSoa` mirror is intentionally not written: it is derived from
+/// the nodes on decode.
 pub fn encode_wide_bvh(bvh: &WideBvh, w: &mut ByteWriter) {
     w.put_len(bvh.node_count());
+    let mut rec = [0u8; 2 + WIDE_ARITY * CHILD_BYTES];
     for node in bvh.nodes() {
         match node {
             WideNode::Leaf { aabb, first, count } => {
-                w.put_u8(TAG_LEAF);
-                put_aabb(w, aabb);
-                w.put_u32(*first);
-                w.put_u32(*count);
+                rec[0] = TAG_LEAF;
+                aabb_into(&mut rec[1..25], aabb);
+                rec[25..29].copy_from_slice(&first.to_le_bytes());
+                rec[29..33].copy_from_slice(&count.to_le_bytes());
+                w.put_bytes(&rec[..LEAF_BYTES]);
             }
             WideNode::Internal { children } => {
-                w.put_u8(TAG_INTERNAL);
-                w.put_u8(children.len() as u8);
-                for c in children {
-                    put_aabb(w, &c.aabb);
-                    w.put_u32(c.node);
+                debug_assert!(children.len() <= WIDE_ARITY);
+                rec[0] = TAG_INTERNAL;
+                rec[1] = children.len() as u8;
+                for (c, out) in children.iter().zip(rec[2..].chunks_exact_mut(CHILD_BYTES)) {
+                    aabb_into(&mut out[..24], &c.aabb);
+                    out[24..].copy_from_slice(&c.node.to_le_bytes());
                 }
+                w.put_bytes(&rec[..2 + children.len() * CHILD_BYTES]);
             }
         }
     }
     w.put_len(bvh.triangles().len());
+    let mut rec = [0u8; TRIANGLE_BYTES];
     for t in bvh.triangles() {
-        put_vec3(w, t.v0);
-        put_vec3(w, t.v1);
-        put_vec3(w, t.v2);
+        vec3_into(&mut rec[0..12], t.v0);
+        vec3_into(&mut rec[12..24], t.v1);
+        vec3_into(&mut rec[24..36], t.v2);
+        w.put_bytes(&rec);
     }
 }
 
@@ -220,8 +317,8 @@ pub fn encode_wide_bvh(bvh: &WideBvh, w: &mut ByteWriter) {
 /// invariant (out-of-range references, unreachable nodes, uncovered
 /// triangles) — each as a typed [`DecodeError`].
 pub fn decode_wide_bvh(r: &mut ByteReader<'_>) -> Result<WideBvh, DecodeError> {
-    // A leaf record is the smallest node encoding: tag + AABB + 2×u32.
-    let node_count = r.take_len(1 + 24 + 8)?;
+    // A leaf record is the smallest node encoding.
+    let node_count = r.take_len(LEAF_BYTES)?;
     let mut nodes = Vec::with_capacity(node_count);
     // Each record is parsed from one contiguous slice — a single
     // bounds check per record (leaf: 32 bytes; internal: 28 per
@@ -244,7 +341,7 @@ pub fn decode_wide_bvh(r: &mut ByteReader<'_>) -> Result<WideBvh, DecodeError> {
     for i in 0..node_count {
         match r.take_u8()? {
             TAG_LEAF => {
-                let rec = r.take_bytes(24 + 8)?;
+                let rec = r.take_bytes(LEAF_BYTES - 1)?;
                 nodes.push(WideNode::Leaf {
                     aabb: aabb_at(rec, 0),
                     first: u32_at(rec, 24),
@@ -258,9 +355,9 @@ pub fn decode_wide_bvh(r: &mut ByteReader<'_>) -> Result<WideBvh, DecodeError> {
                         "node {i}: child count {child_count} outside 1..={WIDE_ARITY}"
                     )));
                 }
-                let rec = r.take_bytes(child_count * (24 + 4))?;
+                let rec = r.take_bytes(child_count * CHILD_BYTES)?;
                 let children = rec
-                    .chunks_exact(24 + 4)
+                    .chunks_exact(CHILD_BYTES)
                     .map(|c| WideChild {
                         aabb: aabb_at(c, 0),
                         node: u32_at(c, 24),
@@ -275,15 +372,15 @@ pub fn decode_wide_bvh(r: &mut ByteReader<'_>) -> Result<WideBvh, DecodeError> {
             }
         }
     }
-    let tri_count = r.take_len(36)?;
+    let tri_count = r.take_len(TRIANGLE_BYTES)?;
     // The triangle buffer is the bulk of the artifact (36 bytes each),
     // so it is decoded from one contiguous slice: a single bounds check
     // up front instead of nine checked reads per triangle — the
     // difference between a cache hit beating the build by 5× and
     // merely matching it on large scenes.
-    let bytes = r.take_bytes(tri_count * 36)?;
+    let bytes = r.take_bytes(tri_count * TRIANGLE_BYTES)?;
     let mut triangles = Vec::with_capacity(tri_count);
-    for chunk in bytes.chunks_exact(36) {
+    for chunk in bytes.chunks_exact(TRIANGLE_BYTES) {
         let f = |at: usize| {
             f32::from_le_bytes([chunk[at], chunk[at + 1], chunk[at + 2], chunk[at + 3]])
         };
@@ -332,11 +429,10 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(0x5eed_b0b5);
         for &count in &[1usize, 2, 5, 17, 64, 200, 611] {
             let bvh = WideBvh::build(random_triangles(&mut rng, count));
-            let artifact = BvhArtifact::new(0xfeed_cafe, bvh);
-            let bytes = artifact.to_bytes();
+            let bytes = encode_artifact(0xfeed_cafe, &bvh, &[]);
             let decoded = BvhArtifact::from_bytes(&bytes).expect("round trip");
             assert_eq!(decoded.identity, 0xfeed_cafe);
-            assert_trees_equal(&artifact.bvh, &decoded.bvh);
+            assert_trees_equal(&bvh, &decoded.bvh);
         }
     }
 
@@ -344,11 +440,14 @@ mod tests {
     fn round_trips_sections() {
         let mut rng = SmallRng::seed_from_u64(7);
         let bvh = WideBvh::build(random_triangles(&mut rng, 20));
-        let mut artifact = BvhArtifact::new(1, bvh);
-        artifact.push_section(u32::from_le_bytes(*b"RAYS"), vec![1, 2, 3]);
-        artifact.push_section(u32::from_le_bytes(*b"TRLT"), vec![]);
-        let decoded = BvhArtifact::from_bytes(&artifact.to_bytes()).expect("round trip");
-        assert_eq!(decoded.sections, artifact.sections);
+        let (rays, trlt) = (u32::from_le_bytes(*b"RAYS"), u32::from_le_bytes(*b"TRLT"));
+        let bytes = encode_artifact(1, &bvh, &[(rays, &[1, 2, 3]), (trlt, &[])]);
+        let decoded = BvhArtifact::from_bytes(&bytes).expect("round trip");
+        let tags: Vec<u32> = decoded.sections.iter().map(|s| s.tag).collect();
+        assert_eq!(tags, [rays, trlt]);
+        assert_eq!(decoded.section(trlt), Some(&[][..]));
+        // The owned form re-encodes through the same encoder.
+        assert_eq!(decoded.to_bytes(), bytes);
         assert_eq!(
             decoded.section(u32::from_le_bytes(*b"RAYS")),
             Some(&[1u8, 2, 3][..])
@@ -360,9 +459,7 @@ mod tests {
     fn every_truncation_is_a_typed_error() {
         let mut rng = SmallRng::seed_from_u64(42);
         let bvh = WideBvh::build(random_triangles(&mut rng, 30));
-        let mut artifact = BvhArtifact::new(2, bvh);
-        artifact.push_section(9, vec![5; 16]);
-        let bytes = artifact.to_bytes();
+        let bytes = encode_artifact(2, &bvh, &[(9, &[5; 16])]);
         for len in 0..bytes.len() {
             assert!(
                 BvhArtifact::from_bytes(&bytes[..len]).is_err(),
@@ -375,7 +472,7 @@ mod tests {
     fn every_bit_flip_is_a_typed_error() {
         let mut rng = SmallRng::seed_from_u64(43);
         let bvh = WideBvh::build(random_triangles(&mut rng, 8));
-        let bytes = BvhArtifact::new(3, bvh).to_bytes();
+        let bytes = encode_artifact(3, &bvh, &[]);
         // Flip one bit per byte position; the checksum (or an earlier
         // structural check) must catch every single one.
         for pos in 0..bytes.len() {
@@ -392,13 +489,13 @@ mod tests {
     fn refuses_bumped_version() {
         let mut rng = SmallRng::seed_from_u64(44);
         let bvh = WideBvh::build(random_triangles(&mut rng, 4));
-        let mut bytes = BvhArtifact::new(4, bvh).to_bytes();
+        let mut bytes = encode_artifact(4, &bvh, &[]);
         // Patch the version field (right after the magic) and re-seal
         // the checksum so only the version check can object.
         let vpos = BVH_ARTIFACT_MAGIC.len();
         bytes[vpos..vpos + 4].copy_from_slice(&(BVH_ARTIFACT_VERSION + 1).to_le_bytes());
         let body = bytes.len() - 8;
-        let checksum = fnv1a64(&bytes[..body]);
+        let checksum = artifact_checksum(&bytes[..body]);
         bytes[body..].copy_from_slice(&checksum.to_le_bytes());
         match BvhArtifact::from_bytes(&bytes) {
             Err(DecodeError::UnsupportedVersion { found }) => {
@@ -419,14 +516,16 @@ mod tests {
         w.put_len(1); // one node
         w.put_u8(TAG_INTERNAL);
         w.put_u8(1);
-        put_aabb(&mut w, &Aabb::empty());
+        let mut aabb = [0u8; 24];
+        aabb_into(&mut aabb, &Aabb::empty());
+        w.put_bytes(&aabb);
         w.put_u32(7); // child 7 of 1
         w.put_len(1); // one triangle
         for _ in 0..9 {
             w.put_f32(0.0);
         }
         w.put_len(0); // no sections
-        let checksum = fnv1a64(w.bytes());
+        let checksum = artifact_checksum(w.bytes());
         w.put_u64(checksum);
         match BvhArtifact::from_bytes(w.bytes()) {
             Err(DecodeError::Malformed { .. }) => {}
@@ -438,7 +537,7 @@ mod tests {
     fn decoded_tree_traverses_identically() {
         let mut rng = SmallRng::seed_from_u64(45);
         let original = WideBvh::build(random_triangles(&mut rng, 120));
-        let decoded = BvhArtifact::from_bytes(&BvhArtifact::new(5, original.clone()).to_bytes())
+        let decoded = BvhArtifact::from_bytes(&encode_artifact(5, &original, &[]))
             .expect("round trip")
             .bvh;
         for i in 0..32 {
@@ -449,5 +548,47 @@ mod tests {
             assert_eq!(a.is_hit(), b.is_hit());
             assert_eq!(a.t.to_bits(), b.t.to_bits());
         }
+    }
+
+    #[test]
+    fn checksum_sees_every_single_bit_flip() {
+        // Each step is a bijection, so a change inside one word can never
+        // cancel out: every flip of every bit, at lengths covering each
+        // tail size and several whole 32-byte blocks.
+        let mut rng = SmallRng::seed_from_u64(46);
+        for len in 0..=100usize {
+            let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            let sum = artifact_checksum(&bytes);
+            for bit in 0..len * 8 {
+                let mut flipped = bytes.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                assert_ne!(artifact_checksum(&flipped), sum, "len {len}, bit {bit}");
+            }
+        }
+    }
+
+    #[test]
+    fn checksum_separates_lengths_and_word_order() {
+        // Zero-padded tails must not alias: the length is folded in.
+        let sums: std::collections::HashSet<u64> =
+            (0..200).map(|n| artifact_checksum(&vec![0u8; n])).collect();
+        assert_eq!(sums.len(), 200);
+        // Swapping two words across lanes changes the sum.
+        let mut a = [0u8; 64];
+        a[..8].copy_from_slice(&1u64.to_le_bytes());
+        let mut b = [0u8; 64];
+        b[8..16].copy_from_slice(&1u64.to_le_bytes());
+        assert_ne!(artifact_checksum(&a), artifact_checksum(&b));
+    }
+
+    #[test]
+    fn checksum_values_are_pinned() {
+        // Artifacts on disk carry these sums: a change here is a format
+        // change and must bump `BVH_ARTIFACT_VERSION`.
+        assert_eq!(artifact_checksum(b""), 0x0847_b057_d2b8_2d5b);
+        assert_eq!(
+            artifact_checksum(b"RTBVH01 treelet prefetching artifact"),
+            0xddf0_063e_4af6_3abb
+        );
     }
 }

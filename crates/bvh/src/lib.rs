@@ -48,8 +48,8 @@ mod stats;
 mod wide;
 
 pub use codec::{
-    decode_wide_bvh, encode_wide_bvh, ArtifactSection, BvhArtifact, BVH_ARTIFACT_MAGIC,
-    BVH_ARTIFACT_VERSION,
+    artifact_checksum, decode_wide_bvh, encode_artifact, encode_wide_bvh, ArtifactSection,
+    BvhArtifact, BVH_ARTIFACT_MAGIC, BVH_ARTIFACT_VERSION,
 };
 pub use layout::{LayoutKind, MemoryImage, PackOptions, NODE_REGION_BASE};
 pub use record::{NodeRecord, RECORD_BYTES};

@@ -44,7 +44,7 @@
 
 use crate::experiments::Bench;
 use crate::treelet::{TreeletAssignment, DEFAULT_TREELET_BYTES, FORMATION_VERSION};
-use rt_bvh::{BvhArtifact, BVH_ARTIFACT_VERSION, DEFAULT_MAX_LEAF_TRIS};
+use rt_bvh::{encode_artifact, BvhArtifact, BVH_ARTIFACT_VERSION, DEFAULT_MAX_LEAF_TRIS};
 use rt_geometry::Ray;
 use rt_gpu_sim::{fnv1a64, ByteReader, ByteWriter, DecodeError};
 use rt_scene::{SceneId, Workload, WorkloadKind};
@@ -97,9 +97,12 @@ pub fn prepare_cache_key(scene: SceneId, detail: f32, workload: &Workload) -> u6
 /// content key `key`: the built tree, plus the generated rays and the
 /// default-budget treelet assignment as rider sections, so a cache hit
 /// skips *all* of preparation — not just the BVH build.
+///
+/// The tree is written where it lies ([`encode_artifact`]), and each
+/// buffer is sized exactly, so encoding allocates a constant number of
+/// blocks whatever the scene's size.
 pub fn encode_prepared_bench(bench: &Bench, key: u64) -> Vec<u8> {
-    let mut artifact = BvhArtifact::new(key, bench.bvh().clone());
-    let mut rays = ByteWriter::new();
+    let mut rays = ByteWriter::with_capacity(8 + bench.rays().len() * RAY_BYTES);
     rays.put_len(bench.rays().len());
     for r in bench.rays() {
         rays.put_f32(r.origin.x);
@@ -111,11 +114,16 @@ pub fn encode_prepared_bench(bench: &Bench, key: u64) -> Vec<u8> {
         rays.put_f32(r.t_min);
         rays.put_f32(r.t_max);
     }
-    artifact.push_section(RAYS_SECTION, rays.into_bytes());
-    let mut treelets = ByteWriter::new();
+    let mut treelets = ByteWriter::with_capacity(bench.treelets().encoded_len());
     bench.treelets().encode(&mut treelets);
-    artifact.push_section(TREELET_SECTION, treelets.into_bytes());
-    artifact.to_bytes()
+    encode_artifact(
+        key,
+        bench.bvh(),
+        &[
+            (RAYS_SECTION, rays.bytes()),
+            (TREELET_SECTION, treelets.bytes()),
+        ],
+    )
 }
 
 /// Decodes an artifact written by [`encode_prepared_bench`] back into a

@@ -24,8 +24,9 @@ use crate::treelet::TreeletAssignment;
 use rt_bvh::{MemoryImage, PackOptions, WideBvh};
 use rt_geometry::Ray;
 use rt_gpu_sim::{
-    fnv1a64, AccessKind, ByteReader, ByteWriter, CacheStats, CountTable, CountVec, DecodeError,
-    FillOrigin, FxHashSet, IdWindow, Issue, MemorySystem, PrefetchEffect, RequestId,
+    check_decoded_window, fnv1a64, AccessKind, ByteReader, ByteWriter, CacheStats, CountTable,
+    CountVec, DecodeError, FillOrigin, FxHashSet, IdWindow, Issue, MemorySystem, PrefetchEffect,
+    RequestId,
 };
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -805,6 +806,16 @@ impl Owners {
                 "duplicate in-flight request {}",
                 w[0].0
             )));
+        }
+        // The window pads one slot per id between its live ids; the
+        // never-completing L2-destination prefetches stay out of it.
+        let windowed: Vec<RequestId> = entries
+            .iter()
+            .filter(|(_, _, owner)| !(l2_destination && matches!(owner, ReqOwner::PrefetchLine)))
+            .map(|&(req, _, _)| req)
+            .collect();
+        if let (Some(&first), Some(&last)) = (windowed.first(), windowed.last()) {
+            check_decoded_window(first, last, windowed.len())?;
         }
         let mut owners = Owners::new(num_sms);
         for (req, sm, owner) in entries {
@@ -3426,6 +3437,19 @@ mod tests {
             Owners::restore(2, twice, false),
             Err(DecodeError::Malformed { .. })
         ));
+        // Owners 2^40 ids apart would pad the window with 2^40 slots:
+        // refused before any insert. L2-destination prefetches never
+        // enter the window, so they may lie any distance away.
+        let far = vec![(3, 0, ReqOwner::Ray(1)), (1 << 40, 0, ReqOwner::Ray(2))];
+        match Owners::restore(2, far, false) {
+            Err(DecodeError::Malformed { what }) => assert!(what.contains("span"), "{what}"),
+            other => panic!("expected a refused span, got {other:?}"),
+        }
+        let l2 = vec![
+            (3, 0, ReqOwner::Ray(1)),
+            (1 << 40, 1, ReqOwner::PrefetchLine),
+        ];
+        assert!(Owners::restore(2, l2, true).is_ok());
     }
 
     #[test]

@@ -214,6 +214,12 @@ impl TreeletAssignment {
         })
     }
 
+    /// Bytes [`TreeletAssignment::encode`] writes: the budget, the
+    /// treelet count, and per treelet a length and its member ids.
+    pub(crate) fn encoded_len(&self) -> usize {
+        8 + 8 + self.count() * 8 + self.members.len() * 4
+    }
+
     /// Appends the assignment to `w` for the preparation-artifact
     /// codec: the byte budget plus every treelet's member list in
     /// formation order (`of_node` is derived on decode, like the BVH's

@@ -9,8 +9,8 @@
 //! and with it recomputed so the flip reaches the section decoders, and
 //! random byte strings.
 
-use rt_bvh::{encode_wide_bvh, BVH_ARTIFACT_MAGIC, BVH_ARTIFACT_VERSION};
-use rt_gpu_sim::{fnv1a64, ByteWriter};
+use rt_bvh::{artifact_checksum, encode_wide_bvh, BVH_ARTIFACT_MAGIC, BVH_ARTIFACT_VERSION};
+use rt_gpu_sim::ByteWriter;
 use rt_rng::prop::forall;
 use rt_rng::{Rng, SmallRng};
 use rt_scene::{SceneId, Workload, WorkloadKind};
@@ -44,7 +44,7 @@ fn check(bytes: &[u8]) -> bool {
 /// Rewrites the trailing checksum over the (possibly tampered) body.
 fn reseal(bytes: &mut [u8]) {
     let body = bytes.len() - 8;
-    let checksum = fnv1a64(&bytes[..body]);
+    let checksum = artifact_checksum(&bytes[..body]);
     bytes[body..].copy_from_slice(&checksum.to_le_bytes());
 }
 

@@ -13,12 +13,17 @@
 //! that formed its treelets again (one block per treelet), kept a vector
 //! per treelet's lines, or one per L2 set (3,072 of them) would pay
 //! thousands of allocations.
+//!
+//! Encoding a prepared bench for the preparation cache allocates the
+//! same few buffers on a small scene and a large one: a clone of the
+//! tree (one block per internal node) or a buffer that grows would
+//! scale with the scene.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use rt_scene::{SceneId, Workload, WorkloadKind};
-use treelet_rt::{Bench, SimConfig};
+use treelet_rt::{encode_prepared_bench, Bench, SimConfig};
 
 /// The system allocator, counting each allocation on the calling thread
 /// (the test harness runs other tests on other threads).
@@ -110,4 +115,25 @@ fn set_up_allocates_per_ray_not_per_step() {
         per_cell.iter().all(|&(_, total)| total < 1_500),
         "some 16x16 cell allocates 1,500 or more times: {per_cell:?}"
     );
+}
+
+#[test]
+fn encoding_a_prepared_bench_allocates_a_constant_number_of_blocks() {
+    let workload = Workload::new(WorkloadKind::Primary, 16, 16);
+    let mut counts = Vec::new();
+    for (scene, detail) in [(SceneId::Wknd, 0.1), (SceneId::Crnvl, 1.0)] {
+        let bench = Bench::prepare(scene, detail, workload);
+        let before = allocations();
+        let bytes = encode_prepared_bench(&bench, 1);
+        let after = allocations();
+        assert!(!bytes.is_empty());
+        counts.push((scene, bench.bvh().node_count(), after - before));
+    }
+    println!("{counts:?}");
+    let (small, large) = (counts[0].2, counts[1].2);
+    assert_eq!(
+        small, large,
+        "encoding allocates by scene size (scene, nodes, allocations): {counts:?}"
+    );
+    assert!(small <= 4, "encoding allocates {small} blocks: {counts:?}");
 }

@@ -58,17 +58,27 @@ impl Aabb {
     }
 
     /// Expands the box to contain `p`.
+    ///
+    /// A NaN coordinate of `p` leaves that bound unchanged; see
+    /// [`Aabb::grow_box`] for the fold.
     #[inline]
     pub fn grow_point(&mut self, p: Vec3) {
-        self.min = self.min.min(p);
-        self.max = self.max.max(p);
+        self.min = fold_min(self.min, p);
+        self.max = fold_max(self.max, p);
     }
 
     /// Expands the box to contain `other`.
+    ///
+    /// Each lane folds with a select (`o < acc`), one `minss`/`maxss`,
+    /// instead of `f32::min`'s NaN-aware sequence. The two agree unless
+    /// the box itself already holds a NaN, which a box grown from
+    /// [`Aabb::empty`] never does: a NaN argument loses the comparison
+    /// and leaves the bound as it was, as `f32::min` would. This fold is
+    /// the SAH builder's inner loop.
     #[inline]
     pub fn grow_box(&mut self, other: &Aabb) {
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
+        self.min = fold_min(self.min, other.min);
+        self.max = fold_max(self.max, other.max);
     }
 
     /// Returns the union of `self` and `other` without mutating either.
@@ -147,6 +157,20 @@ impl Aabb {
             None
         }
     }
+}
+
+/// Lane-wise `o` where `o < acc`, else `acc`: one `minss` per lane.
+#[inline]
+fn fold_min(acc: Vec3, o: Vec3) -> Vec3 {
+    let lane = |a: f32, o: f32| if o < a { o } else { a };
+    Vec3::new(lane(acc.x, o.x), lane(acc.y, o.y), lane(acc.z, o.z))
+}
+
+/// Lane-wise `o` where `o > acc`, else `acc`: one `maxss` per lane.
+#[inline]
+fn fold_max(acc: Vec3, o: Vec3) -> Vec3 {
+    let lane = |a: f32, o: f32| if o > a { o } else { a };
+    Vec3::new(lane(acc.x, o.x), lane(acc.y, o.y), lane(acc.z, o.z))
 }
 
 impl Default for Aabb {

@@ -39,9 +39,14 @@ impl Triangle {
     }
 
     /// Bounding box of the triangle.
+    ///
+    /// Seeded from [`Aabb::empty`], so the box never holds a NaN: a NaN
+    /// coordinate is skipped, and a lane NaN in all three vertices stays
+    /// empty, which leaves every box it is folded into unchanged.
     #[inline]
     pub fn aabb(&self) -> Aabb {
-        let mut b = Aabb::from_point(self.v0);
+        let mut b = Aabb::empty();
+        b.grow_point(self.v0);
         b.grow_point(self.v1);
         b.grow_point(self.v2);
         b

@@ -106,6 +106,88 @@ fn aabb_grow_point_contains() {
     });
 }
 
+/// A coordinate drawn mostly from the values where a select fold and
+/// `f32::min`/`f32::max` could part: ±0, ±inf and NaN.
+fn edge_coord(rng: &mut SmallRng) -> f32 {
+    const EDGES: [f32; 7] = [
+        0.0,
+        -0.0,
+        1.0,
+        -1.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+    ];
+    if rng.gen_bool(0.8) {
+        EDGES[rng.gen_range(0..EDGES.len())]
+    } else {
+        coord(rng)
+    }
+}
+
+fn edge_vec3(rng: &mut SmallRng) -> Vec3 {
+    Vec3::new(edge_coord(rng), edge_coord(rng), edge_coord(rng))
+}
+
+fn bits(v: Vec3) -> [u32; 3] {
+    [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()]
+}
+
+#[test]
+fn aabb_grow_point_from_empty_matches_std_min_max_bitwise() {
+    // The builder's fold is a select (`o < acc`); from `Aabb::empty()`
+    // it must give exactly what folding with `f32::min`/`f32::max` gives,
+    // ±0, ±inf and NaN arguments included, or the built trees change.
+    forall(
+        "aabb_grow_point_from_empty_matches_std_min_max_bitwise",
+        512,
+        |rng| {
+            let mut b = Aabb::empty();
+            let (mut min, mut max) = (Vec3::splat(f32::INFINITY), Vec3::splat(f32::NEG_INFINITY));
+            for _ in 0..rng.gen_range(1usize..9) {
+                let p = edge_vec3(rng);
+                b.grow_point(p);
+                min = min.min(p);
+                max = max.max(p);
+                assert_eq!(bits(b.min), bits(min), "grow_point min");
+                assert_eq!(bits(b.max), bits(max), "grow_point max");
+            }
+        },
+    );
+}
+
+#[test]
+fn aabb_grow_box_from_empty_matches_std_min_max_bitwise() {
+    // `Vec3::min`/`max` fold lane-wise with `f32::min`/`f32::max`.
+    forall(
+        "aabb_grow_box_from_empty_matches_std_min_max_bitwise",
+        512,
+        |rng| {
+            let mut b = Aabb::empty();
+            let (mut min, mut max) = (Vec3::splat(f32::INFINITY), Vec3::splat(f32::NEG_INFINITY));
+            for _ in 0..rng.gen_range(1usize..9) {
+                let other = Aabb::new(edge_vec3(rng), edge_vec3(rng));
+                b.grow_box(&other);
+                min = min.min(other.min);
+                max = max.max(other.max);
+                assert_eq!(bits(b.min), bits(min), "grow_box min");
+                assert_eq!(bits(b.max), bits(max), "grow_box max");
+            }
+        },
+    );
+}
+
+#[test]
+fn triangle_aabb_never_holds_a_nan() {
+    forall("triangle_aabb_never_holds_a_nan", 256, |rng| {
+        let t = Triangle::new(edge_vec3(rng), edge_vec3(rng), edge_vec3(rng));
+        let b = t.aabb();
+        for v in [b.min, b.max] {
+            assert!(!(v.x.is_nan() || v.y.is_nan() || v.z.is_nan()), "{b}");
+        }
+    });
+}
+
 #[test]
 fn ray_from_inside_box_always_hits() {
     forall("ray_from_inside_box_always_hits", 256, |rng| {

@@ -123,6 +123,14 @@ impl ByteWriter {
         ByteWriter::default()
     }
 
+    /// An empty writer with room for `capacity` bytes, so an encoder
+    /// that knows its output size writes it with one allocation.
+    pub fn with_capacity(capacity: usize) -> ByteWriter {
+        ByteWriter {
+            buf: Vec::with_capacity(capacity),
+        }
+    }
+
     /// The bytes written so far.
     pub fn bytes(&self) -> &[u8] {
         &self.buf

@@ -47,5 +47,6 @@ pub use memsys::{
     MemorySystem, RequestId,
 };
 pub use table::{
-    CountTable, CountVec, FxBuildHasher, FxHashMap, FxHashSet, FxHasher, IdWindow,
+    check_decoded_window, CountTable, CountVec, FxBuildHasher, FxHashMap, FxHashSet, FxHasher,
+    IdWindow,
 };

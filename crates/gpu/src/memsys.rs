@@ -12,7 +12,7 @@ use crate::cache::{
 };
 use crate::codec::{ByteReader, ByteWriter, DecodeError};
 use crate::dram::{Dram, DramConfig};
-use crate::table::IdWindow;
+use crate::table::{check_decoded_window, IdWindow};
 use rt_rng::{Rng, SmallRng};
 use std::collections::VecDeque;
 
@@ -1452,6 +1452,7 @@ impl MemorySystem {
         let n = r.take_len(17)?;
         let mut meta: IdWindow<(AccessKind, u64)> = IdWindow::new();
         let mut prev_req: Option<RequestId> = None;
+        let mut first_req = None;
         for _ in 0..n {
             let req = r.take_u64()?;
             if req >= next_req {
@@ -1467,6 +1468,7 @@ impl MemorySystem {
                 ));
             }
             prev_req = Some(req);
+            check_decoded_window(*first_req.get_or_insert(req), req, n)?;
             let kind = AccessKind::from_tag(r.take_u8()?)?;
             let issued = r.take_u64()?;
             meta.insert(req, (kind, issued));
@@ -2169,6 +2171,48 @@ mod tests {
         }
         bytes.extend(part(MemorySystem::encode_tail, &bare));
         assert_eq!(bytes, encoded(&bare));
+    }
+
+    #[test]
+    fn request_ids_far_apart_are_refused_before_any_padding() {
+        // The checksum stops corruption, not a crafted file: metadata
+        // for two requests 2^40 ids apart would pad the decoded window
+        // with 2^40 slots. The span is refused first, and the same
+        // splice with ids one apart decodes.
+        let bare = sys();
+        let part = |encode: fn(&MemorySystem, &mut ByteWriter)| {
+            let mut w = ByteWriter::new();
+            encode(&bare, &mut w);
+            w.into_bytes()
+        };
+        let splice = |ids: [u64; 2]| {
+            let mut bytes = part(MemorySystem::encode_head);
+            // `next_req`, after the clock, must exceed every id.
+            bytes[8..16].copy_from_slice(&(1u64 << 41).to_le_bytes());
+            bytes.extend(part(MemorySystem::encode_l1_waiters));
+            bytes.extend(part(MemorySystem::encode_l2_waiters));
+            bytes.extend(part(MemorySystem::encode_dram_pending));
+            let mut meta = ByteWriter::new();
+            meta.put_len(2);
+            for id in ids {
+                meta.put_u64(id);
+                meta.put_u8(AccessKind::Node.tag());
+                meta.put_u64(0);
+            }
+            bytes.extend(meta.into_bytes());
+            // The bare tail without its empty metadata count.
+            bytes.extend(&part(MemorySystem::encode_tail)[8..]);
+            bytes
+        };
+        let decode = |bytes: &[u8]| {
+            MemorySystem::decode_state(&mut ByteReader::new(bytes), MemConfig::paper_default(), 2)
+        };
+        match decode(&splice([3, 1 << 40])) {
+            Err(DecodeError::Malformed { what }) => assert!(what.contains("span"), "{what}"),
+            other => panic!("expected a refused span, got {other:?}"),
+        }
+        let near = decode(&splice([3, 4])).expect("adjacent ids decode");
+        assert_eq!(near.meta.len(), 2);
     }
 
     #[test]

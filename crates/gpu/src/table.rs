@@ -27,6 +27,7 @@
 //! (sorted or id-ordered) form the previous `HashMap`-based code used,
 //! so state digests are unaffected by the representation swap.
 
+use crate::DecodeError;
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -204,6 +205,34 @@ impl<V> IdWindow<V> {
         self.base = 0;
         self.live = 0;
     }
+}
+
+/// Ids a decoded [`IdWindow`] may span beyond one per live entry.
+///
+/// A window holds one slot per id from its oldest live id to its newest,
+/// so decoding ids from a file sizes memory by the file's word: two ids
+/// 2^40 apart would pad terabytes. A run's window spans the ids issued
+/// while its oldest request is in flight, a few hundred cycles' worth;
+/// a million ids more than the entries the file pays for is far beyond
+/// that and at most a few tens of MB of padding.
+const DECODED_WINDOW_SLACK: u64 = 1 << 20;
+
+/// Refuses decoded live ids running from `first` to `last`, `live` of
+/// them, whose [`IdWindow`] would span more than `live` plus 2^20 ids:
+/// nothing the file holds justifies the padding. Checked before any insert, so a crafted checkpoint is a
+/// typed error, not an allocation failure.
+///
+/// # Errors
+///
+/// [`DecodeError::Malformed`] naming the span.
+pub fn check_decoded_window(first: u64, last: u64, live: usize) -> Result<(), DecodeError> {
+    let span = last.saturating_sub(first).saturating_add(1);
+    if span > (live as u64).saturating_add(DECODED_WINDOW_SLACK) {
+        return Err(DecodeError::malformed(format!(
+            "request ids {first}..={last} span {span} ids for {live} live entries"
+        )));
+    }
+    Ok(())
 }
 
 /// Dense per-key counters (keys are small `u32`s, e.g. treelet ids) with

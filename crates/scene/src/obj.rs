@@ -82,17 +82,23 @@ pub fn parse_obj<R: BufRead>(reader: R) -> Result<Mesh, ParseObjError> {
         match parts.next() {
             Some("v") => {
                 let mut coord = |name: &str| -> Result<f32, ParseObjError> {
-                    parts
-                        .next()
-                        .ok_or_else(|| ParseObjError::Malformed {
+                    let text = parts.next().ok_or_else(|| ParseObjError::Malformed {
+                        line: line_no,
+                        message: format!("vertex missing {name} coordinate"),
+                    })?;
+                    let value: f32 = text.parse().map_err(|e| ParseObjError::Malformed {
+                        line: line_no,
+                        message: format!("bad {name} coordinate: {e}"),
+                    })?;
+                    // `f32::from_str` accepts "nan" and "inf", and
+                    // overflows to infinity; a vertex there has no bounds.
+                    if !value.is_finite() {
+                        return Err(ParseObjError::Malformed {
                             line: line_no,
-                            message: format!("vertex missing {name} coordinate"),
-                        })?
-                        .parse()
-                        .map_err(|e| ParseObjError::Malformed {
-                            line: line_no,
-                            message: format!("bad {name} coordinate: {e}"),
-                        })
+                            message: format!("non-finite {name} coordinate {text:?}"),
+                        });
+                    }
+                    Ok(value)
                 };
                 let (x, y, z) = (coord("x")?, coord("y")?, coord("z")?);
                 vertices.push(Vec3::new(x, y, z));
@@ -250,6 +256,23 @@ mod tests {
     fn bad_coordinate_errors_with_line() {
         let err = parse_obj("v 0 zero 0\n".as_bytes()).unwrap_err();
         assert!(err.to_string().contains("line 1"));
+    }
+
+    #[test]
+    fn non_finite_coordinates_error_with_line() {
+        for bad in ["nan", "NaN", "inf", "-inf", "infinity", "1e39"] {
+            let obj = format!("v 0 0 0\nv 1 {bad} 0\nv 0 1 0\nf 1 2 3\n");
+            match parse_obj(obj.as_bytes()) {
+                Err(ParseObjError::Malformed { line, message }) => {
+                    assert_eq!(line, 2, "{bad}");
+                    assert!(
+                        message.contains("non-finite y coordinate"),
+                        "{bad}: {message}"
+                    );
+                }
+                other => panic!("{bad}: expected a malformed-line error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

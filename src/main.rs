@@ -18,7 +18,9 @@ use std::process::ExitCode;
 use treelet_prefetching::bvh::MemoryImage;
 use treelet_prefetching::bvh::NODE_SIZE_BYTES;
 use treelet_prefetching::gpu::FaultInjection;
-use treelet_prefetching::scene::{load_obj, Camera, Scene, SceneId, Workload, WorkloadKind};
+use treelet_prefetching::scene::{
+    load_obj, Camera, ParseObjError, Scene, SceneId, Workload, WorkloadKind,
+};
 use treelet_prefetching::treelet::{
     compile_trace, default_jobs_for, first_divergence, read_digest_log, trace_ray, write_traces,
     Bench, BvhCache, CheckpointOptions, PrefetchConfig, PrefetchHeuristic, SchedulerPolicy,
@@ -918,7 +920,15 @@ fn build_scene(options: &Options) -> Result<Scene, Failure> {
             code: 2,
         }),
         Some(path) => {
-            let mesh = load_obj(path).map_err(|e| e.to_string()).map_err(Failure::from)?;
+            // A file that cannot be read is a generic failure; one that
+            // reads but does not parse is bad input.
+            let mesh = load_obj(path).map_err(|e| Failure {
+                code: match &e {
+                    ParseObjError::Malformed { .. } => 2,
+                    ParseObjError::Io(_) => 1,
+                },
+                message: format!("{path}: {e}"),
+            })?;
             if mesh.is_empty() {
                 return Err(format!("{path}: no triangles found").into());
             }

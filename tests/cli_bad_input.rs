@@ -247,6 +247,23 @@ fn bad_input_exits_with_code_2_and_no_panic() {
 }
 
 #[test]
+fn non_finite_obj_vertex_is_a_typed_exit_2() {
+    // `v nan 0 0` used to parse, and the run simulated the mesh.
+    let path = std::env::temp_dir().join(format!("rt-nan-vertex-{}.obj", std::process::id()));
+    std::fs::write(&path, "v 0 0 0\nv nan 0 0\nv 0 1 0\nf 1 2 3\n").unwrap();
+    let out = run_cli(&["run", "--obj", path.to_str().unwrap(), "--res", "4"]);
+    std::fs::remove_file(&path).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("error:"), "{stderr}");
+    assert!(stderr.contains("line 2"), "{stderr}");
+    assert!(stderr.contains("non-finite x coordinate"), "{stderr}");
+    for forbidden in ["panicked", "RUST_BACKTRACE", "stack backtrace"] {
+        assert!(!stderr.contains(forbidden), "{stderr}");
+    }
+}
+
+#[test]
 fn garbage_rt_chaos_env_is_a_typed_exit_2() {
     // The env path must match the flag's contract: exit 2, clean
     // `error:` line naming RT_CHAOS, no backtrace.
