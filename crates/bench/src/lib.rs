@@ -111,7 +111,7 @@ impl Suite {
     ) -> Suite {
         let t0 = Instant::now();
         let scenes = SceneId::ALL;
-        let costs = Suite::prepare_costs();
+        let costs = Bench::prepare_costs(&scenes);
         let benches = run_weighted(jobs, &costs, |i| {
             let id = scenes[i];
             let c0 = Instant::now();
@@ -137,20 +137,6 @@ impl Suite {
             None => eprintln!("suite prepared in {:.1?}", t0.elapsed()),
         }
         Suite { benches }
-    }
-
-    /// Per-scene preparation cost estimates in suite order, for the
-    /// cost-model scheduler. Before any tree is built the only signal
-    /// is the paper's Table 2 tree size, which tracks build cost within
-    /// a detail level; the absolute scale (bytes) keeps every cell
-    /// above the scheduler's inline threshold — correct, since even the
-    /// smallest scene build dwarfs a cross-thread handoff.
-    fn prepare_costs() -> Vec<u64> {
-        SceneId::ALL
-            .into_iter()
-            .map(|id| (id.paper_stats().tree_size_mb * 1_048_576.0) as u64)
-            .map(|c| c.max(1))
-            .collect()
     }
 
     /// Prepares the suite with the paper's default workload (32×32
@@ -205,10 +191,10 @@ impl Suite {
     /// deterministic, so it is not); retries are surfaced on stderr.
     ///
     /// Scenes are scheduled by the cost model ([`run_weighted`]): each
-    /// scene's estimated cost is its BVH node count × ray count, cheap
-    /// scenes run inline on the caller's thread, expensive ones are
-    /// claimed longest-first in cost-weighted chunks, and the worker
-    /// count is clamped to the machine's core count. Outcomes come back
+    /// scene's estimated cost is its ray count × its tree's SAH-expected
+    /// node visits per ray ([`Bench::estimated_cost`]), scenes are
+    /// claimed one at a time longest-first, and the worker count is
+    /// clamped to the machine's core count. Outcomes come back
     /// in suite order regardless of which scene finished first, and any
     /// worker count produces bit-identical per-scene results — including
     /// their [`state_digest`](SimResult::state_digest)s.

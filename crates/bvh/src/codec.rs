@@ -422,6 +422,10 @@ mod tests {
         assert_eq!(a.nodes(), b.nodes());
         assert_eq!(a.triangles(), b.triangles());
         assert_eq!(a.children_soa(), b.children_soa());
+        assert_eq!(
+            a.expected_visits_per_ray().to_bits(),
+            b.expected_visits_per_ray().to_bits()
+        );
     }
 
     #[test]

@@ -92,7 +92,6 @@ pub use rt_gpu_sim::DecodeError;
 pub use runner::{
     catch_job_panic, default_jobs, default_jobs_for, panic_message, plan_schedule,
     plan_schedule_with, run_scheduled, run_weighted, Schedule, Sweep, SweepOutcome,
-    CHUNK_MIN_COST, INLINE_COST,
 };
 pub use session::SimSession;
 pub use sim::SimResult;

@@ -189,8 +189,10 @@ impl<'a> SimSession<'a> {
     }
 
     /// Estimated cost of running this session, in the cost-model
-    /// scheduler's work units: BVH node count × total ray count (all
-    /// batches for a batched session). The same estimate
+    /// scheduler's work units: total ray count (all batches for a
+    /// batched session) × the tree's SAH-expected node visits per ray
+    /// ([`WideBvh::expected_visits_per_ray`](rt_bvh::WideBvh::expected_visits_per_ray)).
+    /// The same estimate
     /// [`Bench::estimated_cost`](crate::Bench::estimated_cost) feeds to
     /// [`run_weighted`](crate::run_weighted) — callers scheduling raw
     /// sessions across a pool can weigh them identically.
@@ -199,7 +201,7 @@ impl<'a> SimSession<'a> {
             RaySource::Single(rays) => rays.len(),
             RaySource::Batches(batches) => batches.iter().map(Vec::len).sum(),
         };
-        (self.bvh.node_count() as u64).saturating_mul(rays.max(1) as u64)
+        crate::runner::cell_cost(self.bvh.expected_visits_per_ray(), rays)
     }
 
     /// Runs the session to completion. For a batched session this
@@ -374,6 +376,7 @@ impl<'a> SimSession<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rt_geometry::{Triangle, Vec3};
     use rt_scene::{Scene, SceneId, Workload, WorkloadKind};
 
     fn fixture() -> (WideBvh, Vec<Ray>) {
@@ -538,5 +541,39 @@ mod tests {
         // nothing.
         assert!(poisoned > 0, "no drop index poisoned a completed batch");
         assert!(watchdogged > 0, "no drop index hit a demand response");
+    }
+
+    #[test]
+    fn estimated_cost_weighs_rays_by_expected_visits() {
+        let (bvh, rays) = fixture();
+        let config = SimConfig::paper_baseline();
+        let visits = bvh.expected_visits_per_ray();
+        let single = SimSession::new(&bvh, &rays, config.clone()).estimated_cost();
+        assert_eq!(single, crate::runner::cell_cost(visits, rays.len()));
+        // A batched session weighs every batch's rays.
+        let batches = vec![rays[..32].to_vec(), rays[32..].to_vec()];
+        let batched = SimSession::batched(&bvh, &batches, config).estimated_cost();
+        assert_eq!(batched, single);
+    }
+
+    #[test]
+    fn zero_area_root_gives_a_finite_cost() {
+        // Triangles along one axis: the root box has no area, so the
+        // tree reads its node count as the expected visits.
+        let tris: Vec<Triangle> = (0..24)
+            .map(|i| {
+                let x = i as f32;
+                Triangle::new(
+                    Vec3::new(x, 0.0, 0.0),
+                    Vec3::new(x + 0.5, 0.0, 0.0),
+                    Vec3::new(x + 1.0, 0.0, 0.0),
+                )
+            })
+            .collect();
+        let bvh = WideBvh::build(tris);
+        let rays = vec![Ray::new(Vec3::new(0.0, 1.0, 0.0), Vec3::new(0.0, -1.0, 0.0)); 4];
+        let cost = SimSession::new(&bvh, &rays, SimConfig::paper_baseline()).estimated_cost();
+        assert_eq!(cost, crate::runner::cell_cost(bvh.node_count() as f64, 4));
+        assert!(cost > 0 && cost < u64::MAX);
     }
 }

@@ -1347,11 +1347,7 @@ fn cmd_sweep(options: &SweepOptions) -> Result<(), Failure> {
     // route each build through the preparation cache when one is
     // configured.
     let cache = resolve_bvh_cache(options.bvh_cache.as_deref())?;
-    let costs: Vec<u64> = options
-        .scenes
-        .iter()
-        .map(|id| ((id.paper_stats().tree_size_mb * 1_048_576.0) as u64).max(1))
-        .collect();
+    let costs = Bench::prepare_costs(&options.scenes);
     let prepared = treelet_prefetching::treelet::run_weighted(jobs, &costs, |i| {
         Bench::try_prepare_cached(options.scenes[i], options.detail, workload, cache.as_ref())
     });
