@@ -60,7 +60,10 @@ pub(crate) fn build_binary(triangles: &[Triangle], max_leaf_tris: u32) -> Binary
         first: 0,
         count: 0,
     });
-    let mut stack = vec![(0usize, 0usize, triangles.len())];
+    // One pending range per level: only a tree deeper than 64 levels
+    // regrows it, so the build allocates the same blocks for any scene.
+    let mut stack = Vec::with_capacity(64);
+    stack.push((0usize, 0usize, triangles.len()));
     while let Some((node_idx, begin, end)) = stack.pop() {
         let mut bounds = Aabb::empty();
         let mut centroid_bounds = Aabb::empty();

@@ -24,11 +24,11 @@
 //! checksum covers the whole artifact (tens of MB for a suite), and a
 //! byte-serial hash was a third of the cost of writing one.
 //!
-//! The node payload stores only the [`WideNode`] array and the
-//! reordered triangle buffer; the [`ChildSoa`](crate::ChildSoa) mirror
-//! is a pure function of the nodes and is rebuilt on decode, exactly as
-//! [`WideBvh::refit`] rebuilds it — one less thing to corrupt, one less
-//! format detail to version.
+//! The node payload is one tagged record per node, in node order,
+//! followed by the reordered triangle buffer. A leaf is written from its
+//! [`LeafRecord`](crate::LeafRecord) and an internal node from the live
+//! lanes of its [`ChildSoa`]; decoding writes the records straight back,
+//! so the tree's in-memory layout is not part of the format.
 //!
 //! Extra *sections* let downstream crates ride along in the same
 //! artifact without `rt-bvh` knowing their types: the experiment
@@ -43,7 +43,8 @@
 //! Cache layers treat *any* decode error as a miss and rebuild: the
 //! same self-healing rule the rt-served store applies to its artifacts.
 
-use crate::wide::{WideBvh, WideChild, WideNode, WIDE_ARITY};
+use crate::soa::{ChildSoa, LeafRecord};
+use crate::wide::{NodeStore, WideBvh, WideNode, LEAF_SLOT, WIDE_ARITY};
 use rt_geometry::{Aabb, Triangle, Vec3};
 use rt_gpu_sim::{ByteReader, ByteWriter, DecodeError};
 
@@ -246,12 +247,10 @@ pub fn encode_artifact(identity: u64, bvh: &WideBvh, sections: &[(u32, &[u8])]) 
 
 /// Bytes [`encode_wide_bvh`] writes for `bvh`.
 fn wide_bvh_encoded_len(bvh: &WideBvh) -> usize {
-    let nodes: usize = bvh
-        .nodes()
-        .iter()
-        .map(|node| match node {
-            WideNode::Leaf { .. } => LEAF_BYTES,
-            WideNode::Internal { children } => 2 + children.len() * CHILD_BYTES,
+    let nodes: usize = (0..bvh.node_count() as u32)
+        .map(|id| match bvh.node(id) {
+            WideNode::Leaf(_) => LEAF_BYTES,
+            WideNode::Internal(children) => 2 + children.len() * CHILD_BYTES,
         })
         .sum();
     8 + nodes + 8 + bvh.triangles().len() * TRIANGLE_BYTES
@@ -271,28 +270,28 @@ fn aabb_into(out: &mut [u8], b: &Aabb) {
 /// Appends a built tree's nodes and triangles to `w` (no container
 /// framing — [`encode_artifact`] is the framed front door).
 ///
-/// Each record is assembled on the stack and appended in one copy. The
-/// `ChildSoa` mirror is intentionally not written: it is derived from
-/// the nodes on decode.
+/// Each record is assembled on the stack and appended in one copy: a
+/// leaf from its [`LeafRecord`], an internal node from the live lanes of
+/// its [`ChildSoa`].
 pub fn encode_wide_bvh(bvh: &WideBvh, w: &mut ByteWriter) {
     w.put_len(bvh.node_count());
     let mut rec = [0u8; 2 + WIDE_ARITY * CHILD_BYTES];
-    for node in bvh.nodes() {
-        match node {
-            WideNode::Leaf { aabb, first, count } => {
+    for id in 0..bvh.node_count() as u32 {
+        match bvh.node(id) {
+            WideNode::Leaf(leaf) => {
                 rec[0] = TAG_LEAF;
-                aabb_into(&mut rec[1..25], aabb);
-                rec[25..29].copy_from_slice(&first.to_le_bytes());
-                rec[29..33].copy_from_slice(&count.to_le_bytes());
+                aabb_into(&mut rec[1..25], &leaf.aabb);
+                rec[25..29].copy_from_slice(&leaf.first.to_le_bytes());
+                rec[29..33].copy_from_slice(&leaf.count.to_le_bytes());
                 w.put_bytes(&rec[..LEAF_BYTES]);
             }
-            WideNode::Internal { children } => {
-                debug_assert!(children.len() <= WIDE_ARITY);
+            WideNode::Internal(children) => {
                 rec[0] = TAG_INTERNAL;
                 rec[1] = children.len() as u8;
-                for (c, out) in children.iter().zip(rec[2..].chunks_exact_mut(CHILD_BYTES)) {
-                    aabb_into(&mut out[..24], &c.aabb);
-                    out[24..].copy_from_slice(&c.node.to_le_bytes());
+                let lanes = rec[2..].chunks_exact_mut(CHILD_BYTES);
+                for ((lane, &node), out) in children.child_nodes().iter().enumerate().zip(lanes) {
+                    aabb_into(&mut out[..24], &children.bounds.get(lane));
+                    out[24..].copy_from_slice(&node.to_le_bytes());
                 }
                 w.put_bytes(&rec[..2 + children.len() * CHILD_BYTES]);
             }
@@ -308,8 +307,8 @@ pub fn encode_wide_bvh(bvh: &WideBvh, w: &mut ByteWriter) {
     }
 }
 
-/// Reads a tree written by [`encode_wide_bvh`], rebuilding the SoA
-/// mirror and re-validating every structural invariant.
+/// Reads a tree written by [`encode_wide_bvh`] straight into its node
+/// records, re-validating every structural invariant.
 ///
 /// # Errors
 ///
@@ -319,7 +318,13 @@ pub fn encode_wide_bvh(bvh: &WideBvh, w: &mut ByteWriter) {
 pub fn decode_wide_bvh(r: &mut ByteReader<'_>) -> Result<WideBvh, DecodeError> {
     // A leaf record is the smallest node encoding.
     let node_count = r.take_len(LEAF_BYTES)?;
-    let mut nodes = Vec::with_capacity(node_count);
+    if node_count >= LEAF_SLOT as usize {
+        return Err(DecodeError::malformed(format!("{node_count} nodes")));
+    }
+    // How many records are leaves is known only once they are read, so
+    // both arrays are sized for every node and trimmed by `from_parts`:
+    // a fixed number of blocks for any tree.
+    let mut nodes = NodeStore::with_capacity(node_count, node_count, node_count);
     // Each record is parsed from one contiguous slice — a single
     // bounds check per record (leaf: 32 bytes; internal: 28 per
     // child) instead of one per field, which matters at hundreds of
@@ -342,7 +347,7 @@ pub fn decode_wide_bvh(r: &mut ByteReader<'_>) -> Result<WideBvh, DecodeError> {
         match r.take_u8()? {
             TAG_LEAF => {
                 let rec = r.take_bytes(LEAF_BYTES - 1)?;
-                nodes.push(WideNode::Leaf {
+                nodes.push_leaf(LeafRecord {
                     aabb: aabb_at(rec, 0),
                     first: u32_at(rec, 24),
                     count: u32_at(rec, 28),
@@ -356,14 +361,11 @@ pub fn decode_wide_bvh(r: &mut ByteReader<'_>) -> Result<WideBvh, DecodeError> {
                     )));
                 }
                 let rec = r.take_bytes(child_count * CHILD_BYTES)?;
-                let children = rec
-                    .chunks_exact(CHILD_BYTES)
-                    .map(|c| WideChild {
-                        aabb: aabb_at(c, 0),
-                        node: u32_at(c, 24),
-                    })
-                    .collect();
-                nodes.push(WideNode::Internal { children });
+                let mut children = ChildSoa::empty();
+                for c in rec.chunks_exact(CHILD_BYTES) {
+                    children.push(&aabb_at(c, 0), u32_at(c, 24));
+                }
+                nodes.push_internal(children);
             }
             tag => {
                 return Err(DecodeError::malformed(format!(
@@ -419,9 +421,11 @@ mod tests {
     }
 
     fn assert_trees_equal(a: &WideBvh, b: &WideBvh) {
-        assert_eq!(a.nodes(), b.nodes());
+        assert_eq!(a.node_count(), b.node_count());
+        for id in 0..a.node_count() as u32 {
+            assert_eq!(a.node(id), b.node(id), "node {id}");
+        }
         assert_eq!(a.triangles(), b.triangles());
-        assert_eq!(a.children_soa(), b.children_soa());
         assert_eq!(
             a.expected_visits_per_ray().to_bits(),
             b.expected_visits_per_ray().to_bits()

@@ -102,7 +102,7 @@ impl MemoryImage {
             placed += 1;
             // Push children in reverse so the first child is placed next
             // (true depth-first address order).
-            stack.extend(bvh.nodes()[id as usize].child_nodes().rev());
+            stack.extend(bvh.node(id).child_nodes().rev());
         }
         debug_assert_eq!(placed, n, "depth-first layout missed nodes");
         Self::finish(
@@ -343,7 +343,7 @@ mod tests {
         // order every pinned digest was taken with.
         fn preorder(bvh: &WideBvh, id: u32, out: &mut Vec<u32>) {
             out.push(id);
-            for c in bvh.nodes()[id as usize].child_nodes() {
+            for c in bvh.node(id).child_nodes() {
                 preorder(bvh, c, out);
             }
         }
@@ -373,7 +373,7 @@ mod tests {
     fn depth_first_first_child_adjacent_to_parent() {
         let bvh = WideBvh::build(grid(50));
         let img = MemoryImage::depth_first(&bvh);
-        let first_child = bvh.nodes()[0].child_nodes().next().unwrap();
+        let first_child = bvh.node(0).child_nodes().next().unwrap();
         assert_eq!(img.node_addr(first_child), NODE_REGION_BASE + 64);
     }
 

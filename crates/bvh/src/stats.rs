@@ -54,18 +54,19 @@ impl TreeStats {
         // one test per triangle (unit costs).
         let root_area = bvh.root_aabb().surface_area().max(1e-12) as f64;
         let mut sah_cost = 0.0f64;
-        for node in bvh.nodes() {
+        for id in 0..bvh.node_count() as u32 {
+            let node = bvh.node(id);
             let p = node.aabb().surface_area() as f64 / root_area;
             match node {
-                WideNode::Internal { children } => {
+                WideNode::Internal(children) => {
                     internal_count += 1;
                     child_total += children.len() as u64;
                     sah_cost += p * children.len() as f64;
                 }
-                WideNode::Leaf { count, .. } => {
+                WideNode::Leaf(leaf) => {
                     leaf_count += 1;
-                    leaf_tris += *count as u64;
-                    sah_cost += p * *count as f64;
+                    leaf_tris += leaf.count as u64;
+                    sah_cost += p * leaf.count as f64;
                 }
             }
         }

@@ -6,8 +6,8 @@
 //! bounding box and a pointer; leaf nodes reference a contiguous run of
 //! triangles in the primitive buffer.
 
-use crate::binary::{build_binary, BinaryBvh};
-use crate::soa::{build_soa_table, ChildHits, ChildSoa};
+use crate::binary::{build_binary, BinaryBvh, BinaryNode};
+use crate::soa::{ChildHits, ChildSoa, LeafRecord};
 use rt_geometry::{Aabb, HitRecord, Ray, Triangle};
 
 /// Maximum number of children of an internal node (the paper's 6-wide BVH).
@@ -23,64 +23,95 @@ pub const TRIANGLE_SIZE_BYTES: u64 = 48;
 /// Default maximum triangles per leaf.
 pub const DEFAULT_MAX_LEAF_TRIS: u32 = 4;
 
-/// Reference to one child of an internal node: its bounds plus the index of
-/// the child node record.
+/// Set in a node's slot when the node is a leaf; the other bits index
+/// its record, so a tree holds fewer than `LEAF_SLOT` nodes.
+pub(crate) const LEAF_SLOT: u32 = 1 << 31;
+
+/// A borrowed view of one node of a [`WideBvh`]: the node's record.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WideChild {
-    /// Bounding box of the child, stored in the parent for the ray-box test.
-    pub aabb: Aabb,
-    /// Index of the child node in [`WideBvh::nodes`].
-    pub node: u32,
+pub enum WideNode<'a> {
+    /// An internal node with 1..=6 children.
+    Internal(&'a ChildSoa),
+    /// A leaf node referencing a run of [`WideBvh::triangles`].
+    Leaf(&'a LeafRecord),
 }
 
-/// One 64-byte node of the wide BVH.
-#[derive(Debug, Clone, PartialEq)]
-pub enum WideNode {
-    /// An internal node with 2..=6 children.
-    Internal {
-        /// The children, each with bounds and a node pointer.
-        children: Vec<WideChild>,
-    },
-    /// A leaf node referencing `count` triangles starting at `first` in
-    /// [`WideBvh::triangles`].
-    Leaf {
-        /// Bounds of the leaf's triangles.
-        aabb: Aabb,
-        /// First triangle index.
-        first: u32,
-        /// Number of triangles (at least 1).
-        count: u32,
-    },
-}
-
-impl WideNode {
-    /// `true` for leaf nodes.
-    pub fn is_leaf(&self) -> bool {
-        matches!(self, WideNode::Leaf { .. })
-    }
-
-    /// Bounds of the node.
-    pub fn aabb(&self) -> Aabb {
+impl<'a> WideNode<'a> {
+    /// Bounds of the node: a leaf's stored bounds, or the union of an
+    /// internal node's child bounds in child order.
+    pub fn aabb(self) -> Aabb {
         match self {
-            WideNode::Internal { children } => {
-                let mut b = Aabb::empty();
-                for c in children {
-                    b.grow_box(&c.aabb);
-                }
-                b
-            }
-            WideNode::Leaf { aabb, .. } => *aabb,
+            WideNode::Internal(children) => children.aabb(),
+            WideNode::Leaf(leaf) => leaf.aabb,
         }
     }
 
     /// Child node indices (empty for leaves).
-    pub fn child_nodes(&self) -> impl DoubleEndedIterator<Item = u32> + '_ {
+    pub fn child_nodes(self) -> impl DoubleEndedIterator<Item = u32> + 'a {
+        self.internal()
+            .map_or(&[][..], ChildSoa::child_nodes)
+            .iter()
+            .copied()
+    }
+
+    /// The internal node's child record, or `None` for a leaf.
+    #[inline]
+    pub fn internal(self) -> Option<&'a ChildSoa> {
         match self {
-            WideNode::Internal { children } => children.as_slice(),
-            WideNode::Leaf { .. } => &[],
+            WideNode::Internal(children) => Some(children),
+            WideNode::Leaf(_) => None,
         }
-        .iter()
-        .map(|c| c.node)
+    }
+
+    /// The leaf's record, or `None` for an internal node.
+    #[inline]
+    pub fn leaf(self) -> Option<&'a LeafRecord> {
+        match self {
+            WideNode::Internal(_) => None,
+            WideNode::Leaf(leaf) => Some(leaf),
+        }
+    }
+}
+
+/// The node storage of a [`WideBvh`]: one [`ChildSoa`] per internal
+/// node and one [`LeafRecord`] per leaf, each array in node order, and
+/// per node id a slot naming the node's kind and record.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct NodeStore {
+    /// Per node id: the index of its record in `internals`, or
+    /// [`LEAF_SLOT`] `|` the index of its record in `leaves`.
+    slots: Vec<u32>,
+    internals: Vec<ChildSoa>,
+    leaves: Vec<LeafRecord>,
+}
+
+impl NodeStore {
+    /// An empty store with room for `nodes` node ids, `internals`
+    /// internal records and `leaves` leaf records.
+    pub(crate) fn with_capacity(nodes: usize, internals: usize, leaves: usize) -> NodeStore {
+        NodeStore {
+            slots: Vec::with_capacity(nodes),
+            internals: Vec::with_capacity(internals),
+            leaves: Vec::with_capacity(leaves),
+        }
+    }
+
+    /// Appends a leaf and returns its node id.
+    pub(crate) fn push_leaf(&mut self, leaf: LeafRecord) -> u32 {
+        self.leaves.push(leaf);
+        self.push_slot(LEAF_SLOT | (self.leaves.len() as u32 - 1))
+    }
+
+    /// Appends an internal node and returns its node id.
+    pub(crate) fn push_internal(&mut self, children: ChildSoa) -> u32 {
+        self.internals.push(children);
+        self.push_slot(self.internals.len() as u32 - 1)
+    }
+
+    fn push_slot(&mut self, slot: u32) -> u32 {
+        assert!(self.slots.len() < LEAF_SLOT as usize, "too many nodes");
+        self.slots.push(slot);
+        self.slots.len() as u32 - 1
     }
 }
 
@@ -135,14 +166,13 @@ impl Default for WideBvhBuilder {
 /// A 6-wide bounding volume hierarchy over a triangle soup.
 ///
 /// Node 0 is the root. Triangles are reordered during construction so that
-/// every leaf references a contiguous range.
+/// every leaf references a contiguous range. Each node is one flat
+/// record, read through [`WideBvh::node`]: a [`ChildSoa`] for an internal
+/// node, a [`LeafRecord`] for a leaf.
 #[derive(Debug, Clone)]
 pub struct WideBvh {
-    nodes: Vec<WideNode>,
+    nodes: NodeStore,
     triangles: Vec<Triangle>,
-    /// SoA mirror of every node's child list (see [`ChildSoa`]); what
-    /// the traversal hot loops read instead of the per-node `Vec`s.
-    children_soa: Vec<ChildSoa>,
     /// [`WideBvh::expected_visits_per_ray`], computed whenever the
     /// nodes or their bounds change.
     expected_visits: f64,
@@ -159,13 +189,11 @@ impl WideBvh {
         WideBvhBuilder::new().build(triangles)
     }
 
-    /// Reassembles a `WideBvh` from a decoded node array and triangle
-    /// buffer, re-deriving the [`ChildSoa`] mirror. This is the codec's
-    /// back door: serialized artifacts store only nodes and triangles
-    /// (the mirror is a pure function of the nodes), and every
-    /// structural invariant the builder guarantees is re-checked here so
-    /// a checksum-valid but semantically bogus payload can never
-    /// construct a tree that panics later in traversal.
+    /// Reassembles a `WideBvh` from decoded node records and a triangle
+    /// buffer. This is the codec's back door: every structural invariant
+    /// the builder guarantees is re-checked here so a checksum-valid but
+    /// semantically bogus payload can never construct a tree that panics
+    /// later in traversal.
     ///
     /// # Errors
     ///
@@ -174,49 +202,53 @@ impl WideBvh {
     /// violations, unreachable or multiply-referenced nodes, or
     /// triangles not covered by exactly one leaf.
     pub(crate) fn from_parts(
-        nodes: Vec<WideNode>,
+        nodes: NodeStore,
         triangles: Vec<Triangle>,
     ) -> Result<WideBvh, String> {
-        if nodes.is_empty() {
+        if nodes.slots.is_empty() {
             return Err("node array is empty".to_string());
         }
         if triangles.is_empty() {
             return Err("triangle buffer is empty".to_string());
         }
-        let n = nodes.len();
+        // Assembling reads each record on its own, never through a child
+        // reference, so it is safe before the checks below.
+        let bvh = WideBvh::assemble(nodes, triangles);
+        let (n, triangles) = (bvh.node_count(), &bvh.triangles);
         let mut visited = vec![false; n];
         let mut tri_covered = vec![false; triangles.len()];
-        let mut stack = vec![0usize];
+        // Every node is pushed at most once, so the stack never grows.
+        let mut stack = Vec::with_capacity(n);
+        stack.push(0u32);
         visited[0] = true;
         while let Some(i) = stack.pop() {
-            match &nodes[i] {
-                WideNode::Internal { children } => {
+            match bvh.node(i) {
+                WideNode::Internal(children) => {
                     if children.is_empty() || children.len() > WIDE_ARITY {
                         return Err(format!(
                             "node {i} has {} children (arity 1..={WIDE_ARITY})",
                             children.len()
                         ));
                     }
-                    for c in children {
-                        let child = c.node as usize;
-                        if child >= n {
+                    for child in children.child_nodes().iter().copied() {
+                        if child as usize >= n {
                             return Err(format!("node {i} references child {child} of {n}"));
                         }
-                        if visited[child] {
+                        if visited[child as usize] {
                             return Err(format!(
                                 "node {child} referenced more than once (shared or cyclic)"
                             ));
                         }
-                        visited[child] = true;
+                        visited[child as usize] = true;
                         stack.push(child);
                     }
                 }
-                WideNode::Leaf { first, count, .. } => {
-                    if *count == 0 {
+                WideNode::Leaf(leaf) => {
+                    if leaf.count == 0 {
                         return Err(format!("leaf {i} is empty"));
                     }
-                    let first = *first as usize;
-                    let count = *count as usize;
+                    let first = leaf.first as usize;
+                    let count = leaf.count as usize;
                     if first + count > triangles.len() {
                         return Err(format!(
                             "leaf {i} covers triangles {first}..{} of {}",
@@ -239,25 +271,33 @@ impl WideBvh {
         if let Some(tri) = tri_covered.iter().position(|&c| !c) {
             return Err(format!("triangle {tri} not covered by any leaf"));
         }
-        Ok(WideBvh::assemble(nodes, triangles))
+        Ok(bvh)
     }
 
-    /// A tree over `nodes` and `triangles` with its derived state — the
-    /// SoA mirror and the expected visits — computed from the nodes.
-    fn assemble(nodes: Vec<WideNode>, triangles: Vec<Triangle>) -> WideBvh {
-        let children_soa = build_soa_table(&nodes);
-        let expected_visits = expected_visits(&nodes);
-        WideBvh {
+    /// A tree over `nodes` and `triangles`, with the room reserved past
+    /// the records released and the expected visits computed.
+    fn assemble(mut nodes: NodeStore, triangles: Vec<Triangle>) -> WideBvh {
+        nodes.slots.shrink_to_fit();
+        nodes.internals.shrink_to_fit();
+        nodes.leaves.shrink_to_fit();
+        let mut bvh = WideBvh {
             nodes,
             triangles,
-            children_soa,
-            expected_visits,
-        }
+            expected_visits: 0.0,
+        };
+        bvh.expected_visits = expected_visits(&bvh);
+        bvh
     }
 
-    /// The node array; index 0 is the root.
-    pub fn nodes(&self) -> &[WideNode] {
-        &self.nodes
+    /// The record of node `id` (panics past [`WideBvh::node_count`]).
+    #[inline]
+    pub fn node(&self, id: u32) -> WideNode<'_> {
+        let slot = self.nodes.slots[id as usize];
+        if slot & LEAF_SLOT == 0 {
+            WideNode::Internal(&self.nodes.internals[slot as usize])
+        } else {
+            WideNode::Leaf(&self.nodes.leaves[(slot & !LEAF_SLOT) as usize])
+        }
     }
 
     /// The reordered triangles.
@@ -265,16 +305,9 @@ impl WideBvh {
         &self.triangles
     }
 
-    /// The node-indexed SoA mirror of every node's child bounds and
-    /// pointers (empty records for leaves). Kept in lockstep with
-    /// [`WideBvh::nodes`] by construction and [`WideBvh::refit`].
-    pub fn children_soa(&self) -> &[ChildSoa] {
-        &self.children_soa
-    }
-
     /// Number of nodes (internal + leaf records).
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.nodes.slots.len()
     }
 
     /// Index of the root node (always 0).
@@ -284,7 +317,7 @@ impl WideBvh {
 
     /// Bounds of the whole scene.
     pub fn root_aabb(&self) -> Aabb {
-        self.nodes[0].aabb()
+        self.node(0).aabb()
     }
 
     /// Maximum depth of the tree (root = depth 1, matching how the paper's
@@ -294,7 +327,7 @@ impl WideBvh {
         let mut stack = vec![(0u32, 1u32)];
         while let Some((n, d)) = stack.pop() {
             max_depth = max_depth.max(d);
-            for c in self.nodes[n as usize].child_nodes() {
+            for c in self.node(n).child_nodes() {
                 stack.push((c, d + 1));
             }
         }
@@ -315,7 +348,7 @@ impl WideBvh {
 
     /// Total bytes of node records.
     pub fn node_bytes(&self) -> u64 {
-        self.nodes.len() as u64 * NODE_SIZE_BYTES
+        self.node_count() as u64 * NODE_SIZE_BYTES
     }
 
     /// Total bytes of triangle storage.
@@ -339,49 +372,32 @@ impl WideBvh {
             "refit requires the same triangle count (same topology)"
         );
         self.triangles = triangles;
-        // Post-order: children before parents. An explicit stack with an
-        // expansion flag avoids recursion on deep trees.
-        let mut new_bounds: Vec<Aabb> = vec![Aabb::empty(); self.nodes.len()];
+        // Post-order, children before parents, so that a child's record
+        // holds its new bounds when its parent's lane reads them. An
+        // explicit stack with an expansion flag avoids recursion on deep
+        // trees.
         let mut stack: Vec<(u32, bool)> = vec![(self.root(), false)];
         while let Some((node, expanded)) = stack.pop() {
-            match &self.nodes[node as usize] {
-                WideNode::Leaf { first, count, .. } => {
-                    let mut b = Aabb::empty();
-                    for i in *first..*first + *count {
-                        b.grow_box(&self.triangles[i as usize].aabb());
-                    }
-                    new_bounds[node as usize] = b;
+            let slot = self.nodes.slots[node as usize];
+            if slot & LEAF_SLOT != 0 {
+                let leaf = &mut self.nodes.leaves[(slot & !LEAF_SLOT) as usize];
+                leaf.aabb = Aabb::empty();
+                for t in &self.triangles[leaf.first as usize..(leaf.first + leaf.count) as usize] {
+                    leaf.aabb.grow_box(&t.aabb());
                 }
-                WideNode::Internal { children } => {
-                    if expanded {
-                        let mut b = Aabb::empty();
-                        for c in children {
-                            b.grow_box(&new_bounds[c.node as usize]);
-                        }
-                        new_bounds[node as usize] = b;
-                    } else {
-                        stack.push((node, true));
-                        for c in children {
-                            stack.push((c.node, false));
-                        }
-                    }
+            } else if !expanded {
+                stack.push((node, true));
+                let children = self.nodes.internals[slot as usize].child_nodes();
+                stack.extend(children.iter().map(|&c| (c, false)));
+            } else {
+                let mut children = self.nodes.internals[slot as usize];
+                for (lane, &c) in children.nodes[..children.len()].iter().enumerate() {
+                    children.bounds.set(lane, &self.node(c).aabb());
                 }
+                self.nodes.internals[slot as usize] = children;
             }
         }
-        // Write the refitted bounds back into the nodes, then rebuild
-        // the SoA mirror so traversal sees the new child bounds.
-        for idx in 0..self.nodes.len() {
-            match &mut self.nodes[idx] {
-                WideNode::Leaf { aabb, .. } => *aabb = new_bounds[idx],
-                WideNode::Internal { children } => {
-                    for c in children.iter_mut() {
-                        c.aabb = new_bounds[c.node as usize];
-                    }
-                }
-            }
-        }
-        self.children_soa = build_soa_table(&self.nodes);
-        self.expected_visits = expected_visits(&self.nodes);
+        self.expected_visits = expected_visits(self);
     }
 
     /// Closest-hit reference traversal on the CPU.
@@ -401,17 +417,17 @@ impl WideBvh {
             if entry > ray.t_max {
                 continue; // early ray termination
             }
-            match &self.nodes[node as usize] {
-                WideNode::Internal { .. } => {
+            match self.node(node) {
+                WideNode::Internal(children) => {
                     // Batched test of all children at once, then push
                     // far-to-near so the nearest is popped first.
                     let mut hits = ChildHits::new();
-                    self.children_soa[node as usize].intersect_into(&ray, inv, &mut hits);
+                    children.intersect_into(&ray, inv, &mut hits);
                     hits.sort_far_first();
                     stack.extend_from_slice(hits.as_slice());
                 }
-                WideNode::Leaf { first, count, .. } => {
-                    for i in *first..*first + *count {
+                WideNode::Leaf(leaf) => {
+                    for i in leaf.first..leaf.first + leaf.count {
                         if let Some(t) = self.triangles[i as usize].intersect(&ray) {
                             if hit.update(t, i) {
                                 ray.t_max = t;
@@ -431,6 +447,9 @@ impl WideBvh {
 /// subtree roots by repeatedly replacing the adopted internal subtree with
 /// the largest surface area by its two children — the standard BVH2→BVH*N*
 /// collapse that wide-BVH papers (e.g. Ylitie et al. 2017) use.
+///
+/// Each binary leaf becomes one wide leaf and no binary node more than
+/// one wide node, so every array is sized once, up front.
 fn collapse(binary: BinaryBvh, triangles: Vec<Triangle>) -> WideBvh {
     // Apply the triangle permutation so leaves reference contiguous runs.
     let reordered: Vec<Triangle> = binary
@@ -438,34 +457,34 @@ fn collapse(binary: BinaryBvh, triangles: Vec<Triangle>) -> WideBvh {
         .iter()
         .map(|&i| triangles[i as usize])
         .collect();
+    let leaf_of = |b: &BinaryNode| LeafRecord {
+        aabb: b.aabb,
+        first: b.first,
+        count: b.count,
+    };
 
-    let mut nodes: Vec<WideNode> = Vec::new();
+    let leaf_count = binary.nodes.iter().filter(|b| b.is_leaf()).count();
+    let internal_bound = binary.nodes.len() - leaf_count;
+    let mut nodes = NodeStore::with_capacity(binary.nodes.len(), internal_bound, leaf_count);
     if binary.nodes[0].is_leaf() {
-        let b = &binary.nodes[0];
-        nodes.push(WideNode::Leaf {
-            aabb: b.aabb,
-            first: b.first,
-            count: b.count,
-        });
+        nodes.push_leaf(leaf_of(&binary.nodes[0]));
         return WideBvh::assemble(nodes, reordered);
     }
 
-    // Reserve the wide root, then expand breadth-first. Each work item is
-    // (wide node index, binary node index of an internal node).
-    nodes.push(WideNode::Internal {
-        children: Vec::new(),
-    });
-    let mut work = vec![(0u32, 0u32)];
-    while let Some((wide_idx, bin_idx)) = work.pop() {
+    // Reserve the wide root, then expand depth-first. Each work item is
+    // (internal record index, binary node index of an internal node).
+    nodes.push_internal(ChildSoa::empty());
+    let mut work = Vec::with_capacity(internal_bound);
+    work.push((0, 0u32));
+    while let Some((record, bin_idx)) = work.pop() {
         // Adopt up to WIDE_ARITY binary subtree roots.
         let bn = &binary.nodes[bin_idx as usize];
-        let mut adopted: Vec<u32> = vec![bn.left, bn.right];
-        loop {
-            if adopted.len() >= WIDE_ARITY {
-                break;
-            }
+        let mut adopted = [0u32; WIDE_ARITY];
+        adopted[..2].copy_from_slice(&[bn.left, bn.right]);
+        let mut len = 2;
+        while len < WIDE_ARITY {
             // Expand the internal adopted subtree with the largest area.
-            let candidate = adopted
+            let candidate = adopted[..len]
                 .iter()
                 .enumerate()
                 .filter(|(_, &b)| !binary.nodes[b as usize].is_leaf())
@@ -475,53 +494,43 @@ fn collapse(binary: BinaryBvh, triangles: Vec<Triangle>) -> WideBvh {
                     sa.total_cmp(&sb)
                 })
                 .map(|(i, _)| i);
-            match candidate {
-                Some(i) => {
-                    let b = adopted.swap_remove(i);
-                    let bn = &binary.nodes[b as usize];
-                    adopted.push(bn.left);
-                    adopted.push(bn.right);
-                }
-                None => break, // everything adopted is a leaf
-            }
+            let Some(i) = candidate else {
+                break; // everything adopted is a leaf
+            };
+            // Swap-remove the expanded subtree, then append its children.
+            let bn = &binary.nodes[adopted[i] as usize];
+            adopted[i] = adopted[len - 1];
+            adopted[len - 1] = bn.left;
+            adopted[len] = bn.right;
+            len += 1;
         }
         // Materialize each adopted subtree as a wide child node.
-        let mut children = Vec::with_capacity(adopted.len());
-        for b in adopted {
+        let mut children = ChildSoa::empty();
+        for &b in &adopted[..len] {
             let bn = &binary.nodes[b as usize];
-            let child_idx = nodes.len() as u32;
-            if bn.is_leaf() {
-                nodes.push(WideNode::Leaf {
-                    aabb: bn.aabb,
-                    first: bn.first,
-                    count: bn.count,
-                });
+            let child = if bn.is_leaf() {
+                nodes.push_leaf(leaf_of(bn))
             } else {
-                nodes.push(WideNode::Internal {
-                    children: Vec::new(),
-                });
-                work.push((child_idx, b));
-            }
-            children.push(WideChild {
-                aabb: bn.aabb,
-                node: child_idx,
-            });
+                let child = nodes.push_internal(ChildSoa::empty());
+                work.push((nodes.internals.len() - 1, b));
+                child
+            };
+            children.push(&bn.aabb, child);
         }
-        nodes[wide_idx as usize] = WideNode::Internal { children };
+        nodes.internals[record] = children;
     }
     WideBvh::assemble(nodes, reordered)
 }
 
 /// See [`WideBvh::expected_visits_per_ray`].
-fn expected_visits(nodes: &[WideNode]) -> f64 {
-    let root = f64::from(nodes[0].aabb().surface_area());
-    let all = nodes.len() as f64;
+fn expected_visits(bvh: &WideBvh) -> f64 {
+    let root = f64::from(bvh.root_aabb().surface_area());
+    let all = bvh.node_count() as f64;
     if !(root.is_finite() && root > 0.0) {
         return all;
     }
-    let below: f64 = nodes[1..]
-        .iter()
-        .map(|n| f64::from(n.aabb().surface_area()))
+    let below: f64 = (1..bvh.node_count() as u32)
+        .map(|id| f64::from(bvh.node(id).aabb().surface_area()))
         .sum();
     let visits = 1.0 + below / root;
     if visits.is_finite() {
@@ -550,55 +559,45 @@ mod tests {
             .collect()
     }
 
+    /// Checks the invariants `from_parts` enforces, then that every
+    /// stored bound contains what it bounds.
     fn validate(bvh: &WideBvh) {
-        let mut visited = vec![false; bvh.node_count()];
-        let mut covered = vec![false; bvh.triangles().len()];
-        let mut stack = vec![0u32];
-        assert_eq!(bvh.children_soa().len(), bvh.node_count());
-        while let Some(n) = stack.pop() {
-            assert!(!visited[n as usize], "node {n} reachable twice");
-            visited[n as usize] = true;
-            // The SoA mirror must agree with the node's own child list.
-            let soa = &bvh.children_soa()[n as usize];
-            match &bvh.nodes()[n as usize] {
-                WideNode::Internal { children } => {
-                    assert_eq!(soa.len(), children.len(), "SoA lane count desynced");
-                    for (i, c) in children.iter().enumerate() {
-                        assert_eq!(soa.bounds.get(i), c.aabb, "SoA bounds desynced");
-                        assert_eq!(soa.nodes[i], c.node, "SoA pointer desynced");
-                    }
-                    assert!(!children.is_empty());
-                    assert!(children.len() <= WIDE_ARITY);
-                    for c in children {
-                        // The stored child bounds must contain the child's
-                        // own bounds.
-                        assert!(c.aabb.contains_box(&bvh.nodes()[c.node as usize].aabb()));
-                        stack.push(c.node);
+        WideBvh::from_parts(bvh.nodes.clone(), bvh.triangles.clone()).expect("a valid tree");
+        for id in 0..bvh.node_count() as u32 {
+            match bvh.node(id) {
+                WideNode::Internal(children) => {
+                    for (lane, &c) in children.child_nodes().iter().enumerate() {
+                        assert!(children.bounds.get(lane).contains_box(&bvh.node(c).aabb()));
                     }
                 }
-                WideNode::Leaf { first, count, aabb } => {
-                    assert!(soa.is_empty(), "leaf {n} has SoA children");
-                    assert!(*count >= 1);
-                    for i in *first..*first + *count {
-                        assert!(!covered[i as usize], "triangle {i} in two leaves");
-                        covered[i as usize] = true;
-                        assert!(aabb.contains_box(&bvh.triangles()[i as usize].aabb()));
-                    }
+                WideNode::Leaf(leaf) => {
+                    let run = leaf.first as usize..(leaf.first + leaf.count) as usize;
+                    assert!(bvh.triangles[run]
+                        .iter()
+                        .all(|t| leaf.aabb.contains_box(&t.aabb())));
                 }
             }
         }
-        assert!(visited.iter().all(|&v| v), "unreachable nodes exist");
-        assert!(
-            covered.iter().all(|&c| c),
-            "triangles not covered by leaves"
-        );
+    }
+
+    /// Asserts that `bvh` holds, and has room for, one child record per
+    /// internal node, one leaf record per leaf and one slot per node.
+    fn assert_one_record_per_node(bvh: &WideBvh) {
+        let nodes = &bvh.nodes;
+        let leaves = nodes.slots.iter().filter(|&&s| s & LEAF_SLOT != 0).count();
+        let internals = bvh.node_count() - leaves;
+        assert_eq!(nodes.internals.len(), internals);
+        assert_eq!(nodes.leaves.len(), leaves);
+        assert_eq!(nodes.slots.capacity(), bvh.node_count());
+        assert_eq!(nodes.internals.capacity(), internals);
+        assert_eq!(nodes.leaves.capacity(), leaves);
     }
 
     #[test]
     fn single_triangle_tree() {
         let bvh = WideBvh::build(grid(1));
         assert_eq!(bvh.node_count(), 1);
-        assert!(bvh.nodes()[0].is_leaf());
+        assert!(bvh.node(0).leaf().is_some());
         assert_eq!(bvh.depth(), 1);
         validate(&bvh);
     }
@@ -613,8 +612,8 @@ mod tests {
     #[test]
     fn arity_bound_holds() {
         let bvh = WideBvh::build(grid(500));
-        for node in bvh.nodes() {
-            if let WideNode::Internal { children } = node {
+        for id in 0..bvh.node_count() as u32 {
+            if let WideNode::Internal(children) = bvh.node(id) {
                 assert!(children.len() <= WIDE_ARITY);
                 assert!(children.len() >= 2);
             }
@@ -730,18 +729,6 @@ mod tests {
         bvh.refit(grid(9));
     }
 
-    fn leaf(aabb: Aabb, first: u32) -> WideNode {
-        WideNode::Leaf {
-            aabb,
-            first,
-            count: 1,
-        }
-    }
-
-    fn child(aabb: Aabb, node: u32) -> WideChild {
-        WideChild { aabb, node }
-    }
-
     #[test]
     fn expected_visits_match_the_closed_form() {
         // root → {inner → {a, b}, c}: SA(a) = SA(b) = 6, SA(inner) = 10,
@@ -756,17 +743,24 @@ mod tests {
         let bb = b([1.0, 0.0, 0.0], [2.0, 1.0, 1.0]);
         let c = b([0.0, 0.0, 2.0], [1.0, 1.0, 4.0]);
         let inner = b([0.0; 3], [2.0, 1.0, 1.0]);
-        let nodes = vec![
-            WideNode::Internal {
-                children: vec![child(inner, 1), child(c, 2)],
-            },
-            WideNode::Internal {
-                children: vec![child(a, 3), child(bb, 4)],
-            },
-            leaf(c, 2),
-            leaf(a, 0),
-            leaf(bb, 1),
-        ];
+        let leaf = |aabb, first| LeafRecord {
+            aabb,
+            first,
+            count: 1,
+        };
+        let internal = |children: [(Aabb, u32); 2]| {
+            let mut record = ChildSoa::empty();
+            for (aabb, node) in children {
+                record.push(&aabb, node);
+            }
+            record
+        };
+        let mut nodes = NodeStore::default();
+        nodes.push_internal(internal([(inner, 1), (c, 2)]));
+        nodes.push_internal(internal([(a, 3), (bb, 4)]));
+        nodes.push_leaf(leaf(c, 2));
+        nodes.push_leaf(leaf(a, 0));
+        nodes.push_leaf(leaf(bb, 1));
         let bvh = WideBvh::from_parts(nodes, grid(3)).expect("valid tree");
         assert_eq!(bvh.root_aabb().surface_area(), 28.0);
         let want = 1.0 + (10.0 + 10.0 + 6.0 + 6.0) / 28.0;
@@ -808,16 +802,33 @@ mod tests {
         bvh.refit(stretched);
         let after = bvh.expected_visits_per_ray();
         assert_ne!(before, after);
-        assert_eq!(after, expected_visits(bvh.nodes()));
+        assert_eq!(after, expected_visits(&bvh));
     }
 
     #[test]
     fn builder_respects_leaf_capacity() {
         let bvh = WideBvhBuilder::new().max_leaf_tris(1).build(grid(40));
-        for node in bvh.nodes() {
-            if let WideNode::Leaf { count, .. } = node {
-                assert_eq!(*count, 1);
+        for id in 0..bvh.node_count() as u32 {
+            if let Some(leaf) = bvh.node(id).leaf() {
+                assert_eq!(leaf.count, 1);
             }
         }
+    }
+
+    #[test]
+    fn built_decoded_and_refitted_trees_hold_one_record_per_node() {
+        // An internal node costs one 172-byte child record, a leaf one
+        // 32-byte leaf record, and every node a 4-byte slot.
+        assert_eq!(std::mem::size_of::<ChildSoa>(), 172);
+        assert_eq!(std::mem::size_of::<LeafRecord>(), 32);
+        let mut bvh = WideBvh::build(grid(333));
+        assert!(bvh.node_count() > 100);
+        assert_one_record_per_node(&bvh);
+        let bytes = crate::encode_artifact(1, &bvh, &[]);
+        let decoded = crate::BvhArtifact::from_bytes(&bytes).expect("round trip");
+        assert_one_record_per_node(&decoded.bvh);
+        let same = bvh.triangles().to_vec();
+        bvh.refit(same);
+        assert_one_record_per_node(&bvh);
     }
 }

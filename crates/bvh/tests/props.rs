@@ -38,25 +38,25 @@ fn validate_structure(bvh: &WideBvh) -> Result<(), String> {
             return Err(format!("node {n} reachable twice"));
         }
         visited[n as usize] = true;
-        match &bvh.nodes()[n as usize] {
-            WideNode::Internal { children } => {
+        match bvh.node(n) {
+            WideNode::Internal(children) => {
                 if children.is_empty() || children.len() > WIDE_ARITY {
                     return Err(format!("node {n} has {} children", children.len()));
                 }
-                for c in children {
-                    if !c.aabb.contains_box(&bvh.nodes()[c.node as usize].aabb()) {
-                        return Err(format!("child {} escapes stored bounds", c.node));
+                for (lane, &c) in children.child_nodes().iter().enumerate() {
+                    if !children.bounds.get(lane).contains_box(&bvh.node(c).aabb()) {
+                        return Err(format!("child {c} escapes stored bounds"));
                     }
-                    stack.push(c.node);
+                    stack.push(c);
                 }
             }
-            WideNode::Leaf { first, count, aabb } => {
-                for i in *first..*first + *count {
+            WideNode::Leaf(leaf) => {
+                for i in leaf.first..leaf.first + leaf.count {
                     if covered[i as usize] {
                         return Err(format!("triangle {i} in two leaves"));
                     }
                     covered[i as usize] = true;
-                    if !aabb.contains_box(&bvh.triangles()[i as usize].aabb()) {
+                    if !leaf.aabb.contains_box(&bvh.triangles()[i as usize].aabb()) {
                         return Err(format!("triangle {i} escapes leaf bounds"));
                     }
                 }
@@ -163,9 +163,9 @@ fn treelet_packed_layout_keeps_groups_in_slots() {
 fn leaf_capacity_is_always_respected() {
     forall("leaf_capacity_is_always_respected", 64, |rng| {
         let bvh = rt_bvh::WideBvhBuilder::new().max_leaf_tris(3).build(soup(rng));
-        for node in bvh.nodes() {
-            if let WideNode::Leaf { count, .. } = node {
-                assert!(*count <= 3);
+        for id in 0..bvh.node_count() as u32 {
+            if let Some(leaf) = bvh.node(id).leaf() {
+                assert!(leaf.count <= 3);
             }
         }
     });

@@ -1,7 +1,7 @@
 //! Golden cross-check of the batched 6-wide AABB kernel against the
 //! scalar slab test, over every scene of the evaluation suite.
 //!
-//! Traversal now tests child bounds through [`ChildSoa`]'s batched
+//! Traversal tests child bounds through [`ChildSoa`]'s batched
 //! [`WideAabb`] kernel instead of per-child [`Aabb::intersect`] calls.
 //! The simulator's state digests are pinned to the scalar path's exact
 //! float results, so the wide kernel must agree *bitwise* — same hit
@@ -10,7 +10,7 @@
 //! single ULP of drift here would silently shift traversal order and
 //! break the golden digests two crates up.
 
-use rt_bvh::WideBvh;
+use rt_bvh::{ChildSoa, WideBvh};
 use rt_scene::{Scene, SceneId, Workload, WorkloadKind};
 
 #[test]
@@ -19,13 +19,14 @@ fn wide_kernel_matches_scalar_bitwise_on_all_suite_scenes() {
         let scene = Scene::build_with_detail(id, 0.1);
         let rays = Workload::new(WorkloadKind::Primary, 8, 8).generate(&scene);
         let bvh = WideBvh::build(scene.mesh.into_triangles());
-        let soa = bvh.children_soa();
-        assert_eq!(soa.len(), bvh.node_count(), "{id}: SoA table incomplete");
+        let records: Vec<&ChildSoa> = (0..bvh.node_count() as u32)
+            .filter_map(|n| bvh.node(n).internal())
+            .collect();
         let mut lanes = 0u64;
         let mut hits = 0u64;
         for ray in &rays {
             let inv = ray.inv_direction();
-            for record in soa {
+            for record in &records {
                 let wide = record.bounds.intersect(ray, inv);
                 for lane in 0..record.len() {
                     lanes += 1;

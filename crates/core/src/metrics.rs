@@ -49,11 +49,11 @@ impl TreeletMetrics {
         let mut parent = vec![u32::MAX; n];
         let mut edges = 0u64;
         let mut cut_edges = 0u64;
-        for (i, node) in bvh.nodes().iter().enumerate() {
-            for c in node.child_nodes() {
-                parent[c as usize] = i as u32;
+        for i in 0..n as u32 {
+            for c in bvh.node(i).child_nodes() {
+                parent[c as usize] = i;
                 edges += 1;
-                if treelets.of_node(c) != treelets.of_node(i as u32) {
+                if treelets.of_node(c) != treelets.of_node(i) {
                     cut_edges += 1;
                 }
             }
@@ -84,7 +84,7 @@ impl TreeletMetrics {
             let weight: f64 = members
                 .iter()
                 .map(|&m| {
-                    (bvh.nodes()[m as usize].aabb().surface_area() as f64 / root_area)
+                    (bvh.node(m).aabb().surface_area() as f64 / root_area)
                         * NODE_SIZE_BYTES as f64
                 })
                 .sum();

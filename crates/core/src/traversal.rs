@@ -6,8 +6,8 @@
 //! accesses; the RT-unit timing model replays those sequences.
 
 use crate::treelet::TreeletAssignment;
-use rt_bvh::{ChildHits, MemoryImage, WideBvh, WideNode};
-use rt_geometry::{HitRecord, Ray};
+use rt_bvh::{ChildHits, MemoryImage, WideBvh};
+use rt_geometry::{HitRecord, Ray, Vec3};
 
 /// Which traversal algorithm a ray executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -146,54 +146,46 @@ pub(crate) fn trace_into(
 }
 
 // One argument per piece of traversal scratch the caller owns; bundling
-// them into a struct would just move the field list.
+// them into a struct would just move the field list. `inv` is the ray's
+// inverse direction, computed once per ray by the caller.
 #[allow(clippy::too_many_arguments)]
 fn visit(
     bvh: &WideBvh,
     treelets: &TreeletAssignment,
     ray: &mut Ray,
+    inv: Vec3,
     hit: &mut HitRecord,
     steps: &mut Vec<TraceStep>,
     node: u32,
     options: TraversalOptions,
     children: &mut ChildHits,
 ) {
-    // Record the node visit (this is the memory access).
-    let step = match &bvh.nodes()[node as usize] {
-        WideNode::Leaf { first, count, .. } => TraceStep {
-            node,
-            treelet: treelets.of_node(node),
-            tri_range: Some((*first, *count)),
-        },
-        WideNode::Internal { .. } => TraceStep {
-            node,
-            treelet: treelets.of_node(node),
-            tri_range: None,
-        },
-    };
-    steps.push(step);
+    // Record the node visit (this is the memory access): one record.
+    let record = bvh.node(node);
+    let tri_range = record.leaf().map(|leaf| (leaf.first, leaf.count));
+    steps.push(TraceStep {
+        node,
+        treelet: treelets.of_node(node),
+        tri_range,
+    });
 
     *children = ChildHits::new();
-    match &bvh.nodes()[node as usize] {
-        WideNode::Internal { .. } => {
-            // Batched 6-wide slab test against the SoA child bounds —
-            // lane-for-lane bit-identical to the scalar per-child loop,
-            // with hits appended in child-list order.
-            let inv = ray.inv_direction();
-            bvh.children_soa()[node as usize].intersect_into(ray, inv, children);
-            if options.ordered_children {
-                // Far-first, so that popping yields the nearest child.
-                children.sort_far_first();
-            }
+    if let Some(record) = record.internal() {
+        // Batched 6-wide slab test against the SoA child bounds —
+        // lane-for-lane bit-identical to the scalar per-child loop,
+        // with hits appended in child-list order.
+        record.intersect_into(ray, inv, children);
+        if options.ordered_children {
+            // Far-first, so that popping yields the nearest child.
+            children.sort_far_first();
         }
-        WideNode::Leaf { first, count, .. } => {
-            for i in *first..*first + *count {
-                if let Some(t) = bvh.triangles()[i as usize].intersect(ray) {
-                    if hit.update(t, i) && options.early_termination {
-                        // Shrinking t_max is what culls the remaining
-                        // stack (and far children) — early termination.
-                        ray.t_max = t;
-                    }
+    } else if let Some((first, count)) = tri_range {
+        for i in first..first + count {
+            if let Some(t) = bvh.triangles()[i as usize].intersect(ray) {
+                if hit.update(t, i) && options.early_termination {
+                    // Shrinking t_max is what culls the remaining
+                    // stack (and far children) — early termination.
+                    ray.t_max = t;
                 }
             }
         }
@@ -227,6 +219,7 @@ fn trace_dfs(
             bvh,
             treelets,
             &mut ray,
+            inv,
             &mut hit,
             steps,
             node,
@@ -286,6 +279,7 @@ fn trace_two_stack(
             bvh,
             treelets,
             &mut ray,
+            inv,
             &mut hit,
             steps,
             node,

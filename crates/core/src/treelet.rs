@@ -180,8 +180,8 @@ impl TreeletAssignment {
                             .iter()
                             .enumerate()
                             .max_by(|a, b| {
-                                let sa = bvh.nodes()[*a.1 as usize].aabb().surface_area();
-                                let sb = bvh.nodes()[*b.1 as usize].aabb().surface_area();
+                                let sa = bvh.node(*a.1).aabb().surface_area();
+                                let sb = bvh.node(*b.1).aabb().surface_area();
                                 sa.total_cmp(&sb)
                             })
                             .map(|(i, _)| i)
@@ -193,7 +193,7 @@ impl TreeletAssignment {
                     remaining -= NODE_SIZE_BYTES;
                     of_node[node as usize] = id;
                     members.push(node);
-                    for child in bvh.nodes()[node as usize].child_nodes() {
+                    for child in bvh.node(node).child_nodes() {
                         queue.push_back(child);
                     }
                 } else {
@@ -222,8 +222,7 @@ impl TreeletAssignment {
 
     /// Appends the assignment to `w` for the preparation-artifact
     /// codec: the byte budget plus every treelet's member list in
-    /// formation order (`of_node` is derived on decode, like the BVH's
-    /// SoA mirror).
+    /// formation order (`of_node` is derived on decode).
     pub(crate) fn encode(&self, w: &mut rt_gpu_sim::ByteWriter) {
         w.put_u64(self.max_bytes);
         w.put_len(self.count());
@@ -424,9 +423,9 @@ mod tests {
         let bvh = grid_bvh(300);
         let a = TreeletAssignment::form(&bvh, 512);
         let mut parent = vec![u32::MAX; bvh.node_count()];
-        for (i, node) in bvh.nodes().iter().enumerate() {
-            for c in node.child_nodes() {
-                parent[c as usize] = i as u32;
+        for i in 0..bvh.node_count() as u32 {
+            for c in bvh.node(i).child_nodes() {
+                parent[c as usize] = i;
             }
         }
         for g in 0..a.count() as u32 {
@@ -467,7 +466,7 @@ mod tests {
         let bvh = grid_bvh(1000);
         let a = TreeletAssignment::form(&bvh, 512);
         let members = a.members(0);
-        let root_children: Vec<u32> = bvh.nodes()[0].child_nodes().collect();
+        let root_children: Vec<u32> = bvh.node(0).child_nodes().collect();
         let pos = |n: u32| members.iter().position(|&m| m == n);
         for &c in &root_children {
             if let (Some(pc), Some(p0)) = (pos(c), pos(members[0])) {
@@ -555,9 +554,9 @@ mod tests {
         // Depth of a treelet = longest root-to-member path within it.
         let bvh = grid_bvh(1000);
         let mut parent = vec![u32::MAX; bvh.node_count()];
-        for (i, node) in bvh.nodes().iter().enumerate() {
-            for c in node.child_nodes() {
-                parent[c as usize] = i as u32;
+        for i in 0..bvh.node_count() as u32 {
+            for c in bvh.node(i).child_nodes() {
+                parent[c as usize] = i;
             }
         }
         let treelet_depth = |a: &TreeletAssignment| -> f64 {
@@ -594,7 +593,7 @@ mod tests {
         let mean_sa = |members: &[u32]| {
             members
                 .iter()
-                .map(|&m| bvh.nodes()[m as usize].aabb().surface_area() as f64)
+                .map(|&m| bvh.node(m).aabb().surface_area() as f64)
                 .sum::<f64>()
                 / members.len() as f64
         };

@@ -69,9 +69,9 @@ fn formation_produces_connected_treelets() {
         let bvh = WideBvh::build(soup(rng));
         let a = TreeletAssignment::form(&bvh, 512);
         let mut parent = vec![u32::MAX; bvh.node_count()];
-        for (i, node) in bvh.nodes().iter().enumerate() {
-            for c in node.child_nodes() {
-                parent[c as usize] = i as u32;
+        for i in 0..bvh.node_count() as u32 {
+            for c in bvh.node(i).child_nodes() {
+                parent[c as usize] = i;
             }
         }
         for g in 0..a.count() as u32 {

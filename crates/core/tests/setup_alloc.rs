@@ -18,12 +18,18 @@
 //! same few buffers on a small scene and a large one: a clone of the
 //! tree (one block per internal node) or a buffer that grows would
 //! scale with the scene.
+//!
+//! Building, cloning and decoding a tree likewise allocate the same few
+//! blocks on WKND (492 nodes) and CRNVL (7,588 nodes): the nodes are
+//! flat record arrays sized up front, so a heap block per node, or an
+//! array that grows by doubling, would show as a difference.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use rt_scene::{SceneId, Workload, WorkloadKind};
-use treelet_rt::{encode_prepared_bench, Bench, SimConfig};
+use rt_bvh::WideBvh;
+use rt_scene::{Scene, SceneId, Workload, WorkloadKind};
+use treelet_rt::{decode_prepared_bench, encode_prepared_bench, Bench, SimConfig};
 
 /// The system allocator, counting each allocation on the calling thread
 /// (the test harness runs other tests on other threads).
@@ -136,4 +142,36 @@ fn encoding_a_prepared_bench_allocates_a_constant_number_of_blocks() {
         "encoding allocates by scene size (scene, nodes, allocations): {counts:?}"
     );
     assert!(small <= 4, "encoding allocates {small} blocks: {counts:?}");
+}
+
+/// Allocations `f` makes on this thread, and its result.
+fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = allocations();
+    let out = f();
+    (allocations() - before, out)
+}
+
+#[test]
+fn building_cloning_and_decoding_a_tree_allocate_a_constant_number_of_blocks() {
+    let workload = Workload::new(WorkloadKind::Primary, 16, 16);
+    let mut counts = Vec::new();
+    for scene in [SceneId::Wknd, SceneId::Crnvl] {
+        let triangles = Scene::build_with_detail(scene, 1.0).mesh.into_triangles();
+        let (build, bvh) = counted(|| WideBvh::build(triangles));
+        let (clone, copy) = counted(|| bvh.clone());
+        assert_eq!(copy.node_count(), bvh.node_count());
+        let key = 1;
+        let bytes = encode_prepared_bench(&Bench::prepare(scene, 1.0, workload), key);
+        let (decode, decoded) = counted(|| decode_prepared_bench(scene, key, &bytes));
+        let (bench, _) = decoded.expect("the artifact decodes");
+        assert_eq!(bench.bvh().node_count(), bvh.node_count());
+        counts.push((scene, bvh.node_count(), [build, clone, decode]));
+    }
+    println!("{counts:?}");
+    assert_eq!(counts[0].1, 492);
+    assert_eq!(counts[1].1, 7_588);
+    assert_eq!(
+        counts[0].2, counts[1].2,
+        "build, clone or decode allocates by tree size (scene, nodes, [build, clone, decode]): {counts:?}"
+    );
 }
