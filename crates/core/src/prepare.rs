@@ -34,7 +34,9 @@
 //! ## Store rules (mirroring the rt-served store)
 //!
 //! - **Atomic writes**: entries land in a `.tmp` sibling and are
-//!   renamed into place, so readers see a whole artifact or none.
+//!   renamed into place, so readers see a whole artifact or none. They
+//!   are not fsynced: after a power loss an entry may read empty or
+//!   torn, which the next rule turns into a miss.
 //! - **Corrupt entry = self-healing miss**: any decode failure —
 //!   truncation, bit rot, version skew, or a semantically bogus
 //!   payload — deletes the entry and falls back to a fresh build that
@@ -296,10 +298,18 @@ impl BvhCache {
     /// Stores a freshly prepared bench under `key`, atomically
     /// (write-then-rename). Failures warn and leave the cache
     /// unpopulated — never fail a preparation over cache I/O.
+    ///
+    /// Unlike a checkpoint, an entry is not synced to disk before the
+    /// rename: a power loss can leave it empty or torn, and
+    /// [`BvhCache::load`] reads that as a miss, deletes it, and the
+    /// preparation stores it again.
     pub(crate) fn store(&self, key: u64, bench: &Bench) {
         let path = self.entry_path(key);
         let bytes = encode_prepared_bench(bench, key);
-        if let Err(e) = crate::snapshot::write_atomic(&path, &bytes) {
+        let mut tmp = path.clone().into_os_string();
+        tmp.push(".tmp");
+        let written = std::fs::write(&tmp, &bytes).and_then(|()| std::fs::rename(&tmp, &path));
+        if let Err(e) = written {
             eprintln!("warning: could not cache {} ({e})", path.display());
         }
     }
@@ -373,6 +383,24 @@ mod tests {
         std::fs::write(&path, &bytes[..bytes.len() / 3]).unwrap();
         assert!(cache.load(key, SceneId::Wknd).is_none());
         assert!(!path.exists(), "self-healing must remove the bad entry");
+    }
+
+    #[test]
+    fn empty_entry_is_a_miss() {
+        // The zero-length file a power loss can leave behind an unsynced
+        // write: a miss, deleted, and stored again by the preparation.
+        let cache = temp_cache("empty");
+        let cold =
+            Bench::try_prepare_cached(SceneId::Wknd, 0.15, workload(), Some(&cache)).unwrap();
+        let key = prepare_cache_key(SceneId::Wknd, 0.15, &workload());
+        let path = cache.entry_path(key);
+        std::fs::write(&path, []).unwrap();
+        assert!(cache.load(key, SceneId::Wknd).is_none());
+        assert!(!path.exists(), "self-healing must remove the empty entry");
+        let rebuilt =
+            Bench::try_prepare_cached(SceneId::Wknd, 0.15, workload(), Some(&cache)).unwrap();
+        assert_eq!(bench_digest(&cold), bench_digest(&rebuilt));
+        assert!(cache.load(key, SceneId::Wknd).is_some(), "the entry was stored again");
     }
 
     #[test]
