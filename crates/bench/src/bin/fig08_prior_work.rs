@@ -1,8 +1,7 @@
 //! Figure 8: comparison to prior work — the Lee et al. many-thread-aware
-//! stride prefetcher (implemented optimistically with infinite tables),
-//! a global history buffer, and hash-based ray-path prediction
-//! (Demoullin et al.) against treelet prefetching, with a per-prefetcher
-//! useful/late/useless timeliness taxonomy.
+//! stride prefetcher (implemented optimistically with infinite tables)
+//! and a global history buffer against treelet prefetching, with a
+//! per-prefetcher useful/late/useless timeliness taxonomy.
 
 use rt_bench::{pct, print_scene_table, Suite, SUITE_DETAIL};
 use rt_scene::{Workload, WorkloadKind};
@@ -32,7 +31,6 @@ fn main() {
     let base = suite.run_all(&SimConfig::paper_baseline());
     let mta = suite.run_all(&SimConfig::paper_baseline().with_prefetcher(PrefetchConfig::mta()));
     let ghb = suite.run_all(&SimConfig::paper_baseline().with_prefetcher(PrefetchConfig::ghb()));
-    let hash = suite.run_all(&SimConfig::paper_baseline().with_prefetcher(PrefetchConfig::hash()));
     let pf = suite.run_all(&SimConfig::paper_treelet_prefetch());
 
     let rows: Vec<_> = suite
@@ -45,7 +43,6 @@ fn main() {
                 vec![
                     mta[i].speedup_over(&base[i]),
                     ghb[i].speedup_over(&base[i]),
-                    hash[i].speedup_over(&base[i]),
                     pf[i].speedup_over(&base[i]),
                 ],
             )
@@ -53,37 +50,32 @@ fn main() {
         .collect();
     print_scene_table(
         "Fig. 8: speedup vs prior work",
-        &["MTA (Lee+)", "GHB", "hash-path", "treelet-pf"],
+        &["MTA (Lee+)", "GHB", "treelet-pf"],
         &rows,
         true,
     );
     let mta_s: Vec<f64> = rows.iter().map(|(_, c)| c[0]).collect();
     let ghb_s: Vec<f64> = rows.iter().map(|(_, c)| c[1]).collect();
-    let hash_s: Vec<f64> = rows.iter().map(|(_, c)| c[2]).collect();
-    let pf_s: Vec<f64> = rows.iter().map(|(_, c)| c[3]).collect();
+    let pf_s: Vec<f64> = rows.iter().map(|(_, c)| c[2]).collect();
     println!(
-        "\nMTA mean: {} (paper: ~0%, ineffective); GHB mean: {} (paper §2.4: unsuitable); hash mean: {}; treelet mean: {}",
+        "\nMTA mean: {} (paper: ~0%, ineffective); GHB mean: {} (paper §2.4: unsuitable); treelet mean: {}",
         pct(geometric_mean(&mta_s)),
         pct(geometric_mean(&ghb_s)),
-        pct(geometric_mean(&hash_s)),
         pct(geometric_mean(&pf_s))
     );
 
     // Timeliness taxonomy: where each prefetcher's lines ended up.
     //
-    // This part runs 128x128 primary rays instead of the 32x32 default:
-    // the hash-path predictor only learns across warp-buffer turnover
-    // (a ray must retire and record its path before a same-key ray
-    // enters), and 32x32 fits entirely in the 8 SM x 16 warp x 32 lane
-    // resident set — at that scale no history-based prefetcher ever
-    // gets to act, so there would be nothing to classify.
+    // This part runs 128x128 primary rays instead of the 32x32 default.
+    // 32x32's 1,024 rays fit the 8 SM x 16 warp x 32 lane warp buffer at
+    // once, so each SM fills and drains it a single time; 16,384 rays
+    // turn it over four times, the steady state a longer frame runs in,
+    // and every prefetcher issues 6-14x the lines it issues at 32x32.
     let turnover = Suite::prepare(detail, Workload::new(WorkloadKind::Primary, 128, 128));
     let mta_t =
         turnover.run_all(&SimConfig::paper_baseline().with_prefetcher(PrefetchConfig::mta()));
     let ghb_t =
         turnover.run_all(&SimConfig::paper_baseline().with_prefetcher(PrefetchConfig::ghb()));
-    let hash_t =
-        turnover.run_all(&SimConfig::paper_baseline().with_prefetcher(PrefetchConfig::hash()));
     let pf_t = turnover.run_all(&SimConfig::paper_treelet_prefetch());
     println!("\n== Prefetch timeliness per prefetcher (128x128 suite totals) ==");
     println!(
@@ -93,7 +85,6 @@ fn main() {
     for (name, results) in [
         ("MTA (Lee+)", &mta_t),
         ("GHB", &ghb_t),
-        ("hash-path", &hash_t),
         ("treelet-pf", &pf_t),
     ] {
         let (u, total) = taxonomy(results);

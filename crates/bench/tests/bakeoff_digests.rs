@@ -1,5 +1,5 @@
-//! Fig. 8 bakeoff determinism contract: the four-way prior-work
-//! comparison (MTA, GHB, hash-path, treelet) over the full sixteen-scene
+//! Fig. 8 bakeoff determinism contract: the three-way prior-work
+//! comparison (MTA, GHB, treelet) over the full sixteen-scene
 //! suite must be rerun-stable — every scene's cycle count and state
 //! digest bit-identical between two passes — and each prefetcher must
 //! leave its own distinguishable fingerprint on the suite, so a silent
@@ -28,10 +28,6 @@ fn bakeoff_suite_is_rerun_stable_and_prefetchers_are_distinct() {
         (
             "ghb",
             SimConfig::paper_baseline().with_prefetcher(PrefetchConfig::ghb()),
-        ),
-        (
-            "hash",
-            SimConfig::paper_baseline().with_prefetcher(PrefetchConfig::hash()),
         ),
         ("treelet", SimConfig::paper_treelet_prefetch()),
     ];

@@ -59,23 +59,6 @@ pub enum PrefetchConfig {
     /// irregular-pattern prefetcher the paper argues cannot capture
     /// per-ray miss sequences.
     Ghb,
-    /// The Demoullin et al. hash-based ray-path predictor: quantize a
-    /// ray's origin and direction into a seeded hash key, remember the
-    /// node-line path of the most recent same-key ray, and prefetch
-    /// that path when a similar ray enters the warp buffer.
-    Hash {
-        /// Prediction-table capacity in entries (FIFO eviction).
-        table_capacity: usize,
-        /// Origin quantization bits per axis (grid of `2^bits` cells
-        /// over the scene bounds).
-        origin_bits: u32,
-        /// Direction quantization bits per axis.
-        dir_bits: u32,
-        /// Node lines remembered (and prefetched) per path.
-        max_path_lines: usize,
-        /// Seed folded into the ray hash.
-        seed: u64,
-    },
 }
 
 impl PrefetchConfig {
@@ -105,58 +88,9 @@ impl PrefetchConfig {
         PrefetchConfig::Ghb
     }
 
-    /// The hash-based ray-path predictor with its paper-flavored
-    /// defaults: a 4096-entry table, 3-bit origin/direction grids, and
-    /// 16-line paths.
-    ///
-    /// The grids must be coarse for the predictor to function at all:
-    /// two rays only share a prediction when every quantized cell
-    /// matches, so fine grids (5+ bits per axis) make keys effectively
-    /// unique within a frame and the table never hits. Sweep
-    /// `--hash-quant` to explore the aliasing/accuracy trade-off.
-    pub fn hash() -> Self {
-        PrefetchConfig::Hash {
-            table_capacity: 4096,
-            origin_bits: 3,
-            dir_bits: 3,
-            max_path_lines: 16,
-            seed: 0x6861_7368, // "hash"
-        }
-    }
-
     /// `true` if any prefetcher is active.
     pub fn is_enabled(&self) -> bool {
         !matches!(self, PrefetchConfig::None)
-    }
-
-    /// Validates the variant's own knobs (the cross-field layout checks
-    /// live in [`SimConfig::validate`]).
-    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
-        if let PrefetchConfig::Hash {
-            table_capacity,
-            origin_bits,
-            dir_bits,
-            max_path_lines,
-            ..
-        } = self
-        {
-            if *table_capacity == 0 {
-                return Err(ConfigError::InvalidHashPrefetcher {
-                    what: "table capacity must be nonzero",
-                });
-            }
-            if *max_path_lines == 0 {
-                return Err(ConfigError::InvalidHashPrefetcher {
-                    what: "path line cap must be nonzero",
-                });
-            }
-            if !(1..=16).contains(origin_bits) || !(1..=16).contains(dir_bits) {
-                return Err(ConfigError::InvalidHashPrefetcher {
-                    what: "quantization bits must be between 1 and 16",
-                });
-            }
-        }
-        Ok(())
     }
 }
 
@@ -517,7 +451,6 @@ impl SimConfig {
                 }
             }
         }
-        self.prefetch.validate()?;
         Ok(())
     }
 

@@ -45,12 +45,6 @@ pub enum ConfigError {
         /// The unsupported option's name.
         what: &'static str,
     },
-    /// A hash-path prefetcher knob is out of range (`what` says which
-    /// knob and what it requires).
-    InvalidHashPrefetcher {
-        /// Human-readable description of the rejected knob.
-        what: &'static str,
-    },
 }
 
 impl fmt::Display for ConfigError {
@@ -82,9 +76,6 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::UnsupportedBatchOption { what } => {
                 write!(f, "batched sessions do not support {what}")
-            }
-            ConfigError::InvalidHashPrefetcher { what } => {
-                write!(f, "hash prefetcher {what}")
             }
         }
     }

@@ -51,7 +51,6 @@ mod config;
 mod error;
 mod experiments;
 mod ghb;
-mod hashpath;
 mod metrics;
 mod mta;
 mod power;
@@ -75,7 +74,6 @@ pub use config::{
 pub use error::{ConfigError, ProgressSnapshot, SimError};
 pub use experiments::{geometric_mean, Bench, DEFAULT_DETAIL};
 pub use ghb::{GhbPrefetcher, GhbStats};
-pub use hashpath::{hash_ray_key, HashPathPrefetcher, HashPathStats};
 pub use metrics::TreeletMetrics;
 pub use mta::{MtaPrefetcher, MtaStats};
 pub use power::{ActivityCounts, EnergyModel, PowerReport};

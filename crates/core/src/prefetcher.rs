@@ -12,16 +12,12 @@
 //!
 //! The hooks, in cycle-loop order:
 //!
-//! - [`Prefetcher::observe_ray_enter`] — a ray entered the warp buffer
-//!   (the hash predictor probes its table here),
 //! - [`Prefetcher::decide`] — once per cycle with a [`WarpBufferView`]
 //!   of the resident rays (the treelet voter samples and stages votes),
 //! - [`Prefetcher::observe_demand`] — the memory scheduler issued a
 //!   demand line (MTA trains on every access, GHB on misses),
 //! - [`Prefetcher::pop_entry`] — the scheduler was idle and can issue
 //!   one prefetch,
-//! - [`Prefetcher::observe_ray_retire`] — a ray completed (the hash
-//!   predictor records its path),
 //! - [`Prefetcher::next_decision_event`] / [`Prefetcher::skip_decisions`]
 //!   — the engine's idle skip asks when `decide` would next change more
 //!   than counters, then applies the skipped calls' counters in bulk,
@@ -30,7 +26,6 @@
 
 use crate::config::{PrefetchConfig, SimConfig};
 use crate::ghb::{GhbPrefetcher, GhbStats};
-use crate::hashpath::{HashPathPrefetcher, HashPathStats};
 use crate::mta::{MtaPrefetcher, MtaStats};
 use crate::prefetch::{
     full_vote_counts, MappingMode, PrefetchEntry, PrefetcherStats, TreeletPrefetcher, Vote,
@@ -177,8 +172,6 @@ pub enum PrefetchUnitStats {
     Mta(MtaStats),
     /// Global-history-buffer counters.
     Ghb(GhbStats),
-    /// Hash-path-predictor counters.
-    Hash(HashPathStats),
 }
 
 impl PrefetchUnitStats {
@@ -193,7 +186,6 @@ impl PrefetchUnitStats {
             (PrefetchUnitStats::Treelet(a), PrefetchUnitStats::Treelet(b)) => a.merge(b),
             (PrefetchUnitStats::Mta(a), PrefetchUnitStats::Mta(b)) => a.merge(b),
             (PrefetchUnitStats::Ghb(a), PrefetchUnitStats::Ghb(b)) => a.merge(b),
-            (PrefetchUnitStats::Hash(a), PrefetchUnitStats::Hash(b)) => a.merge(b),
             _ => panic!("cannot merge statistics from different prefetcher kinds"),
         }
     }
@@ -205,7 +197,7 @@ impl PrefetchUnitStats {
 /// overrides the signals it learns from. See the module docs for the
 /// cycle-loop order in which the engine calls each hook.
 pub trait Prefetcher {
-    /// Short lowercase kind name ("treelet", "mta", "ghb", "hash").
+    /// Short lowercase kind name ("treelet", "mta", "ghb").
     fn name(&self) -> &'static str;
 
     /// Once-per-cycle decision hook with the SM's warp-buffer view.
@@ -214,13 +206,6 @@ pub trait Prefetcher {
     /// The memory scheduler issued a demand line for `warp`; `missed`
     /// is `true` when the L1 lookup did not hit.
     fn observe_demand(&mut self, _warp: u32, _line: u64, _missed: bool) {}
-
-    /// A ray entered the warp buffer with prediction key `key`.
-    fn observe_ray_enter(&mut self, _key: u64) {}
-
-    /// A ray with prediction key `key` retired after touching `path`
-    /// (node cache lines, front first, consecutive duplicates removed).
-    fn observe_ray_retire(&mut self, _key: u64, _path: &[u64]) {}
 
     /// Pops the next prefetch to issue, if any.
     fn pop_entry(&mut self) -> Option<PrefetchEntry>;
@@ -393,40 +378,6 @@ impl Prefetcher for GhbPrefetcher {
     }
 }
 
-impl Prefetcher for HashPathPrefetcher {
-    fn name(&self) -> &'static str {
-        "hash"
-    }
-
-    fn observe_ray_enter(&mut self, key: u64) {
-        self.observe_enter(key);
-    }
-
-    fn observe_ray_retire(&mut self, key: u64, path: &[u64]) {
-        self.record_path(key, path);
-    }
-
-    fn pop_entry(&mut self) -> Option<PrefetchEntry> {
-        self.pop().map(PrefetchEntry::Line)
-    }
-
-    fn queue_len(&self) -> usize {
-        HashPathPrefetcher::queue_len(self)
-    }
-
-    fn unit_stats(&self) -> PrefetchUnitStats {
-        PrefetchUnitStats::Hash(self.stats())
-    }
-
-    fn encode_state(&self, w: &mut ByteWriter) {
-        HashPathPrefetcher::encode_state(self, w);
-    }
-
-    fn restore_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), DecodeError> {
-        HashPathPrefetcher::restore_state(self, r)
-    }
-}
-
 /// One SM's prefetcher, enum-dispatched so the engine's hot loop pays a
 /// predictable branch instead of a vtable call.
 #[derive(Debug)]
@@ -434,7 +385,6 @@ pub(crate) enum PrefetcherUnit {
     Treelet(TreeletPrefetcher),
     Mta(MtaPrefetcher),
     Ghb(GhbPrefetcher),
-    Hash(HashPathPrefetcher),
 }
 
 macro_rules! delegate {
@@ -443,7 +393,6 @@ macro_rules! delegate {
             PrefetcherUnit::Treelet($p) => $body,
             PrefetcherUnit::Mta($p) => $body,
             PrefetcherUnit::Ghb($p) => $body,
-            PrefetcherUnit::Hash($p) => $body,
         }
     };
 }
@@ -472,15 +421,6 @@ impl PrefetcherUnit {
             PrefetchConfig::Ghb => Some(PrefetcherUnit::Ghb(GhbPrefetcher::paper_default(
                 config.mem.line_bytes,
             ))),
-            PrefetchConfig::Hash {
-                table_capacity,
-                max_path_lines,
-                ..
-            } => Some(PrefetcherUnit::Hash(HashPathPrefetcher::new(
-                table_capacity,
-                config.prefetch_queue_capacity,
-                max_path_lines,
-            ))),
         }
     }
 }
@@ -496,14 +436,6 @@ impl Prefetcher for PrefetcherUnit {
 
     fn observe_demand(&mut self, warp: u32, line: u64, missed: bool) {
         delegate!(self, p => p.observe_demand(warp, line, missed))
-    }
-
-    fn observe_ray_enter(&mut self, key: u64) {
-        delegate!(self, p => p.observe_ray_enter(key))
-    }
-
-    fn observe_ray_retire(&mut self, key: u64, path: &[u64]) {
-        delegate!(self, p => p.observe_ray_retire(key, path))
     }
 
     fn pop_entry(&mut self) -> Option<PrefetchEntry> {
@@ -589,7 +521,6 @@ mod tests {
             PrefetchConfig::treelet(),
             PrefetchConfig::mta(),
             PrefetchConfig::ghb(),
-            PrefetchConfig::hash(),
         ]
         .into_iter()
         .map(|p| {
@@ -597,15 +528,13 @@ mod tests {
             PrefetcherUnit::from_config(&cfg).expect("unit").name()
         })
         .collect();
-        assert_eq!(names, ["treelet", "mta", "ghb", "hash"]);
+        assert_eq!(names, ["treelet", "mta", "ghb"]);
     }
 
     #[test]
     fn default_hooks_are_inert() {
         let cfg = SimConfig::paper_baseline().with_prefetcher(PrefetchConfig::mta());
         let mut unit = PrefetcherUnit::from_config(&cfg).expect("unit");
-        unit.observe_ray_enter(7);
-        unit.observe_ray_retire(7, &[1, 2, 3]);
         Prefetcher::release_gated(&mut unit, vec![1]);
         assert_eq!(Prefetcher::queue_len(&unit), 0);
         let mut global = CountTable::with_key_capacity(8);

@@ -12,7 +12,6 @@
 use crate::config::{CheckpointOptions, LayoutChoice, PrefetchConfig, SchedulerPolicy, SimConfig};
 use crate::error::{ProgressSnapshot, SimError};
 use crate::ghb::GhbStats;
-use crate::hashpath::{hash_ray_key, HashPathStats};
 use crate::mta::MtaStats;
 use crate::power::{ActivityCounts, EnergyModel, PowerReport};
 use crate::prefetch::{MappingMode, PrefetchEntry, PrefetchUsefulness, PrefetcherStats};
@@ -56,8 +55,6 @@ pub struct SimResult {
     pub mta: Option<MtaStats>,
     /// GHB comparison prefetcher counters, when enabled.
     pub ghb: Option<GhbStats>,
-    /// Hash-path predictor counters, when enabled.
-    pub hash: Option<HashPathStats>,
     /// Mean latency of demand BVH-node loads, core cycles (Fig. 1b).
     pub node_load_latency: f64,
     /// 99th-percentile latency of demand BVH-node loads (tail latency).
@@ -274,17 +271,15 @@ pub(crate) fn try_run_engine(
             Some(acc) => acc.merge(&stats),
         }
     }
-    let (prefetcher_stats, mta_stats, ghb_stats, hash_stats): (
+    let (prefetcher_stats, mta_stats, ghb_stats): (
         Option<PrefetcherStats>,
         Option<MtaStats>,
         Option<GhbStats>,
-        Option<HashPathStats>,
     ) = match unit_stats {
-        None => (None, None, None, None),
-        Some(PrefetchUnitStats::Treelet(s)) => (Some(s), None, None, None),
-        Some(PrefetchUnitStats::Mta(s)) => (None, Some(s), None, None),
-        Some(PrefetchUnitStats::Ghb(s)) => (None, None, Some(s), None),
-        Some(PrefetchUnitStats::Hash(s)) => (None, None, None, Some(s)),
+        None => (None, None, None),
+        Some(PrefetchUnitStats::Treelet(s)) => (Some(s), None, None),
+        Some(PrefetchUnitStats::Mta(s)) => (None, Some(s), None),
+        Some(PrefetchUnitStats::Ghb(s)) => (None, None, Some(s)),
     };
 
     let result = SimResult {
@@ -298,7 +293,6 @@ pub(crate) fn try_run_engine(
         prefetcher: prefetcher_stats,
         mta: mta_stats,
         ghb: ghb_stats,
-        hash: hash_stats,
         node_load_latency: engine.mem.stats().mean_latency(AccessKind::Node),
         node_load_latency_p99: engine
             .mem
@@ -357,9 +351,6 @@ struct Replay {
     /// Rays with a trace (dead shader lanes have none), for the
     /// traversal statistics.
     traced: usize,
-    /// Per ray, its hash-predictor key (hash configs only, else empty;
-    /// dead lanes keep a placeholder, they never enter the warp buffer).
-    hash_keys: Vec<u64>,
 }
 
 impl Replay {
@@ -384,18 +375,7 @@ impl Replay {
             line_start: vec![0],
             lines: Vec::new(),
             traced: 0,
-            hash_keys: Vec::new(),
         };
-        let hash_quant = match config.prefetch {
-            PrefetchConfig::Hash {
-                origin_bits,
-                dir_bits,
-                seed,
-                ..
-            } => Some((origin_bits, dir_bits, seed)),
-            _ => None,
-        };
-        let scene_bounds = bvh.root_aabb();
         let mut scratch = TraceScratch::default();
         let mut push = |r: Option<&Ray>| {
             let steps = r.map(|r| {
@@ -410,11 +390,6 @@ impl Replay {
                 scratch.steps.as_slice()
             });
             replay.push(steps, image, config.mem.line_bytes);
-            if let Some((origin_bits, dir_bits, seed)) = hash_quant {
-                replay.hash_keys.push(r.map_or(0, |r| {
-                    hash_ray_key(r, &scene_bounds, origin_bits, dir_bits, seed)
-                }));
-            }
         };
         rays.iter().for_each(|r| push(Some(r)));
         if let Some(program) = config.shader {
@@ -502,22 +477,6 @@ impl Replay {
         activity
     }
 
-    /// Ray `r`'s node-line path for the hash predictor: each step's node
-    /// line, front first, consecutive duplicates removed, at most
-    /// `max_lines` long.
-    fn node_path(&self, r: usize, max_lines: usize, path: &mut Vec<u64>) {
-        path.clear();
-        let (first, len) = self.ray_steps(r);
-        for s in first as usize..(first + len) as usize {
-            if path.len() == max_lines {
-                break;
-            }
-            let line = self.lines[self.line_start[s] as usize];
-            if path.last() != Some(&line) {
-                path.push(line);
-            }
-        }
-    }
 }
 
 /// Every treelet's cache lines, front (upper levels) first, as the
@@ -1048,10 +1007,6 @@ struct Engine<'a> {
     meta_lines: Vec<u64>,
     /// The owner of every in-flight request.
     owners: Owners,
-    /// The hash predictor's path length cap (hash configs only, else 0)
-    /// and a scratch buffer the retiring ray's path is listed into.
-    hash_path_lines: usize,
-    hash_path: Vec<u64>,
     mapping: MappingMode,
     remaining: usize,
     /// Lane ids (generation-0 ray indices) per logical warp.
@@ -1115,10 +1070,6 @@ impl<'a> Engine<'a> {
         let mapping = match config.prefetch {
             PrefetchConfig::Treelet { mapping, .. } => mapping,
             _ => MappingMode::Packed,
-        };
-        let hash_path_lines = match config.prefetch {
-            PrefetchConfig::Hash { max_path_lines, .. } => max_path_lines,
-            _ => 0,
         };
         // Every warp this SM will ever queue is known up front (pure
         // replay queues them all in the constructor; shader mode feeds
@@ -1198,8 +1149,6 @@ impl<'a> Engine<'a> {
             treelet_lines,
             meta_lines,
             owners: Owners::new(config.num_sms),
-            hash_path_lines,
-            hash_path: Vec::new(),
             mapping,
             remaining,
             warp_lanes,
@@ -1610,11 +1559,6 @@ impl<'a> Engine<'a> {
                         t,
                     );
                 }
-                if !self.replay.hash_keys.is_empty() {
-                    if let Some(unit) = state.unit.as_mut() {
-                        unit.observe_ray_enter(self.replay.hash_keys[r as usize]);
-                    }
-                }
             }
             if slot.active > 0 {
                 self.rt_entries += 1;
@@ -1697,13 +1641,6 @@ impl<'a> Engine<'a> {
             slot.active -= 1;
             state.active_rays -= 1;
             self.remaining -= 1;
-            if !self.replay.hash_keys.is_empty() {
-                if let Some(unit) = state.unit.as_mut() {
-                    self.replay
-                        .node_path(r as usize, self.hash_path_lines, &mut self.hash_path);
-                    unit.observe_ray_retire(self.replay.hash_keys[r as usize], &self.hash_path);
-                }
-            }
             if slot.active == 0 {
                 debug_assert!(
                     slot.ready.is_empty(),
@@ -2126,9 +2063,6 @@ fn encode_sm_state(sm: &SmState, encode_owners: impl FnOnce(&mut ByteWriter), w:
     }
     encode_owners(w);
     encode_counts(&sm.counts_global, w);
-    // The legacy layout writes three presence flags (treelet, MTA, GHB)
-    // so pre-existing digests stay bit-identical; the hash predictor is
-    // an additive fourth section present only in hash configurations.
     match &sm.unit {
         None => {
             w.put_bool(false);
@@ -2152,13 +2086,6 @@ fn encode_sm_state(sm: &SmState, encode_owners: impl FnOnce(&mut ByteWriter), w:
             w.put_bool(false);
             w.put_bool(true);
             g.encode_state(w);
-        }
-        Some(PrefetcherUnit::Hash(h)) => {
-            w.put_bool(false);
-            w.put_bool(false);
-            w.put_bool(false);
-            w.put_bool(true);
-            h.encode_state(w);
         }
     }
     w.put_usize(sm.active_rays);
@@ -2316,8 +2243,7 @@ fn scan_select(
 /// Reads the prefetcher presence flags and, for the configured unit, its
 /// state — rejecting checkpoints whose flags disagree with the
 /// configuration the engine was rebuilt from. The flag layout mirrors
-/// [`encode_sm_state`]: three legacy sections (treelet, MTA, GHB) and an
-/// additive hash section only hash configurations carry.
+/// [`encode_sm_state`]: one flag per kind (treelet, MTA, GHB).
 fn restore_unit_state(
     unit: &mut Option<PrefetcherUnit>,
     r: &mut ByteReader<'_>,
@@ -2362,13 +2288,6 @@ fn restore_unit_state(
             expect(r, false, "MTA prefetcher")?;
             expect(r, true, "GHB prefetcher")?;
             g.restore_state(r)
-        }
-        Some(PrefetcherUnit::Hash(h)) => {
-            expect(r, false, "treelet prefetcher")?;
-            expect(r, false, "MTA prefetcher")?;
-            expect(r, false, "GHB prefetcher")?;
-            expect(r, true, "hash-path prefetcher")?;
-            h.restore_state(r)
         }
     }
 }

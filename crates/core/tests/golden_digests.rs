@@ -26,7 +26,7 @@ fn bench(scene: SceneId) -> Bench {
 
 /// (scene, config name, config, expected cycles, expected digest).
 ///
-/// The mta/ghb/hash rows pin the Fig. 8 prior-work prefetchers riding on
+/// The mta/ghb rows pin the Fig. 8 prior-work prefetchers riding on
 /// the paper baseline — the same cells the bakeoff harness runs — so a
 /// change to the unified `Prefetcher` dispatch that perturbs any one of
 /// them fails here by name rather than shifting bakeoff output silently.
@@ -35,7 +35,7 @@ fn bench(scene: SceneId) -> Bench {
 /// two-stack traversal without a prefetcher, Strict-Wait mapping loads,
 /// triangle lines in the prefetched treelets, and a path-tracer shader
 /// (dead lanes and bounce generations).
-fn golden() -> [(SceneId, &'static str, SimConfig, u64, u64); 18] {
+fn golden() -> [(SceneId, &'static str, SimConfig, u64, u64); 16] {
     let strict_wait =
         || SimConfig::paper_treelet_prefetch().with_mapping_mode(MappingMode::StrictWait);
     let triangles = || {
@@ -104,20 +104,6 @@ fn golden() -> [(SceneId, &'static str, SimConfig, u64, u64); 18] {
             SimConfig::paper_baseline().with_prefetcher(PrefetchConfig::ghb()),
             3749,
             0x5eb54e64dda9cbda,
-        ),
-        (
-            SceneId::Wknd,
-            "hash",
-            SimConfig::paper_baseline().with_prefetcher(PrefetchConfig::hash()),
-            1875,
-            0x0463f97cb1936c5d,
-        ),
-        (
-            SceneId::Car,
-            "hash",
-            SimConfig::paper_baseline().with_prefetcher(PrefetchConfig::hash()),
-            3749,
-            0x7e1e8998ca0d4163,
         ),
         (
             SceneId::Wknd,

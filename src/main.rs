@@ -6,7 +6,7 @@
 //! treelet-prefetching stats --scene CAR [--detail 1.0] [--treelet-bytes 512]
 //! treelet-prefetching run   --scene CAR [--detail 1.0] [--res 32]
 //!                           [--config baseline|traversal|prefetch]
-//!                           [--prefetch none|treelet|mta|ghb|hash]
+//!                           [--prefetch none|treelet|mta|ghb]
 //!                           [--heuristic always|partial|pop:<t>]
 //!                           [--scheduler baseline|omr|pmr]
 //!                           [--treelet-bytes N] [--workload primary|diffuse|shadow]
@@ -83,9 +83,6 @@ struct Options {
     res: u32,
     config: ConfigKind,
     prefetch: Option<PrefetchKind>,
-    hash_table_size: Option<usize>,
-    hash_quant: Option<u32>,
-    hash_path_lines: Option<usize>,
     heuristic: Option<PrefetchHeuristic>,
     scheduler: Option<SchedulerPolicy>,
     treelet_bytes: u64,
@@ -121,7 +118,6 @@ enum PrefetchKind {
     Treelet,
     Mta,
     Ghb,
-    Hash,
 }
 
 impl PrefetchKind {
@@ -131,9 +127,8 @@ impl PrefetchKind {
             "treelet" => Ok(PrefetchKind::Treelet),
             "mta" => Ok(PrefetchKind::Mta),
             "ghb" => Ok(PrefetchKind::Ghb),
-            "hash" => Ok(PrefetchKind::Hash),
             other => Err(format!(
-                "unknown --prefetch {other:?} (none | treelet | mta | ghb | hash)"
+                "unknown --prefetch {other:?} (none | treelet | mta | ghb)"
             )),
         }
     }
@@ -211,9 +206,6 @@ impl Default for Options {
             res: 32,
             config: ConfigKind::Prefetch,
             prefetch: None,
-            hash_table_size: None,
-            hash_quant: None,
-            hash_path_lines: None,
             heuristic: None,
             scheduler: None,
             treelet_bytes: 512,
@@ -352,33 +344,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             "--prefetch" => {
                 options.prefetch = Some(PrefetchKind::parse(next_value(&mut it, "--prefetch")?)?);
             }
-            "--hash-table-size" => {
-                let v: usize = next_value(&mut it, "--hash-table-size")?
-                    .parse()
-                    .map_err(|e| format!("bad --hash-table-size: {e}"))?;
-                if v == 0 {
-                    return Err("--hash-table-size must be positive".into());
-                }
-                options.hash_table_size = Some(v);
-            }
-            "--hash-quant" => {
-                let v: u32 = next_value(&mut it, "--hash-quant")?
-                    .parse()
-                    .map_err(|e| format!("bad --hash-quant: {e}"))?;
-                if !(1..=16).contains(&v) {
-                    return Err("--hash-quant must be between 1 and 16 bits".into());
-                }
-                options.hash_quant = Some(v);
-            }
-            "--hash-path-lines" => {
-                let v: usize = next_value(&mut it, "--hash-path-lines")?
-                    .parse()
-                    .map_err(|e| format!("bad --hash-path-lines: {e}"))?;
-                if v == 0 {
-                    return Err("--hash-path-lines must be positive".into());
-                }
-                options.hash_path_lines = Some(v);
-            }
             "--heuristic" => {
                 let v = next_value(&mut it, "--heuristic")?;
                 options.heuristic = Some(parse_heuristic(v)?);
@@ -471,13 +436,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             }
             other => return Err(format!("unknown flag {other:?}")),
         }
-    }
-    if options.prefetch != Some(PrefetchKind::Hash)
-        && (options.hash_table_size.is_some()
-            || options.hash_quant.is_some()
-            || options.hash_path_lines.is_some())
-    {
-        return Err("--hash-table-size/--hash-quant/--hash-path-lines require --prefetch hash".into());
     }
     Ok(options)
 }
@@ -810,7 +768,7 @@ fn build_config(options: &Options) -> SimConfig {
     // --heuristic partial` composes (the heuristic setter only touches a
     // treelet prefetcher).
     if let Some(kind) = options.prefetch {
-        config = config.with_prefetcher(build_prefetch(kind, options));
+        config = config.with_prefetcher(build_prefetch(kind));
     }
     if let Some(h) = options.heuristic {
         config = config.with_heuristic(h);
@@ -821,37 +779,13 @@ fn build_config(options: &Options) -> SimConfig {
     apply_robustness(config, options)
 }
 
-/// Expands a `--prefetch` selection (plus the hash knobs) into its
-/// [`PrefetchConfig`].
-fn build_prefetch(kind: PrefetchKind, options: &Options) -> PrefetchConfig {
+/// Expands a `--prefetch` selection into its [`PrefetchConfig`].
+fn build_prefetch(kind: PrefetchKind) -> PrefetchConfig {
     match kind {
         PrefetchKind::None => PrefetchConfig::none(),
         PrefetchKind::Treelet => PrefetchConfig::treelet(),
         PrefetchKind::Mta => PrefetchConfig::mta(),
         PrefetchKind::Ghb => PrefetchConfig::ghb(),
-        PrefetchKind::Hash => {
-            let mut prefetch = PrefetchConfig::hash();
-            if let PrefetchConfig::Hash {
-                table_capacity,
-                origin_bits,
-                dir_bits,
-                max_path_lines,
-                ..
-            } = &mut prefetch
-            {
-                if let Some(v) = options.hash_table_size {
-                    *table_capacity = v;
-                }
-                if let Some(v) = options.hash_quant {
-                    *origin_bits = v;
-                    *dir_bits = v;
-                }
-                if let Some(v) = options.hash_path_lines {
-                    *max_path_lines = v;
-                }
-            }
-            prefetch
-        }
     }
 }
 
@@ -1163,17 +1097,6 @@ fn cmd_run(options: &Options) -> Result<(), Failure> {
         println!(
             "prefetches:        {} timely, {} late, {} too late, {} early, {} unused",
             e.timely, e.late, e.too_late, e.early, e.unused
-        );
-    }
-    if let Some(h) = &result.hash {
-        println!(
-            "hash predictor:    {} rays hashed, {} table hits ({:.1}%), {} paths, {} lines staged, {} dropped",
-            h.rays_hashed,
-            h.table_hits,
-            h.hit_rate() * 100.0,
-            h.paths_recorded,
-            h.lines_enqueued,
-            h.queue_full_drops
         );
     }
     // Scripts (the CI kill-and-resume job among them) compare this line
@@ -1637,9 +1560,7 @@ USAGE:
   treelet-prefetching trace --scene CAR --out trace.txt [--config traversal] [--res 32]
   treelet-prefetching run   --scene CAR [--detail 1.0] [--res 32]
                             [--config baseline|traversal|prefetch]
-                            [--prefetch none|treelet|mta|ghb|hash]
-                            [--hash-table-size N] [--hash-quant BITS]
-                            [--hash-path-lines N]
+                            [--prefetch none|treelet|mta|ghb]
                             [--heuristic always|partial|pop:<t>]
                             [--scheduler baseline|omr|pmr]
                             [--treelet-bytes N]
@@ -1674,15 +1595,8 @@ USAGE:
 PREFETCHERS:
   --prefetch KIND      override the base --config's prefetcher: none,
                        treelet (majority-voted treelet prefetch), mta
-                       (Lee et al. many-thread-aware stride), ghb
-                       (global history buffer over misses), or hash
-                       (Demoullin et al. hash-based ray-path prediction)
-  --hash-table-size N  hash predictor: prediction-table capacity
-                       (entries; requires --prefetch hash)
-  --hash-quant BITS    hash predictor: origin/direction quantization
-                       grid bits, 1..=16 (requires --prefetch hash)
-  --hash-path-lines N  hash predictor: max node lines remembered per
-                       retired ray path (requires --prefetch hash)
+                       (Lee et al. many-thread-aware stride), or ghb
+                       (global history buffer over misses)
 
 PARALLEL EXECUTION:
   suite                run one config across a scene list (default: all
@@ -1900,68 +1814,34 @@ mod tests {
 
     #[test]
     fn prefetch_selector_parses() {
-        let opts = match parse(&["run", "--prefetch", "hash"]).unwrap() {
+        let opts = match parse(&["run", "--prefetch", "ghb"]).unwrap() {
             Command::Run(o) => o,
             other => panic!("expected run, got {other:?}"),
         };
-        assert_eq!(opts.prefetch, Some(PrefetchKind::Hash));
+        assert_eq!(opts.prefetch, Some(PrefetchKind::Ghb));
         for (text, kind) in [
             ("none", PrefetchKind::None),
             ("treelet", PrefetchKind::Treelet),
             ("mta", PrefetchKind::Mta),
             ("ghb", PrefetchKind::Ghb),
-            ("hash", PrefetchKind::Hash),
         ] {
             assert_eq!(PrefetchKind::parse(text), Ok(kind));
         }
-        assert!(PrefetchKind::parse("stride").is_err());
-        assert!(parse(&["run", "--prefetch", "stride"]).is_err());
-    }
-
-    #[test]
-    fn hash_knobs_require_the_hash_prefetcher() {
-        assert!(parse(&["run", "--hash-table-size", "64"]).is_err());
-        assert!(parse(&["run", "--prefetch", "mta", "--hash-quant", "4"]).is_err());
-        assert!(parse(&["run", "--prefetch", "hash", "--hash-path-lines", "8"]).is_ok());
-    }
-
-    #[test]
-    fn hash_knob_values_validated_at_parse_time() {
-        assert!(parse(&["run", "--prefetch", "hash", "--hash-table-size", "0"]).is_err());
-        assert!(parse(&["run", "--prefetch", "hash", "--hash-quant", "0"]).is_err());
-        assert!(parse(&["run", "--prefetch", "hash", "--hash-quant", "17"]).is_err());
-        assert!(parse(&["run", "--prefetch", "hash", "--hash-path-lines", "0"]).is_err());
-        assert!(parse(&["run", "--prefetch", "hash", "--hash-quant", "16"]).is_ok());
+        for unknown in ["stride", "hash"] {
+            assert!(PrefetchKind::parse(unknown).is_err());
+            assert!(parse(&["run", "--prefetch", unknown]).is_err());
+        }
     }
 
     #[test]
     fn prefetch_selector_rewrites_the_config() {
-        let opts = match parse(&[
-            "run", "--config", "baseline", "--prefetch", "hash", "--hash-table-size", "64",
-            "--hash-quant", "4", "--hash-path-lines", "8",
-        ])
-        .unwrap()
-        {
+        let opts = match parse(&["run", "--config", "baseline", "--prefetch", "mta"]).unwrap() {
             Command::Run(o) => o,
             other => panic!("expected run, got {other:?}"),
         };
         let config = build_config(&opts);
-        match config.prefetch {
-            PrefetchConfig::Hash {
-                table_capacity,
-                origin_bits,
-                dir_bits,
-                max_path_lines,
-                ..
-            } => {
-                assert_eq!(table_capacity, 64);
-                assert_eq!(origin_bits, 4);
-                assert_eq!(dir_bits, 4);
-                assert_eq!(max_path_lines, 8);
-            }
-            other => panic!("expected hash prefetch config, got {other:?}"),
-        }
-        config.validate().expect("hash CLI config validates");
+        assert_eq!(config.prefetch, PrefetchConfig::Mta);
+        config.validate().expect("MTA CLI config validates");
 
         // `--prefetch treelet` composes with the heuristic setter.
         let opts = match parse(&[

@@ -180,34 +180,14 @@ fn bad_input_exits_with_code_2_and_no_panic() {
             needle: "--prefetch",
         },
         Case {
-            name: "hash knob without the hash prefetcher",
-            args: &["run", "--scene", "WKND", "--hash-table-size", "64"],
-            needle: "--prefetch hash",
+            name: "removed hash prefetcher",
+            args: &["run", "--scene", "WKND", "--prefetch", "hash"],
+            needle: "--prefetch \"hash\" (none | treelet | mta | ghb)",
         },
         Case {
-            name: "hash knob with a different prefetcher",
-            args: &["run", "--scene", "WKND", "--prefetch", "mta", "--hash-quant", "4"],
-            needle: "--prefetch hash",
-        },
-        Case {
-            name: "zero hash table size",
-            args: &["run", "--prefetch", "hash", "--hash-table-size", "0"],
-            needle: "--hash-table-size",
-        },
-        Case {
-            name: "zero hash quantization bits",
-            args: &["run", "--prefetch", "hash", "--hash-quant", "0"],
-            needle: "--hash-quant",
-        },
-        Case {
-            name: "oversized hash quantization bits",
-            args: &["run", "--prefetch", "hash", "--hash-quant", "17"],
-            needle: "--hash-quant",
-        },
-        Case {
-            name: "zero hash path lines",
-            args: &["run", "--prefetch", "hash", "--hash-path-lines", "0"],
-            needle: "--hash-path-lines",
+            name: "removed hash prefetcher knob",
+            args: &["run", "--scene", "WKND", "--hash-quant", "2"],
+            needle: "unknown flag \"--hash-quant\"",
         },
         Case {
             name: "serve with a garbage chaos seed",
