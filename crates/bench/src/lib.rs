@@ -436,10 +436,8 @@ mod tests {
 
     #[test]
     fn cold_warm_parallel_prepares_are_bit_identical() {
-        let dir = std::env::temp_dir().join(format!(
-            "rt_bench_prepare_cache_{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("rt_bench_prepare_cache_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let workload = Workload::new(rt_scene::WorkloadKind::Primary, 4, 4);
         let detail = 0.05;
@@ -600,10 +598,8 @@ mod tests {
     fn resumable_sweep_checkpoints_and_reruns_identically() {
         let suite = Suite::prepare(0.05, Workload::new(rt_scene::WorkloadKind::Primary, 4, 4));
         let config = SimConfig::paper_treelet_prefetch();
-        let dir = std::env::temp_dir().join(format!(
-            "rt_bench_resumable_sweep_{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("rt_bench_resumable_sweep_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         // Each scene checkpoints into `dir/<scene>.rtsnap` (with a digest
@@ -652,4 +648,3 @@ mod tests {
         print_scene_table("empty", &["a"], &[], true);
     }
 }
-

@@ -336,7 +336,11 @@ pub fn decode_wide_bvh(r: &mut ByteReader<'_>) -> Result<WideBvh, DecodeError> {
         u32::from_le_bytes([chunk[at], chunk[at + 1], chunk[at + 2], chunk[at + 3]])
     };
     let aabb_at = |chunk: &[u8], at: usize| Aabb {
-        min: Vec3::new(f32_at(chunk, at), f32_at(chunk, at + 4), f32_at(chunk, at + 8)),
+        min: Vec3::new(
+            f32_at(chunk, at),
+            f32_at(chunk, at + 4),
+            f32_at(chunk, at + 8),
+        ),
         max: Vec3::new(
             f32_at(chunk, at + 12),
             f32_at(chunk, at + 16),

@@ -159,9 +159,7 @@ impl ChildHits {
         for i in 1..self.len {
             let x = self.items[i];
             let mut j = i;
-            while j > 0
-                && self.items[j - 1].1.total_cmp(&x.1) == std::cmp::Ordering::Less
-            {
+            while j > 0 && self.items[j - 1].1.total_cmp(&x.1) == std::cmp::Ordering::Less {
                 self.items[j] = self.items[j - 1];
                 j -= 1;
             }

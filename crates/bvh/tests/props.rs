@@ -162,7 +162,9 @@ fn treelet_packed_layout_keeps_groups_in_slots() {
 #[test]
 fn leaf_capacity_is_always_respected() {
     forall("leaf_capacity_is_always_respected", 64, |rng| {
-        let bvh = rt_bvh::WideBvhBuilder::new().max_leaf_tris(3).build(soup(rng));
+        let bvh = rt_bvh::WideBvhBuilder::new()
+            .max_leaf_tris(3)
+            .build(soup(rng));
         for id in 0..bvh.node_count() as u32 {
             if let Some(leaf) = bvh.node(id).leaf() {
                 assert!(leaf.count <= 3);

@@ -60,7 +60,10 @@ impl fmt::Display for ConfigError {
                 )
             }
             ConfigError::IncompatibleMapping { mapping, layout } => {
-                write!(f, "mapping mode {mapping:?} is incompatible with layout {layout}")
+                write!(
+                    f,
+                    "mapping mode {mapping:?} is incompatible with layout {layout}"
+                )
             }
             ConfigError::ZeroProgressWindow => {
                 write!(f, "progress window must be nonzero")
@@ -361,9 +364,7 @@ mod tests {
         assert!(e.to_string().contains("checkpoint failure"));
         assert!(e.to_string().contains("different run"));
         assert!(e.source().is_some());
-        let e = SimError::from(SnapshotError::Decode(
-            rt_gpu_sim::DecodeError::BadMagic,
-        ));
+        let e = SimError::from(SnapshotError::Decode(rt_gpu_sim::DecodeError::BadMagic));
         assert!(e.to_string().contains("invalid checkpoint"));
     }
 

@@ -339,11 +339,9 @@ mod tests {
     #[test]
     fn cold_miss_then_warm_hit_is_bit_identical() {
         let cache = temp_cache("warm");
-        let cold =
-            Bench::try_prepare_cached(SceneId::Wknd, 0.2, workload(), Some(&cache)).unwrap();
+        let cold = Bench::try_prepare_cached(SceneId::Wknd, 0.2, workload(), Some(&cache)).unwrap();
         assert_eq!((cache.hits(), cache.misses()), (0, 1));
-        let warm =
-            Bench::try_prepare_cached(SceneId::Wknd, 0.2, workload(), Some(&cache)).unwrap();
+        let warm = Bench::try_prepare_cached(SceneId::Wknd, 0.2, workload(), Some(&cache)).unwrap();
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         assert_eq!(bench_digest(&cold), bench_digest(&warm));
         let uncached = Bench::try_prepare(SceneId::Wknd, 0.2, workload()).unwrap();
@@ -400,7 +398,10 @@ mod tests {
         let rebuilt =
             Bench::try_prepare_cached(SceneId::Wknd, 0.15, workload(), Some(&cache)).unwrap();
         assert_eq!(bench_digest(&cold), bench_digest(&rebuilt));
-        assert!(cache.load(key, SceneId::Wknd).is_some(), "the entry was stored again");
+        assert!(
+            cache.load(key, SceneId::Wknd).is_some(),
+            "the entry was stored again"
+        );
     }
 
     #[test]

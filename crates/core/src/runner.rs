@@ -41,7 +41,9 @@ use std::sync::Arc;
 /// Parses an `RT_JOBS`-style override: a positive integer means "use
 /// exactly this many workers"; anything else is ignored.
 fn jobs_from_env(value: Option<&str>) -> Option<usize> {
-    value.and_then(|v| v.trim().parse::<usize>().ok()).filter(|&n| n > 0)
+    value
+        .and_then(|v| v.trim().parse::<usize>().ok())
+        .filter(|&n| n > 0)
 }
 
 /// The machine's available parallelism, or 1 when it cannot be
@@ -122,7 +124,11 @@ impl Schedule {
     /// The claims of a multi-worker plan, one single-cell chunk per
     /// cell in claim order; none for a serial plan.
     pub fn chunks(&self) -> std::slice::Chunks<'_, usize> {
-        let claimed = if self.workers <= 1 { &[] } else { &self.order[..] };
+        let claimed = if self.workers <= 1 {
+            &[]
+        } else {
+            &self.order[..]
+        };
         claimed.chunks(1)
     }
 }
@@ -206,9 +212,7 @@ where
         mine
     };
     let mut indexed: Vec<(usize, T)> = std::thread::scope(|scope| {
-        let spawned: Vec<_> = (1..schedule.workers)
-            .map(|_| scope.spawn(claim))
-            .collect();
+        let spawned: Vec<_> = (1..schedule.workers).map(|_| scope.spawn(claim)).collect();
         // Worker #0 (the caller) claims alongside the spawned threads.
         let mine = claim();
         spawned
@@ -438,14 +442,7 @@ mod tests {
     fn plan_claims_every_cell_once_longest_first() {
         // Cheap cells are claimed like any other, after the expensive
         // ones, each alone.
-        let costs = vec![
-            10,
-            50_000_000,
-            20,
-            60_000_000,
-            70_000_000,
-            40_000_000,
-        ];
+        let costs = vec![10, 50_000_000, 20, 60_000_000, 70_000_000, 40_000_000];
         let plan = plan_schedule_with(4, 8, &costs);
         assert_eq!(plan.workers(), 4);
         assert!(plan.inline_cells().is_empty());
@@ -486,13 +483,13 @@ mod tests {
     /// detail 1.0, measured single-threaded on 2 vCPUs, in
     /// `SceneId::ALL` order.
     const BASELINE_128_MS: [f64; 16] = [
-        36.25, 145.92, 141.04, 140.58, 100.95, 500.64, 131.94, 168.97, 134.85, 93.32, 52.87,
-        65.19, 83.28, 91.49, 67.46, 54.18,
+        36.25, 145.92, 141.04, 140.58, 100.95, 500.64, 131.94, 168.97, 134.85, 93.32, 52.87, 65.19,
+        83.28, 91.49, 67.46, 54.18,
     ];
     /// The same scenes' SAH-expected node visits per ray.
     const BASELINE_128_VISITS: [f64; 16] = [
-        3.81, 12.03, 17.68, 13.88, 7.81, 41.62, 18.01, 15.91, 8.73, 12.83, 5.69, 7.83, 10.36,
-        7.11, 6.51, 5.36,
+        3.81, 12.03, 17.68, 13.88, 7.81, 41.62, 18.01, 15.91, 8.73, 12.83, 5.69, 7.83, 10.36, 7.11,
+        6.51, 5.36,
     ];
     /// The same scenes' BVH node counts.
     const BASELINE_128_NODES: [u64; 16] = [
@@ -515,12 +512,21 @@ mod tests {
             simulated_makespan(&plan, &BASELINE_128_MS) / (total / w as f64).max(longest)
         };
         let (two, four) = (ratio(2, &sah_costs), ratio(4, &sah_costs));
-        assert!(two <= 1.02, "2 workers: makespan {two:.3} × the lower bound");
-        assert!(four <= 1.06, "4 workers: makespan {four:.3} × the lower bound");
+        assert!(
+            two <= 1.02,
+            "2 workers: makespan {two:.3} × the lower bound"
+        );
+        assert!(
+            four <= 1.06,
+            "4 workers: makespan {four:.3} × the lower bound"
+        );
         // Ordered by nodes × rays, PARTY (34 nodes walked per ray) is
         // only 8th by cost and starts too late for 4 workers to balance.
         let nodes_four = ratio(4, &node_costs);
-        assert!(nodes_four > 1.06, "nodes × rays, 4 workers: {nodes_four:.3}");
+        assert!(
+            nodes_four > 1.06,
+            "nodes × rays, 4 workers: {nodes_four:.3}"
+        );
     }
 
     #[test]
@@ -530,7 +536,10 @@ mod tests {
         assert_eq!(cell_cost(f64::INFINITY, 2), u64::MAX);
         // The measured scenes' visits are distinct to two decimals:
         // even at a 4×4 workload no two of them weigh the same.
-        let mut costs: Vec<u64> = BASELINE_128_VISITS.iter().map(|&v| cell_cost(v, 16)).collect();
+        let mut costs: Vec<u64> = BASELINE_128_VISITS
+            .iter()
+            .map(|&v| cell_cost(v, 16))
+            .collect();
         costs.sort_unstable();
         costs.dedup();
         assert_eq!(costs.len(), BASELINE_128_VISITS.len());
@@ -738,7 +747,13 @@ mod tests {
             sweep
                 .run_parallel(jobs)
                 .into_iter()
-                .map(|c| (c.label, c.scene, c.result.expect("cell completes").state_digest))
+                .map(|c| {
+                    (
+                        c.label,
+                        c.scene,
+                        c.result.expect("cell completes").state_digest,
+                    )
+                })
                 .collect()
         };
         let serial = digests(1);
@@ -784,9 +799,6 @@ mod tests {
             .with_config("bad", bad);
         let outcomes = sweep.run_parallel(2);
         assert!(outcomes[0].result.is_ok());
-        assert!(matches!(
-            outcomes[1].result,
-            Err(SimError::Config(_))
-        ));
+        assert!(matches!(outcomes[1].result, Err(SimError::Config(_))));
     }
 }

@@ -355,9 +355,7 @@ impl<'a> SimSession<'a> {
                     // next batch would inherit leaked MSHRs, so refuse
                     // with a typed error instead of running on.
                     let audit = returned.audit();
-                    if !finalize
-                        && (audit.double_completions > 0 || audit.dropped_responses > 0)
-                    {
+                    if !finalize && (audit.double_completions > 0 || audit.dropped_responses > 0) {
                         return Err(SimError::BatchPoisoned {
                             batch: i,
                             dropped_responses: audit.dropped_responses,
@@ -509,8 +507,7 @@ mod tests {
         for n in 0..24 {
             let mut config = SimConfig::paper_treelet_prefetch();
             config.progress_window = 20_000;
-            config.mem.fault_injection =
-                Some(rt_gpu_sim::FaultInjection::drop_nth_dram_send(7, n));
+            config.mem.fault_injection = Some(rt_gpu_sim::FaultInjection::drop_nth_dram_send(7, n));
             match SimSession::batched(&bvh, &batches, config).run_batches() {
                 Ok(results) => assert_eq!(results.len(), 2),
                 Err(SimError::BatchPoisoned {

@@ -218,7 +218,8 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
             fs::File::create(&tmp).map_err(io_err("create temp checkpoint", tmp.clone()))?;
         f.write_all(bytes)
             .map_err(io_err("write checkpoint", tmp.clone()))?;
-        f.sync_all().map_err(io_err("sync checkpoint", tmp.clone()))?;
+        f.sync_all()
+            .map_err(io_err("sync checkpoint", tmp.clone()))?;
     }
     fs::rename(&tmp, path).map_err(io_err("commit checkpoint", path.to_path_buf()))
 }
@@ -363,8 +364,9 @@ pub fn first_divergence(
     a.sort_by_key(|r| r.epoch);
     b.sort_by_key(|r| r.epoch);
     let common = a.len().min(b.len());
-    let diverged =
-        |i: usize| a[i].epoch != b[i].epoch || a[i].cycle != b[i].cycle || a[i].digest != b[i].digest;
+    let diverged = |i: usize| {
+        a[i].epoch != b[i].epoch || a[i].cycle != b[i].cycle || a[i].digest != b[i].digest
+    };
     if common == 0 || !diverged(common - 1) {
         return None;
     }

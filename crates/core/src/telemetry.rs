@@ -219,9 +219,27 @@ impl Telemetry {
         for s in &self.samples {
             let mut cells = s.scalar_values();
             for ch in 0..self.channels() {
-                cells.push(s.dram_channel_queue.get(ch).copied().unwrap_or(0).to_string());
-                cells.push(s.dram_channel_accesses.get(ch).copied().unwrap_or(0).to_string());
-                cells.push(s.dram_channel_bytes.get(ch).copied().unwrap_or(0).to_string());
+                cells.push(
+                    s.dram_channel_queue
+                        .get(ch)
+                        .copied()
+                        .unwrap_or(0)
+                        .to_string(),
+                );
+                cells.push(
+                    s.dram_channel_accesses
+                        .get(ch)
+                        .copied()
+                        .unwrap_or(0)
+                        .to_string(),
+                );
+                cells.push(
+                    s.dram_channel_bytes
+                        .get(ch)
+                        .copied()
+                        .unwrap_or(0)
+                        .to_string(),
+                );
             }
             out.push_str(&cells.join(","));
             out.push('\n');

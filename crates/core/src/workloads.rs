@@ -8,9 +8,9 @@
 //! of the shader-generated bounce rays a full Vulkan pipeline would
 //! produce.
 
-use rt_rng::{Rng, SmallRng};
 use rt_bvh::WideBvh;
 use rt_geometry::{Ray, Vec3};
+use rt_rng::{Rng, SmallRng};
 
 /// How bounce directions are chosen at each hit point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

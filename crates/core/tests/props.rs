@@ -119,28 +119,32 @@ fn two_stack_never_reenters_a_treelet() {
 
 #[test]
 fn compiled_traces_are_line_aligned_and_deduplicated() {
-    forall("compiled_traces_are_line_aligned_and_deduplicated", 48, |rng| {
-        let bvh = WideBvh::build(soup(rng));
-        let a = TreeletAssignment::form(&bvh, 512);
-        let image = MemoryImage::depth_first(&bvh);
-        let origin = Vec3::new(coord(rng), coord(rng), coord(rng));
-        let target = bvh.root_aabb().center();
-        let dir = target - origin;
-        if dir.length_squared() <= 1e-3 {
-            return;
-        }
-        let ray = Ray::new(origin, dir);
-        let trace = trace_ray(&bvh, &a, &ray, TraversalAlgorithm::BaselineDfs);
-        for step in compile_trace(&trace, &image, 64) {
-            assert!(!step.lines.is_empty());
-            assert_eq!(step.lines[0], image.node_addr(step.node) / 64 * 64);
-            let mut sorted = step.lines.clone();
-            sorted.sort_unstable();
-            sorted.dedup();
-            assert_eq!(sorted.len(), step.lines.len(), "duplicate lines in step");
-            assert!(step.lines.iter().all(|l| l % 64 == 0));
-        }
-    });
+    forall(
+        "compiled_traces_are_line_aligned_and_deduplicated",
+        48,
+        |rng| {
+            let bvh = WideBvh::build(soup(rng));
+            let a = TreeletAssignment::form(&bvh, 512);
+            let image = MemoryImage::depth_first(&bvh);
+            let origin = Vec3::new(coord(rng), coord(rng), coord(rng));
+            let target = bvh.root_aabb().center();
+            let dir = target - origin;
+            if dir.length_squared() <= 1e-3 {
+                return;
+            }
+            let ray = Ray::new(origin, dir);
+            let trace = trace_ray(&bvh, &a, &ray, TraversalAlgorithm::BaselineDfs);
+            for step in compile_trace(&trace, &image, 64) {
+                assert!(!step.lines.is_empty());
+                assert_eq!(step.lines[0], image.node_addr(step.node) / 64 * 64);
+                let mut sorted = step.lines.clone();
+                sorted.sort_unstable();
+                sorted.dedup();
+                assert_eq!(sorted.len(), step.lines.len(), "duplicate lines in step");
+                assert!(step.lines.iter().all(|l| l % 64 == 0));
+            }
+        },
+    );
 }
 
 #[test]
@@ -152,7 +156,10 @@ fn traversal_visits_are_bounded_by_node_count() {
         let a = TreeletAssignment::form(&bvh, 512);
         let origin = Vec3::new(coord(rng), coord(rng), coord(rng));
         let ray = Ray::new(origin, direction(rng));
-        for algo in [TraversalAlgorithm::BaselineDfs, TraversalAlgorithm::TwoStackTreelet] {
+        for algo in [
+            TraversalAlgorithm::BaselineDfs,
+            TraversalAlgorithm::TwoStackTreelet,
+        ] {
             let trace = trace_ray(&bvh, &a, &ray, algo);
             assert!(trace.nodes_visited() <= bvh.node_count());
             // No node may appear twice in a single trace.

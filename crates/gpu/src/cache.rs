@@ -37,7 +37,9 @@ pub(crate) fn decode_origin(r: &mut ByteReader<'_>) -> Result<FillOrigin, Decode
     match r.take_u8()? {
         0 => Ok(FillOrigin::Demand),
         1 => Ok(FillOrigin::Prefetch),
-        t => Err(DecodeError::malformed(format!("unknown fill origin tag {t}"))),
+        t => Err(DecodeError::malformed(format!(
+            "unknown fill origin tag {t}"
+        ))),
     }
 }
 
@@ -986,7 +988,9 @@ impl Cache {
         let capacity_lines = r.take_usize()?;
         let organization = match r.take_u8()? {
             0 => Organization::FullyAssociative,
-            1 => Organization::SetAssociative { sets: r.take_u64()? },
+            1 => Organization::SetAssociative {
+                sets: r.take_u64()?,
+            },
             t => {
                 return Err(DecodeError::malformed(format!(
                     "unknown cache organization tag {t}"

@@ -347,7 +347,10 @@ mod tests {
     fn truncated_reads_are_typed_eof() {
         let mut r = ByteReader::new(&[1, 2, 3]);
         match r.take_u64() {
-            Err(DecodeError::UnexpectedEof { offset: 0, needed: 8 }) => {}
+            Err(DecodeError::UnexpectedEof {
+                offset: 0,
+                needed: 8,
+            }) => {}
             other => panic!("expected EOF error, got {other:?}"),
         }
     }

@@ -1596,7 +1596,9 @@ fn decode_event(r: &mut ByteReader<'_>) -> Result<Event, DecodeError> {
             sm: r.take_usize()?,
             line: r.take_u64()?,
         }),
-        3 => Ok(Event::DramSend { line: r.take_u64()? }),
+        3 => Ok(Event::DramSend {
+            line: r.take_u64()?,
+        }),
         t => Err(DecodeError::malformed(format!("unknown event tag {t}"))),
     }
 }
@@ -1634,7 +1636,9 @@ fn encode_histogram(h: &LatencyHistogram, w: &mut ByteWriter) {
 fn decode_histogram(r: &mut ByteReader<'_>) -> Result<LatencyHistogram, DecodeError> {
     let bin_cycles = r.take_u64()?;
     if bin_cycles == 0 {
-        return Err(DecodeError::malformed("histogram bin width must be nonzero"));
+        return Err(DecodeError::malformed(
+            "histogram bin width must be nonzero",
+        ));
     }
     let n = r.take_len(8)?;
     if n == 0 {
@@ -2105,8 +2109,18 @@ mod tests {
         // And it *behaves* identically: tick both in lockstep, issuing
         // the same new traffic, and the states stay byte-identical.
         for i in 0..4u64 {
-            let a = ms.access(0, 0x70_0000 + i * 4096, FillOrigin::Demand, AccessKind::Triangle);
-            let b = back.access(0, 0x70_0000 + i * 4096, FillOrigin::Demand, AccessKind::Triangle);
+            let a = ms.access(
+                0,
+                0x70_0000 + i * 4096,
+                FillOrigin::Demand,
+                AccessKind::Triangle,
+            );
+            let b = back.access(
+                0,
+                0x70_0000 + i * 4096,
+                FillOrigin::Demand,
+                AccessKind::Triangle,
+            );
             assert_eq!(a, b);
         }
         for _ in 0..2_000 {

@@ -469,10 +469,7 @@ impl CountVec {
 
     /// `key`'s count (zero when absent).
     pub fn get(&self, key: u32) -> u32 {
-        self.entries
-            .iter()
-            .find(|e| e.0 == key)
-            .map_or(0, |e| e.1)
+        self.entries.iter().find(|e| e.0 == key).map_or(0, |e| e.1)
     }
 
     /// True when every count is zero.

@@ -22,7 +22,11 @@ fn cache_occupancy_never_exceeds_capacity() {
         let mut cache = Cache::new(8, Organization::FullyAssociative, 64, 64);
         for (i, (line, prefetch)) in ops.iter().enumerate() {
             let addr = *line as u64 * 64;
-            let origin = if *prefetch { FillOrigin::Prefetch } else { FillOrigin::Demand };
+            let origin = if *prefetch {
+                FillOrigin::Prefetch
+            } else {
+                FillOrigin::Demand
+            };
             if cache.probe(addr, origin, i as u64) == ProbeOutcome::Miss {
                 cache.fill(addr, i as u64);
             }
@@ -72,7 +76,11 @@ fn effectiveness_classification_is_complete() {
         let mut cache = Cache::new(8, Organization::FullyAssociative, 64, 64);
         for (i, (line, prefetch)) in ops.iter().enumerate() {
             let addr = *line as u64 * 64;
-            let origin = if *prefetch { FillOrigin::Prefetch } else { FillOrigin::Demand };
+            let origin = if *prefetch {
+                FillOrigin::Prefetch
+            } else {
+                FillOrigin::Demand
+            };
             if cache.probe(addr, origin, i as u64) == ProbeOutcome::Miss {
                 cache.fill(addr, i as u64);
             }
@@ -83,7 +91,10 @@ fn effectiveness_classification_is_complete() {
         // too_late counts dropped probes. Together they never exceed the
         // number of prefetch probes, and dropped + actually-fetched probes
         // cover them all.
-        assert_eq!(effect.too_late + stats.prefetch_misses, stats.prefetch_probes);
+        assert_eq!(
+            effect.too_late + stats.prefetch_misses,
+            stats.prefetch_probes
+        );
         assert!(
             effect.timely + effect.late + effect.early + effect.unused
                 <= stats.prefetch_misses + effect.early
@@ -99,7 +110,13 @@ fn memory_system_never_loses_requests() {
         // complete, even under MSHR backpressure (Retry).
         let n = rng.gen_range(1..150usize);
         let pattern: Vec<(u64, usize, bool)> = (0..n)
-            .map(|_| (rng.gen_range(0..256u64), rng.gen_range(0..2usize), rng.gen_bool(0.5)))
+            .map(|_| {
+                (
+                    rng.gen_range(0..256u64),
+                    rng.gen_range(0..2usize),
+                    rng.gen_bool(0.5),
+                )
+            })
             .collect();
         let mut cfg = MemConfig::paper_default();
         cfg.l1_mshrs = 4; // force backpressure
@@ -110,7 +127,11 @@ fn memory_system_never_loses_requests() {
         let mut retries = 0u64;
         for &(block, sm, prefetch) in &pattern {
             let addr = block * 64;
-            let origin = if prefetch { FillOrigin::Prefetch } else { FillOrigin::Demand };
+            let origin = if prefetch {
+                FillOrigin::Prefetch
+            } else {
+                FillOrigin::Demand
+            };
             match ms.access(sm, addr, origin, AccessKind::Node) {
                 rt_gpu_sim::Issue::Hit(req) | rt_gpu_sim::Issue::Pending(req) => {
                     if origin == FillOrigin::Demand {

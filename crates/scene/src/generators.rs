@@ -6,8 +6,8 @@
 
 use crate::Mesh;
 use crate::SceneError;
-use rt_rng::Rng;
 use rt_geometry::{Triangle, Vec3};
+use rt_rng::Rng;
 
 /// Ceiling on the triangles a single generator call may produce (2²⁶,
 /// ~67 M — well above any paper scene, well below allocation-until-OOM).
@@ -282,11 +282,7 @@ pub fn helix_tube(
 /// # Errors
 ///
 /// [`SceneError::TooManyTriangles`] if `2·res²` exceeds the ceiling.
-pub fn terrain<F: Fn(f32, f32) -> f32>(
-    half: f32,
-    res: u32,
-    height: F,
-) -> Result<Mesh, SceneError> {
+pub fn terrain<F: Fn(f32, f32) -> f32>(half: f32, res: u32, height: F) -> Result<Mesh, SceneError> {
     let res = res.max(1);
     budget(2 * res as u128 * res as u128)?;
     let step = 2.0 * half / res as f32;

@@ -6,8 +6,8 @@
 //! from the scene surface.
 
 use crate::Scene;
-use rt_rng::{Rng, SmallRng};
 use rt_geometry::{Ray, Vec3};
+use rt_rng::{Rng, SmallRng};
 use std::fmt;
 
 /// The kind of ray workload to generate.

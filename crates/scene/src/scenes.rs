@@ -16,8 +16,8 @@ use crate::generators::{
     uv_sphere,
 };
 use crate::{Camera, Mesh, SceneError};
-use rt_rng::SmallRng;
 use rt_geometry::{Aabb, Vec3};
+use rt_rng::SmallRng;
 use std::fmt;
 
 /// Identifier of one of the sixteen evaluation scenes (paper Table 2).

@@ -78,14 +78,18 @@ fn workloads_are_deterministic_per_seed() {
 
 #[test]
 fn scene_detail_never_produces_empty_or_nonfinite() {
-    forall("scene_detail_never_produces_empty_or_nonfinite", 16, |rng| {
-        // A cheap scene across a detail range: always non-empty, always
-        // finite geometry.
-        let detail = rng.gen_range(0.1f32..0.5);
-        let scene = Scene::build_with_detail(SceneId::Wknd, detail);
-        assert!(!scene.mesh.is_empty());
-        for t in scene.mesh.triangles() {
-            assert!(t.v0.is_finite() && t.v1.is_finite() && t.v2.is_finite());
-        }
-    });
+    forall(
+        "scene_detail_never_produces_empty_or_nonfinite",
+        16,
+        |rng| {
+            // A cheap scene across a detail range: always non-empty, always
+            // finite geometry.
+            let detail = rng.gen_range(0.1f32..0.5);
+            let scene = Scene::build_with_detail(SceneId::Wknd, detail);
+            assert!(!scene.mesh.is_empty());
+            for t in scene.mesh.triangles() {
+                assert!(t.v0.is_finite() && t.v1.is_finite() && t.v2.is_finite());
+            }
+        },
+    );
 }

@@ -273,7 +273,9 @@ fn injected(detail: &str) -> io::Error {
 }
 
 fn crashed_error() -> io::Error {
-    io::Error::other(format!("{INJECTED_MARKER} simulated crash (process is dead)"))
+    io::Error::other(format!(
+        "{INJECTED_MARKER} simulated crash (process is dead)"
+    ))
 }
 
 impl ChaosState {
@@ -283,7 +285,10 @@ impl ChaosState {
             return false;
         }
         let fired = {
-            let mut rng = self.rng.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut rng = self
+                .rng
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
             rng.gen_bool(p)
         };
         if !fired {
@@ -292,7 +297,9 @@ impl ChaosState {
         // Spend one unit of budget; exhausted budget suppresses the fault.
         let granted = self
             .budget_left
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |left| left.checked_sub(1))
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |left| {
+                left.checked_sub(1)
+            })
             .is_ok();
         if granted {
             self.faults.fetch_add(1, Ordering::SeqCst);
@@ -326,7 +333,10 @@ impl ChaosState {
         if len <= 1 {
             return 0;
         }
-        let mut rng = self.rng.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut rng = self
+            .rng
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         rng.gen_range(0..len)
     }
 
@@ -335,7 +345,10 @@ impl ChaosState {
             return;
         }
         let ms = {
-            let mut rng = self.rng.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut rng = self
+                .rng
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
             rng.gen_range(0..self.plan.max_delay_ms + 1)
         };
         if ms > 0 {
@@ -702,7 +715,9 @@ impl Chaos {
 
     /// Whether the configured crash point has fired.
     pub fn crashed(&self) -> bool {
-        self.state.as_ref().is_some_and(|s| s.crashed.load(Ordering::SeqCst))
+        self.state
+            .as_ref()
+            .is_some_and(|s| s.crashed.load(Ordering::SeqCst))
     }
 
     /// The configured seed, when a plan is active.
@@ -716,7 +731,8 @@ mod tests {
     use super::*;
 
     fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("rt-served-chaos-{tag}-{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("rt-served-chaos-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         dir
@@ -806,7 +822,10 @@ mod tests {
             let dir = temp_dir(&format!("replay-{seed}"));
             let shim = chaos.fs();
             let outcomes = (0..64)
-                .map(|i| shim.write_file(&dir.join(format!("{i}.txt")), b"x").is_err())
+                .map(|i| {
+                    shim.write_file(&dir.join(format!("{i}.txt")), b"x")
+                        .is_err()
+                })
                 .collect();
             let _ = fs::remove_dir_all(&dir);
             (outcomes, chaos.faults_injected())

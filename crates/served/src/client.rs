@@ -5,9 +5,7 @@
 //! TCP handshakes are noise.
 
 use crate::chaos::{Chaos, ServedNet};
-use crate::protocol::{
-    read_frame, ErrorKind, JobStatus, ProtocolError, Request, Response,
-};
+use crate::protocol::{read_frame, ErrorKind, JobStatus, ProtocolError, Request, Response};
 use std::fmt;
 use std::io::{BufReader, Write};
 use std::sync::Arc;
@@ -86,10 +84,13 @@ impl Client {
     /// Any [`ClientError`]. A typed server error frame is surfaced as
     /// [`ClientError::Server`], not an `Ok` response.
     pub fn call(&self, request: &Request) -> Result<Response, ClientError> {
-        let stream = self.net.connect(&self.addr).map_err(|source| ClientError::Connect {
-            addr: self.addr.clone(),
-            source,
-        })?;
+        let stream = self
+            .net
+            .connect(&self.addr)
+            .map_err(|source| ClientError::Connect {
+                addr: self.addr.clone(),
+                source,
+            })?;
         // Bound both directions: a daemon that stops answering (reads)
         // or stops draining (writes) must fail typed, not hang the
         // caller.

@@ -515,7 +515,10 @@ mod tests {
             Json::parse("1 2"),
             Err(JsonError::TrailingBytes { .. })
         ));
-        assert!(matches!(Json::parse("1e999"), Err(JsonError::BadNumber { .. })));
+        assert!(matches!(
+            Json::parse("1e999"),
+            Err(JsonError::BadNumber { .. })
+        ));
         assert!(matches!(
             Json::parse("\"\\q\""),
             Err(JsonError::BadEscape { .. })
@@ -525,7 +528,10 @@ mod tests {
     #[test]
     fn depth_cap_is_a_typed_error_not_a_stack_overflow() {
         let deep = "[".repeat(10_000) + &"]".repeat(10_000);
-        assert_eq!(Json::parse(&deep), Err(JsonError::TooDeep { max: MAX_DEPTH }));
+        assert_eq!(
+            Json::parse(&deep),
+            Err(JsonError::TooDeep { max: MAX_DEPTH })
+        );
     }
 
     #[test]

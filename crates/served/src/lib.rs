@@ -84,6 +84,4 @@ pub use protocol::{
 };
 pub use server::{ServeError, Server, ServerConfig, ShutdownReason};
 pub use store::{ArtifactStore, JournaledJob, StoreError, StoreLock};
-pub use supervisor::{
-    JobError, ResultError, SubmitRejection, Supervisor, SupervisorConfig,
-};
+pub use supervisor::{JobError, ResultError, SubmitRejection, Supervisor, SupervisorConfig};

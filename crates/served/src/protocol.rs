@@ -39,7 +39,10 @@ pub enum ProtocolError {
     /// A required field was absent.
     MissingField { field: &'static str },
     /// A field was present but of the wrong shape.
-    BadField { field: &'static str, expected: &'static str },
+    BadField {
+        field: &'static str,
+        expected: &'static str,
+    },
     /// An unrecognized `cmd` value.
     UnknownCommand { found: String },
     /// An unrecognized reply shape from a server.
@@ -58,7 +61,10 @@ impl fmt::Display for ProtocolError {
             ProtocolError::Garbage(e) => write!(f, "frame is not valid JSON: {e}"),
             ProtocolError::NotAnObject => write!(f, "frame is not a JSON object"),
             ProtocolError::UnsupportedVersion { found } => {
-                write!(f, "unsupported protocol version {found} (this build speaks {PROTOCOL_VERSION})")
+                write!(
+                    f,
+                    "unsupported protocol version {found} (this build speaks {PROTOCOL_VERSION})"
+                )
             }
             ProtocolError::MissingField { field } => write!(f, "missing field `{field}`"),
             ProtocolError::BadField { field, expected } => {
@@ -849,10 +855,7 @@ mod tests {
                 Response::Status(status.clone()),
                 Response::Status(status.clone()),
             ),
-            (
-                Response::Rows(vec![row.clone()]),
-                Response::Rows(vec![row]),
-            ),
+            (Response::Rows(vec![row.clone()]), Response::Rows(vec![row])),
             (Response::ShuttingDown, Response::ShuttingDown),
             (
                 Response::Error {
@@ -922,7 +925,10 @@ mod tests {
     #[test]
     fn read_frame_reports_truncation_and_clean_eof() {
         let mut reader = std::io::BufReader::new(&b"{\"v\":1}\n"[..]);
-        assert_eq!(read_frame(&mut reader).unwrap(), Some("{\"v\":1}".to_string()));
+        assert_eq!(
+            read_frame(&mut reader).unwrap(),
+            Some("{\"v\":1}".to_string())
+        );
         assert_eq!(read_frame(&mut reader).unwrap(), None);
 
         let mut reader = std::io::BufReader::new(&b"{\"v\":1"[..]);

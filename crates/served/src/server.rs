@@ -9,13 +9,9 @@
 //! so the caller can pick the right exit code.
 
 use crate::chaos::{Chaos, ChaosStream, ServedNet};
-use crate::protocol::{
-    read_frame, ErrorKind, ProtocolError, Request, Response,
-};
+use crate::protocol::{read_frame, ErrorKind, ProtocolError, Request, Response};
 use crate::store::{ArtifactStore, StoreError};
-use crate::supervisor::{
-    ResultError, SubmitRejection, Supervisor, SupervisorConfig,
-};
+use crate::supervisor::{ResultError, SubmitRejection, Supervisor, SupervisorConfig};
 use std::fmt;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener};
@@ -129,7 +125,9 @@ impl Server {
     ///
     /// [`ServeError::Io`] if the listener itself fails.
     pub fn run(self) -> Result<ShutdownReason, ServeError> {
-        self.listener.set_nonblocking(true).map_err(ServeError::Io)?;
+        self.listener
+            .set_nonblocking(true)
+            .map_err(ServeError::Io)?;
         let reason = loop {
             if let Some(flag) = self.signal_flag {
                 if flag.load(Ordering::SeqCst) {

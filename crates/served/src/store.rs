@@ -211,11 +211,13 @@ impl ArtifactStore {
                             // and retry the exclusive create once (a
                             // concurrent starter may win the race; the
                             // second AlreadyExists is then authoritative).
-                            self.fs.remove_file(&path).map_err(|source| StoreError::Io {
-                                what: "remove stale lock",
-                                path: path.clone(),
-                                source,
-                            })?;
+                            self.fs
+                                .remove_file(&path)
+                                .map_err(|source| StoreError::Io {
+                                    what: "remove stale lock",
+                                    path: path.clone(),
+                                    source,
+                                })?;
                         }
                         holder => {
                             return Err(StoreError::Locked {
@@ -366,7 +368,8 @@ impl ArtifactStore {
         let spec_json = v
             .get("spec")
             .ok_or_else(|| corrupt("missing `spec`".to_string()))?;
-        let spec = JobSpec::from_json(spec_json).map_err(|e: ProtocolError| corrupt(e.to_string()))?;
+        let spec =
+            JobSpec::from_json(spec_json).map_err(|e: ProtocolError| corrupt(e.to_string()))?;
         if spec.identity() != id {
             return Err(corrupt(format!(
                 "spec digest {} does not match filename",
@@ -414,11 +417,13 @@ impl ArtifactStore {
     /// [`StoreError::Io`] if the write fails.
     pub fn write_cell_result(&self, cell: &CellResult) -> Result<(), StoreError> {
         let dir = self.cell_dir(cell.cell);
-        self.fs.create_dir_all(&dir).map_err(|source| StoreError::Io {
-            what: "create directory",
-            path: dir.clone(),
-            source,
-        })?;
+        self.fs
+            .create_dir_all(&dir)
+            .map_err(|source| StoreError::Io {
+                what: "create directory",
+                path: dir.clone(),
+                source,
+            })?;
         let mut line = cell.to_json().encode();
         line.push('\n');
         self.write_atomic(&self.cell_result_path(cell.cell), line.as_bytes())?;
@@ -456,11 +461,13 @@ impl ArtifactStore {
     /// fails.
     pub fn write_bvh_artifact(&self, key: u64, bytes: &[u8]) -> Result<(), StoreError> {
         let dir = self.root.join("bvh");
-        self.fs.create_dir_all(&dir).map_err(|source| StoreError::Io {
-            what: "create directory",
-            path: dir,
-            source,
-        })?;
+        self.fs
+            .create_dir_all(&dir)
+            .map_err(|source| StoreError::Io {
+                what: "create directory",
+                path: dir,
+                source,
+            })?;
         self.write_atomic(&self.bvh_artifact_path(key), bytes)
     }
 
@@ -479,11 +486,13 @@ impl ArtifactStore {
     /// [`StoreError::Io`] if creation fails.
     pub fn ensure_cell_dir(&self, key: u64) -> Result<(), StoreError> {
         let dir = self.cell_dir(key);
-        self.fs.create_dir_all(&dir).map_err(|source| StoreError::Io {
-            what: "create directory",
-            path: dir,
-            source,
-        })
+        self.fs
+            .create_dir_all(&dir)
+            .map_err(|source| StoreError::Io {
+                what: "create directory",
+                path: dir,
+                source,
+            })
     }
 
     /// Atomic write-then-rename composed from the shim's primitives, so
@@ -548,7 +557,8 @@ mod tests {
     use super::*;
 
     fn temp_store(tag: &str) -> ArtifactStore {
-        let dir = std::env::temp_dir().join(format!("rt-served-store-{tag}-{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("rt-served-store-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         ArtifactStore::open(dir).expect("open store")
     }
@@ -565,7 +575,9 @@ mod tests {
         let store = temp_store("journal");
         let spec = spec();
         let id = spec.identity();
-        store.journal_job(id, &spec, JobState::Queued, None).unwrap();
+        store
+            .journal_job(id, &spec, JobState::Queued, None)
+            .unwrap();
         store
             .journal_job(id, &spec, JobState::Failed, Some("worker panicked"))
             .unwrap();
@@ -599,10 +611,7 @@ mod tests {
         store
             .journal_job(0xbad, &spec, JobState::Queued, None)
             .unwrap();
-        assert!(matches!(
-            store.load_jobs(),
-            Err(StoreError::Corrupt { .. })
-        ));
+        assert!(matches!(store.load_jobs(), Err(StoreError::Corrupt { .. })));
         let _ = fs::remove_dir_all(store.root());
     }
 
@@ -664,7 +673,10 @@ mod tests {
             .arg("echo $$")
             .output()
             .expect("spawn child");
-        let dead_pid: u32 = String::from_utf8_lossy(&child.stdout).trim().parse().unwrap();
+        let dead_pid: u32 = String::from_utf8_lossy(&child.stdout)
+            .trim()
+            .parse()
+            .unwrap();
         fs::write(store.root().join("LOCK"), format!("pid={dead_pid}\n")).unwrap();
         let lock = store.lock().expect("steal stale lock");
         drop(lock);

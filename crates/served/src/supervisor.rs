@@ -737,10 +737,7 @@ fn run_cell(
         Err(payload) => {
             return Err(CellFailure {
                 transient: true,
-                message: format!(
-                    "job {cell_index} panicked: {}",
-                    panic_message(&*payload)
-                ),
+                message: format!("job {cell_index} panicked: {}", panic_message(&*payload)),
             })
         }
     };
@@ -777,8 +774,7 @@ mod tests {
     use super::*;
 
     fn temp_store(tag: &str) -> ArtifactStore {
-        let dir =
-            std::env::temp_dir().join(format!("rt-served-sup-{tag}-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("rt-served-sup-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         ArtifactStore::open(dir).expect("open store")
     }

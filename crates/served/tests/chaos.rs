@@ -26,11 +26,11 @@
 //! socket-level chaos (partial reads, delays, resets) perturbs nothing
 //! or fails typed.
 
-use rt_served::{
-    ArtifactStore, Chaos, Client, ClientError, FaultPlan, JobSpec, JobState, Server,
-    ServerConfig, StoreError, Supervisor, SupervisorConfig,
-};
 use rt_scene::{SceneId, Workload, WorkloadKind};
+use rt_served::{
+    ArtifactStore, Chaos, Client, ClientError, FaultPlan, JobSpec, JobState, Server, ServerConfig,
+    StoreError, Supervisor, SupervisorConfig,
+};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 use treelet_rt::SimConfig;
@@ -74,8 +74,7 @@ fn run_once(
     chaos: &Chaos,
     max_retries: u32,
 ) -> Result<Vec<rt_served::CellResult>, String> {
-    let store =
-        ArtifactStore::open_with_fs(dir, chaos.fs()).map_err(|e| format!("open: {e}"))?;
+    let store = ArtifactStore::open_with_fs(dir, chaos.fs()).map_err(|e| format!("open: {e}"))?;
     let sup = Supervisor::start(store, supervisor_config(max_retries))
         .map_err(|e| format!("start: {e}"))?;
     let outcome = (|| {
@@ -83,7 +82,11 @@ fn run_once(
             .submit(harness_spec())
             .map_err(|e| format!("submit: {e}"))?;
         let done = sup
-            .wait_terminal(status.job, Duration::from_millis(5), Duration::from_secs(120))
+            .wait_terminal(
+                status.job,
+                Duration::from_millis(5),
+                Duration::from_secs(120),
+            )
             .ok_or("job never reached a terminal state")?;
         if done.state != JobState::Done {
             return Err(format!("job ended {}: {:?}", done.state, done.error));
@@ -178,9 +181,8 @@ fn every_store_write_point_crash_recovers_bit_identically() {
         let _ = run_once(&dir, &chaos, 2);
         assert!(chaos.crashed(), "crash point {k} of {points} never fired");
 
-        let recovered = run_once(&dir, &Chaos::off(), 2).unwrap_or_else(|e| {
-            panic!("recovery after a crash at write point {k} failed: {e}")
-        });
+        let recovered = run_once(&dir, &Chaos::off(), 2)
+            .unwrap_or_else(|e| panic!("recovery after a crash at write point {k} failed: {e}"));
         assert_eq!(
             recovered, reference,
             "recovery after a crash at write point {k} must be bit-identical"
@@ -344,7 +346,11 @@ fn partial_reads_and_delays_do_not_perturb_the_protocol() {
     };
     let submitted = client.submit(spec).expect("submit");
     let done = client
-        .wait(submitted.job, Duration::from_millis(10), Duration::from_secs(120))
+        .wait(
+            submitted.job,
+            Duration::from_millis(10),
+            Duration::from_secs(120),
+        )
         .expect("job finishes");
     assert_eq!(done.state, JobState::Done);
     let rows = client.result(done.job).expect("rows survive partial reads");
@@ -374,14 +380,20 @@ fn connection_resets_surface_as_typed_client_errors() {
     for attempt in 0..2 {
         match client.ping() {
             Err(ClientError::Io(e)) => {
-                assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset, "attempt {attempt}");
+                assert_eq!(
+                    e.kind(),
+                    std::io::ErrorKind::ConnectionReset,
+                    "attempt {attempt}"
+                );
             }
             other => panic!("expected a typed reset on attempt {attempt}, got {other:?}"),
         }
     }
     assert_eq!(chaos.faults_injected(), 2);
     // Budget spent: the same client works again.
-    client.ping().expect("ping after the fault budget is exhausted");
+    client
+        .ping()
+        .expect("ping after the fault budget is exhausted");
 
     Client::new(&addr).shutdown().expect("shutdown");
     runner.join().unwrap();

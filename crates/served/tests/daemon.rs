@@ -7,8 +7,8 @@
 //! restart, and clean protocol-driven shutdown.
 
 use rt_served::{
-    Chaos, Client, ClientError, ErrorKind, JobSpec, JobState, Server, ServerConfig,
-    ShutdownReason, SupervisorConfig,
+    Chaos, Client, ClientError, ErrorKind, JobSpec, JobState, Server, ServerConfig, ShutdownReason,
+    SupervisorConfig,
 };
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -249,9 +249,9 @@ fn interrupted_jobs_resume_after_restart_with_identical_digests() {
     store
         .journal_job(spec.identity(), &spec, JobState::Running, None)
         .expect("journal running");
-    std::fs::remove_file(store.cell_result_path(
-        spec.cell_identity(&spec.scenes[0], &spec.configs[0]),
-    ))
+    std::fs::remove_file(
+        store.cell_result_path(spec.cell_identity(&spec.scenes[0], &spec.configs[0])),
+    )
     .expect("drop cached cell");
 
     // Second daemon over the same store: the journaled `running` job

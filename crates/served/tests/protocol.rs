@@ -8,7 +8,7 @@
 
 use rt_rng::{Rng, SmallRng};
 use rt_served::protocol::{
-    read_frame, parse_hex_id, ProtocolError, Request, Response, MAX_FRAME_BYTES,
+    parse_hex_id, read_frame, ProtocolError, Request, Response, MAX_FRAME_BYTES,
 };
 use rt_served::JobSpec;
 use std::io::BufReader;
@@ -267,10 +267,7 @@ fn hex_ids_survive_fuzzing() {
             .collect();
         // Never panics; round-trips exactly when it parses.
         if let Some(id) = parse_hex_id(&s) {
-            assert_eq!(
-                parse_hex_id(&rt_served::protocol::hex_id(id)),
-                Some(id)
-            );
+            assert_eq!(parse_hex_id(&rt_served::protocol::hex_id(id)), Some(id));
         }
     }
 }

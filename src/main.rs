@@ -68,9 +68,16 @@ struct ClientOptions {
 #[derive(Debug, Clone, PartialEq)]
 enum ClientAction {
     Ping,
-    Submit { spec: rt_served::JobSpec, wait: bool },
-    Status { job: u64 },
-    Result { job: u64 },
+    Submit {
+        spec: rt_served::JobSpec,
+        wait: bool,
+    },
+    Status {
+        job: u64,
+    },
+    Result {
+        job: u64,
+    },
     Shutdown,
 }
 
@@ -417,11 +424,8 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 // summary (and is what `stats --telemetry` uses).
                 if let Some(next) = it.peek() {
                     if !next.starts_with("--") {
-                        options.telemetry_path = Some(
-                            it.next()
-                                .expect("peeked token must be present")
-                                .clone(),
-                        );
+                        options.telemetry_path =
+                            Some(it.next().expect("peeked token must be present").clone());
                     }
                 }
             }
@@ -627,11 +631,9 @@ fn parse_serve_options(args: &[String]) -> Result<ServeOptions, String> {
                     Some(hex) => u64::from_str_radix(hex, 16),
                     None => v.parse(),
                 };
-                options.chaos = Some(
-                    parsed.map_err(|_| {
-                        format!("bad --chaos {v:?} (expected a u64 seed, e.g. 42 or 0x2a)")
-                    })?,
-                );
+                options.chaos = Some(parsed.map_err(|_| {
+                    format!("bad --chaos {v:?} (expected a u64 seed, e.g. 42 or 0x2a)")
+                })?);
             }
             other => return Err(format!("unknown flag {other:?}")),
         }
@@ -763,7 +765,10 @@ fn parse_client_options(args: &[String]) -> Result<ClientOptions, String> {
 }
 
 fn build_config(options: &Options) -> SimConfig {
-    let mut config = options.config.build().with_treelet_bytes(options.treelet_bytes);
+    let mut config = options
+        .config
+        .build()
+        .with_treelet_bytes(options.treelet_bytes);
     // The prefetcher override comes first so `--prefetch treelet
     // --heuristic partial` composes (the heuristic setter only touches a
     // treelet prefetcher).
@@ -1173,8 +1178,8 @@ fn cmd_trace(options: &Options, out_path: &str) -> Result<(), Failure> {
         .iter()
         .map(|r| compile_trace(&trace_ray(bvh, &treelets, r, config.traversal), &image, 64))
         .collect();
-    let file = std::fs::File::create(out_path)
-        .map_err(|e| Failure::from(format!("{out_path}: {e}")))?;
+    let file =
+        std::fs::File::create(out_path).map_err(|e| Failure::from(format!("{out_path}: {e}")))?;
     write_traces(std::io::BufWriter::new(file), &traces)
         .map_err(|e| Failure::from(e.to_string()))?;
     let steps: usize = traces.iter().map(Vec::len).sum();
@@ -1220,8 +1225,7 @@ fn sweep_grid(options: &SweepOptions) -> Vec<(String, SimConfig)> {
 /// or the new one — never a torn file that would poison a later diff.
 fn write_digest_logs(dir: &str, outcomes: &[SweepOutcome]) -> Result<(), Failure> {
     let dir = std::path::Path::new(dir);
-    std::fs::create_dir_all(dir)
-        .map_err(|e| Failure::from(format!("{}: {e}", dir.display())))?;
+    std::fs::create_dir_all(dir).map_err(|e| Failure::from(format!("{}: {e}", dir.display())))?;
     let mut files: std::collections::BTreeMap<String, String> = std::collections::BTreeMap::new();
     for cell in outcomes {
         let log = files
@@ -1320,10 +1324,7 @@ fn cmd_sweep(options: &SweepOptions) -> Result<(), Failure> {
         write_digest_logs(dir, &outcomes)?;
         println!("digest logs written to {dir}/");
     }
-    let failures = outcomes
-        .iter()
-        .filter(|c| c.result.is_err())
-        .count();
+    let failures = outcomes.iter().filter(|c| c.result.is_err()).count();
     if failures > 0 {
         // Exit with the first failure's per-cause code so scripts react
         // to a failed sweep exactly as they would to a failed `run`.
@@ -1845,7 +1846,13 @@ mod tests {
 
         // `--prefetch treelet` composes with the heuristic setter.
         let opts = match parse(&[
-            "run", "--config", "baseline", "--prefetch", "treelet", "--heuristic", "partial",
+            "run",
+            "--config",
+            "baseline",
+            "--prefetch",
+            "treelet",
+            "--heuristic",
+            "partial",
         ])
         .unwrap()
         {
@@ -1918,8 +1925,19 @@ mod tests {
         assert_eq!(opts.jobs, None);
 
         let opts = match parse(&[
-            "suite", "--scenes", "CAR,BUNNY", "--config", "baseline", "--jobs", "3",
-            "--digest-dir", "logs", "--max-cycles", "5000", "--bvh-cache", "prep-cache",
+            "suite",
+            "--scenes",
+            "CAR,BUNNY",
+            "--config",
+            "baseline",
+            "--jobs",
+            "3",
+            "--digest-dir",
+            "logs",
+            "--max-cycles",
+            "5000",
+            "--bvh-cache",
+            "prep-cache",
         ])
         .unwrap()
         {
@@ -1944,7 +1962,11 @@ mod tests {
             vec![ConfigKind::Baseline, ConfigKind::Prefetch]
         );
         let opts = match parse(&[
-            "sweep", "--configs", "baseline,prefetch", "--treelet-bytes-list", "256,512",
+            "sweep",
+            "--configs",
+            "baseline,prefetch",
+            "--treelet-bytes-list",
+            "256,512",
         ])
         .unwrap()
         {
@@ -2121,7 +2143,9 @@ mod tests {
             other => panic!("expected run, got {other:?}"),
         };
         assert!(options.resume);
-        let ck = checkpoint_options(&options).unwrap().expect("checkpointing");
+        let ck = checkpoint_options(&options)
+            .unwrap()
+            .expect("checkpointing");
         assert_eq!(ck.every, 5000);
         assert_eq!(ck.path, std::path::Path::new("/tmp/car.rtsnap"));
         assert_eq!(
@@ -2191,7 +2215,13 @@ mod tests {
     #[test]
     fn serve_parses_chaos_seeds_and_rejects_garbage() {
         match parse(&[
-            "serve", "--addr", "127.0.0.1:0", "--store", "/tmp/s", "--chaos", "42",
+            "serve",
+            "--addr",
+            "127.0.0.1:0",
+            "--store",
+            "/tmp/s",
+            "--chaos",
+            "42",
         ])
         .unwrap()
         {
@@ -2199,7 +2229,13 @@ mod tests {
             other => panic!("expected serve, got {other:?}"),
         }
         match parse(&[
-            "serve", "--addr", "127.0.0.1:0", "--store", "/tmp/s", "--chaos", "0x2a",
+            "serve",
+            "--addr",
+            "127.0.0.1:0",
+            "--store",
+            "/tmp/s",
+            "--chaos",
+            "0x2a",
         ])
         .unwrap()
         {
@@ -2207,7 +2243,13 @@ mod tests {
             other => panic!("expected serve, got {other:?}"),
         }
         let err = parse(&[
-            "serve", "--addr", "127.0.0.1:0", "--store", "/tmp/s", "--chaos", "entropy",
+            "serve",
+            "--addr",
+            "127.0.0.1:0",
+            "--store",
+            "/tmp/s",
+            "--chaos",
+            "entropy",
         ])
         .unwrap_err();
         assert!(err.contains("--chaos"), "{err}");

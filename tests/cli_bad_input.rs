@@ -136,12 +136,28 @@ fn bad_input_exits_with_code_2_and_no_panic() {
         },
         Case {
             name: "serve with zero workers",
-            args: &["serve", "--addr", "127.0.0.1:0", "--store", "s", "--workers", "0"],
+            args: &[
+                "serve",
+                "--addr",
+                "127.0.0.1:0",
+                "--store",
+                "s",
+                "--workers",
+                "0",
+            ],
             needle: "--workers",
         },
         Case {
             name: "serve with zero backoff",
-            args: &["serve", "--addr", "127.0.0.1:0", "--store", "s", "--backoff-ms", "0"],
+            args: &[
+                "serve",
+                "--addr",
+                "127.0.0.1:0",
+                "--store",
+                "s",
+                "--backoff-ms",
+                "0",
+            ],
             needle: "--backoff-ms",
         },
         Case {
@@ -166,12 +182,26 @@ fn bad_input_exits_with_code_2_and_no_panic() {
         },
         Case {
             name: "client submit with an unknown scene",
-            args: &["client", "submit", "--addr", "127.0.0.1:1", "--scenes", "NOPE"],
+            args: &[
+                "client",
+                "submit",
+                "--addr",
+                "127.0.0.1:1",
+                "--scenes",
+                "NOPE",
+            ],
             needle: "NOPE",
         },
         Case {
             name: "client submit with a sub-node treelet budget",
-            args: &["client", "submit", "--addr", "127.0.0.1:1", "--treelet-bytes", "1"],
+            args: &[
+                "client",
+                "submit",
+                "--addr",
+                "127.0.0.1:1",
+                "--treelet-bytes",
+                "1",
+            ],
             needle: "--treelet-bytes",
         },
         Case {
@@ -191,7 +221,15 @@ fn bad_input_exits_with_code_2_and_no_panic() {
         },
         Case {
             name: "serve with a garbage chaos seed",
-            args: &["serve", "--addr", "127.0.0.1:0", "--store", "s", "--chaos", "entropy"],
+            args: &[
+                "serve",
+                "--addr",
+                "127.0.0.1:0",
+                "--store",
+                "s",
+                "--chaos",
+                "entropy",
+            ],
             needle: "--chaos",
         },
     ];
@@ -273,15 +311,7 @@ fn telemetry_does_not_change_the_state_digest() {
     std::fs::create_dir_all(&dir).unwrap();
     let csv_path = dir.join("telemetry.csv");
     let base_args = [
-        "run",
-        "--scene",
-        "WKND",
-        "--detail",
-        "0.2",
-        "--res",
-        "8",
-        "--config",
-        "prefetch",
+        "run", "--scene", "WKND", "--detail", "0.2", "--res", "8", "--config", "prefetch",
     ];
     let plain = run_cli(&base_args);
     assert!(plain.status.success(), "plain run failed");
@@ -316,7 +346,10 @@ fn telemetry_does_not_change_the_state_digest() {
         "ch0_queue_depth",
         "ch0_bytes",
     ] {
-        assert!(header.contains(column), "csv header missing {column}: {header}");
+        assert!(
+            header.contains(column),
+            "csv header missing {column}: {header}"
+        );
     }
     assert!(lines.count() >= 1, "csv has no epoch rows");
     std::fs::remove_dir_all(&dir).ok();
@@ -412,7 +445,10 @@ fn daemon_bind_failure_exits_7() {
         out.status.code()
     );
     assert!(stderr.contains("error:"), "stderr: {stderr}");
-    assert!(stderr.contains(&addr), "stderr does not name the address: {stderr}");
+    assert!(
+        stderr.contains(&addr),
+        "stderr does not name the address: {stderr}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -469,7 +505,13 @@ fn daemon_sigterm_drains_and_exits_9() {
     use std::io::BufRead;
     let dir = std::env::temp_dir().join(format!("treelet-cli-sig9-{}", std::process::id()));
     let mut child = Command::new(BIN)
-        .args(["serve", "--addr", "127.0.0.1:0", "--store", dir.to_str().unwrap()])
+        .args([
+            "serve",
+            "--addr",
+            "127.0.0.1:0",
+            "--store",
+            dir.to_str().unwrap(),
+        ])
         .stdout(std::process::Stdio::piped())
         .stderr(std::process::Stdio::piped())
         .spawn()

@@ -53,11 +53,11 @@ fn obj_mesh_simulates_end_to_end() {
     }
 
     let base = SimSession::new(&bvh, &rays, SimConfig::paper_baseline())
-            .run()
-            .expect("simulation");
+        .run()
+        .expect("simulation");
     let pf = SimSession::new(&bvh, &rays, SimConfig::paper_treelet_prefetch())
-            .run()
-            .expect("simulation");
+        .run()
+        .expect("simulation");
     assert!(base.cycles > 0 && pf.cycles > 0);
     assert_eq!(base.rays, 64);
     // The pyramid apex ray sees the pyramid before the ground.

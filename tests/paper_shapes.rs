@@ -5,9 +5,7 @@
 
 use treelet_prefetching::bvh::{TreeStats, WideBvh};
 use treelet_prefetching::scene::{Scene, SceneId, Workload, WorkloadKind};
-use treelet_prefetching::treelet::{
-    MappingMode, PrefetchConfig, SimConfig, SimResult, SimSession,
-};
+use treelet_prefetching::treelet::{MappingMode, PrefetchConfig, SimConfig, SimResult, SimSession};
 
 fn run(id: SceneId, detail: f32, config: &SimConfig) -> SimResult {
     let scene = Scene::build_with_detail(id, detail);

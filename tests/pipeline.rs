@@ -5,7 +5,7 @@
 use treelet_prefetching::bvh::{MemoryImage, TreeStats, WideBvh};
 use treelet_prefetching::scene::{Scene, SceneId, Workload, WorkloadKind};
 use treelet_prefetching::treelet::{
-    compile_trace, trace_ray, SimSession, SimConfig, TraversalAlgorithm, TreeletAssignment,
+    compile_trace, trace_ray, SimConfig, SimSession, TraversalAlgorithm, TreeletAssignment,
 };
 
 fn small_workload() -> Workload {
@@ -169,11 +169,11 @@ fn simulation_deterministic_end_to_end() {
     let bvh = WideBvh::build(scene.mesh.into_triangles());
     let config = SimConfig::paper_treelet_prefetch();
     let a = SimSession::new(&bvh, &rays, config.clone())
-            .run()
-            .expect("simulation");
+        .run()
+        .expect("simulation");
     let b = SimSession::new(&bvh, &rays, config)
-            .run()
-            .expect("simulation");
+        .run()
+        .expect("simulation");
     assert_eq!(a.cycles, b.cycles);
     assert_eq!(a.l1, b.l1);
     assert_eq!(a.prefetch_effect, b.prefetch_effect);
