@@ -25,10 +25,13 @@
 //! byte-serial hash was a third of the cost of writing one.
 //!
 //! The node payload is one tagged record per node, in node order,
-//! followed by the reordered triangle buffer. A leaf is written from its
-//! [`LeafRecord`](crate::LeafRecord) and an internal node from the live
-//! lanes of its [`ChildSoa`]; decoding writes the records straight back,
-//! so the tree's in-memory layout is not part of the format.
+//! followed by the reordered triangle buffer. A leaf record carries its
+//! bounds and its triangle run; an internal node is written from the
+//! live lanes of its [`ChildSoa`]. The tree keeps no leaf bounds, so the
+//! encoder writes the in-order fold of the leaf's triangle boxes, which
+//! is bit-identical to the leaf's lane in its parent, and the decoder
+//! refuses a leaf whose stored bounds are not that fold. The tree's
+//! in-memory layout is not part of the format.
 //!
 //! Extra *sections* let downstream crates ride along in the same
 //! artifact without `rt-bvh` knowing their types: the experiment
@@ -37,14 +40,15 @@
 //! preserved, so a reader older than a writer degrades gracefully.
 //!
 //! Decoding verifies magic, version, and checksum, then re-validates
-//! every structural invariant through `WideBvh::from_parts` — a
+//! every structural invariant through `WideBvh::from_parts` and every
+//! leaf's stored bounds against its triangles — a
 //! checksum-valid but semantically bogus payload (a bug, not bit rot)
 //! is a typed [`DecodeError`], never a tree that panics in traversal.
 //! Cache layers treat *any* decode error as a miss and rebuild: the
 //! same self-healing rule the rt-served store applies to its artifacts.
 
-use crate::soa::{ChildSoa, LeafRecord};
-use crate::wide::{NodeStore, WideBvh, WideNode, LEAF_SLOT, WIDE_ARITY};
+use crate::soa::ChildSoa;
+use crate::wide::{same_bits, NodeStore, WideBvh, WideNode, MAX_NODES, WIDE_ARITY};
 use rt_geometry::{Aabb, Triangle, Vec3};
 use rt_gpu_sim::{ByteReader, ByteWriter, DecodeError};
 
@@ -249,7 +253,7 @@ pub fn encode_artifact(identity: u64, bvh: &WideBvh, sections: &[(u32, &[u8])]) 
 fn wide_bvh_encoded_len(bvh: &WideBvh) -> usize {
     let nodes: usize = (0..bvh.node_count() as u32)
         .map(|id| match bvh.node(id) {
-            WideNode::Leaf(_) => LEAF_BYTES,
+            WideNode::Leaf { .. } => LEAF_BYTES,
             WideNode::Internal(children) => 2 + children.len() * CHILD_BYTES,
         })
         .sum();
@@ -271,18 +275,19 @@ fn aabb_into(out: &mut [u8], b: &Aabb) {
 /// framing — [`encode_artifact`] is the framed front door).
 ///
 /// Each record is assembled on the stack and appended in one copy: a
-/// leaf from its [`LeafRecord`], an internal node from the live lanes of
-/// its [`ChildSoa`].
+/// leaf from its triangle run and the fold of its triangle boxes
+/// ([`WideBvh::node_aabb`]), an internal node from the live lanes of its
+/// [`ChildSoa`].
 pub fn encode_wide_bvh(bvh: &WideBvh, w: &mut ByteWriter) {
     w.put_len(bvh.node_count());
     let mut rec = [0u8; 2 + WIDE_ARITY * CHILD_BYTES];
     for id in 0..bvh.node_count() as u32 {
         match bvh.node(id) {
-            WideNode::Leaf(leaf) => {
+            WideNode::Leaf { first, count } => {
                 rec[0] = TAG_LEAF;
-                aabb_into(&mut rec[1..25], &leaf.aabb);
-                rec[25..29].copy_from_slice(&leaf.first.to_le_bytes());
-                rec[29..33].copy_from_slice(&leaf.count.to_le_bytes());
+                aabb_into(&mut rec[1..25], &bvh.node_aabb(id));
+                rec[25..29].copy_from_slice(&first.to_le_bytes());
+                rec[29..33].copy_from_slice(&count.to_le_bytes());
                 w.put_bytes(&rec[..LEAF_BYTES]);
             }
             WideNode::Internal(children) => {
@@ -312,19 +317,23 @@ pub fn encode_wide_bvh(bvh: &WideBvh, w: &mut ByteWriter) {
 ///
 /// # Errors
 ///
-/// Truncation, an impossible child count, or any violated tree
-/// invariant (out-of-range references, unreachable nodes, uncovered
-/// triangles) — each as a typed [`DecodeError`].
+/// Truncation, an impossible child count, an empty leaf, any violated
+/// tree invariant (out-of-range references, unreachable nodes,
+/// uncovered triangles), or a leaf whose stored bounds (or lane) are not
+/// bit-identical to the fold of its triangle boxes — each as a typed
+/// [`DecodeError`].
 pub fn decode_wide_bvh(r: &mut ByteReader<'_>) -> Result<WideBvh, DecodeError> {
     // A leaf record is the smallest node encoding.
     let node_count = r.take_len(LEAF_BYTES)?;
-    if node_count >= LEAF_SLOT as usize {
+    if node_count > MAX_NODES {
         return Err(DecodeError::malformed(format!("{node_count} nodes")));
     }
     // How many records are leaves is known only once they are read, so
-    // both arrays are sized for every node and trimmed by `from_parts`:
-    // a fixed number of blocks for any tree.
-    let mut nodes = NodeStore::with_capacity(node_count, node_count, node_count);
+    // the internal records are sized for every node and trimmed by
+    // `from_parts`: a fixed number of blocks for any tree. Each node's
+    // stored bounds (empty for an internal node) wait for the triangles.
+    let mut nodes = NodeStore::with_capacity(node_count, node_count);
+    let mut stored = Vec::with_capacity(node_count);
     // Each record is parsed from one contiguous slice — a single
     // bounds check per record (leaf: 32 bytes; internal: 28 per
     // child) instead of one per field, which matters at hundreds of
@@ -351,11 +360,12 @@ pub fn decode_wide_bvh(r: &mut ByteReader<'_>) -> Result<WideBvh, DecodeError> {
         match r.take_u8()? {
             TAG_LEAF => {
                 let rec = r.take_bytes(LEAF_BYTES - 1)?;
-                nodes.push_leaf(LeafRecord {
-                    aabb: aabb_at(rec, 0),
-                    first: u32_at(rec, 24),
-                    count: u32_at(rec, 28),
-                });
+                let count = u32_at(rec, 28);
+                if count == 0 {
+                    return Err(DecodeError::malformed(format!("leaf {i} is empty")));
+                }
+                nodes.push_leaf(u32_at(rec, 24), count);
+                stored.push(aabb_at(rec, 0));
             }
             TAG_INTERNAL => {
                 let child_count = r.take_u8()? as usize;
@@ -370,6 +380,7 @@ pub fn decode_wide_bvh(r: &mut ByteReader<'_>) -> Result<WideBvh, DecodeError> {
                     children.push(&aabb_at(c, 0), u32_at(c, 24));
                 }
                 nodes.push_internal(children);
+                stored.push(Aabb::empty());
             }
             tag => {
                 return Err(DecodeError::malformed(format!(
@@ -396,7 +407,33 @@ pub fn decode_wide_bvh(r: &mut ByteReader<'_>) -> Result<WideBvh, DecodeError> {
             v2: Vec3::new(f(24), f(28), f(32)),
         });
     }
-    WideBvh::from_parts(nodes, triangles).map_err(DecodeError::malformed)
+    let bvh = WideBvh::from_parts(nodes, triangles).map_err(DecodeError::malformed)?;
+    // The encoder writes the fold of a leaf's triangle boxes, so stored
+    // bounds that are not that fold, bit for bit, would not re-encode to
+    // themselves; and the tree keeps a leaf's bounds only in its
+    // parent's lane, which must equal them too.
+    for id in 0..bvh.node_count() as u32 {
+        if bvh.node(id).leaf().is_some() && !same_bits(&stored[id as usize], &bvh.node_aabb(id)) {
+            return Err(DecodeError::malformed(format!(
+                "leaf {id}'s stored bounds differ from its triangles' bounds"
+            )));
+        }
+    }
+    for id in 0..bvh.node_count() as u32 {
+        let Some(children) = bvh.node(id).internal() else {
+            continue;
+        };
+        for (lane, &c) in children.child_nodes().iter().enumerate() {
+            if bvh.node(c).leaf().is_some()
+                && !same_bits(&children.bounds.get(lane), &stored[c as usize])
+            {
+                return Err(DecodeError::malformed(format!(
+                    "leaf {c}'s lane differs from its triangles' bounds"
+                )));
+            }
+        }
+    }
+    Ok(bvh)
 }
 
 #[cfg(test)]
@@ -541,6 +578,43 @@ mod tests {
         w.put_u64(checksum);
         match BvhArtifact::from_bytes(w.bytes()) {
             Err(DecodeError::Malformed { .. }) => {}
+            other => panic!("expected Malformed, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn refuses_a_leaf_lane_other_than_its_triangles() {
+        // `artifact_fuzz.rs` flips a leaf record's stored bounds; this
+        // flips the leaf's lane in its parent, the copy traversal tests.
+        let mut rng = SmallRng::seed_from_u64(47);
+        let bvh = WideBvh::build(random_triangles(&mut rng, 64));
+        let mut bytes = encode_artifact(6, &bvh, &[]);
+        // Records follow the header and the node count: 33 bytes per
+        // leaf, 2 + 28 per child of an internal node.
+        let mut at = HEADER_BYTES + 8;
+        let lane = (0..bvh.node_count() as u32).find_map(|id| match bvh.node(id) {
+            WideNode::Leaf { .. } => {
+                at += LEAF_BYTES;
+                None
+            }
+            WideNode::Internal(children) => {
+                let leaf = children
+                    .child_nodes()
+                    .iter()
+                    .position(|&c| bvh.node(c).leaf().is_some());
+                let lane = leaf.map(|lane| at + 2 + lane * CHILD_BYTES);
+                at += 2 + children.len() * CHILD_BYTES;
+                lane
+            }
+        });
+        // Flip the lowest mantissa bit of the lane's `max.z` and reseal:
+        // only the bounds check can object.
+        bytes[lane.expect("a leaf child") + 20] ^= 1;
+        let body = bytes.len() - 8;
+        let checksum = artifact_checksum(&bytes[..body]);
+        bytes[body..].copy_from_slice(&checksum.to_le_bytes());
+        match BvhArtifact::from_bytes(&bytes) {
+            Err(DecodeError::Malformed { what }) => assert!(what.contains("lane"), "{what}"),
             other => panic!("expected Malformed, got {other:?}"),
         }
     }

@@ -5,11 +5,11 @@
 //!
 //! - [`WideBvh`] / [`WideBvhBuilder`] — binned-SAH binary construction
 //!   collapsed into the 6-wide tree the RT unit traverses,
-//! - [`ChildSoa`] / [`LeafRecord`] — the flat node records the tree is
-//!   made of, read through [`WideBvh::node`]: an internal node's child
-//!   bounds + pointers in the structure-of-arrays form traversal's
-//!   batched 6-wide slab test reads (the Arches `Data[WIDTH]` +
-//!   `AABB[WIDTH]` layout), and a leaf's bounds and triangle run,
+//! - [`ChildSoa`] — the flat record an internal node is made of, read
+//!   through [`WideBvh::node`]: its child bounds + pointers in the
+//!   structure-of-arrays form traversal's batched 6-wide slab test reads
+//!   (the Arches `Data[WIDTH]` + `AABB[WIDTH]` layout); a leaf is its
+//!   triangle run, held in the node's 8-byte slot,
 //! - [`NodeRecord`] — the 64-byte node record with the paper's treelet
 //!   child bits in the previously unused bytes (Fig. 6),
 //! - [`MemoryImage`] — byte-address assignment for node records and
@@ -55,7 +55,7 @@ pub use codec::{
 };
 pub use layout::{LayoutKind, MemoryImage, PackOptions, NODE_REGION_BASE};
 pub use record::{NodeRecord, RECORD_BYTES};
-pub use soa::{ChildHits, ChildSoa, LeafRecord};
+pub use soa::{ChildHits, ChildSoa};
 pub use stats::TreeStats;
 pub use wide::{
     WideBvh, WideBvhBuilder, WideNode, DEFAULT_MAX_LEAF_TRIS, NODE_SIZE_BYTES, TRIANGLE_SIZE_BYTES,

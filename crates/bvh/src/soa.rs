@@ -1,16 +1,16 @@
-//! The flat node records a [`WideBvh`](crate::WideBvh) is made of.
+//! The flat record an internal node of a [`WideBvh`](crate::WideBvh)
+//! is made of.
 //!
 //! Every internal node is one [`ChildSoa`]: its children's bounds as a
 //! batched [`WideAabb`] beside their node indices. This is the Arches
 //! `WideTreeletBVH::Node` layout, `Data[WIDTH]` beside `AABB[WIDTH]`,
-//! and traversal's 6-wide slab test reads it in one call. Every leaf
-//! is one [`LeafRecord`]: its bounds and its run of triangles.
+//! and traversal's 6-wide slab test reads it in one call.
 //!
-//! The tree keeps one array of each record kind, in node order, plus
-//! one `u32` per node id that says which kind the node is and indexes
-//! its record. These records are the only node storage: a node visit
-//! reads one record, and a leaf takes 32 bytes rather than an empty
-//! 172-byte child record.
+//! The tree keeps these records in one array, in node order, plus one
+//! 8-byte slot per node id. An internal node's slot indexes its record;
+//! a leaf's slot is the whole leaf, its run of triangles, and its bounds
+//! live only in its parent's lane. So a node visit reads one record or
+//! one slot, and a leaf takes 8 bytes.
 
 use crate::wide::WIDE_ARITY;
 use rt_geometry::{Aabb, Ray, Vec3, WideAabb};
@@ -89,18 +89,6 @@ impl ChildSoa {
             }
         }
     }
-}
-
-/// One leaf node: the bounds of its triangles and the run of
-/// [`WideBvh::triangles`](crate::WideBvh::triangles) it covers.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LeafRecord {
-    /// Bounds of the leaf's triangles.
-    pub aabb: Aabb,
-    /// First triangle index.
-    pub first: u32,
-    /// Number of triangles (at least 1).
-    pub count: u32,
 }
 
 /// Fixed-capacity list of `(child node, entry distance)` hits from one
@@ -203,8 +191,8 @@ mod tests {
 
     #[test]
     fn empty_record_for_leaves() {
-        // Leaves now have their own `LeafRecord`; the empty child
-        // record is the starting point every internal node is pushed into.
+        // The empty child record is the starting point every internal
+        // node is pushed into.
         let soa = ChildSoa::empty();
         assert!(soa.is_empty());
         assert_eq!(soa.len(), 0);

@@ -55,18 +55,17 @@ impl TreeStats {
         let root_area = bvh.root_aabb().surface_area().max(1e-12) as f64;
         let mut sah_cost = 0.0f64;
         for id in 0..bvh.node_count() as u32 {
-            let node = bvh.node(id);
-            let p = node.aabb().surface_area() as f64 / root_area;
-            match node {
+            let p = bvh.node_aabb(id).surface_area() as f64 / root_area;
+            match bvh.node(id) {
                 WideNode::Internal(children) => {
                     internal_count += 1;
                     child_total += children.len() as u64;
                     sah_cost += p * children.len() as f64;
                 }
-                WideNode::Leaf(leaf) => {
+                WideNode::Leaf { count, .. } => {
                     leaf_count += 1;
-                    leaf_tris += leaf.count as u64;
-                    sah_cost += p * leaf.count as f64;
+                    leaf_tris += count as u64;
+                    sah_cost += p * count as f64;
                 }
             }
         }

@@ -6,8 +6,8 @@
 //! bounding box and a pointer; leaf nodes reference a contiguous run of
 //! triangles in the primitive buffer.
 
-use crate::binary::{build_binary, BinaryBvh, BinaryNode};
-use crate::soa::{ChildHits, ChildSoa, LeafRecord};
+use crate::binary::{build_binary, BinaryBvh};
+use crate::soa::{ChildHits, ChildSoa};
 use rt_geometry::{Aabb, HitRecord, Ray, Triangle};
 
 /// Maximum number of children of an internal node (the paper's 6-wide BVH).
@@ -23,29 +23,28 @@ pub const TRIANGLE_SIZE_BYTES: u64 = 48;
 /// Default maximum triangles per leaf.
 pub const DEFAULT_MAX_LEAF_TRIS: u32 = 4;
 
-/// Set in a node's slot when the node is a leaf; the other bits index
-/// its record, so a tree holds fewer than `LEAF_SLOT` nodes.
-pub(crate) const LEAF_SLOT: u32 = 1 << 31;
+/// Most nodes a tree holds: node ids are `u32`, and `u32::MAX` marks an
+/// unused child lane.
+pub(crate) const MAX_NODES: usize = u32::MAX as usize;
 
-/// A borrowed view of one node of a [`WideBvh`]: the node's record.
+/// A borrowed view of one node of a [`WideBvh`]: an internal node's
+/// child record, or a leaf's run of triangles read from its slot.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WideNode<'a> {
     /// An internal node with 1..=6 children.
     Internal(&'a ChildSoa),
-    /// A leaf node referencing a run of [`WideBvh::triangles`].
-    Leaf(&'a LeafRecord),
+    /// A leaf node: the run `first..first + count` of
+    /// [`WideBvh::triangles`]. Its bounds are the in-order fold of those
+    /// triangles' boxes ([`WideBvh::node_aabb`]).
+    Leaf {
+        /// First triangle index.
+        first: u32,
+        /// Number of triangles (at least 1).
+        count: u32,
+    },
 }
 
 impl<'a> WideNode<'a> {
-    /// Bounds of the node: a leaf's stored bounds, or the union of an
-    /// internal node's child bounds in child order.
-    pub fn aabb(self) -> Aabb {
-        match self {
-            WideNode::Internal(children) => children.aabb(),
-            WideNode::Leaf(leaf) => leaf.aabb,
-        }
-    }
-
     /// Child node indices (empty for leaves).
     pub fn child_nodes(self) -> impl DoubleEndedIterator<Item = u32> + 'a {
         self.internal()
@@ -59,57 +58,64 @@ impl<'a> WideNode<'a> {
     pub fn internal(self) -> Option<&'a ChildSoa> {
         match self {
             WideNode::Internal(children) => Some(children),
-            WideNode::Leaf(_) => None,
+            WideNode::Leaf { .. } => None,
         }
     }
 
-    /// The leaf's record, or `None` for an internal node.
+    /// The leaf's `(first, count)` triangle run, or `None` for an
+    /// internal node.
     #[inline]
-    pub fn leaf(self) -> Option<&'a LeafRecord> {
+    pub fn leaf(self) -> Option<(u32, u32)> {
         match self {
             WideNode::Internal(_) => None,
-            WideNode::Leaf(leaf) => Some(leaf),
+            WideNode::Leaf { first, count } => Some((first, count)),
         }
     }
 }
 
-/// The node storage of a [`WideBvh`]: one [`ChildSoa`] per internal
-/// node and one [`LeafRecord`] per leaf, each array in node order, and
-/// per node id a slot naming the node's kind and record.
+/// The node storage of a [`WideBvh`]: one 8-byte slot per node id and
+/// one [`ChildSoa`] per internal node, in node order.
+///
+/// A leaf's slot holds its triangle count in the high 32 bits and its
+/// first triangle in the low 32; an internal node's slot holds zero high
+/// bits and the index of its record in `internals`. A leaf holds at
+/// least one triangle, so the high bits tell the two apart, and a leaf
+/// visit reads nothing but its slot.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct NodeStore {
-    /// Per node id: the index of its record in `internals`, or
-    /// [`LEAF_SLOT`] `|` the index of its record in `leaves`.
-    slots: Vec<u32>,
+    slots: Vec<u64>,
     internals: Vec<ChildSoa>,
-    leaves: Vec<LeafRecord>,
 }
 
 impl NodeStore {
-    /// An empty store with room for `nodes` node ids, `internals`
-    /// internal records and `leaves` leaf records.
-    pub(crate) fn with_capacity(nodes: usize, internals: usize, leaves: usize) -> NodeStore {
+    /// An empty store with room for `nodes` node ids and `internals`
+    /// internal records.
+    pub(crate) fn with_capacity(nodes: usize, internals: usize) -> NodeStore {
         NodeStore {
             slots: Vec::with_capacity(nodes),
             internals: Vec::with_capacity(internals),
-            leaves: Vec::with_capacity(leaves),
         }
     }
 
-    /// Appends a leaf and returns its node id.
-    pub(crate) fn push_leaf(&mut self, leaf: LeafRecord) -> u32 {
-        self.leaves.push(leaf);
-        self.push_slot(LEAF_SLOT | (self.leaves.len() as u32 - 1))
+    /// Appends a leaf over triangles `first..first + count` and returns
+    /// its node id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `count` is zero.
+    pub(crate) fn push_leaf(&mut self, first: u32, count: u32) -> u32 {
+        assert!(count > 0, "a leaf holds at least one triangle");
+        self.push_slot(u64::from(count) << 32 | u64::from(first))
     }
 
     /// Appends an internal node and returns its node id.
     pub(crate) fn push_internal(&mut self, children: ChildSoa) -> u32 {
         self.internals.push(children);
-        self.push_slot(self.internals.len() as u32 - 1)
+        self.push_slot(self.internals.len() as u64 - 1)
     }
 
-    fn push_slot(&mut self, slot: u32) -> u32 {
-        assert!(self.slots.len() < LEAF_SLOT as usize, "too many nodes");
+    fn push_slot(&mut self, slot: u64) -> u32 {
+        assert!(self.slots.len() < MAX_NODES, "too many nodes");
         self.slots.push(slot);
         self.slots.len() as u32 - 1
     }
@@ -166,9 +172,12 @@ impl Default for WideBvhBuilder {
 /// A 6-wide bounding volume hierarchy over a triangle soup.
 ///
 /// Node 0 is the root. Triangles are reordered during construction so that
-/// every leaf references a contiguous range. Each node is one flat
-/// record, read through [`WideBvh::node`]: a [`ChildSoa`] for an internal
-/// node, a [`LeafRecord`] for a leaf.
+/// every leaf references a contiguous range. Each node is read through
+/// [`WideBvh::node`]: an internal node is one flat [`ChildSoa`] record, a
+/// leaf is its triangle run, held in the node's 8-byte slot. A leaf's
+/// bounds are not stored beside it: they are its parent's lane, which
+/// always equals the in-order fold of the leaf's triangle boxes
+/// ([`WideBvh::node_aabb`]).
 #[derive(Debug, Clone)]
 pub struct WideBvh {
     nodes: NodeStore,
@@ -200,7 +209,8 @@ impl WideBvh {
     /// A human-readable description of the first violated invariant:
     /// empty arrays, out-of-range child or triangle references, arity
     /// violations, unreachable or multiply-referenced nodes, or
-    /// triangles not covered by exactly one leaf.
+    /// triangles not covered by exactly one leaf. Leaf bounds are the
+    /// decoder's to check: it holds the bounds the artifact stored.
     pub(crate) fn from_parts(
         nodes: NodeStore,
         triangles: Vec<Triangle>,
@@ -211,9 +221,13 @@ impl WideBvh {
         if triangles.is_empty() {
             return Err("triangle buffer is empty".to_string());
         }
-        // Assembling reads each record on its own, never through a child
-        // reference, so it is safe before the checks below.
-        let bvh = WideBvh::assemble(nodes, triangles);
+        // The checks read one slot or record at a time; the expected
+        // visits follow child references, so they wait for the checks.
+        let bvh = WideBvh {
+            nodes,
+            triangles,
+            expected_visits: 0.0,
+        };
         let (n, triangles) = (bvh.node_count(), &bvh.triangles);
         let mut visited = vec![false; n];
         let mut tri_covered = vec![false; triangles.len()];
@@ -243,12 +257,8 @@ impl WideBvh {
                         stack.push(child);
                     }
                 }
-                WideNode::Leaf(leaf) => {
-                    if leaf.count == 0 {
-                        return Err(format!("leaf {i} is empty"));
-                    }
-                    let first = leaf.first as usize;
-                    let count = leaf.count as usize;
+                WideNode::Leaf { first, count } => {
+                    let (first, count) = (first as usize, count as usize);
                     if first + count > triangles.len() {
                         return Err(format!(
                             "leaf {i} covers triangles {first}..{} of {}",
@@ -271,7 +281,7 @@ impl WideBvh {
         if let Some(tri) = tri_covered.iter().position(|&c| !c) {
             return Err(format!("triangle {tri} not covered by any leaf"));
         }
-        Ok(bvh)
+        Ok(WideBvh::assemble(bvh.nodes, bvh.triangles))
     }
 
     /// A tree over `nodes` and `triangles`, with the room reserved past
@@ -279,7 +289,6 @@ impl WideBvh {
     fn assemble(mut nodes: NodeStore, triangles: Vec<Triangle>) -> WideBvh {
         nodes.slots.shrink_to_fit();
         nodes.internals.shrink_to_fit();
-        nodes.leaves.shrink_to_fit();
         let mut bvh = WideBvh {
             nodes,
             triangles,
@@ -289,14 +298,36 @@ impl WideBvh {
         bvh
     }
 
-    /// The record of node `id` (panics past [`WideBvh::node_count`]).
+    /// Node `id`, read from its slot (panics past
+    /// [`WideBvh::node_count`]).
     #[inline]
     pub fn node(&self, id: u32) -> WideNode<'_> {
         let slot = self.nodes.slots[id as usize];
-        if slot & LEAF_SLOT == 0 {
-            WideNode::Internal(&self.nodes.internals[slot as usize])
-        } else {
-            WideNode::Leaf(&self.nodes.leaves[(slot & !LEAF_SLOT) as usize])
+        match (slot >> 32) as u32 {
+            0 => WideNode::Internal(&self.nodes.internals[slot as usize]),
+            count => WideNode::Leaf {
+                first: slot as u32,
+                count,
+            },
+        }
+    }
+
+    /// Bounds of node `id`: for a leaf, its triangles' boxes folded in
+    /// triangle order; for an internal node, its child lanes folded in
+    /// child order. A leaf's result is bit-identical to its lane in its
+    /// parent, which the builder, [`WideBvh::refit`] and the decoder
+    /// all hold to.
+    pub fn node_aabb(&self, id: u32) -> Aabb {
+        match self.node(id) {
+            WideNode::Internal(children) => children.aabb(),
+            WideNode::Leaf { first, count } => {
+                let mut b = Aabb::empty();
+                let first = first as usize;
+                for t in &self.triangles[first..first + count as usize] {
+                    b.grow_box(&t.aabb());
+                }
+                b
+            }
         }
     }
 
@@ -305,7 +336,7 @@ impl WideBvh {
         &self.triangles
     }
 
-    /// Number of nodes (internal + leaf records).
+    /// Number of nodes (internal nodes and leaves).
     pub fn node_count(&self) -> usize {
         self.nodes.slots.len()
     }
@@ -317,7 +348,7 @@ impl WideBvh {
 
     /// Bounds of the whole scene.
     pub fn root_aabb(&self) -> Aabb {
-        self.node(0).aabb()
+        self.node_aabb(0)
     }
 
     /// Maximum depth of the tree (root = depth 1, matching how the paper's
@@ -372,29 +403,25 @@ impl WideBvh {
             "refit requires the same triangle count (same topology)"
         );
         self.triangles = triangles;
-        // Post-order, children before parents, so that a child's record
-        // holds its new bounds when its parent's lane reads them. An
+        // Post-order, children before parents, so that an internal
+        // child's lanes hold their new bounds when its parent's lane
+        // folds them; a leaf's lane is the fold of its triangles. An
         // explicit stack with an expansion flag avoids recursion on deep
         // trees.
         let mut stack: Vec<(u32, bool)> = vec![(self.root(), false)];
         while let Some((node, expanded)) = stack.pop() {
-            let slot = self.nodes.slots[node as usize];
-            if slot & LEAF_SLOT != 0 {
-                let leaf = &mut self.nodes.leaves[(slot & !LEAF_SLOT) as usize];
-                leaf.aabb = Aabb::empty();
-                for t in &self.triangles[leaf.first as usize..(leaf.first + leaf.count) as usize] {
-                    leaf.aabb.grow_box(&t.aabb());
-                }
-            } else if !expanded {
+            let WideNode::Internal(children) = self.node(node) else {
+                continue;
+            };
+            if !expanded {
                 stack.push((node, true));
-                let children = self.nodes.internals[slot as usize].child_nodes();
-                stack.extend(children.iter().map(|&c| (c, false)));
+                stack.extend(children.child_nodes().iter().map(|&c| (c, false)));
             } else {
-                let mut children = self.nodes.internals[slot as usize];
-                for (lane, &c) in children.nodes[..children.len()].iter().enumerate() {
-                    children.bounds.set(lane, &self.node(c).aabb());
+                let mut children = *children;
+                for (lane, c) in children.nodes[..children.len()].iter().enumerate() {
+                    children.bounds.set(lane, &self.node_aabb(*c));
                 }
-                self.nodes.internals[slot as usize] = children;
+                self.nodes.internals[self.nodes.slots[node as usize] as usize] = children;
             }
         }
         self.expected_visits = expected_visits(self);
@@ -426,8 +453,8 @@ impl WideBvh {
                     hits.sort_far_first();
                     stack.extend_from_slice(hits.as_slice());
                 }
-                WideNode::Leaf(leaf) => {
-                    for i in leaf.first..leaf.first + leaf.count {
+                WideNode::Leaf { first, count } => {
+                    for i in first..first + count {
                         if let Some(t) = self.triangles[i as usize].intersect(&ray) {
                             if hit.update(t, i) {
                                 ray.t_max = t;
@@ -457,17 +484,11 @@ fn collapse(binary: BinaryBvh, triangles: Vec<Triangle>) -> WideBvh {
         .iter()
         .map(|&i| triangles[i as usize])
         .collect();
-    let leaf_of = |b: &BinaryNode| LeafRecord {
-        aabb: b.aabb,
-        first: b.first,
-        count: b.count,
-    };
-
     let leaf_count = binary.nodes.iter().filter(|b| b.is_leaf()).count();
     let internal_bound = binary.nodes.len() - leaf_count;
-    let mut nodes = NodeStore::with_capacity(binary.nodes.len(), internal_bound, leaf_count);
+    let mut nodes = NodeStore::with_capacity(binary.nodes.len(), internal_bound);
     if binary.nodes[0].is_leaf() {
-        nodes.push_leaf(leaf_of(&binary.nodes[0]));
+        nodes.push_leaf(binary.nodes[0].first, binary.nodes[0].count);
         return WideBvh::assemble(nodes, reordered);
     }
 
@@ -508,8 +529,10 @@ fn collapse(binary: BinaryBvh, triangles: Vec<Triangle>) -> WideBvh {
         let mut children = ChildSoa::empty();
         for &b in &adopted[..len] {
             let bn = &binary.nodes[b as usize];
+            // A binary leaf's bounds are the in-order fold of its
+            // triangle boxes, so its lane is what `node_aabb` folds.
             let child = if bn.is_leaf() {
-                nodes.push_leaf(leaf_of(bn))
+                nodes.push_leaf(bn.first, bn.count)
             } else {
                 let child = nodes.push_internal(ChildSoa::empty());
                 work.push((nodes.internals.len() - 1, b));
@@ -522,15 +545,34 @@ fn collapse(binary: BinaryBvh, triangles: Vec<Triangle>) -> WideBvh {
     WideBvh::assemble(nodes, reordered)
 }
 
+/// Whether `a` and `b` hold the same six floats bit for bit (so `-0.0`
+/// differs from `0.0`, and a NaN equals itself).
+pub(crate) fn same_bits(a: &Aabb, b: &Aabb) -> bool {
+    let bits = |b: &Aabb| [b.min, b.max].map(|v| v.to_array().map(f32::to_bits));
+    bits(a) == bits(b)
+}
+
 /// See [`WideBvh::expected_visits_per_ray`].
+///
+/// A leaf's area is read from its lane in its parent, which is
+/// bit-identical to the fold of its triangles, so no triangle is read.
 fn expected_visits(bvh: &WideBvh) -> f64 {
     let root = f64::from(bvh.root_aabb().surface_area());
     let all = bvh.node_count() as f64;
     if !(root.is_finite() && root > 0.0) {
         return all;
     }
+    let mut leaf_area = vec![0.0f32; bvh.node_count()];
+    for children in &bvh.nodes.internals {
+        for (lane, &c) in children.child_nodes().iter().enumerate() {
+            leaf_area[c as usize] = children.bounds.get(lane).surface_area();
+        }
+    }
     let below: f64 = (1..bvh.node_count() as u32)
-        .map(|id| f64::from(bvh.node(id).aabb().surface_area()))
+        .map(|id| match bvh.node(id) {
+            WideNode::Internal(children) => f64::from(children.aabb().surface_area()),
+            WideNode::Leaf { .. } => f64::from(leaf_area[id as usize]),
+        })
         .sum();
     let visits = 1.0 + below / root;
     if visits.is_finite() {
@@ -560,37 +602,37 @@ mod tests {
     }
 
     /// Checks the invariants `from_parts` enforces, then that every
-    /// stored bound contains what it bounds.
+    /// lane contains its child's bounds and a leaf child's lane is, bit
+    /// for bit, the fold of the leaf's triangle boxes.
     fn validate(bvh: &WideBvh) {
         WideBvh::from_parts(bvh.nodes.clone(), bvh.triangles.clone()).expect("a valid tree");
         for id in 0..bvh.node_count() as u32 {
-            match bvh.node(id) {
-                WideNode::Internal(children) => {
-                    for (lane, &c) in children.child_nodes().iter().enumerate() {
-                        assert!(children.bounds.get(lane).contains_box(&bvh.node(c).aabb()));
-                    }
-                }
-                WideNode::Leaf(leaf) => {
-                    let run = leaf.first as usize..(leaf.first + leaf.count) as usize;
-                    assert!(bvh.triangles[run]
-                        .iter()
-                        .all(|t| leaf.aabb.contains_box(&t.aabb())));
+            let Some(children) = bvh.node(id).internal() else {
+                continue;
+            };
+            for (lane, &c) in children.child_nodes().iter().enumerate() {
+                let (stored, folded) = (children.bounds.get(lane), bvh.node_aabb(c));
+                assert!(stored.contains_box(&folded));
+                if bvh.node(c).leaf().is_some() {
+                    assert!(same_bits(&stored, &folded), "leaf {c}'s lane");
                 }
             }
         }
     }
 
     /// Asserts that `bvh` holds, and has room for, one child record per
-    /// internal node, one leaf record per leaf and one slot per node.
+    /// internal node and one slot per node.
     fn assert_one_record_per_node(bvh: &WideBvh) {
         let nodes = &bvh.nodes;
-        let leaves = nodes.slots.iter().filter(|&&s| s & LEAF_SLOT != 0).count();
+        let leaves = nodes.slots.iter().filter(|&&s| s >> 32 != 0).count();
         let internals = bvh.node_count() - leaves;
         assert_eq!(nodes.internals.len(), internals);
-        assert_eq!(nodes.leaves.len(), leaves);
+        assert_eq!(
+            std::mem::size_of_val(&nodes.slots[..]),
+            8 * bvh.node_count()
+        );
         assert_eq!(nodes.slots.capacity(), bvh.node_count());
         assert_eq!(nodes.internals.capacity(), internals);
-        assert_eq!(nodes.leaves.capacity(), leaves);
     }
 
     #[test]
@@ -743,11 +785,6 @@ mod tests {
         let bb = b([1.0, 0.0, 0.0], [2.0, 1.0, 1.0]);
         let c = b([0.0, 0.0, 2.0], [1.0, 1.0, 4.0]);
         let inner = b([0.0; 3], [2.0, 1.0, 1.0]);
-        let leaf = |aabb, first| LeafRecord {
-            aabb,
-            first,
-            count: 1,
-        };
         let internal = |children: [(Aabb, u32); 2]| {
             let mut record = ChildSoa::empty();
             for (aabb, node) in children {
@@ -758,10 +795,13 @@ mod tests {
         let mut nodes = NodeStore::default();
         nodes.push_internal(internal([(inner, 1), (c, 2)]));
         nodes.push_internal(internal([(a, 3), (bb, 4)]));
-        nodes.push_leaf(leaf(c, 2));
-        nodes.push_leaf(leaf(a, 0));
-        nodes.push_leaf(leaf(bb, 1));
-        let bvh = WideBvh::from_parts(nodes, grid(3)).expect("valid tree");
+        nodes.push_leaf(2, 1);
+        nodes.push_leaf(0, 1);
+        nodes.push_leaf(1, 1);
+        // One triangle per leaf whose box is exactly the leaf's lane.
+        let spanning = |b: Aabb| Triangle::new(b.min, Vec3::new(b.max.x, b.min.y, b.min.z), b.max);
+        let tris = vec![spanning(a), spanning(bb), spanning(c)];
+        let bvh = WideBvh::from_parts(nodes, tris).expect("valid tree");
         assert_eq!(bvh.root_aabb().surface_area(), 28.0);
         let want = 1.0 + (10.0 + 10.0 + 6.0 + 6.0) / 28.0;
         assert!((bvh.expected_visits_per_ray() - want).abs() < 1e-12);
@@ -809,18 +849,17 @@ mod tests {
     fn builder_respects_leaf_capacity() {
         let bvh = WideBvhBuilder::new().max_leaf_tris(1).build(grid(40));
         for id in 0..bvh.node_count() as u32 {
-            if let Some(leaf) = bvh.node(id).leaf() {
-                assert_eq!(leaf.count, 1);
+            if let Some((_, count)) = bvh.node(id).leaf() {
+                assert_eq!(count, 1);
             }
         }
     }
 
     #[test]
     fn built_decoded_and_refitted_trees_hold_one_record_per_node() {
-        // An internal node costs one 172-byte child record, a leaf one
-        // 32-byte leaf record, and every node a 4-byte slot.
+        // An internal node costs one 172-byte child record, and every
+        // node an 8-byte slot, which is all a leaf costs.
         assert_eq!(std::mem::size_of::<ChildSoa>(), 172);
-        assert_eq!(std::mem::size_of::<LeafRecord>(), 32);
         let mut bvh = WideBvh::build(grid(333));
         assert!(bvh.node_count() > 100);
         assert_one_record_per_node(&bvh);

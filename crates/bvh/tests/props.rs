@@ -1,7 +1,7 @@
 //! Property-based tests for BVH construction and memory layout.
 
 use rt_bvh::{MemoryImage, PackOptions, WideBvh, WideNode, NODE_SIZE_BYTES, WIDE_ARITY};
-use rt_geometry::{Ray, Triangle, Vec3};
+use rt_geometry::{Aabb, Ray, Triangle, Vec3};
 use rt_rng::prop::forall;
 use rt_rng::{Rng, SmallRng};
 
@@ -27,8 +27,14 @@ fn soup(rng: &mut SmallRng) -> Vec<Triangle> {
     (0..n).map(|_| triangle(rng)).collect()
 }
 
-/// Walks the tree, checking reachability, arity, containment, and that
-/// every triangle is covered exactly once.
+/// The six floats of `b`, bit for bit.
+fn bits(b: &Aabb) -> [[u32; 3]; 2] {
+    [b.min, b.max].map(|v| v.to_array().map(f32::to_bits))
+}
+
+/// Walks the tree, checking reachability, arity, containment, that a
+/// leaf child's lane is bit-identical to the fold of the leaf's triangle
+/// boxes, and that every triangle is covered exactly once.
 fn validate_structure(bvh: &WideBvh) -> Result<(), String> {
     let mut visited = vec![false; bvh.node_count()];
     let mut covered = vec![false; bvh.triangles().len()];
@@ -44,21 +50,22 @@ fn validate_structure(bvh: &WideBvh) -> Result<(), String> {
                     return Err(format!("node {n} has {} children", children.len()));
                 }
                 for (lane, &c) in children.child_nodes().iter().enumerate() {
-                    if !children.bounds.get(lane).contains_box(&bvh.node(c).aabb()) {
+                    let (stored, folded) = (children.bounds.get(lane), bvh.node_aabb(c));
+                    if !stored.contains_box(&folded) {
                         return Err(format!("child {c} escapes stored bounds"));
+                    }
+                    if bvh.node(c).leaf().is_some() && bits(&stored) != bits(&folded) {
+                        return Err(format!("leaf {c}'s lane is not its triangles' bounds"));
                     }
                     stack.push(c);
                 }
             }
-            WideNode::Leaf(leaf) => {
-                for i in leaf.first..leaf.first + leaf.count {
+            WideNode::Leaf { first, count } => {
+                for i in first..first + count {
                     if covered[i as usize] {
                         return Err(format!("triangle {i} in two leaves"));
                     }
                     covered[i as usize] = true;
-                    if !leaf.aabb.contains_box(&bvh.triangles()[i as usize].aabb()) {
-                        return Err(format!("triangle {i} escapes leaf bounds"));
-                    }
                 }
             }
         }
@@ -75,9 +82,16 @@ fn validate_structure(bvh: &WideBvh) -> Result<(), String> {
 #[test]
 fn arbitrary_soups_build_valid_trees() {
     forall("arbitrary_soups_build_valid_trees", 64, |rng| {
-        let bvh = WideBvh::build(soup(rng));
+        let mut bvh = WideBvh::build(soup(rng));
         if let Err(e) = validate_structure(&bvh) {
             panic!("{e}");
+        }
+        // Refitting to moved triangles keeps every invariant, the leaf
+        // lanes' bit-equality included.
+        let moved: Vec<Triangle> = bvh.triangles().iter().map(|_| triangle(rng)).collect();
+        bvh.refit(moved);
+        if let Err(e) = validate_structure(&bvh) {
+            panic!("after refit: {e}");
         }
     });
 }
@@ -166,8 +180,8 @@ fn leaf_capacity_is_always_respected() {
             .max_leaf_tris(3)
             .build(soup(rng));
         for id in 0..bvh.node_count() as u32 {
-            if let Some(leaf) = bvh.node(id).leaf() {
-                assert!(leaf.count <= 3);
+            if let Some((_, count)) = bvh.node(id).leaf() {
+                assert!(count <= 3);
             }
         }
     });

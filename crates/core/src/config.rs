@@ -428,11 +428,39 @@ impl SimConfig {
     /// # Errors
     ///
     /// Returns the first inconsistency found: zero-sized structures, a
-    /// treelet budget below one node, a prefetcher mapping mode
+    /// zero memory size, stride or clock, L2 sets that do not divide its
+    /// lines, a treelet budget below one node, a prefetcher mapping mode
     /// incompatible with the memory layout, or a zero watchdog window.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.num_sms == 0 || self.warp_size == 0 || self.warp_buffer_size == 0 {
             return Err(ConfigError::ZeroSizedStructure);
+        }
+        // The memory model divides by each of these or sizes a cache,
+        // an MSHR file or the DRAM with it, so a zero panics there.
+        let mem = &self.mem;
+        let sizes = [
+            ("mem.line_bytes", mem.line_bytes),
+            ("mem.l1_lines", mem.l1_lines as u64),
+            ("mem.l1_mshrs", mem.l1_mshrs as u64),
+            ("mem.l2_lines", mem.l2_lines as u64),
+            ("mem.l2_sets", mem.l2_sets),
+            ("mem.l2_mshrs", mem.l2_mshrs as u64),
+            ("mem.l2_partitions", mem.l2_partitions as u64),
+            ("mem.l2_partition_stride", mem.l2_partition_stride),
+            ("mem.core_clock_mhz", mem.core_clock_mhz),
+            ("mem.mem_clock_mhz", mem.mem_clock_mhz),
+            ("mem.dram.channels", mem.dram.channels as u64),
+            ("mem.dram.partition_stride", mem.dram.partition_stride),
+            ("mem.dram.burst_cycles", mem.dram.burst_cycles),
+        ];
+        if let Some(&(field, _)) = sizes.iter().find(|&&(_, value)| value == 0) {
+            return Err(ConfigError::ZeroMemoryParameter { field });
+        }
+        if !(mem.l2_lines as u64).is_multiple_of(mem.l2_sets) {
+            return Err(ConfigError::UnevenL2Sets {
+                lines: mem.l2_lines,
+                sets: mem.l2_sets,
+            });
         }
         if self.treelet_bytes < 64 {
             return Err(ConfigError::TreeletBudgetTooSmall {

@@ -31,6 +31,20 @@ pub enum ConfigError {
         /// Configured memory layout.
         layout: LayoutChoice,
     },
+    /// A memory-system size, stride or clock that the memory model
+    /// divides by or sizes a structure with is zero.
+    ZeroMemoryParameter {
+        /// The field, as its path in [`SimConfig`](crate::SimConfig)
+        /// (e.g. `"mem.line_bytes"`).
+        field: &'static str,
+    },
+    /// The L2 capacity does not divide evenly into its sets.
+    UnevenL2Sets {
+        /// Configured L2 capacity in lines.
+        lines: usize,
+        /// Configured L2 set count.
+        sets: u64,
+    },
     /// The forward-progress watchdog window is zero.
     ZeroProgressWindow,
     /// The checkpoint interval is zero.
@@ -64,6 +78,12 @@ impl fmt::Display for ConfigError {
                     f,
                     "mapping mode {mapping:?} is incompatible with layout {layout}"
                 )
+            }
+            ConfigError::ZeroMemoryParameter { field } => {
+                write!(f, "{field} must be nonzero")
+            }
+            ConfigError::UnevenL2Sets { lines, sets } => {
+                write!(f, "an L2 of {lines} lines does not divide into {sets} sets")
             }
             ConfigError::ZeroProgressWindow => {
                 write!(f, "progress window must be nonzero")

@@ -84,7 +84,7 @@ impl TreeletMetrics {
             let weight: f64 = members
                 .iter()
                 .map(|&m| {
-                    (bvh.node(m).aabb().surface_area() as f64 / root_area) * NODE_SIZE_BYTES as f64
+                    (bvh.node_aabb(m).surface_area() as f64 / root_area) * NODE_SIZE_BYTES as f64
                 })
                 .sum();
             weighted_total += weight;

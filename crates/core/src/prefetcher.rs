@@ -112,9 +112,9 @@ impl TreeletLines {
             );
             if config.prefetch_triangles {
                 for &n in members {
-                    if let Some(leaf) = bvh.node(n).leaf() {
-                        let begin = image.triangle_addr(leaf.first);
-                        let end = begin + leaf.count as u64 * rt_bvh::TRIANGLE_SIZE_BYTES;
+                    if let Some((first, count)) = bvh.node(n).leaf() {
+                        let begin = image.triangle_addr(first);
+                        let end = begin + count as u64 * rt_bvh::TRIANGLE_SIZE_BYTES;
                         let mut addr = begin / line_bytes * line_bytes;
                         while addr < end {
                             lines.push(addr);

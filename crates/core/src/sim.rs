@@ -2877,18 +2877,59 @@ mod tests {
     #[test]
     fn zero_sms_is_an_error_not_a_panic() {
         // Validation must run before the memory system is built, or the
-        // zero-SM assert inside MemorySystem::new fires first.
+        // zero-SM assert inside MemorySystem::new fires first. The same
+        // holds for every memory size, stride and clock the model divides
+        // by or sizes a structure with.
+        use crate::ConfigError;
         let (bvh, rays) = fixture();
+        let refused = |config: &SimConfig, want: &ConfigError| {
+            for result in [
+                SimSession::borrowed(&bvh, &rays, config).run(),
+                SimSession::batched(&bvh, std::slice::from_ref(&rays), config.clone())
+                    .run_batches()
+                    .map(|mut results| results.remove(0)),
+            ] {
+                match result {
+                    Err(SimError::Config(found)) => assert_eq!(&found, want),
+                    other => panic!("expected {want:?}, got {:?}", other.map(|_| ())),
+                }
+            }
+        };
         let mut config = SimConfig::paper_baseline();
         config.num_sms = 0;
-        assert!(matches!(
-            SimSession::borrowed(&bvh, &rays, &config).run(),
-            Err(SimError::Config(crate::ConfigError::ZeroSizedStructure))
-        ));
-        assert!(matches!(
-            SimSession::batched(&bvh, &[rays], config.clone()).run_batches(),
-            Err(SimError::Config(crate::ConfigError::ZeroSizedStructure))
-        ));
+        refused(&config, &ConfigError::ZeroSizedStructure);
+        type Zero = fn(&mut SimConfig);
+        let zeros: [(&str, Zero); 13] = [
+            ("mem.line_bytes", |c| c.mem.line_bytes = 0),
+            ("mem.l1_lines", |c| c.mem.l1_lines = 0),
+            ("mem.l1_mshrs", |c| c.mem.l1_mshrs = 0),
+            ("mem.l2_lines", |c| c.mem.l2_lines = 0),
+            ("mem.l2_sets", |c| c.mem.l2_sets = 0),
+            ("mem.l2_mshrs", |c| c.mem.l2_mshrs = 0),
+            ("mem.l2_partitions", |c| c.mem.l2_partitions = 0),
+            ("mem.l2_partition_stride", |c| c.mem.l2_partition_stride = 0),
+            ("mem.core_clock_mhz", |c| c.mem.core_clock_mhz = 0),
+            ("mem.mem_clock_mhz", |c| c.mem.mem_clock_mhz = 0),
+            ("mem.dram.channels", |c| c.mem.dram.channels = 0),
+            ("mem.dram.partition_stride", |c| {
+                c.mem.dram.partition_stride = 0
+            }),
+            ("mem.dram.burst_cycles", |c| c.mem.dram.burst_cycles = 0),
+        ];
+        for (field, zero) in zeros {
+            let mut config = SimConfig::paper_baseline();
+            zero(&mut config);
+            refused(&config, &ConfigError::ZeroMemoryParameter { field });
+        }
+        let mut config = SimConfig::paper_baseline();
+        config.mem.l2_sets = config.mem.l2_lines as u64 / 2 + 1;
+        refused(
+            &config,
+            &ConfigError::UnevenL2Sets {
+                lines: config.mem.l2_lines,
+                sets: config.mem.l2_sets,
+            },
+        );
     }
 
     #[test]

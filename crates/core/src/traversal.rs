@@ -160,9 +160,10 @@ fn visit(
     options: TraversalOptions,
     children: &mut ChildHits,
 ) {
-    // Record the node visit (this is the memory access): one record.
+    // Record the node visit (this is the memory access): an internal
+    // node's record, or a leaf's slot.
     let record = bvh.node(node);
-    let tri_range = record.leaf().map(|leaf| (leaf.first, leaf.count));
+    let tri_range = record.leaf();
     steps.push(TraceStep {
         node,
         treelet: treelets.of_node(node),

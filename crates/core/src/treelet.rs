@@ -180,8 +180,8 @@ impl TreeletAssignment {
                             .iter()
                             .enumerate()
                             .max_by(|a, b| {
-                                let sa = bvh.node(*a.1).aabb().surface_area();
-                                let sb = bvh.node(*b.1).aabb().surface_area();
+                                let sa = bvh.node_aabb(*a.1).surface_area();
+                                let sb = bvh.node_aabb(*b.1).surface_area();
                                 sa.total_cmp(&sb)
                             })
                             .map(|(i, _)| i)
@@ -593,7 +593,7 @@ mod tests {
         let mean_sa = |members: &[u32]| {
             members
                 .iter()
-                .map(|&m| bvh.node(m).aabb().surface_area() as f64)
+                .map(|&m| bvh.node_aabb(m).surface_area() as f64)
                 .sum::<f64>()
                 / members.len() as f64
         };

@@ -9,8 +9,10 @@
 //! and with it recomputed so the flip reaches the section decoders, and
 //! random byte strings.
 
-use rt_bvh::{artifact_checksum, encode_wide_bvh, BVH_ARTIFACT_MAGIC, BVH_ARTIFACT_VERSION};
-use rt_gpu_sim::ByteWriter;
+use rt_bvh::{
+    artifact_checksum, encode_wide_bvh, WideNode, BVH_ARTIFACT_MAGIC, BVH_ARTIFACT_VERSION,
+};
+use rt_gpu_sim::{ByteWriter, DecodeError};
 use rt_rng::prop::forall;
 use rt_rng::{Rng, SmallRng};
 use rt_scene::{SceneId, Workload, WorkloadKind};
@@ -123,6 +125,35 @@ fn bit_flips_in_every_region_are_typed_errors_or_exact_round_trips() {
             }
         });
         println!("{name}: {decoded}/48 resealed flips decoded");
+    }
+}
+
+#[test]
+fn a_leaf_bound_that_is_not_its_triangles_fold_is_refused() {
+    let bench = bench();
+    let bvh = bench.bvh();
+    let mut bytes = encode_prepared_bench(&bench, KEY);
+    // The first leaf's record: after the header and the node count, each
+    // leaf takes a tag, its bounds and its run (33 bytes), each internal
+    // node a tag, a child count and 28 bytes per child.
+    let mut at = BVH_ARTIFACT_MAGIC.len() + 4 + 8 + 8;
+    for id in 0..bvh.node_count() as u32 {
+        match bvh.node(id) {
+            WideNode::Leaf { .. } => break,
+            WideNode::Internal(children) => at += 2 + children.len() * 28,
+        }
+    }
+    assert_eq!(bytes[at], 0, "a leaf tag");
+    // Flip the lowest mantissa bit of the leaf's `min.x` and reseal, so
+    // only the bounds check stands between the flip and a decoded tree.
+    bytes[at + 1] ^= 1;
+    reseal(&mut bytes);
+    match decode_prepared_bench(SCENE, KEY, &bytes) {
+        Err(DecodeError::Malformed { what }) => {
+            assert!(what.contains("stored bounds"), "{what}");
+        }
+        Err(other) => panic!("expected Malformed, got {other:?}"),
+        Ok(_) => panic!("a leaf with bounds other than its triangles' decoded"),
     }
 }
 
