@@ -13,7 +13,7 @@
 
 use rt_bench::Suite;
 use std::path::PathBuf;
-use treelet_rt::{SimConfig, TelemetryOptions};
+use treelet_rt::{SimConfig, Telemetry, TelemetryOptions};
 
 fn main() -> std::io::Result<()> {
     let dir =
@@ -34,8 +34,13 @@ fn main() -> std::io::Result<()> {
         "Scene", "samples", "useful%", "late%", "useless%", "dram CV"
     );
     for bench in suite.benches() {
-        let (result, telemetry) = match bench.try_run_with_telemetry(&config, &opts) {
-            Ok(pair) => pair,
+        let mut telemetry = Telemetry::new(&opts);
+        let result = match bench
+            .session(config.clone())
+            .telemetry(&mut telemetry)
+            .run()
+        {
+            Ok(result) => result,
             Err(e) => {
                 eprintln!("{}: {e}", bench.scene());
                 continue;

@@ -53,12 +53,6 @@ pub enum ConfigError {
     ZeroTelemetryInterval,
     /// A session asked to resume without configuring checkpointing.
     ResumeWithoutCheckpoint,
-    /// A batched session configured an option that only single-ray-set
-    /// sessions support (`what` names it: "checkpointing", "resume").
-    UnsupportedBatchOption {
-        /// The unsupported option's name.
-        what: &'static str,
-    },
 }
 
 impl fmt::Display for ConfigError {
@@ -96,9 +90,6 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::ResumeWithoutCheckpoint => {
                 write!(f, "resuming requires checkpoint options")
-            }
-            ConfigError::UnsupportedBatchOption { what } => {
-                write!(f, "batched sessions do not support {what}")
             }
         }
     }
@@ -189,18 +180,6 @@ pub enum SimError {
         /// State at abort.
         snapshot: ProgressSnapshot,
     },
-    /// A completed batch left the shared memory hierarchy with broken
-    /// request books (typically fault injection dropping responses);
-    /// running the next batch on the poisoned hierarchy would leak MSHRs
-    /// and could wedge it, so the session refuses instead.
-    BatchPoisoned {
-        /// Zero-based index of the batch that poisoned the hierarchy.
-        batch: usize,
-        /// DRAM responses swallowed (requests that can never complete).
-        dropped_responses: u64,
-        /// Completions delivered twice — always a hierarchy bug.
-        double_completions: u64,
-    },
     /// A worker job panicked and the panic was contained at the job
     /// boundary instead of unwinding through the pool — one poisoned
     /// (scene, config) cell must not kill a whole sweep.
@@ -223,16 +202,14 @@ impl SimError {
     /// The simulator is deterministic, so genuine simulation failures
     /// (invalid configs, cycle limits, livelocks, bad traces) recur
     /// identically on a retry; only environmental failures — a panicked
-    /// worker, a poisoned batch, an I/O error while checkpointing — are
-    /// worth one. This is the retry policy for every supervising layer
-    /// (the sweep harness, the rt-served job supervisor), kept here so
-    /// they cannot drift apart.
+    /// worker, an I/O error while checkpointing — are worth one. This is
+    /// the retry policy for every supervising layer (the sweep harness,
+    /// the rt-served job supervisor), kept here so they cannot drift
+    /// apart.
     pub fn is_transient(&self) -> bool {
         matches!(
             self,
-            SimError::WorkerPanicked { .. }
-                | SimError::BatchPoisoned { .. }
-                | SimError::Snapshot(SnapshotError::Io { .. })
+            SimError::WorkerPanicked { .. } | SimError::Snapshot(SnapshotError::Io { .. })
         )
     }
 }
@@ -257,17 +234,6 @@ impl fmt::Display for SimError {
             SimError::NoForwardProgress { window, snapshot } => write!(
                 f,
                 "no forward progress for {window} cycles — livelock? ({snapshot})"
-            ),
-            SimError::BatchPoisoned {
-                batch,
-                dropped_responses,
-                double_completions,
-            } => write!(
-                f,
-                "batch {batch} poisoned the shared memory hierarchy \
-                 ({dropped_responses} dropped responses, \
-                 {double_completions} double completions); refusing to \
-                 run the next batch on corrupt state"
             ),
             SimError::WorkerPanicked { job, message } => {
                 write!(f, "worker panicked on job {job}: {message}")
@@ -406,12 +372,6 @@ mod tests {
         assert!(SimError::WorkerPanicked {
             job: 0,
             message: "boom".into()
-        }
-        .is_transient());
-        assert!(SimError::BatchPoisoned {
-            batch: 0,
-            dropped_responses: 1,
-            double_completions: 0
         }
         .is_transient());
         // Deterministic failures recur on retry: not transient.

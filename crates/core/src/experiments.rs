@@ -227,24 +227,6 @@ impl Bench {
             .run()
     }
 
-    /// Runs under `config` while collecting a telemetry time-series
-    /// sampled every `opts.every` cycles. The result — including its
-    /// [`state_digest`](crate::SimResult::state_digest) — is
-    /// bit-identical to [`Bench::try_run`]'s for the same config.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`SimSession::run_with_telemetry`] can return.
-    pub fn try_run_with_telemetry(
-        &self,
-        config: &SimConfig,
-        opts: &crate::TelemetryOptions,
-    ) -> Result<(SimResult, crate::Telemetry), crate::SimError> {
-        self.session(config.clone())
-            .telemetry(opts.clone())
-            .run_with_telemetry()
-    }
-
     /// Runs under `config` with crash-safe checkpointing, resuming from
     /// an existing checkpoint at `opts.path` when one is present.
     ///
@@ -335,8 +317,11 @@ mod tests {
         );
         let config = SimConfig::paper_treelet_prefetch();
         let plain = bench.try_run(&config).unwrap();
-        let (sampled, telemetry) = bench
-            .try_run_with_telemetry(&config, &crate::TelemetryOptions::new(128))
+        let mut telemetry = crate::Telemetry::new(&crate::TelemetryOptions::new(128));
+        let sampled = bench
+            .session(config)
+            .telemetry(&mut telemetry)
+            .run()
             .unwrap();
         assert_eq!(plain.state_digest, sampled.state_digest);
         assert!(!telemetry.is_empty());

@@ -78,9 +78,8 @@ pub use metrics::TreeletMetrics;
 pub use mta::{MtaPrefetcher, MtaStats};
 pub use power::{ActivityCounts, EnergyModel, PowerReport};
 pub use prefetch::{
-    full_vote, full_vote_counts, pseudo_vote, pseudo_vote_counts, MappingMode, PrefetchEntry,
-    PrefetchHeuristic, PrefetchUsefulness, PrefetcherStats, TreeletPrefetcher, Vote,
-    VoterAreaModel, VoterKind,
+    full_vote_counts, pseudo_vote_counts, MappingMode, PrefetchEntry, PrefetchHeuristic,
+    PrefetchUsefulness, PrefetcherStats, TreeletPrefetcher, Vote, VoterAreaModel, VoterKind,
 };
 pub use prefetcher::PrefetchUnitStats;
 pub use prepare::{decode_prepared_bench, encode_prepared_bench, prepare_cache_key, BvhCache};

@@ -30,66 +30,11 @@ pub struct Vote {
     pub popularity: u32,
 }
 
-/// Computes the idealized full vote: the exact mode over every ray's next
-/// treelet. Returns `None` when no ray is resident.
-pub fn full_vote(warps: &[Vec<u32>]) -> Option<Vote> {
-    let mut counts = std::collections::HashMap::new();
-    for w in warps {
-        for &t in w {
-            *counts.entry(t).or_insert(0u32) += 1;
-        }
-    }
-    // Deterministic tie-break: lowest treelet id.
-    counts
-        .into_iter()
-        .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
-        .map(|(treelet, popularity)| Vote {
-            treelet,
-            popularity,
-        })
-}
-
-/// Computes the two-level pseudo vote (Fig. 5): each warp elects its own
-/// most popular treelet with a 32-entry table, then a 16-entry second
-/// level accumulates the per-warp winners (weighted by their in-warp
-/// counts) and picks the overall winner. The exact popularity of the
-/// winner is then recomputed by the address comparator.
-pub fn pseudo_vote(warps: &[Vec<u32>]) -> Option<Vote> {
-    let mut second = std::collections::HashMap::new();
-    for w in warps {
-        let mut first = std::collections::HashMap::new();
-        for &t in w {
-            *first.entry(t).or_insert(0u32) += 1;
-        }
-        if let Some((winner, count)) = first
-            .into_iter()
-            .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
-        {
-            *second.entry(winner).or_insert(0u32) += count;
-        }
-    }
-    let winner = second
-        .into_iter()
-        .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))?
-        .0;
-    // The popularity tracker compares the winner to every ray (exact).
-    let popularity = warps
-        .iter()
-        .flat_map(|w| w.iter())
-        .filter(|&&t| t == winner)
-        .count() as u32;
-    Some(Vote {
-        treelet: winner,
-        popularity,
-    })
-}
-
 /// Computes the full vote from per-treelet ray counts (the simulator's
 /// incrementally maintained form of the warp-buffer view).
 ///
-/// The winner is the table's cached maximum under the same total order
-/// as [`full_vote`] (count, then lower treelet id), so this is O(1) on
-/// every cycle the leader was not decremented.
+/// The winner is the table's cached maximum (count, then lower treelet
+/// id), so this is O(1) on every cycle the leader was not decremented.
 pub fn full_vote_counts(global: &CountTable) -> Option<Vote> {
     global.max().map(|(treelet, popularity)| Vote {
         treelet,
@@ -97,8 +42,11 @@ pub fn full_vote_counts(global: &CountTable) -> Option<Vote> {
     })
 }
 
-/// Computes the two-level pseudo vote from per-warp treelet counts, using
-/// `global` counts for the winner's exact popularity.
+/// Computes the two-level pseudo vote (Fig. 5) from per-warp treelet
+/// counts: each warp elects its own most popular treelet, a second
+/// level accumulates the per-warp winners (weighted by their in-warp
+/// counts) and picks the overall winner, and the winner's exact
+/// popularity comes from the `global` counts (the address comparator).
 pub fn pseudo_vote_counts<'a, I>(per_warp: I, global: &CountTable) -> Option<Vote>
 where
     I: IntoIterator<Item = &'a CountVec>,
@@ -257,8 +205,7 @@ impl PrefetcherStats {
 ///
 /// Each cycle, call [`TreeletPrefetcher::poll`] and, when it asks for a
 /// sample, vote over the warp buffer and pass the vote to
-/// [`TreeletPrefetcher::submit`] ([`TreeletPrefetcher::maybe_decide`]
-/// does both from per-warp treelet lists). Pop entries with
+/// [`TreeletPrefetcher::submit`]. Pop entries with
 /// [`TreeletPrefetcher::pop`] on cycles where the memory scheduler is
 /// idle.
 #[derive(Debug)]
@@ -366,8 +313,8 @@ impl TreeletPrefetcher {
     /// whether the prefetcher wants a fresh warp-buffer sample this cycle.
     ///
     /// When this returns `true`, compute the vote (with
-    /// [`full_vote_counts`] / [`pseudo_vote_counts`] or the list-based
-    /// variants) and pass it to [`TreeletPrefetcher::submit`].
+    /// [`full_vote_counts`] / [`pseudo_vote_counts`]) and pass it to
+    /// [`TreeletPrefetcher::submit`].
     pub fn poll<F, M, L>(
         &mut self,
         now: u64,
@@ -423,37 +370,6 @@ impl TreeletPrefetcher {
         } else {
             self.staged = Some((now + self.latency, vote));
         }
-    }
-
-    /// Runs the complete sample-vote-apply pipeline for cycle `now` from a
-    /// warp-buffer view (the list-based convenience form of
-    /// [`TreeletPrefetcher::poll`] + [`TreeletPrefetcher::submit`]).
-    ///
-    /// `warp_treelets[w]` lists the next treelet of each active ray of
-    /// warp-buffer entry `w`. `treelet_lines(t)` returns treelet `t`'s
-    /// cache lines front-to-back, and `meta_line(t)` the line of its
-    /// mapping-table entry (consulted for the Loose/Strict Wait modes).
-    pub fn maybe_decide<F, M, L>(
-        &mut self,
-        now: u64,
-        warp_treelets: &[Vec<u32>],
-        mapping: MappingMode,
-        treelet_lines: F,
-        meta_line: M,
-    ) where
-        F: Fn(u32) -> L,
-        M: Fn(u32) -> u64,
-        L: AsRef<[u64]>,
-    {
-        if !self.poll(now, mapping, &treelet_lines, &meta_line) {
-            return;
-        }
-        let full = full_vote(warp_treelets);
-        let chosen = match self.voter {
-            VoterKind::Full => full,
-            VoterKind::PseudoTwoLevel => pseudo_vote(warp_treelets),
-        };
-        self.submit(now, chosen, full, mapping, treelet_lines, meta_line);
     }
 
     /// What applying `vote` would do with `resident_rays` rays resident
@@ -917,6 +833,97 @@ impl PrefetchUsefulness {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // The list-based voters: the reference the engine's counts-based
+    // voters (`full_vote_counts`, `pseudo_vote_counts`) are checked
+    // against.
+
+    /// Computes the idealized full vote: the exact mode over every ray's next
+    /// treelet. Returns `None` when no ray is resident.
+    fn full_vote(warps: &[Vec<u32>]) -> Option<Vote> {
+        let mut counts = std::collections::HashMap::new();
+        for w in warps {
+            for &t in w {
+                *counts.entry(t).or_insert(0u32) += 1;
+            }
+        }
+        // Deterministic tie-break: lowest treelet id.
+        counts
+            .into_iter()
+            .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
+            .map(|(treelet, popularity)| Vote {
+                treelet,
+                popularity,
+            })
+    }
+
+    /// Computes the two-level pseudo vote (Fig. 5): each warp elects its own
+    /// most popular treelet with a 32-entry table, then a 16-entry second
+    /// level accumulates the per-warp winners (weighted by their in-warp
+    /// counts) and picks the overall winner. The exact popularity of the
+    /// winner is then recomputed by the address comparator.
+    fn pseudo_vote(warps: &[Vec<u32>]) -> Option<Vote> {
+        let mut second = std::collections::HashMap::new();
+        for w in warps {
+            let mut first = std::collections::HashMap::new();
+            for &t in w {
+                *first.entry(t).or_insert(0u32) += 1;
+            }
+            if let Some((winner, count)) = first
+                .into_iter()
+                .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
+            {
+                *second.entry(winner).or_insert(0u32) += count;
+            }
+        }
+        let winner = second
+            .into_iter()
+            .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))?
+            .0;
+        // The popularity tracker compares the winner to every ray (exact).
+        let popularity = warps
+            .iter()
+            .flat_map(|w| w.iter())
+            .filter(|&&t| t == winner)
+            .count() as u32;
+        Some(Vote {
+            treelet: winner,
+            popularity,
+        })
+    }
+
+    impl TreeletPrefetcher {
+        /// Runs the complete sample-vote-apply pipeline for cycle `now` from a
+        /// warp-buffer view (the list-based convenience form of
+        /// [`TreeletPrefetcher::poll`] + [`TreeletPrefetcher::submit`]).
+        ///
+        /// `warp_treelets[w]` lists the next treelet of each active ray of
+        /// warp-buffer entry `w`. `treelet_lines(t)` returns treelet `t`'s
+        /// cache lines front-to-back, and `meta_line(t)` the line of its
+        /// mapping-table entry (consulted for the Loose/Strict Wait modes).
+        fn maybe_decide<F, M, L>(
+            &mut self,
+            now: u64,
+            warp_treelets: &[Vec<u32>],
+            mapping: MappingMode,
+            treelet_lines: F,
+            meta_line: M,
+        ) where
+            F: Fn(u32) -> L,
+            M: Fn(u32) -> u64,
+            L: AsRef<[u64]>,
+        {
+            if !self.poll(now, mapping, &treelet_lines, &meta_line) {
+                return;
+            }
+            let full = full_vote(warp_treelets);
+            let chosen = match self.voter {
+                VoterKind::Full => full,
+                VoterKind::PseudoTwoLevel => pseudo_vote(warp_treelets),
+            };
+            self.submit(now, chosen, full, mapping, treelet_lines, meta_line);
+        }
+    }
 
     fn lines_of(t: u32) -> Vec<u64> {
         (0..8).map(|i| (t as u64) * 512 + i * 64).collect()

@@ -1,8 +1,8 @@
 //! One front door for every way to run the simulator.
 //!
-//! [`SimSession`] is a builder: construct a session over a BVH, a ray set
-//! (or batches of them), and a config, opt into telemetry /
-//! checkpointing / an external treelet assignment, and run:
+//! [`SimSession`] is a builder: construct a session over a BVH, a ray
+//! set, and a config, opt into telemetry / checkpointing / an external
+//! treelet assignment, and [`run`](SimSession::run):
 //!
 //! ```no_run
 //! use rt_scene::{SceneId, Workload};
@@ -19,46 +19,33 @@
 //! the result — including its
 //! [`state_digest`](crate::SimResult::state_digest) — is bit-identical
 //! regardless of which observers (telemetry, checkpointing) are
-//! attached.
+//! attached. Warm multi-generation traffic (a path tracer's bounces)
+//! runs inside that one invocation through
+//! [`SimConfig::shader`](crate::SimConfig::shader).
 
-use crate::config::{CheckpointOptions, PrefetchConfig, SimConfig};
+use crate::config::{CheckpointOptions, SimConfig};
 use crate::error::{ConfigError, SimError};
 use crate::sim::{run_identity, try_run_engine, SimResult};
 use crate::snapshot::{self, SnapshotError};
-use crate::telemetry::{Telemetry, TelemetryOptions};
+use crate::telemetry::Telemetry;
 use crate::treelet::{FormationPolicy, TreeletAssignment, DEFAULT_TREELET_BYTES};
 use rt_bvh::WideBvh;
 use rt_geometry::Ray;
-use rt_gpu_sim::MemorySystem;
 use std::borrow::Cow;
-
-/// Where a session's rays come from.
-#[derive(Debug, Clone, Copy)]
-enum RaySource<'a> {
-    /// One ray set, run to retirement in a single engine invocation.
-    Single(&'a [Ray]),
-    /// Ray batches run back-to-back through one memory hierarchy —
-    /// caches stay warm between batches, as between the bounce
-    /// generations of a wavefront renderer.
-    Batches(&'a [Vec<Ray>]),
-}
 
 /// A configured simulation run: the builder front end over the engine.
 ///
-/// Build with [`SimSession::new`] (one ray set) or
-/// [`SimSession::batched`] (warm-cache batches), chain option setters,
-/// and finish with one of the `run*` methods. Options compose: a
-/// checkpointed run can collect telemetry, a resumed run keeps
+/// Build with [`SimSession::new`] or [`SimSession::borrowed`], chain
+/// option setters, and finish with [`SimSession::run`]. Options compose:
+/// a checkpointed run can collect telemetry, a resumed run keeps
 /// checkpointing on the same cadence, and an external treelet
-/// assignment works with all of them. The only exclusions are typed
-/// errors, not panics: batched sessions reject checkpointing and
-/// resume ([`ConfigError::UnsupportedBatchOption`]).
+/// assignment works with all of them.
 #[derive(Debug)]
 pub struct SimSession<'a> {
     bvh: &'a WideBvh,
-    rays: RaySource<'a>,
+    rays: &'a [Ray],
     config: Cow<'a, SimConfig>,
-    telemetry: Option<TelemetryOptions>,
+    telemetry: Option<&'a mut Telemetry>,
     checkpoint: Option<CheckpointOptions>,
     resume: bool,
     treelets: Option<&'a TreeletAssignment>,
@@ -71,16 +58,7 @@ pub struct SimSession<'a> {
 impl<'a> SimSession<'a> {
     /// A session over one ray set.
     pub fn new(bvh: &'a WideBvh, rays: &'a [Ray], config: SimConfig) -> SimSession<'a> {
-        SimSession {
-            bvh,
-            rays: RaySource::Single(rays),
-            config: Cow::Owned(config),
-            telemetry: None,
-            checkpoint: None,
-            resume: false,
-            treelets: None,
-            default_treelets: None,
-        }
+        SimSession::with_config(bvh, rays, Cow::Owned(config))
     }
 
     /// A session over one ray set that borrows its config — for call
@@ -88,10 +66,14 @@ impl<'a> SimSession<'a> {
     /// per run (sweeps run thousands of sessions off a handful of
     /// configs).
     pub fn borrowed(bvh: &'a WideBvh, rays: &'a [Ray], config: &'a SimConfig) -> SimSession<'a> {
+        SimSession::with_config(bvh, rays, Cow::Borrowed(config))
+    }
+
+    fn with_config(bvh: &'a WideBvh, rays: &'a [Ray], config: Cow<'a, SimConfig>) -> Self {
         SimSession {
             bvh,
-            rays: RaySource::Single(rays),
-            config: Cow::Borrowed(config),
+            rays,
+            config,
             telemetry: None,
             checkpoint: None,
             resume: false,
@@ -100,29 +82,13 @@ impl<'a> SimSession<'a> {
         }
     }
 
-    /// A session over ray batches sharing one memory hierarchy: caches
-    /// stay warm between batches, each result's `cycles` is its batch's
-    /// own duration, and cache/DRAM counters accumulate across the
-    /// session (prefetch effectiveness is finalized on the last batch).
-    pub fn batched(bvh: &'a WideBvh, batches: &'a [Vec<Ray>], config: SimConfig) -> SimSession<'a> {
-        SimSession {
-            bvh,
-            rays: RaySource::Batches(batches),
-            config: Cow::Owned(config),
-            telemetry: None,
-            checkpoint: None,
-            resume: false,
-            treelets: None,
-            default_treelets: None,
-        }
-    }
-
-    /// Collects a [`Telemetry`] time-series, sampling the engine's
-    /// counters every `opts.every` cycles. Sampling is read-only — the
-    /// run's `state_digest` is bit-identical with telemetry on or off.
-    /// Retrieve the series with [`SimSession::run_with_telemetry`].
-    pub fn telemetry(mut self, opts: TelemetryOptions) -> SimSession<'a> {
-        self.telemetry = Some(opts);
+    /// Records a time-series of the engine's counters into `sink`, one
+    /// sample every [`sink.every()`](Telemetry::every) cycles plus one
+    /// at the retiring cycle. Give each run a fresh sink from
+    /// [`Telemetry::new`]. Sampling is read-only — the run's
+    /// `state_digest` is bit-identical with telemetry on or off.
+    pub fn telemetry(mut self, sink: &'a mut Telemetry) -> SimSession<'a> {
+        self.telemetry = Some(sink);
         self
     }
 
@@ -164,102 +130,21 @@ impl<'a> SimSession<'a> {
         self
     }
 
-    /// Selects the prefetcher this session runs — the builder form of
-    /// [`SimConfig::with_prefetcher`]. Combine with the
-    /// [`PrefetchConfig`] constructors:
-    ///
-    /// ```no_run
-    /// # use rt_scene::{SceneId, Workload};
-    /// # use treelet_rt::{Bench, PrefetchConfig, SimConfig, SimSession};
-    /// # let bench = Bench::prepare(SceneId::Wknd, 0.3, Workload::paper_default());
-    /// let result = SimSession::new(bench.bvh(), bench.rays(), SimConfig::paper_baseline())
-    ///     .prefetcher(PrefetchConfig::mta())
-    ///     .run()
-    ///     .expect("MTA run");
-    /// ```
-    ///
-    /// For a treelet prefetcher this also reconciles the BVH layout with
-    /// the prefetcher's mapping mode (see
-    /// [`SimConfig::with_prefetcher`]); a borrowed config is cloned on
-    /// first write.
-    pub fn prefetcher(mut self, prefetch: PrefetchConfig) -> SimSession<'a> {
-        let config = self.config.to_mut();
-        *config = config.clone().with_prefetcher(prefetch);
-        self
-    }
-
-    /// Estimated cost of running this session, in the cost-model
-    /// scheduler's work units: total ray count (all batches for a
-    /// batched session) × the tree's SAH-expected node visits per ray
-    /// ([`WideBvh::expected_visits_per_ray`](rt_bvh::WideBvh::expected_visits_per_ray)).
-    /// The same estimate
-    /// [`Bench::estimated_cost`](crate::Bench::estimated_cost) feeds to
-    /// [`run_weighted`](crate::run_weighted) — callers scheduling raw
-    /// sessions across a pool can weigh them identically.
-    pub fn estimated_cost(&self) -> u64 {
-        let rays = match &self.rays {
-            RaySource::Single(rays) => rays.len(),
-            RaySource::Batches(batches) => batches.iter().map(Vec::len).sum(),
-        };
-        crate::runner::cell_cost(self.bvh.expected_visits_per_ray(), rays)
-    }
-
-    /// Runs the session to completion. For a batched session this
-    /// returns the final batch's result (the one whose prefetch
-    /// effectiveness is finalized); use [`SimSession::run_batches`] for
-    /// all of them.
+    /// Validates the option combination, forms treelets when none were
+    /// supplied or offered, and runs the session to completion.
     ///
     /// # Errors
     ///
     /// - [`SimError::Config`] for an invalid config, a zero telemetry or
-    ///   checkpoint interval, resume without checkpointing, or a batched
-    ///   session with checkpointing,
-    /// - [`SimError::EmptyInput`] for an empty ray set or batch list,
+    ///   checkpoint interval, or resume without checkpointing,
+    /// - [`SimError::EmptyInput`] for an empty ray set,
     /// - [`SimError::TreeletCoverage`] if an external assignment does
     ///   not cover the BVH,
     /// - [`SimError::CycleLimitExceeded`] / [`SimError::NoForwardProgress`]
     ///   from the watchdog,
     /// - [`SimError::Snapshot`] for checkpoint I/O failures, corrupt or
-    ///   foreign checkpoints,
-    /// - [`SimError::BatchPoisoned`] when a batch leaves the shared
-    ///   hierarchy with broken request books.
+    ///   foreign checkpoints.
     pub fn run(self) -> Result<SimResult, SimError> {
-        let (mut results, _) = self.execute()?;
-        Ok(results.pop().expect("execute returns at least one result"))
-    }
-
-    /// Runs the session and returns the collected telemetry alongside
-    /// the result. Uses the configured
-    /// [`telemetry`](SimSession::telemetry) options, or the default
-    /// sampling interval when none were set.
-    ///
-    /// # Errors
-    ///
-    /// As [`SimSession::run`].
-    pub fn run_with_telemetry(mut self) -> Result<(SimResult, Telemetry), SimError> {
-        if self.telemetry.is_none() {
-            self.telemetry = Some(TelemetryOptions::default());
-        }
-        let (mut results, telemetry) = self.execute()?;
-        let result = results.pop().expect("execute returns at least one result");
-        Ok((result, telemetry.expect("telemetry options were set")))
-    }
-
-    /// Runs a batched session, returning one result per batch. A
-    /// single-ray-set session returns one result.
-    ///
-    /// # Errors
-    ///
-    /// As [`SimSession::run`]. A failing batch aborts the session;
-    /// earlier batches' results are discarded.
-    pub fn run_batches(self) -> Result<Vec<SimResult>, SimError> {
-        Ok(self.execute()?.0)
-    }
-
-    /// Validates the option combination, forms treelets when none were
-    /// supplied or offered, and drives the engine. Always returns at
-    /// least one result on success.
-    fn execute(self) -> Result<(Vec<SimResult>, Option<Telemetry>), SimError> {
         let SimSession {
             bvh,
             rays,
@@ -271,8 +156,8 @@ impl<'a> SimSession<'a> {
             default_treelets,
         } = self;
         config.validate()?;
-        if let Some(opts) = &telemetry {
-            opts.validate()?;
+        if telemetry.as_ref().is_some_and(|t| t.every() == 0) {
+            return Err(ConfigError::ZeroTelemetryInterval.into());
         }
         if let Some(opts) = &checkpoint {
             opts.validate()?;
@@ -294,86 +179,37 @@ impl<'a> SimSession<'a> {
                 &formed
             }
         };
-        let mut collected = telemetry.as_ref().map(Telemetry::new);
-        match rays {
-            RaySource::Single(rays) => {
-                let resumed = match (&checkpoint, resume) {
-                    (Some(opts), true) => {
-                        let ck = snapshot::read_checkpoint(&opts.path)?;
-                        let identity = run_identity(bvh, rays, &config, treelets);
-                        if ck.identity != identity {
-                            return Err(SnapshotError::IdentityMismatch {
-                                expected: ck.identity,
-                                found: identity,
-                            }
-                            .into());
-                        }
-                        Some(ck)
+        let resumed = match (&checkpoint, resume) {
+            (Some(opts), true) => {
+                let ck = snapshot::read_checkpoint(&opts.path)?;
+                let identity = run_identity(bvh, rays, &config, treelets);
+                if ck.identity != identity {
+                    return Err(SnapshotError::IdentityMismatch {
+                        expected: ck.identity,
+                        found: identity,
                     }
-                    _ => None,
-                };
-                let mem = MemorySystem::new(config.mem, config.num_sms);
-                let (result, _) = try_run_engine(
-                    bvh,
-                    rays,
-                    &config,
-                    treelets,
-                    mem,
-                    true,
-                    checkpoint.as_ref(),
-                    resumed,
-                    collected.as_mut(),
-                )?;
-                Ok((vec![result], collected))
+                    .into());
+                }
+                Some(ck)
             }
-            RaySource::Batches(batches) => {
-                if checkpoint.is_some() {
-                    let what = if resume { "resume" } else { "checkpointing" };
-                    return Err(ConfigError::UnsupportedBatchOption { what }.into());
-                }
-                if batches.is_empty() {
-                    return Err(SimError::EmptyInput { what: "batch" });
-                }
-                let mut mem = MemorySystem::new(config.mem, config.num_sms);
-                let mut results = Vec::with_capacity(batches.len());
-                for (i, batch) in batches.iter().enumerate() {
-                    let finalize = i + 1 == batches.len();
-                    let (result, returned) = try_run_engine(
-                        bvh,
-                        batch,
-                        &config,
-                        treelets,
-                        mem,
-                        finalize,
-                        None,
-                        None,
-                        collected.as_mut(),
-                    )?;
-                    // A completed batch can still have wrecked the
-                    // hierarchy's request books (fault injection dropping
-                    // a prefetch response nobody was waiting on); the
-                    // next batch would inherit leaked MSHRs, so refuse
-                    // with a typed error instead of running on.
-                    let audit = returned.audit();
-                    if !finalize && (audit.double_completions > 0 || audit.dropped_responses > 0) {
-                        return Err(SimError::BatchPoisoned {
-                            batch: i,
-                            dropped_responses: audit.dropped_responses,
-                            double_completions: audit.double_completions,
-                        });
-                    }
-                    mem = returned;
-                    results.push(result);
-                }
-                Ok((results, collected))
-            }
-        }
+            _ => None,
+        };
+        try_run_engine(
+            bvh,
+            rays,
+            &config,
+            treelets,
+            checkpoint.as_ref(),
+            resumed,
+            telemetry,
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::TelemetryOptions;
     use rt_geometry::{Triangle, Vec3};
     use rt_scene::{Scene, SceneId, Workload, WorkloadKind};
 
@@ -405,11 +241,12 @@ mod tests {
         let dir = scratch("combo");
         let ck = CheckpointOptions::new(500, dir.join("combo.rtsnap"))
             .with_digest_log(dir.join("combo.digests"));
-        let (decked, telemetry) = SimSession::new(&bvh, &rays, config.clone())
+        let mut telemetry = Telemetry::new(&TelemetryOptions::new(250));
+        let decked = SimSession::new(&bvh, &rays, config.clone())
             .treelets(&treelets)
             .checkpoint(ck.clone())
-            .telemetry(TelemetryOptions::new(250))
-            .run_with_telemetry()
+            .telemetry(&mut telemetry)
+            .run()
             .unwrap();
         assert_eq!(plain.state_digest, decked.state_digest);
         assert_eq!(plain.cycles, decked.cycles);
@@ -418,38 +255,17 @@ mod tests {
 
         // The left-over final checkpoint resumes — with telemetry still
         // attached — and replays the tail onto the same final state.
-        let (resumed, _) = SimSession::new(&bvh, &rays, config)
+        let mut telemetry = Telemetry::new(&TelemetryOptions::new(250));
+        let resumed = SimSession::new(&bvh, &rays, config)
             .treelets(&treelets)
             .checkpoint(ck)
             .resume_from_checkpoint()
-            .telemetry(TelemetryOptions::new(250))
-            .run_with_telemetry()
+            .telemetry(&mut telemetry)
+            .run()
             .unwrap();
         assert_eq!(plain.state_digest, resumed.state_digest);
         assert_eq!(plain.cycles, resumed.cycles);
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn prefetcher_builder_rewrites_the_config() {
-        let (bvh, rays) = fixture();
-        let base = SimConfig::paper_baseline();
-        let direct = SimSession::new(
-            &bvh,
-            &rays,
-            base.clone().with_prefetcher(PrefetchConfig::mta()),
-        )
-        .run()
-        .unwrap();
-        // A borrowed config is cloned on first write, leaving the
-        // original untouched.
-        let built = SimSession::borrowed(&bvh, &rays, &base)
-            .prefetcher(PrefetchConfig::mta())
-            .run()
-            .unwrap();
-        assert_eq!(base.prefetch, PrefetchConfig::None);
-        assert_eq!(direct.state_digest, built.state_digest);
-        assert!(built.mta.is_some());
     }
 
     #[test]
@@ -467,81 +283,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_sessions_reject_checkpointing_and_resume() {
-        let (bvh, rays) = fixture();
-        let batches = vec![rays.clone()];
-        let ck = CheckpointOptions::new(500, std::env::temp_dir().join("never-written.rtsnap"));
-        let err = SimSession::batched(&bvh, &batches, SimConfig::paper_baseline())
-            .checkpoint(ck.clone())
-            .run_batches()
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            SimError::Config(ConfigError::UnsupportedBatchOption {
-                what: "checkpointing"
-            })
-        ));
-        let err = SimSession::batched(&bvh, &batches, SimConfig::paper_baseline())
-            .checkpoint(ck)
-            .resume_from_checkpoint()
-            .run_batches()
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            SimError::Config(ConfigError::UnsupportedBatchOption { what: "resume" })
-        ));
-    }
-
-    #[test]
-    fn poisoned_batch_is_a_typed_error_not_a_panic() {
-        // Drop the nth DRAM response for increasing n. A dropped demand
-        // response livelocks that batch (watchdog, typed error); a
-        // dropped *prefetch* response lets the batch complete with
-        // broken request books, which the session must refuse before
-        // running the next batch — never carry corrupt state forward,
-        // never panic.
-        let (bvh, rays) = fixture();
-        let batches = vec![rays[..32].to_vec(), rays[32..].to_vec()];
-        let mut poisoned = 0;
-        let mut watchdogged = 0;
-        for n in 0..24 {
-            let mut config = SimConfig::paper_treelet_prefetch();
-            config.progress_window = 20_000;
-            config.mem.fault_injection = Some(rt_gpu_sim::FaultInjection::drop_nth_dram_send(7, n));
-            match SimSession::batched(&bvh, &batches, config).run_batches() {
-                Ok(results) => assert_eq!(results.len(), 2),
-                Err(SimError::BatchPoisoned {
-                    dropped_responses, ..
-                }) => {
-                    assert!(dropped_responses > 0);
-                    poisoned += 1;
-                }
-                Err(SimError::NoForwardProgress { .. })
-                | Err(SimError::CycleLimitExceeded { .. }) => watchdogged += 1,
-                Err(other) => panic!("unexpected error: {other}"),
-            }
-        }
-        // The sweep must have exercised the poisoned-handoff path (and
-        // typically the watchdog path too) — otherwise this test proves
-        // nothing.
-        assert!(poisoned > 0, "no drop index poisoned a completed batch");
-        assert!(watchdogged > 0, "no drop index hit a demand response");
-    }
-
-    #[test]
-    fn estimated_cost_weighs_rays_by_expected_visits() {
-        let (bvh, rays) = fixture();
-        let config = SimConfig::paper_baseline();
-        let visits = bvh.expected_visits_per_ray();
-        let single = SimSession::new(&bvh, &rays, config.clone()).estimated_cost();
-        assert_eq!(single, crate::runner::cell_cost(visits, rays.len()));
-        // A batched session weighs every batch's rays.
-        let batches = vec![rays[..32].to_vec(), rays[32..].to_vec()];
-        let batched = SimSession::batched(&bvh, &batches, config).estimated_cost();
-        assert_eq!(batched, single);
-    }
-
-    #[test]
     fn zero_area_root_gives_a_finite_cost() {
         // Triangles along one axis: the root box has no area, so the
         // tree reads its node count as the expected visits.
@@ -556,8 +297,7 @@ mod tests {
             })
             .collect();
         let bvh = WideBvh::build(tris);
-        let rays = vec![Ray::new(Vec3::new(0.0, 1.0, 0.0), Vec3::new(0.0, -1.0, 0.0)); 4];
-        let cost = SimSession::new(&bvh, &rays, SimConfig::paper_baseline()).estimated_cost();
+        let cost = crate::runner::cell_cost(bvh.expected_visits_per_ray(), 4);
         assert_eq!(cost, crate::runner::cell_cost(bvh.node_count() as f64, 4));
         assert!(cost > 0 && cost < u64::MAX);
     }

@@ -144,18 +144,18 @@ fn memory_image(bvh: &WideBvh, config: &SimConfig, treelets: &TreeletAssignment)
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Runs `rays` to retirement on a fresh memory hierarchy, checkpointing
+/// to `checkpoint`, resuming from `resume` and sampling into `telemetry`
+/// when given.
 pub(crate) fn try_run_engine(
     bvh: &WideBvh,
     rays: &[Ray],
     config: &SimConfig,
     treelets: &TreeletAssignment,
-    mem: MemorySystem,
-    finalize: bool,
     checkpoint: Option<&CheckpointOptions>,
     resume: Option<Checkpoint>,
     mut telemetry: Option<&mut Telemetry>,
-) -> Result<(SimResult, MemorySystem), SimError> {
+) -> Result<SimResult, SimError> {
     config.validate()?;
     if rays.is_empty() {
         return Err(SimError::EmptyInput { what: "ray" });
@@ -176,6 +176,7 @@ pub(crate) fn try_run_engine(
 
     let treelet_lines = TreeletLines::new(bvh, config, treelets, &image);
 
+    let mem = MemorySystem::new(config.mem, config.num_sms);
     let mut start_cycle = mem.cycle();
     let mut engine = Engine::new(config, replay, treelets, treelet_lines, mem);
     let mut resumed_epoch = None;
@@ -223,17 +224,8 @@ pub(crate) fn try_run_engine(
 
     let l1 = engine.mem.l1_stats_total();
     let l2 = engine.mem.l2_stats();
-    let (prefetch_effect, prefetch_effect_l2) = if finalize {
-        (
-            engine.mem.finalize_prefetch_effect(),
-            engine.mem.finalize_l2_prefetch_effect(),
-        )
-    } else {
-        (
-            engine.mem.prefetch_effect_snapshot(),
-            PrefetchEffect::default(),
-        )
-    };
+    let prefetch_effect = engine.mem.finalize_prefetch_effect();
+    let prefetch_effect_l2 = engine.mem.finalize_l2_prefetch_effect();
     activity.l1_accesses = l1.demand_accesses() + l1.prefetch_probes;
     activity.l2_accesses = l2.demand_accesses() + l2.prefetch_probes;
     activity.dram_accesses = engine.mem.dram().total_accesses();
@@ -302,7 +294,7 @@ pub(crate) fn try_run_engine(
         },
         state_digest: engine.state_digest(),
     };
-    Ok((result, engine.mem))
+    Ok(result)
 }
 
 /// Every ray's compiled trace, as the timing model replays it: a few
@@ -549,9 +541,8 @@ struct Owner {
 /// in one window indexed by the id: an issue and a completion each cost
 /// an index, not a hash. Each SM's owners encode in id order.
 ///
-/// L2-destination prefetches never complete, so their owners would pin
-/// the window's start for the rest of the run. They go to an append-only
-/// list per SM instead, merged with the window at encode.
+/// L2-destination prefetches complete silently in the memory system, so
+/// they have no owner here.
 #[derive(Debug)]
 struct Owners {
     live: IdWindow<Owner>,
@@ -559,17 +550,14 @@ struct Owners {
     /// lists the emptied slots.
     gated: Vec<Vec<u64>>,
     free_gated: Vec<u32>,
-    /// Per SM, its L2-destination prefetches, in id order.
-    l2_prefetches: Vec<Vec<RequestId>>,
 }
 
 impl Owners {
-    fn new(num_sms: usize) -> Owners {
+    fn new() -> Owners {
         Owners {
             live: IdWindow::new(),
             gated: Vec::new(),
             free_gated: Vec::new(),
-            l2_prefetches: vec![Vec::new(); num_sms],
         }
     }
 
@@ -597,12 +585,6 @@ impl Owners {
         debug_assert!(previous.is_none(), "request {req} owned twice");
     }
 
-    /// Records an L2-destination prefetch `req` of `sm`, which never
-    /// completes.
-    fn push_l2_prefetch(&mut self, req: RequestId, sm: usize) {
-        self.l2_prefetches[sm].push(req);
-    }
-
     /// Removes and returns the owner of completed request `req` of `sm`.
     fn remove(&mut self, req: RequestId, sm: usize) -> Option<ReqOwner> {
         let owner = self.live.remove(req)?;
@@ -620,27 +602,11 @@ impl Owners {
         })
     }
 
-    /// Writes `sm`'s owners in id order: the window's and the
-    /// L2-destination prefetches, merged.
+    /// Writes `sm`'s owners in id order.
     fn encode_sm(&self, sm: usize, w: &mut ByteWriter) {
         let of_sm = |(_, o): &(RequestId, &Owner)| o.sm as usize == sm;
-        let l2 = &self.l2_prefetches[sm];
-        w.put_len(self.live.iter().filter(of_sm).count() + l2.len());
-        let mut live = self.live.iter().filter(of_sm).peekable();
-        let mut l2 = l2.iter().copied().peekable();
-        loop {
-            let from_l2 = match (live.peek(), l2.peek()) {
-                (None, None) => break,
-                (Some(&(id, _)), Some(&l2_id)) => l2_id < id,
-                (None, Some(_)) => true,
-                (Some(_), None) => false,
-            };
-            if from_l2 {
-                w.put_u64(l2.next().expect("peeked"));
-                w.put_u8(1);
-                continue;
-            }
-            let (req, owner) = live.next().expect("peeked");
+        w.put_len(self.live.iter().filter(of_sm).count());
+        for (req, owner) in self.live.iter().filter(of_sm) {
             w.put_u64(req);
             match owner.tag {
                 OwnerTag::Ray(r) => {
@@ -661,13 +627,8 @@ impl Owners {
     }
 
     /// Rebuilds the table from every SM's decoded `(id, sm, owner)`
-    /// entries. With `l2_destination`, prefetch-line owners are
-    /// L2-destination prefetches.
-    fn restore(
-        num_sms: usize,
-        mut entries: Vec<(RequestId, usize, ReqOwner)>,
-        l2_destination: bool,
-    ) -> Result<Owners, DecodeError> {
+    /// entries.
+    fn restore(mut entries: Vec<(RequestId, usize, ReqOwner)>) -> Result<Owners, DecodeError> {
         entries.sort_unstable_by_key(|&(req, _, _)| req);
         if let Some(w) = entries.windows(2).find(|w| w[0].0 == w[1].0) {
             return Err(DecodeError::malformed(format!(
@@ -675,22 +636,13 @@ impl Owners {
                 w[0].0
             )));
         }
-        // The window pads one slot per id between its live ids; the
-        // never-completing L2-destination prefetches stay out of it.
-        let windowed: Vec<RequestId> = entries
-            .iter()
-            .filter(|(_, _, owner)| !(l2_destination && matches!(owner, ReqOwner::PrefetchLine)))
-            .map(|&(req, _, _)| req)
-            .collect();
-        if let (Some(&first), Some(&last)) = (windowed.first(), windowed.last()) {
-            check_decoded_window(first, last, windowed.len())?;
+        // The window pads one slot per id between its live ids.
+        if let (Some(first), Some(last)) = (entries.first(), entries.last()) {
+            check_decoded_window(first.0, last.0, entries.len())?;
         }
-        let mut owners = Owners::new(num_sms);
+        let mut owners = Owners::new();
         for (req, sm, owner) in entries {
-            match owner {
-                ReqOwner::PrefetchLine if l2_destination => owners.push_l2_prefetch(req, sm),
-                owner => owners.insert(req, sm, owner),
-            }
+            owners.insert(req, sm, owner);
         }
         Ok(owners)
     }
@@ -1048,7 +1000,7 @@ impl<'a> Engine<'a> {
             rays,
             sms,
             treelet_lines,
-            owners: Owners::new(config.num_sms),
+            owners: Owners::new(),
             remaining,
             warp_lanes,
             generations,
@@ -1745,9 +1697,7 @@ impl<'a> Engine<'a> {
                     }
                 }
                 crate::PrefetchDestination::L2 => {
-                    if let Some(req) = self.mem.prefetch_l2(addr).request_id() {
-                        self.owners.push_l2_prefetch(req, sm);
-                    }
+                    self.mem.prefetch_l2(addr);
                 }
             },
             PrefetchEntry::Meta { addr, gated_lines } => {
@@ -1889,11 +1839,7 @@ impl<'a> Engine<'a> {
                 owners.push((req, i, owner));
             }
         }
-        self.owners = Owners::restore(
-            self.sms.len(),
-            owners,
-            self.config.prefetch_destination == crate::PrefetchDestination::L2,
-        )?;
+        self.owners = Owners::restore(owners)?;
         if occupied_slots != self.occupied_slots() {
             return Err(DecodeError::malformed(format!(
                 "checkpoint counts {occupied_slots} occupied warp-buffer slots, its slots hold {}",
@@ -2366,9 +2312,10 @@ mod tests {
         let plain = SimSession::borrowed(&bvh, &rays, &config)
             .run()
             .expect("plain run");
-        let (sampled, telemetry) = SimSession::borrowed(&bvh, &rays, &config)
-            .telemetry(TelemetryOptions::new(64))
-            .run_with_telemetry()
+        let mut telemetry = Telemetry::new(&TelemetryOptions::new(64));
+        let sampled = SimSession::borrowed(&bvh, &rays, &config)
+            .telemetry(&mut telemetry)
+            .run()
             .expect("telemetry run");
         // Bit-identical trajectory: same digest, same cycle count, same
         // cache counters.
@@ -2405,9 +2352,10 @@ mod tests {
     #[test]
     fn telemetry_rejects_zero_interval() {
         let (bvh, rays) = fixture();
+        let mut telemetry = Telemetry::new(&TelemetryOptions::new(0));
         let err = SimSession::borrowed(&bvh, &rays, &SimConfig::paper_baseline())
-            .telemetry(TelemetryOptions::new(0))
-            .run_with_telemetry()
+            .telemetry(&mut telemetry)
+            .run()
             .unwrap_err();
         assert!(matches!(
             err,
@@ -2691,6 +2639,42 @@ mod tests {
     }
 
     #[test]
+    fn in_engine_bounces_run_on_warm_caches() {
+        // A bounce generation traced inside the run finds the lines its
+        // primary generation left in the L2, so it moves fewer lines from
+        // DRAM than the same two generations run cold one after another.
+        let (bvh, rays) = fixture();
+        let program = crate::ShaderProgram {
+            raygen_ops: 0,
+            shade_ops: 0,
+            bounces: 1,
+            bounce_kind: crate::BounceKind::Diffuse,
+            seed: 0xaf,
+        };
+        let mut config = SimConfig::paper_baseline();
+        config.shader = Some(program);
+        let warm = SimSession::borrowed(&bvh, &rays, &config).run().unwrap();
+        let cold = SimConfig::paper_baseline();
+        let primary = SimSession::borrowed(&bvh, &rays, &cold).run().unwrap();
+        // Generation g is seeded with `seed + g`.
+        let bounced = crate::bounce_rays(&bvh, &rays, program.bounce_kind, program.seed + 1);
+        assert!(!bounced.is_empty());
+        let bounce = SimSession::borrowed(&bvh, &bounced, &cold).run().unwrap();
+        assert_eq!(
+            warm.l1.demand_accesses(),
+            primary.l1.demand_accesses() + bounce.l1.demand_accesses(),
+            "the run traces the same two generations"
+        );
+        assert!(
+            warm.dram_to_l2_lines < primary.dram_to_l2_lines + bounce.dram_to_l2_lines,
+            "warm {} vs cold {} + {}",
+            warm.dram_to_l2_lines,
+            primary.dram_to_l2_lines,
+            bounce.dram_to_l2_lines
+        );
+    }
+
+    #[test]
     fn raygen_stagger_delays_completion() {
         // One SM so that the fixture's two warps actually queue behind
         // each other.
@@ -2716,57 +2700,6 @@ mod tests {
             staggered.l1.demand_accesses(),
             immediate.l1.demand_accesses()
         );
-    }
-
-    #[test]
-    fn warm_batches_share_the_cache() {
-        // Running the same rays twice in one session: the second batch
-        // hits the warm caches and completes much faster.
-        let (bvh, rays) = fixture();
-        let results = SimSession::batched(
-            &bvh,
-            &[rays.clone(), rays.clone()],
-            SimConfig::paper_baseline(),
-        )
-        .run_batches()
-        .unwrap();
-        assert_eq!(results.len(), 2);
-        assert!(
-            results[1].cycles * 2 < results[0].cycles,
-            "warm batch not faster: {} vs {}",
-            results[1].cycles,
-            results[0].cycles
-        );
-        // Cache counters accumulate: the second result's totals exceed
-        // the first's.
-        assert!(results[1].l1.demand_accesses() > results[0].l1.demand_accesses());
-    }
-
-    #[test]
-    fn batched_equals_single_for_one_batch() {
-        let (bvh, rays) = fixture();
-        let single = SimSession::borrowed(&bvh, &rays, &SimConfig::paper_treelet_prefetch())
-            .run()
-            .unwrap();
-        let batched = SimSession::batched(
-            &bvh,
-            std::slice::from_ref(&rays),
-            SimConfig::paper_treelet_prefetch(),
-        )
-        .run_batches()
-        .unwrap();
-        assert_eq!(single.cycles, batched[0].cycles);
-        assert_eq!(single.l1, batched[0].l1);
-        assert_eq!(single.prefetch_effect, batched[0].prefetch_effect);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one batch")]
-    fn empty_batches_panic() {
-        let (bvh, _) = fixture();
-        let _ = SimSession::batched(&bvh, &[], SimConfig::paper_baseline())
-            .run_batches()
-            .unwrap_or_else(|e| panic!("{e}"));
     }
 
     #[test]
@@ -2883,16 +2816,10 @@ mod tests {
         use crate::ConfigError;
         let (bvh, rays) = fixture();
         let refused = |config: &SimConfig, want: &ConfigError| {
-            for result in [
-                SimSession::borrowed(&bvh, &rays, config).run(),
-                SimSession::batched(&bvh, std::slice::from_ref(&rays), config.clone())
-                    .run_batches()
-                    .map(|mut results| results.remove(0)),
-            ] {
-                match result {
-                    Err(SimError::Config(found)) => assert_eq!(&found, want),
-                    other => panic!("expected {want:?}, got {:?}", other.map(|_| ())),
-                }
+            let result = SimSession::borrowed(&bvh, &rays, config).run();
+            match result {
+                Err(SimError::Config(found)) => assert_eq!(&found, want),
+                other => panic!("expected {want:?}, got {:?}", other.map(|_| ())),
             }
         };
         let mut config = SimConfig::paper_baseline();
@@ -2938,10 +2865,6 @@ mod tests {
         assert!(matches!(
             SimSession::borrowed(&bvh, &[], &SimConfig::paper_baseline()).run(),
             Err(SimError::EmptyInput { what: "ray" })
-        ));
-        assert!(matches!(
-            SimSession::batched(&bvh, &[], SimConfig::paper_baseline()).run_batches(),
-            Err(SimError::EmptyInput { what: "batch" })
         ));
     }
 
@@ -3038,38 +2961,18 @@ mod tests {
     }
 
     #[test]
-    fn determinism_across_entry_points_and_batch_splits() {
+    fn determinism_across_entry_points() {
+        // An owned and a borrowed config go down the same path: the
+        // results — final state digest included — are identical, run to
+        // run.
         let (bvh, rays) = fixture();
         let config = SimConfig::paper_treelet_prefetch();
-        let single_a = SimSession::borrowed(&bvh, &rays, &config).run().unwrap();
-        let single_b = SimSession::borrowed(&bvh, &rays, &config).run().unwrap();
-        assert_eq!(format!("{single_a:?}"), format!("{single_b:?}"));
-        // One whole batch goes down the same path as a single run: the
-        // results — final state digest included — are identical.
-        let whole = SimSession::batched(&bvh, std::slice::from_ref(&rays), config.clone())
-            .run_batches()
-            .unwrap();
-        assert_eq!(format!("{:?}", whole[0]), format!("{single_a:?}"));
-        assert_eq!(whole[0].state_digest, single_a.state_digest);
-        // Multi-batch sessions form warps per batch, so each split point
-        // is its own timing trajectory; what determinism demands is that
-        // every split reproduces itself exactly, run to run.
-        for split in [16usize, 32, 48] {
-            let (a, b) = rays.split_at(split);
-            let batches = [a.to_vec(), b.to_vec()];
-            let r1 = SimSession::batched(&bvh, &batches, config.clone())
-                .run_batches()
-                .unwrap();
-            let r2 = SimSession::batched(&bvh, &batches, config.clone())
-                .run_batches()
-                .unwrap();
-            assert_eq!(format!("{r1:?}"), format!("{r2:?}"), "split at {split}");
-            assert_eq!(
-                r1.last().unwrap().state_digest,
-                r2.last().unwrap().state_digest,
-                "split at {split}"
-            );
-        }
+        let borrowed_a = SimSession::borrowed(&bvh, &rays, &config).run().unwrap();
+        let borrowed_b = SimSession::borrowed(&bvh, &rays, &config).run().unwrap();
+        let owned = SimSession::new(&bvh, &rays, config.clone()).run().unwrap();
+        assert_eq!(format!("{borrowed_a:?}"), format!("{borrowed_b:?}"));
+        assert_eq!(format!("{owned:?}"), format!("{borrowed_a:?}"));
+        assert_eq!(owned.state_digest, borrowed_a.state_digest);
     }
 
     #[test]
@@ -3159,9 +3062,9 @@ mod tests {
 
     #[test]
     fn l2_destination_prefetch_owners_survive_resume() {
-        // L2-destination prefetches never complete, so their owners stay
-        // recorded for the rest of the run, outside the owner window, and
-        // every checkpoint carries them merged in id order.
+        // L2-destination prefetches complete silently and record no
+        // owner, so a checkpoint taken while they are in flight resumes
+        // onto the uninterrupted run's final state.
         let scene = Scene::build_with_detail(SceneId::Wknd, 0.1);
         let rays = Workload::new(WorkloadKind::Primary, 16, 16).generate(&scene);
         let bvh = WideBvh::build(scene.mesh.into_triangles());
@@ -3197,74 +3100,56 @@ mod tests {
 
     #[test]
     fn owners_encode_each_sm_in_id_order() {
-        let mut owners = Owners::new(2);
+        let mut owners = Owners::new();
         owners.insert(3, 0, ReqOwner::Ray(7));
-        owners.push_l2_prefetch(4, 0);
+        owners.insert(4, 0, ReqOwner::PrefetchLine);
         owners.insert(5, 1, ReqOwner::PrefetchMeta(vec![0x40, 0x80]));
-        owners.push_l2_prefetch(6, 1);
         owners.insert(8, 0, ReqOwner::Ray(11));
-        owners.push_l2_prefetch(9, 0);
         assert!(matches!(owners.remove(3, 0), Some(ReqOwner::Ray(7))));
-        assert!(
-            owners.remove(4, 0).is_none(),
-            "an L2 prefetch never completes"
-        );
         let encode = |owners: &Owners, sm| {
             let mut w = ByteWriter::new();
             owners.encode_sm(sm, &mut w);
             w.into_bytes()
         };
         let mut want = ByteWriter::new();
-        want.put_len(3);
+        want.put_len(2);
         want.put_u64(4);
         want.put_u8(1);
         want.put_u64(8);
         want.put_u8(0);
         want.put_u32(11);
-        want.put_u64(9);
-        want.put_u8(1);
         assert_eq!(encode(&owners, 0), want.into_bytes());
         let mut want = ByteWriter::new();
-        want.put_len(2);
+        want.put_len(1);
         want.put_u64(5);
         want.put_u8(2);
         want.put_len(2);
         want.put_u64(0x40);
         want.put_u64(0x80);
-        want.put_u64(6);
-        want.put_u8(1);
         assert_eq!(encode(&owners, 1), want.into_bytes());
         // Restore takes every SM's entries in any order.
         let entries = vec![
-            (9, 0, ReqOwner::PrefetchLine),
-            (6, 1, ReqOwner::PrefetchLine),
             (8, 0, ReqOwner::Ray(11)),
             (5, 1, ReqOwner::PrefetchMeta(vec![0x40, 0x80])),
             (4, 0, ReqOwner::PrefetchLine),
         ];
-        let back = Owners::restore(2, entries, true).unwrap();
+        let back = Owners::restore(entries).unwrap();
         for sm in 0..2 {
             assert_eq!(encode(&back, sm), encode(&owners, sm));
         }
         // One request owned by two SMs is refused.
         let twice = vec![(5, 0, ReqOwner::Ray(1)), (5, 1, ReqOwner::Ray(2))];
         assert!(matches!(
-            Owners::restore(2, twice, false),
+            Owners::restore(twice),
             Err(DecodeError::Malformed { .. })
         ));
         // Owners 2^40 ids apart would pad the window with 2^40 slots:
-        // refused before any insert. L2-destination prefetches never
-        // enter the window, so they may lie any distance away.
+        // refused before any insert.
         let far = vec![(3, 0, ReqOwner::Ray(1)), (1 << 40, 0, ReqOwner::Ray(2))];
-        match Owners::restore(2, far, false) {
+        match Owners::restore(far) {
             Err(DecodeError::Malformed { what }) => assert!(what.contains("span"), "{what}"),
             other => panic!("expected a refused span, got {other:?}"),
         }
-        let l2 = vec![
-            (3, 0, ReqOwner::Ray(1)),
-            (1 << 40, 1, ReqOwner::PrefetchLine),
-        ];
-        assert!(Owners::restore(2, l2, true).is_ok());
     }
 
     #[test]

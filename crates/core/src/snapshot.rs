@@ -8,19 +8,21 @@
 //! atomically (temp file + rename) so a crash mid-write can never leave
 //! a half-checkpoint behind.
 //!
-//! # Container format (version 2)
+//! # Container format (version 3)
 //!
 //! Version 2 switched the payload to the dense-table engine encoding
 //! (the fully-associative cache's LRU heap is rebuilt at restore instead
 //! of being serialized, and warp-buffer pending lines are encoded from a
-//! cursor into the rebuilt trace); version-1 checkpoints are refused with
-//! a typed error. All integers little-endian, laid out by `rt_gpu_sim`'s
-//! `ByteWriter`:
+//! cursor into the rebuilt trace). Version 3 dropped the owners of
+//! L2-destination prefetches from the payload: they complete silently in
+//! the memory system, so the engine no longer records them. Older
+//! checkpoints are refused with a typed error. All integers
+//! little-endian, laid out by `rt_gpu_sim`'s `ByteWriter`:
 //!
 //! | field            | bytes | meaning                                   |
 //! |------------------|-------|-------------------------------------------|
 //! | magic            | 8     | `RTSNAP02`                                |
-//! | version          | 4     | container version (2)                     |
+//! | version          | 4     | container version (3)                     |
 //! | identity         | 8     | FNV-1a digest of the run's inputs         |
 //! | epoch            | 8     | checkpoint epoch (`cycle / every`)        |
 //! | start_cycle      | 8     | memory-system cycle when the run began    |
@@ -47,7 +49,7 @@ use std::path::{Path, PathBuf};
 /// Leading bytes of every checkpoint file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"RTSNAP02";
 /// Current container version.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Why a checkpoint could not be written, read, or applied.
 #[derive(Debug)]

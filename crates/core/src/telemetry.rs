@@ -156,8 +156,9 @@ pub struct Telemetry {
 }
 
 impl Telemetry {
-    /// An empty sink sampling at `opts.every` (callers validate `opts`
-    /// first; a zero interval never reaches the engine).
+    /// An empty sink sampling at `opts.every`. A run handed a sink with
+    /// a zero interval refuses it with
+    /// [`ConfigError::ZeroTelemetryInterval`] before the engine starts.
     pub fn new(opts: &TelemetryOptions) -> Telemetry {
         Telemetry {
             every: opts.every,

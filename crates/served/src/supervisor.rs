@@ -9,8 +9,8 @@
 //! harmless prefill) and the job reports [`JobError::TimedOut`] without
 //! disturbing concurrent jobs.
 //!
-//! Transient failures — a panicking worker, a poisoned batch, an I/O
-//! error while checkpointing — are retried with exponential backoff.
+//! Transient failures — a panicking worker, an I/O error while
+//! checkpointing — are retried with exponential backoff.
 //! Deterministic simulation failures are not retried: re-running the
 //! same inputs would fail identically.
 //!

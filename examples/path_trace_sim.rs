@@ -1,6 +1,8 @@
-//! Simulates a wavefront path tracer: the primary generation plus two
-//! bounce generations, each batch run through the RT unit, comparing the
-//! baseline and treelet-prefetching configurations per generation.
+//! Simulates a path tracer: the primary generation plus two bounce
+//! generations, comparing the baseline and treelet-prefetching
+//! configurations per generation on cold caches, then for the whole
+//! frame in one run whose shader program traces the bounces on warm
+//! caches.
 //!
 //! Bounce generations get progressively less coherent — the regime the
 //! paper's §2.4 motivates treelet prefetching with.
@@ -14,7 +16,7 @@
 use treelet_prefetching::bvh::WideBvh;
 use treelet_prefetching::scene::{Scene, SceneId, Workload};
 use treelet_prefetching::treelet::{
-    bounce_rays, direction_coherence, BounceKind, SimConfig, SimSession,
+    bounce_rays, direction_coherence, BounceKind, ShaderProgram, SimConfig, SimSession,
 };
 
 fn main() {
@@ -25,15 +27,23 @@ fn main() {
         .unwrap_or(SceneId::Crnvl);
     let detail: f32 = args.next().and_then(|s| s.parse().ok()).unwrap_or(1.0);
 
-    println!("wavefront path-trace simulation on {scene_id} (detail {detail})");
+    println!("path-trace simulation on {scene_id} (detail {detail})");
     let scene = Scene::build_with_detail(scene_id, detail);
     let primary = Workload::paper_default().generate(&scene);
     let bvh = WideBvh::build(scene.mesh.into_triangles());
 
     // Build three generations: primary, first diffuse bounce, second
-    // diffuse bounce.
-    let bounce1 = bounce_rays(&bvh, &primary, BounceKind::Diffuse, 0xb0);
-    let bounce2 = bounce_rays(&bvh, &bounce1, BounceKind::Diffuse, 0xb1);
+    // diffuse bounce. The shader program below seeds generation g with
+    // `seed + g`, so it traces these same rays.
+    let program = ShaderProgram {
+        raygen_ops: 0,
+        shade_ops: 0,
+        bounces: 2,
+        bounce_kind: BounceKind::Diffuse,
+        seed: 0xaf,
+    };
+    let bounce1 = bounce_rays(&bvh, &primary, program.bounce_kind, program.seed + 1);
+    let bounce2 = bounce_rays(&bvh, &bounce1, program.bounce_kind, program.seed + 2);
     let generations = [
         ("primary", &primary),
         ("bounce 1", &bounce1),
@@ -76,25 +86,17 @@ fn main() {
         total_base as f64 / total_pf as f64
     );
 
-    // A real wavefront renderer keeps the caches warm between
-    // generations: run the same three batches through one session.
-    let batches: Vec<Vec<_>> = generations
-        .iter()
-        .filter(|(_, rays)| !rays.is_empty())
-        .map(|(_, rays)| rays.to_vec())
-        .collect();
-    let warm_base: u64 = SimSession::batched(&bvh, &batches, SimConfig::paper_baseline())
-        .run_batches()
-        .expect("warm baseline")
-        .iter()
-        .map(|r| r.cycles)
-        .sum();
-    let warm_pf: u64 = SimSession::batched(&bvh, &batches, SimConfig::paper_treelet_prefetch())
-        .run_batches()
-        .expect("warm prefetch")
-        .iter()
-        .map(|r| r.cycles)
-        .sum();
+    // A real path tracer keeps the caches warm between generations: the
+    // SM's shader program traces the bounces inside one run.
+    let warm = |mut config: SimConfig| {
+        config.shader = Some(program);
+        SimSession::new(&bvh, &primary, config)
+            .run()
+            .expect("warm whole frame")
+            .cycles
+    };
+    let warm_base = warm(SimConfig::paper_baseline());
+    let warm_pf = warm(SimConfig::paper_treelet_prefetch());
     println!(
         "whole frame (warm caches across generations): {} -> {} cycles ({:.3}x)",
         warm_base,

@@ -258,8 +258,9 @@ impl From<SimError> for Failure {
             SimError::CycleLimitExceeded { .. } => 3,
             SimError::NoForwardProgress { .. } => 4,
             SimError::Snapshot(_) => 5,
-            SimError::TreeletCoverage { .. } | SimError::Trace(_) => 1,
-            SimError::BatchPoisoned { .. } | SimError::WorkerPanicked { .. } => 1,
+            SimError::TreeletCoverage { .. }
+            | SimError::Trace(_)
+            | SimError::WorkerPanicked { .. } => 1,
         };
         Failure {
             message: e.to_string(),
@@ -935,10 +936,8 @@ fn cmd_stats(options: &Options) -> Result<(), Failure> {
     // was given), so a scene can be profiled in one command.
     if let Some(telemetry_opts) = telemetry_options(options).map_err(invalid)? {
         let config = build_config(options);
-        let (result, telemetry) = bench
-            .session(config)
-            .telemetry(telemetry_opts)
-            .run_with_telemetry()?;
+        let mut telemetry = Telemetry::new(&telemetry_opts);
+        let result = bench.session(config).telemetry(&mut telemetry).run()?;
         print_telemetry_summary(&telemetry, result.cycles);
         if let Some(path) = &options.telemetry_path {
             write_telemetry(&telemetry, path)?;
@@ -1056,8 +1055,9 @@ fn checkpoint_options(options: &Options) -> Result<Option<CheckpointOptions>, St
 fn cmd_run(options: &Options) -> Result<(), Failure> {
     let bench = prepare_inputs(options)?;
     let config = build_config(options);
-    let telemetry_opts = telemetry_options(options).map_err(invalid)?;
-    let mut telemetry = None;
+    let mut telemetry = telemetry_options(options)
+        .map_err(invalid)?
+        .map(|opts| Telemetry::new(&opts));
     let mut session = bench.session(config);
     if let Some(ck) = checkpoint_options(options).map_err(invalid)? {
         session = session.checkpoint(ck);
@@ -1065,14 +1065,10 @@ fn cmd_run(options: &Options) -> Result<(), Failure> {
             session = session.resume_from_checkpoint();
         }
     }
-    let result = match telemetry_opts {
-        Some(topts) => {
-            let (result, t) = session.telemetry(topts).run_with_telemetry()?;
-            telemetry = Some(t);
-            result
-        }
-        None => session.run()?,
-    };
+    if let Some(sink) = telemetry.as_mut() {
+        session = session.telemetry(sink);
+    }
+    let result = session.run()?;
     if options.compare {
         let base_config = apply_robustness(SimConfig::paper_baseline(), options);
         let base = bench.session(base_config).run()?;
