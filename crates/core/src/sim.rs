@@ -5,9 +5,10 @@
 //! this cycle-level model replays those sequences through the RT unit —
 //! warp buffer, memory scheduler, operation units, treelet prefetcher,
 //! and prefetch queue — on top of the `rt-gpu-sim` memory hierarchy.
-//! The hand-off is a `Replay`: every ray's trace compiled into a few
-//! flat arrays (per ray its steps, per step its treelet, vote, leaf flag
-//! and cache lines), every ray traced into one reused scratch.
+//! The hand-off is a `Replay`: every ray's trace compiled into two flat
+//! arrays (per ray its steps, per step its node and prefetcher vote),
+//! every ray traced into one reused scratch. A step's cache lines come
+//! from a per-node table built from the run's memory image.
 
 use crate::config::{CheckpointOptions, LayoutChoice, SchedulerPolicy, SimConfig};
 use crate::error::{ProgressSnapshot, SimError};
@@ -18,7 +19,7 @@ use crate::prefetch::{PrefetchEntry, PrefetchUsefulness, PrefetcherStats};
 use crate::prefetcher::{PrefetchUnitStats, PrefetcherUnit, TreeletLines};
 use crate::snapshot::{self, Checkpoint, DigestRecord, SnapshotError};
 use crate::telemetry::{Telemetry, TelemetrySample};
-use crate::traversal::{push_step_lines, trace_into, TraceScratch, TraceStep, TraversalStats};
+use crate::traversal::{step_lines, trace_into, TraceScratch, TraceStep, TraversalStats};
 use crate::treelet::TreeletAssignment;
 use rt_bvh::{MemoryImage, PackOptions, WideBvh};
 use rt_geometry::Ray;
@@ -168,17 +169,23 @@ pub(crate) fn try_run_engine(
         });
     }
 
-    let image = memory_image(bvh, config, treelets);
-    let replay = Replay::compile(bvh, rays, config, treelets, &image);
+    let replay = Replay::compile(bvh, rays, config, treelets);
+    // The image is needed only to list each node's and each treelet's
+    // lines.
+    let (node_lines, treelet_lines) = {
+        let image = memory_image(bvh, config, treelets);
+        (
+            NodeLines::new(bvh, &image, config.mem.line_bytes),
+            TreeletLines::new(bvh, config, treelets, &image),
+        )
+    };
     let traversal = replay.traversal_stats();
     // Operation-unit activity is fixed by the functional traces.
-    let mut activity = replay.activity();
-
-    let treelet_lines = TreeletLines::new(bvh, config, treelets, &image);
+    let mut activity = replay.activity(&node_lines);
 
     let mem = MemorySystem::new(config.mem, config.num_sms);
     let mut start_cycle = mem.cycle();
-    let mut engine = Engine::new(config, replay, treelets, treelet_lines, mem);
+    let mut engine = Engine::new(config, replay, node_lines, treelets, treelet_lines, mem);
     let mut resumed_epoch = None;
     if let Some(ck) = resume {
         engine
@@ -297,58 +304,53 @@ pub(crate) fn try_run_engine(
     Ok(result)
 }
 
-/// Every ray's compiled trace, as the timing model replays it: a few
-/// flat arrays instead of heap vectors per ray and per step. Ray `r`'s
-/// steps are `ray_start[r]..ray_start[r + 1]`, and step `s`'s cache
-/// lines are `lines[line_start[s]..line_start[s + 1]]`, node line first
-/// (an [`AccessKind::Node`] load), then a leaf's triangle lines.
+/// Every ray's compiled trace, as the timing model replays it: per ray
+/// its steps, per step the visited node and the treelet the ray votes
+/// for. Ray `r`'s steps are `steps[ray_start[r]..ray_start[r + 1]]`. A
+/// step's cache lines are its node's in [`NodeLines`], so the replay
+/// depends on neither the memory layout nor the line size.
 ///
 /// Static replay data, rebuilt from the inputs on resume, never encoded.
 #[derive(Debug)]
 struct Replay {
     /// Per ray, its first step, plus one closing entry.
     ray_start: Vec<u32>,
-    /// Per step, the visited node's treelet.
-    step_treelet: Vec<u32>,
-    /// Per step, the treelet the ray reports to the prefetcher: the
-    /// treelet it *will traverse next* (§4.1 — the prefetcher identifies
-    /// "treelets that will be traversed next"). A ray entering treelet T
-    /// reports T (its deeper nodes are still ahead); a ray already inside
-    /// T reports the treelet it will move to after T — in hardware, the
-    /// top of its other-treelet stack.
-    step_vote: Vec<u32>,
-    /// Per step, whether the node is a leaf (it pays the primitive-test
-    /// latency).
-    step_leaf: Vec<bool>,
-    /// Per step, its first line, plus one closing entry.
-    line_start: Vec<u32>,
-    lines: Vec<u64>,
+    steps: Vec<Step>,
     /// Rays with a trace (dead shader lanes have none), for the
     /// traversal statistics.
     traced: usize,
 }
 
+/// One traversal step of a [`Replay`].
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    /// The visited node.
+    node: u32,
+    /// The treelet the ray reports to the prefetcher: the treelet it
+    /// *will traverse next* (§4.1 — the prefetcher identifies "treelets
+    /// that will be traversed next"). A ray entering treelet T reports T
+    /// (its deeper nodes are still ahead); a ray already inside T reports
+    /// the treelet it will move to after T — in hardware, the top of its
+    /// other-treelet stack.
+    vote: u32,
+}
+
 impl Replay {
-    /// Traces every ray `config` replays and compiles the traces against
-    /// `image`. Generation 0 is `rays`; with a shader program, bounce
-    /// generations follow, lane-aligned (dead lanes have no trace). Each
-    /// ray is traced into one reused scratch and compiled from it.
+    /// Traces every ray `config` replays. Generation 0 is `rays`; with a
+    /// shader program, bounce generations follow, lane-aligned (dead
+    /// lanes have no trace). Each ray is traced into one reused scratch
+    /// and compiled from it.
     fn compile(
         bvh: &WideBvh,
         rays: &[Ray],
         config: &SimConfig,
         treelets: &TreeletAssignment,
-        image: &MemoryImage,
     ) -> Replay {
         let mut ray_start = Vec::with_capacity(rays.len() + 1);
         ray_start.push(0);
         let mut replay = Replay {
             ray_start,
-            step_treelet: Vec::new(),
-            step_vote: Vec::new(),
-            step_leaf: Vec::new(),
-            line_start: vec![0],
-            lines: Vec::new(),
+            steps: Vec::new(),
             traced: 0,
         };
         let mut scratch = TraceScratch::default();
@@ -364,7 +366,7 @@ impl Replay {
                 );
                 scratch.steps.as_slice()
             });
-            replay.push(steps, image, config.mem.line_bytes);
+            replay.push(steps);
         };
         rays.iter().for_each(|r| push(Some(r)));
         if let Some(program) = config.shader {
@@ -382,36 +384,32 @@ impl Replay {
         replay
     }
 
-    /// Appends one ray: its traced `steps` compiled against `image` in
-    /// `line_bytes`-sized lines, or no steps for a dead lane.
-    fn push(&mut self, steps: Option<&[TraceStep]>, image: &MemoryImage, line_bytes: u64) {
-        let first = self.step_treelet.len();
-        if let Some(steps) = steps {
-            self.traced += 1;
-            for step in steps {
-                push_step_lines(step, image, line_bytes, &mut self.lines);
-                self.line_start.push(index(self.lines.len()));
-                self.step_treelet.push(step.treelet);
-                self.step_leaf.push(step.tri_range.is_some());
-            }
-        }
-        self.ray_start.push(index(self.step_treelet.len()));
+    /// Appends one ray: its traced `steps`, or no steps for a dead lane.
+    fn push(&mut self, steps: Option<&[TraceStep]>) {
+        self.traced += usize::from(steps.is_some());
+        let steps = steps.unwrap_or_default();
         // Entering steps vote for their own treelet; interior steps for
         // the next different treelet in the trace (the ray's pending
         // treelet). A ray ending inside a treelet has no pending treelet
         // and keeps voting for its own.
-        let treelets = &self.step_treelet[first..];
-        let n = treelets.len();
-        self.step_vote.resize(first + n, 0);
-        let votes = &mut self.step_vote[first..];
-        let mut next_diff = treelets.last().copied().unwrap_or(0);
-        for i in (0..n).rev() {
-            if i + 1 < n && treelets[i + 1] != treelets[i] {
-                next_diff = treelets[i + 1];
+        let first = self.steps.len();
+        self.steps.extend(steps.iter().map(|s| Step {
+            node: s.node,
+            vote: s.treelet,
+        }));
+        let votes = &mut self.steps[first..];
+        let mut next_diff = steps.last().map_or(0, |s| s.treelet);
+        for i in (0..steps.len()).rev() {
+            let treelet = steps[i].treelet;
+            if i + 1 < steps.len() && steps[i + 1].treelet != treelet {
+                next_diff = steps[i + 1].treelet;
             }
-            let entering = i == 0 || treelets[i - 1] != treelets[i];
-            votes[i] = if entering { treelets[i] } else { next_diff };
+            let entering = i == 0 || steps[i - 1].treelet != treelet;
+            if !entering {
+                votes[i].vote = next_diff;
+            }
         }
+        self.ray_start.push(index(self.steps.len()));
     }
 
     /// Rays replayed (every generation's, dead lanes included).
@@ -425,31 +423,108 @@ impl Replay {
         (first, self.ray_start[r + 1] - first)
     }
 
-    /// Step `s`'s cache lines, in issue order.
-    fn step_lines(&self, s: usize) -> &[u64] {
-        &self.lines[self.line_start[s] as usize..self.line_start[s + 1] as usize]
-    }
-
     /// Node-visit statistics over the traced rays.
     fn traversal_stats(&self) -> TraversalStats {
         let max = (0..self.rays()).map(|r| self.ray_steps(r).1).max();
         TraversalStats {
-            avg_nodes_per_ray: self.step_treelet.len() as f64 / self.traced as f64,
+            avg_nodes_per_ray: self.steps.len() as f64 / self.traced as f64,
             max_nodes_per_ray: max.unwrap_or(0) as usize,
         }
     }
 
-    /// The operation units' box and triangle tests.
-    fn activity(&self) -> ActivityCounts {
+    /// The operation units' box and triangle tests, with each node's
+    /// lines from `lines`.
+    fn activity(&self, lines: &NodeLines) -> ActivityCounts {
         let mut activity = ActivityCounts::default();
-        for (s, &leaf) in self.step_leaf.iter().enumerate() {
-            if leaf {
-                activity.tri_tests += (self.step_lines(s).len() as u64).saturating_sub(1).max(1);
+        for step in &self.steps {
+            if lines.is_leaf(step.node) {
+                activity.tri_tests += u64::from(lines.count(step.node) - 1).max(1);
             } else {
                 activity.box_tests += rt_bvh::WIDE_ARITY as u64;
             }
         }
         activity
+    }
+}
+
+/// Every node's cache lines under one memory image, in issue order: the
+/// node record's line (an [`AccessKind::Node`] load), then a leaf's
+/// triangle lines, as [`step_lines`] lists them. Those are a run of
+/// consecutive lines, so a node's lines are three numbers.
+///
+/// Built once per run from the image and never encoded: a replay step
+/// looks its lines up here instead of storing them.
+#[derive(Debug)]
+struct NodeLines {
+    runs: Vec<LineRun>,
+    /// Line number `i` starts at byte `base + i * line_bytes`. Every
+    /// image address is at or above [`rt_bvh::NODE_REGION_BASE`], so
+    /// numbers count from the line holding it.
+    base: u64,
+    line_bytes: u64,
+}
+
+/// One node's lines in [`NodeLines`]: its record's line, then the
+/// triangle lines `tri_first..tri_end` (empty for an internal node).
+#[derive(Debug, Clone, Copy)]
+struct LineRun {
+    line: u32,
+    tri_first: u32,
+    tri_end: u32,
+    /// Whether the node is a leaf (it pays the primitive-test latency).
+    leaf: bool,
+}
+
+impl NodeLines {
+    /// The lines of every node of `bvh` laid out by `image`, in
+    /// `line_bytes`-sized lines.
+    fn new(bvh: &WideBvh, image: &MemoryImage, line_bytes: u64) -> NodeLines {
+        let first_line = rt_bvh::NODE_REGION_BASE / line_bytes;
+        let number = |line: u64| {
+            u32::try_from(line - first_line).expect("an image's line numbers fit 32 bits")
+        };
+        let runs = (0..index(bvh.node_count()))
+            .map(|node| {
+                let range = bvh.node(node).leaf();
+                let (line, tri_lines) = step_lines(node, range, image, line_bytes);
+                let (tri_first, tri_end) = match range {
+                    Some(_) => (number(tri_lines.start), number(tri_lines.end)),
+                    None => (0, 0),
+                };
+                LineRun {
+                    line: number(line),
+                    tri_first,
+                    tri_end,
+                    leaf: range.is_some(),
+                }
+            })
+            .collect();
+        NodeLines {
+            runs,
+            base: first_line * line_bytes,
+            line_bytes,
+        }
+    }
+
+    /// How many lines a visit to `node` fetches.
+    fn count(&self, node: u32) -> u32 {
+        let run = self.runs[node as usize];
+        1 + run.tri_end - run.tri_first
+    }
+
+    /// The byte address of `node`'s `i`th line.
+    fn line(&self, node: u32, i: u32) -> u64 {
+        let run = self.runs[node as usize];
+        let number = if i == 0 {
+            run.line
+        } else {
+            run.tri_first + i - 1
+        };
+        self.base + u64::from(number) * self.line_bytes
+    }
+
+    fn is_leaf(&self, node: u32) -> bool {
+        self.runs[node as usize].leaf
     }
 }
 
@@ -460,13 +535,16 @@ fn index(n: usize) -> u32 {
 
 /// The kind of the `i`th line of a step: the node record comes first,
 /// triangle data after it.
-fn line_kind(i: usize) -> AccessKind {
+fn line_kind(i: u32) -> AccessKind {
     if i == 0 {
         AccessKind::Node
     } else {
         AccessKind::Triangle
     }
 }
+
+/// [`RayCtx::slot`] of a ray never admitted to a warp buffer.
+const NO_SLOT: u32 = u32::MAX;
 
 /// A ray's replay state in the timing model.
 #[derive(Debug)]
@@ -475,36 +553,42 @@ struct RayCtx {
     first: u32,
     len: u32,
     /// Steps completed.
-    step: usize,
+    step: u32,
     /// Index into the current step's line list of the next line to
     /// issue. Lines issue front-to-back (the node line first), so the
     /// steady state allocates nothing.
-    next_line: usize,
+    next_line: u32,
     outstanding: u32,
-    /// Warp-buffer slot currently holding this ray.
-    slot: usize,
+    /// Warp-buffer slot currently holding this ray, or [`NO_SLOT`].
+    slot: u32,
 }
 
 impl RayCtx {
     fn is_done(&self) -> bool {
-        self.step >= self.len as usize
+        self.step >= self.len
     }
 
     /// The current step's index in the [`Replay`], if any is left.
     fn current_step(&self) -> Option<usize> {
-        (!self.is_done()).then(|| self.first as usize + self.step)
+        (!self.is_done()).then(|| (self.first + self.step) as usize)
     }
 
     fn current_treelet(&self, replay: &Replay) -> Option<u32> {
-        self.current_step().map(|s| replay.step_vote[s])
+        self.current_step().map(|s| replay.steps[s].vote)
     }
 
-    /// The current step's not-yet-issued lines, in issue order.
-    fn pending_lines<'r>(&self, replay: &'r Replay) -> &'r [u64] {
-        match self.current_step() {
-            Some(s) => &replay.step_lines(s)[self.next_line..],
-            None => &[],
-        }
+    /// The current step's node and how many lines it fetches in all.
+    fn current_lines(&self, replay: &Replay, lines: &NodeLines) -> Option<(u32, u32)> {
+        self.current_step().map(|s| {
+            let node = replay.steps[s].node;
+            (node, lines.count(node))
+        })
+    }
+
+    /// How many of the current step's lines are not yet issued.
+    fn pending_lines(&self, replay: &Replay, lines: &NodeLines) -> u32 {
+        self.current_lines(replay, lines)
+            .map_or(0, |(_, count)| count - self.next_line)
     }
 }
 
@@ -859,6 +943,8 @@ struct Engine<'a> {
     mem: MemorySystem,
     /// Every ray's compiled trace (static replay data, never encoded).
     replay: Replay,
+    /// Every node's cache lines (static replay data, never encoded).
+    node_lines: NodeLines,
     rays: Vec<RayCtx>,
     sms: Vec<SmState>,
     /// The treelet prefetcher's address map (empty for other runs).
@@ -906,6 +992,7 @@ impl<'a> Engine<'a> {
     fn new(
         config: &'a SimConfig,
         replay: Replay,
+        node_lines: NodeLines,
         treelets: &TreeletAssignment,
         treelet_lines: TreeletLines,
         mem: MemorySystem,
@@ -919,7 +1006,7 @@ impl<'a> Engine<'a> {
                     step: 0,
                     next_line: 0,
                     outstanding: 0,
-                    slot: usize::MAX,
+                    slot: NO_SLOT,
                 }
             })
             .collect();
@@ -997,6 +1084,7 @@ impl<'a> Engine<'a> {
             config,
             mem,
             replay,
+            node_lines,
             rays,
             sms,
             treelet_lines,
@@ -1413,7 +1501,7 @@ impl<'a> Engine<'a> {
             for lane in 0..lanes {
                 let r = slot.rays[lane];
                 let ray = &mut self.rays[r as usize];
-                ray.slot = slot_idx;
+                ray.slot = index(slot_idx);
                 if ray.is_done() {
                     continue;
                 }
@@ -1460,9 +1548,10 @@ impl<'a> Engine<'a> {
                     let ray = &mut self.rays[r as usize];
                     ray.outstanding -= 1;
                     // The last line of a step arrived: its test starts.
-                    let issued = ray.outstanding == 0 && ray.pending_lines(&self.replay).is_empty();
+                    let issued = ray.outstanding == 0
+                        && ray.pending_lines(&self.replay, &self.node_lines) == 0;
                     if let Some(s) = ray.current_step().filter(|_| issued) {
-                        let latency = if self.replay.step_leaf[s] {
+                        let latency = if self.node_lines.is_leaf(self.replay.steps[s].node) {
                             self.config.tri_test_latency
                         } else {
                             self.config.node_test_latency
@@ -1498,7 +1587,7 @@ impl<'a> Engine<'a> {
         ray.step += 1;
         let state = &mut self.sms[sm];
         state.stall = None;
-        let slot_idx = ray.slot;
+        let slot_idx = ray.slot as usize;
         let slot = state.slots[slot_idx]
             .as_mut()
             .expect("ray's warp slot must be occupied");
@@ -1576,8 +1665,11 @@ impl<'a> Engine<'a> {
                 break;
             };
             let ray = &mut self.rays[r as usize];
-            let pending = ray.pending_lines(&self.replay);
-            let (line, last) = (pending[0], pending.len() == 1);
+            let (node, count) = ray
+                .current_lines(&self.replay, &self.node_lines)
+                .expect("a ready ray has a step left");
+            let line = self.node_lines.line(node, ray.next_line);
+            let last = ray.next_line + 1 == count;
             let kind = line_kind(ray.next_line);
             let issue = self.mem.access(sm, line, FillOrigin::Demand, kind);
             match issue {
@@ -1623,7 +1715,10 @@ impl<'a> Engine<'a> {
             .as_ref()
             .expect("candidate slot occupied");
         let ray = &self.rays[*slot.ready.front().expect("candidate has a ready ray") as usize];
-        ray.pending_lines(&self.replay)[0]
+        let (node, _) = ray
+            .current_lines(&self.replay, &self.node_lines)
+            .expect("a ready ray has a step left");
+        self.node_lines.line(node, ray.next_line)
     }
 
     /// The warp slot the SM's scheduling policy issues from next, or
@@ -1732,6 +1827,12 @@ impl<'a> Engine<'a> {
     /// checkpoints consistent by construction.
     fn encode_dynamic(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
+        self.encode_dynamic_into(&mut w);
+        w.into_bytes()
+    }
+
+    /// Writes [`Engine::encode_dynamic`]'s bytes to `w`.
+    fn encode_dynamic_into(&self, w: &mut ByteWriter) {
         w.put_usize(self.remaining);
         w.put_u64(self.rt_entries);
         w.put_u64(self.rt_live_lanes);
@@ -1740,29 +1841,37 @@ impl<'a> Engine<'a> {
         w.put_u64(self.last_progress);
         w.put_len(self.rays.len());
         for ray in &self.rays {
-            w.put_usize(ray.step);
+            w.put_u64(ray.step.into());
             // The cursor encodes as the not-yet-issued suffix in reverse,
             // byte-identical to the pop-from-back scratch list it replaced.
-            let pending = ray.pending_lines(&self.replay);
-            w.put_len(pending.len());
-            for (i, &line) in pending.iter().enumerate().rev() {
-                w.put_u64(line);
-                w.put_u8(line_kind(ray.next_line + i).tag());
+            w.put_len(ray.pending_lines(&self.replay, &self.node_lines) as usize);
+            if let Some((node, count)) = ray.current_lines(&self.replay, &self.node_lines) {
+                for i in (ray.next_line..count).rev() {
+                    w.put_u64(self.node_lines.line(node, i));
+                    w.put_u8(line_kind(i).tag());
+                }
             }
             w.put_u32(ray.outstanding);
-            w.put_usize(ray.slot);
+            // A never-admitted ray's slot encodes as `u64::MAX`, the
+            // checkpoint format's sentinel.
+            w.put_u64(match ray.slot {
+                NO_SLOT => u64::MAX,
+                slot => slot.into(),
+            });
         }
         w.put_len(self.sms.len());
         for (i, sm) in self.sms.iter().enumerate() {
-            encode_sm_state(sm, |w| self.owners.encode_sm(i, w), &mut w);
+            encode_sm_state(sm, |w| self.owners.encode_sm(i, w), w);
         }
-        self.mem.encode_state(&mut w);
-        w.into_bytes()
+        self.mem.encode_state(w);
     }
 
-    /// FNV-1a digest of [`Engine::encode_dynamic`]'s bytes.
+    /// FNV-1a digest of [`Engine::encode_dynamic`]'s bytes, hashed as
+    /// they are written instead of kept.
     fn state_digest(&self) -> u64 {
-        fnv1a64(&self.encode_dynamic())
+        let mut w = ByteWriter::hashing();
+        self.encode_dynamic_into(&mut w);
+        w.digest()
     }
 
     /// Overwrites this freshly constructed engine's dynamic state with a
@@ -1792,38 +1901,49 @@ impl<'a> Engine<'a> {
                 self.rays.len()
             )));
         }
+        let slots = self.config.warp_buffer_size;
         for ray in &mut self.rays {
-            ray.step = r.take_usize()?;
-            if ray.step > ray.len as usize {
-                return Err(DecodeError::malformed(format!(
-                    "ray step {} past the end of its {}-step trace",
-                    ray.step, ray.len
-                )));
-            }
+            let step = r.take_u64()?;
+            ray.step = match u32::try_from(step) {
+                Ok(step) if step <= ray.len => step,
+                _ => {
+                    return Err(DecodeError::malformed(format!(
+                        "ray step {step} past the end of its {}-step trace",
+                        ray.len
+                    )))
+                }
+            };
             let k = r.take_len(9)?;
-            ray.next_line = 0;
-            let lines = ray.pending_lines(&self.replay);
-            if k > lines.len() {
+            let (node, count) = ray
+                .current_lines(&self.replay, &self.node_lines)
+                .unwrap_or((0, 0));
+            if k > count as usize {
                 return Err(DecodeError::malformed(format!(
-                    "ray has {k} pending lines, its current step holds {}",
-                    lines.len()
+                    "ray has {k} pending lines, its current step holds {count}"
                 )));
             }
-            let next_line = lines.len() - k;
+            ray.next_line = count - index(k);
             // The payload lists the pending suffix back-to-front; each
-            // entry must match the replay rebuilt from the same inputs.
-            for i in (next_line..lines.len()).rev() {
+            // entry must match the lines rebuilt from the same inputs.
+            for i in (ray.next_line..count).rev() {
                 let line = r.take_u64()?;
                 let kind = AccessKind::from_tag(r.take_u8()?)?;
-                if (line, kind) != (lines[i], line_kind(i)) {
+                if (line, kind) != (self.node_lines.line(node, i), line_kind(i)) {
                     return Err(DecodeError::malformed(format!(
                         "pending line {line:#x} disagrees with the rebuilt trace"
                     )));
                 }
             }
-            ray.next_line = next_line;
             ray.outstanding = r.take_u32()?;
-            ray.slot = r.take_usize()?;
+            ray.slot = match r.take_u64()? {
+                u64::MAX => NO_SLOT,
+                slot if slot < slots as u64 => index(slot as usize),
+                slot => {
+                    return Err(DecodeError::malformed(format!(
+                        "ray slot {slot} out of range ({slots} warp-buffer slots)"
+                    )))
+                }
+            };
         }
         let n = r.take_len(1)?;
         if n != self.sms.len() {
@@ -2404,10 +2524,10 @@ mod tests {
 
     #[test]
     fn replay_matches_compile_trace_for_every_ray() {
-        // The flat replay must list exactly what `compile_trace` lists,
-        // step by step, under every memory image; the triangle-prefetch
-        // extension changes only the prefetched treelet lines, never a
-        // ray's own.
+        // Each replay step's node, looked up in the per-node line table,
+        // must list exactly what `compile_trace` lists, step by step,
+        // under every memory image; the triangle-prefetch extension
+        // changes only the prefetched treelet lines, never a ray's own.
         let (bvh, rays) = fixture();
         let layouts = [
             LayoutChoice::DepthFirst,
@@ -2421,9 +2541,11 @@ mod tests {
                 config.prefetch_triangles = prefetch_triangles;
                 let treelets = TreeletAssignment::form(&bvh, config.treelet_bytes);
                 let image = memory_image(&bvh, &config, &treelets);
-                let replay = Replay::compile(&bvh, &rays, &config, &treelets, &image);
+                let replay = Replay::compile(&bvh, &rays, &config, &treelets);
+                let table = NodeLines::new(&bvh, &image, config.mem.line_bytes);
                 assert_eq!(replay.rays(), rays.len());
                 let mut steps = 0;
+                let mut leaf_with_triangle_lines = false;
                 for (r, ray) in rays.iter().enumerate() {
                     let trace = trace_ray_with(
                         &bvh,
@@ -2436,14 +2558,14 @@ mod tests {
                     let (first, len) = replay.ray_steps(r);
                     assert_eq!(len as usize, expected.len(), "{layout:?} ray {r} steps");
                     for (i, step) in expected.iter().enumerate() {
-                        let s = first as usize + i;
-                        let lines = replay.step_lines(s);
-                        assert_eq!(lines, step.lines.as_slice(), "{layout:?} ray {r} step {i}");
-                        let kinds: Vec<AccessKind> = (0..lines.len()).map(line_kind).collect();
-                        assert_eq!(kinds[0], AccessKind::Node);
-                        assert!(kinds[1..].iter().all(|&k| k == AccessKind::Triangle));
-                        assert_eq!(replay.step_treelet[s], step.treelet);
-                        assert_eq!(replay.step_leaf[s], step.is_leaf);
+                        let s = replay.steps[first as usize + i];
+                        assert_eq!(s.node, step.node, "{layout:?} ray {r} step {i}");
+                        let lines: Vec<u64> = (0..table.count(s.node))
+                            .map(|i| table.line(s.node, i))
+                            .collect();
+                        assert_eq!(lines, step.lines, "{layout:?} ray {r} step {i}");
+                        assert_eq!(table.is_leaf(s.node), step.is_leaf);
+                        leaf_with_triangle_lines |= step.is_leaf && lines.len() > 1;
                         // Entering a treelet votes for it; inside one, the
                         // vote is the next different treelet on the trace.
                         let entering = i == 0 || expected[i - 1].treelet != step.treelet;
@@ -2456,19 +2578,13 @@ mod tests {
                                 .find(|&t| t != step.treelet)
                                 .unwrap_or(step.treelet)
                         };
-                        assert_eq!(
-                            replay.step_vote[s], vote,
-                            "{layout:?} ray {r} step {i} vote"
-                        );
+                        assert_eq!(s.vote, vote, "{layout:?} ray {r} step {i} vote");
                     }
                     steps += expected.len();
                 }
                 assert!(steps > 0);
-                assert!(
-                    (0..steps).any(|s| replay.step_leaf[s] && replay.step_lines(s).len() > 1),
-                    "no leaf step with triangle lines"
-                );
-                assert_eq!(replay.step_treelet.len(), steps);
+                assert!(leaf_with_triangle_lines, "no leaf step with triangle lines");
+                assert_eq!(replay.steps.len(), steps);
             }
         }
     }
@@ -2978,12 +3094,18 @@ mod tests {
     #[test]
     fn interrupted_runs_resume_bit_identical_across_scenes() {
         // The acceptance matrix: ≥3 scenes, including the treelet-prefetch
-        // configuration, plus fault-injection (RNG state) and shader-mode
-        // (bounce bookkeeping) variants of it.
+        // configuration, plus fault-injection (RNG state), shader-mode
+        // (bounce bookkeeping), mapping-table (Strict-Wait gated lines on
+        // a depth-first image) and triangle-prefetch variants of it.
+        // Restore rebuilds every pending line from the memory image.
         let mut faulty = SimConfig::paper_treelet_prefetch();
         faulty.mem.fault_injection = Some(rt_gpu_sim::FaultInjection::latency_storm(42));
         let mut shaded = SimConfig::paper_treelet_prefetch();
         shaded.shader = Some(crate::ShaderProgram::path_tracer());
+        let strict = SimConfig::paper_treelet_prefetch().with_mapping_mode(MappingMode::StrictWait);
+        assert_eq!(strict.layout, LayoutChoice::MappingTable);
+        let mut triangles = SimConfig::paper_treelet_prefetch();
+        triangles.prefetch_triangles = true;
         let cases = [
             (SceneId::Wknd, SimConfig::paper_baseline(), "wknd-baseline"),
             (
@@ -2998,6 +3120,8 @@ mod tests {
             ),
             (SceneId::Wknd, faulty, "wknd-prefetch-faulty"),
             (SceneId::Wknd, shaded, "wknd-prefetch-shader"),
+            (SceneId::Car, strict, "car-prefetch-strict-wait"),
+            (SceneId::Park, triangles, "park-prefetch-triangles"),
         ];
         let dir = ckpt_dir("resume");
         for (scene_id, config, name) in cases {
@@ -3150,6 +3274,55 @@ mod tests {
             Err(DecodeError::Malformed { what }) => assert!(what.contains("span"), "{what}"),
             other => panic!("expected a refused span, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn restore_refuses_ray_steps_and_slots_that_do_not_fit() {
+        let (bvh, rays) = fixture();
+        let config = SimConfig::paper_baseline();
+        let treelets = TreeletAssignment::form(&bvh, config.treelet_bytes);
+        let engine = || {
+            let image = memory_image(&bvh, &config, &treelets);
+            Engine::new(
+                &config,
+                Replay::compile(&bvh, &rays, &config, &treelets),
+                NodeLines::new(&bvh, &image, config.mem.line_bytes),
+                &treelets,
+                TreeletLines::new(&bvh, &config, &treelets, &image),
+                MemorySystem::new(config.mem, config.num_sms),
+            )
+        };
+        let fresh = engine();
+        let bytes = fresh.encode_dynamic();
+        // Six header words and the ray count, then ray 0: its step, its
+        // pending lines (9 bytes each), its outstanding count, its slot.
+        let step_at = 7 * 8;
+        let pending = fresh.rays[0].pending_lines(&fresh.replay, &fresh.node_lines) as usize;
+        let slot_at = step_at + 16 + 9 * pending + 4;
+        // A never-admitted ray's slot is the 64-bit sentinel, and it
+        // round-trips.
+        assert_eq!(bytes[slot_at..slot_at + 8], u64::MAX.to_le_bytes());
+        let mut back = engine();
+        back.restore_dynamic(&bytes)
+            .expect("a fresh engine restores");
+        assert_eq!(back.encode_dynamic(), bytes);
+        let patched = |at: usize, value: u64| {
+            let mut b = bytes.clone();
+            b[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            engine().restore_dynamic(&b)
+        };
+        let slots = config.warp_buffer_size as u64;
+        for (at, value, want) in [
+            (slot_at, slots, "out of range"),
+            (slot_at, u32::MAX.into(), "out of range"),
+            (step_at, 1 << 32, "past the end"),
+        ] {
+            match patched(at, value) {
+                Err(DecodeError::Malformed { what }) => assert!(what.contains(want), "{what}"),
+                other => panic!("expected {want:?} for {value}, got {other:?}"),
+            }
+        }
+        patched(slot_at, slots - 1).expect("the last slot fits");
     }
 
     #[test]

@@ -23,6 +23,12 @@
 //! blocks on WKND (492 nodes) and CRNVL (7,588 nodes): the nodes are
 //! flat record arrays sized up front, so a heap block per node, or an
 //! array that grows by doubling, would show as a difference.
+//!
+//! The allocator also tracks this thread's live heap bytes and their
+//! high-water mark, so a cell's peak footprint per added ray is pinned
+//! too: the replay keeps a node and a vote per traversal step and looks
+//! each step's cache lines up in a per-node table, so a replay that
+//! stored every step's lines again would show as more bytes per ray.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -37,15 +43,45 @@ struct Counting;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated minus bytes freed on this thread (negative when it
+    /// frees blocks another thread allocated).
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    /// The highest `LIVE` since the last [`peak_heap`] reset.
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
-fn count_one() {
+/// Counts one allocation that grows this thread's live bytes by `grown`
+/// (negative for a shrinking `realloc`).
+fn count_one(grown: i64) {
     // `try_with`: a thread being torn down may still allocate.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    add_live(grown);
+}
+
+fn add_live(grown: i64) {
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + grown);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
 }
 
 fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
+}
+
+/// Peak heap bytes `f` holds on this thread above what was live when it
+/// started.
+fn peak_heap<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(before));
+    let out = f();
+    let peak = PEAK.with(Cell::get);
+    ((peak - before) as u64, out)
+}
+
+/// `n` as a live-byte delta.
+fn bytes(n: usize) -> i64 {
+    i64::try_from(n).expect("allocation sizes fit i64")
 }
 
 // SAFETY: every method forwards to `System` with the caller's arguments
@@ -54,25 +90,26 @@ fn allocations() -> u64 {
 // allocates nor unwinds.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(bytes(layout.size()));
         // SAFETY: the caller's `layout` contract is passed through.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(bytes(layout.size()));
         // SAFETY: the caller's `layout` contract is passed through.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(bytes(new_size) - bytes(layout.size()));
         // SAFETY: `ptr` was allocated by `System` with `layout` (every
         // allocation goes through this type), as the caller guarantees.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        add_live(-bytes(layout.size()));
         // SAFETY: as for `realloc`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -120,6 +157,39 @@ fn set_up_allocates_per_ray_not_per_step() {
     assert!(
         per_cell.iter().all(|&(_, total)| total < 1_500),
         "some 16x16 cell allocates 1,500 or more times: {per_cell:?}"
+    );
+}
+
+#[test]
+fn a_cell_peaks_at_a_bounded_heap_per_ray() {
+    // A `realloc` that moves holds both blocks at once, which this count
+    // of live bytes does not see: it is a lower bound on the peak.
+    let configs = [
+        ("baseline", SimConfig::paper_baseline()),
+        ("prefetch", SimConfig::paper_treelet_prefetch()),
+    ];
+    let mut per_ray = Vec::new();
+    for scene in [SceneId::Wknd, SceneId::Car, SceneId::Park] {
+        let prepare =
+            |res| Bench::prepare(scene, 0.1, Workload::new(WorkloadKind::Primary, res, res));
+        let (small, large) = (prepare(16), prepare(64));
+        let added = (large.rays().len() - small.rays().len()) as f64;
+        for (name, config) in &configs {
+            let peak = |bench: &Bench| {
+                let (peak, result) = peak_heap(|| bench.run(config));
+                assert!(result.cycles > 0);
+                peak as f64
+            };
+            let slope = (peak(&large) - peak(&small)) / added;
+            per_ray.push((format!("{scene}/{name}"), slope));
+        }
+    }
+    for (cell, slope) in &per_ray {
+        println!("{cell}: {slope:.0} peak heap bytes per added ray");
+    }
+    assert!(
+        per_ray.iter().all(|&(_, slope)| slope < 330.0),
+        "some cell peaks at 330 or more heap bytes per added ray: {per_ray:?}"
     );
 }
 
