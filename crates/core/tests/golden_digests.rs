@@ -340,86 +340,86 @@ const STARVATION_GOLDEN: [(u64, u64, u64); 84] = [
     (14387, 0xd97bb161a39db108, 23774), // WKND primary/mshrs 1/width 1/treelet->L1/Baseline
     (14830, 0x8ccc3ba9840ac2d6, 24019), // WKND primary/mshrs 1/width 1/treelet->L1/OMR
     (13913, 0xbbbd550f26ccf1ea, 23234), // WKND primary/mshrs 1/width 1/treelet->L1/PMR
-    (13636, 0xc67f2e8bb867e8cc, 22328), // WKND primary/mshrs 1/width 1/treelet->L2/Baseline
-    (13624, 0x192c340f1e0409cc, 21692), // WKND primary/mshrs 1/width 1/treelet->L2/OMR
-    (13291, 0x76d3c1c71b873c1d, 21595), // WKND primary/mshrs 1/width 1/treelet->L2/PMR
+    (13636, 0x745df4e59ae66608, 22328), // WKND primary/mshrs 1/width 1/treelet->L2/Baseline
+    (13624, 0x52c42ab286e44890, 21692), // WKND primary/mshrs 1/width 1/treelet->L2/OMR
+    (13291, 0x075a03c165c46acd, 21595), // WKND primary/mshrs 1/width 1/treelet->L2/PMR
     (14389, 0x55cbf6e737ee3fa0, 24349), // WKND primary/mshrs 1/width 4/none
     (14385, 0xd7f170f5f9d14258, 24364), // WKND primary/mshrs 1/width 4/treelet->L1/Baseline
     (14827, 0xad7d7a6b0e74f549, 24795), // WKND primary/mshrs 1/width 4/treelet->L1/OMR
     (13910, 0x930ed8c4588ece24, 24021), // WKND primary/mshrs 1/width 4/treelet->L1/PMR
-    (13722, 0xd848e0f22108c50f, 23045), // WKND primary/mshrs 1/width 4/treelet->L2/Baseline
-    (13708, 0x8afaf1229ad65363, 22642), // WKND primary/mshrs 1/width 4/treelet->L2/OMR
-    (13378, 0xbf2f85c747dd511a, 22566), // WKND primary/mshrs 1/width 4/treelet->L2/PMR
+    (13722, 0xef9ff33bcd0499af, 23045), // WKND primary/mshrs 1/width 4/treelet->L2/Baseline
+    (13708, 0xdf820c60f82803ff, 22642), // WKND primary/mshrs 1/width 4/treelet->L2/OMR
+    (13378, 0xb34fe2b999d28832, 22566), // WKND primary/mshrs 1/width 4/treelet->L2/PMR
     (3917, 0xf7c9d85c685e5b33, 5407),   // WKND primary/mshrs 4/width 1/none
     (3837, 0xa00faf69f6e28adb, 5187),   // WKND primary/mshrs 4/width 1/treelet->L1/Baseline
     (4108, 0x26b8e14b8b428cd5, 4566),   // WKND primary/mshrs 4/width 1/treelet->L1/OMR
     (3844, 0x78673fce82b428d9, 4525),   // WKND primary/mshrs 4/width 1/treelet->L1/PMR
-    (3729, 0x5aba65b92ffc776c, 4911),   // WKND primary/mshrs 4/width 1/treelet->L2/Baseline
-    (3805, 0x93e3b53d2977d653, 4162),   // WKND primary/mshrs 4/width 1/treelet->L2/OMR
-    (3722, 0x30a55f4925019f04, 3899),   // WKND primary/mshrs 4/width 1/treelet->L2/PMR
+    (3729, 0xc8952a03601621cc, 4911),   // WKND primary/mshrs 4/width 1/treelet->L2/Baseline
+    (3805, 0x2572908eed6599b3, 4162),   // WKND primary/mshrs 4/width 1/treelet->L2/OMR
+    (3722, 0x6e52e14caa4baba4, 3899),   // WKND primary/mshrs 4/width 1/treelet->L2/PMR
     (3898, 0xb261657e97c8d8e1, 5995),   // WKND primary/mshrs 4/width 4/none
     (3735, 0xb8cd4d5bcd035f97, 5615),   // WKND primary/mshrs 4/width 4/treelet->L1/Baseline
     (3908, 0x35ec27c434ff1625, 5174),   // WKND primary/mshrs 4/width 4/treelet->L1/OMR
     (3830, 0x19d7c340a3179ebd, 5048),   // WKND primary/mshrs 4/width 4/treelet->L1/PMR
-    (3752, 0x11ef227a5d07f27b, 5471),   // WKND primary/mshrs 4/width 4/treelet->L2/Baseline
-    (3875, 0xd909e50151ab11e4, 4934),   // WKND primary/mshrs 4/width 4/treelet->L2/OMR
-    (3807, 0xbdc8e3d8cafb4f0c, 5023),   // WKND primary/mshrs 4/width 4/treelet->L2/PMR
+    (3752, 0x422a751fd79b281f, 5471),   // WKND primary/mshrs 4/width 4/treelet->L2/Baseline
+    (3875, 0xb8ca10f6ad5c5ab0, 4934),   // WKND primary/mshrs 4/width 4/treelet->L2/OMR
+    (3807, 0xe81ccadb247a60ec, 5023),   // WKND primary/mshrs 4/width 4/treelet->L2/PMR
     (2053, 0x54a075e2cbfaab3b, 0),      // WKND primary/mshrs 64/width 1/none
     (1899, 0x0e30cacb1a79d04d, 0),      // WKND primary/mshrs 64/width 1/treelet->L1/Baseline
     (1899, 0xf7730c4ca1dfbf78, 0),      // WKND primary/mshrs 64/width 1/treelet->L1/OMR
     (1795, 0x68e759690714721b, 0),      // WKND primary/mshrs 64/width 1/treelet->L1/PMR
-    (2009, 0xd4ea51cd8d2705be, 0),      // WKND primary/mshrs 64/width 1/treelet->L2/Baseline
-    (2009, 0x3778a7c968147f8a, 0),      // WKND primary/mshrs 64/width 1/treelet->L2/OMR
-    (1903, 0x2fbf80f7fdd5a41b, 0),      // WKND primary/mshrs 64/width 1/treelet->L2/PMR
+    (2009, 0x01c018df0ff2a18e, 0),      // WKND primary/mshrs 64/width 1/treelet->L2/Baseline
+    (2009, 0x700662304abea8b6, 0),      // WKND primary/mshrs 64/width 1/treelet->L2/OMR
+    (1903, 0xf84e413228c5c1a7, 0),      // WKND primary/mshrs 64/width 1/treelet->L2/PMR
     (1904, 0x3d907f4e6b5de54c, 0),      // WKND primary/mshrs 64/width 4/none
     (1650, 0x0820b885992a5db2, 0),      // WKND primary/mshrs 64/width 4/treelet->L1/Baseline
     (1650, 0x0820b885992a5db2, 0),      // WKND primary/mshrs 64/width 4/treelet->L1/OMR
     (1623, 0xd74aa4f5e01a97f4, 0),      // WKND primary/mshrs 64/width 4/treelet->L1/PMR
-    (1921, 0x7512a298abf7146c, 0),      // WKND primary/mshrs 64/width 4/treelet->L2/Baseline
-    (1921, 0x3f10652f6980912c, 0),      // WKND primary/mshrs 64/width 4/treelet->L2/OMR
-    (1912, 0xa388468db5270b86, 0),      // WKND primary/mshrs 64/width 4/treelet->L2/PMR
+    (1921, 0x15b4c6d85cbafd84, 0),      // WKND primary/mshrs 64/width 4/treelet->L2/Baseline
+    (1921, 0xfb1ad267e60436cc, 0),      // WKND primary/mshrs 64/width 4/treelet->L2/OMR
+    (1912, 0xb0a698e61a01697e, 0),      // WKND primary/mshrs 64/width 4/treelet->L2/PMR
     (303536, 0x600617ccd777e428, 574478), // CAR diffuse/mshrs 1/width 1/none
     (303042, 0x250c351026694492, 571123), // CAR diffuse/mshrs 1/width 1/treelet->L1/Baseline
     (301215, 0x187766da36d333e1, 570538), // CAR diffuse/mshrs 1/width 1/treelet->L1/OMR
     (299516, 0x4d7a9df2fca06aef, 568137), // CAR diffuse/mshrs 1/width 1/treelet->L1/PMR
-    (300577, 0x8728b480426add8a, 566536), // CAR diffuse/mshrs 1/width 1/treelet->L2/Baseline
-    (297350, 0x788358413c44e117, 562457), // CAR diffuse/mshrs 1/width 1/treelet->L2/OMR
-    (295806, 0xfa11f5948b69f915, 559638), // CAR diffuse/mshrs 1/width 1/treelet->L2/PMR
+    (300577, 0xbbccd01ddcb77af2, 566536), // CAR diffuse/mshrs 1/width 1/treelet->L2/Baseline
+    (297350, 0x406b64afeb12bb87, 562457), // CAR diffuse/mshrs 1/width 1/treelet->L2/OMR
+    (295806, 0x66fd7d9632b10d49, 559638), // CAR diffuse/mshrs 1/width 1/treelet->L2/PMR
     (303480, 0xec9fb2a6869ce570, 579638), // CAR diffuse/mshrs 1/width 4/none
     (303260, 0xc07ec5a87a4a4d45, 576433), // CAR diffuse/mshrs 1/width 4/treelet->L1/Baseline
     (301385, 0x14d1d8c2c4538eaa, 576201), // CAR diffuse/mshrs 1/width 4/treelet->L1/OMR
     (300108, 0xb112b1a0e391685b, 574876), // CAR diffuse/mshrs 1/width 4/treelet->L1/PMR
-    (300631, 0x510c449b6c7ede95, 572074), // CAR diffuse/mshrs 1/width 4/treelet->L2/Baseline
-    (297745, 0xf9532c1b10e7f8a5, 569218), // CAR diffuse/mshrs 1/width 4/treelet->L2/OMR
-    (296356, 0xb3a0061eabe912fe, 566649), // CAR diffuse/mshrs 1/width 4/treelet->L2/PMR
+    (300631, 0x692834ed4dd904d5, 572074), // CAR diffuse/mshrs 1/width 4/treelet->L2/Baseline
+    (297745, 0x2d00eb80084b36f1, 569218), // CAR diffuse/mshrs 1/width 4/treelet->L2/OMR
+    (296356, 0x50139089aef0af3a, 566649), // CAR diffuse/mshrs 1/width 4/treelet->L2/PMR
     (76247, 0x4fa53495ba9223b4, 139011), // CAR diffuse/mshrs 4/width 1/none
     (76126, 0xcb9a556b8c00feb9, 138287), // CAR diffuse/mshrs 4/width 1/treelet->L1/Baseline
     (75046, 0xbedcebc7fb99497a, 137397), // CAR diffuse/mshrs 4/width 1/treelet->L1/OMR
     (74359, 0x9f039c646206b83c, 137229), // CAR diffuse/mshrs 4/width 1/treelet->L1/PMR
-    (75644, 0xc518ad03c9e02edd, 136948), // CAR diffuse/mshrs 4/width 1/treelet->L2/Baseline
-    (74516, 0x28f80dc54af5c2be, 135508), // CAR diffuse/mshrs 4/width 1/treelet->L2/OMR
-    (74123, 0x1b41e24eee5f2ead, 135167), // CAR diffuse/mshrs 4/width 1/treelet->L2/PMR
+    (75644, 0xf051f60269bacaed, 136948), // CAR diffuse/mshrs 4/width 1/treelet->L2/Baseline
+    (74516, 0x982cc4ae17d73666, 135508), // CAR diffuse/mshrs 4/width 1/treelet->L2/OMR
+    (74123, 0x0583579d2e8a9e7d, 135167), // CAR diffuse/mshrs 4/width 1/treelet->L2/PMR
     (76224, 0x0639fb2fedfd9d09, 144205), // CAR diffuse/mshrs 4/width 4/none
     (75931, 0x48623c5a96b3c274, 143239), // CAR diffuse/mshrs 4/width 4/treelet->L1/Baseline
     (75677, 0xd86e89cf651748a7, 142769), // CAR diffuse/mshrs 4/width 4/treelet->L1/OMR
     (74765, 0xcbc2cbf8d6af0336, 142835), // CAR diffuse/mshrs 4/width 4/treelet->L1/PMR
-    (75576, 0xc47c43483fdacb51, 142091), // CAR diffuse/mshrs 4/width 4/treelet->L2/Baseline
-    (74756, 0x5bfec860dfaa747d, 141596), // CAR diffuse/mshrs 4/width 4/treelet->L2/OMR
-    (74116, 0xc7ec7053c7a6820f, 140509), // CAR diffuse/mshrs 4/width 4/treelet->L2/PMR
+    (75576, 0xa99ed22e4a635bfd, 142091), // CAR diffuse/mshrs 4/width 4/treelet->L2/Baseline
+    (74756, 0xb43a03a8fc8c2289, 141596), // CAR diffuse/mshrs 4/width 4/treelet->L2/OMR
+    (74116, 0xacedc728792c7513, 140509), // CAR diffuse/mshrs 4/width 4/treelet->L2/PMR
     (6771, 0x3fea963ac6e82554, 3579),   // CAR diffuse/mshrs 64/width 1/none
     (6617, 0x09f023a85e80ad52, 3826),   // CAR diffuse/mshrs 64/width 1/treelet->L1/Baseline
     (6397, 0x8747ccd936549892, 3894),   // CAR diffuse/mshrs 64/width 1/treelet->L1/OMR
     (6454, 0x714381751934bb16, 3652),   // CAR diffuse/mshrs 64/width 1/treelet->L1/PMR
-    (6592, 0x994f0e01bd703421, 3749),   // CAR diffuse/mshrs 64/width 1/treelet->L2/Baseline
-    (6367, 0x09685704033af254, 3618),   // CAR diffuse/mshrs 64/width 1/treelet->L2/OMR
-    (6265, 0x14ef878edb37799f, 3545),   // CAR diffuse/mshrs 64/width 1/treelet->L2/PMR
+    (6592, 0xd4d6ace5c34adf29, 3749),   // CAR diffuse/mshrs 64/width 1/treelet->L2/Baseline
+    (6367, 0xf7e5743ef9a14dd8, 3618),   // CAR diffuse/mshrs 64/width 1/treelet->L2/OMR
+    (6265, 0xf2321e3100ef8e6f, 3545),   // CAR diffuse/mshrs 64/width 1/treelet->L2/PMR
     (6463, 0x1dceaf945c861583, 6878),   // CAR diffuse/mshrs 64/width 4/none
     (6232, 0xf9525439abf4c4b8, 6991),   // CAR diffuse/mshrs 64/width 4/treelet->L1/Baseline
     (6404, 0x3c05f3c18ec963e5, 7239),   // CAR diffuse/mshrs 64/width 4/treelet->L1/OMR
     (5894, 0x25b251006b7b04b8, 7303),   // CAR diffuse/mshrs 64/width 4/treelet->L1/PMR
-    (6020, 0x523e302a8bde4989, 6848),   // CAR diffuse/mshrs 64/width 4/treelet->L2/Baseline
-    (6342, 0x7e63e5fc55e87683, 6913),   // CAR diffuse/mshrs 64/width 4/treelet->L2/OMR
-    (5862, 0x33d1489eb9c32222, 7100),   // CAR diffuse/mshrs 64/width 4/treelet->L2/PMR
+    (6020, 0xa2c806e93adf11f9, 6848),   // CAR diffuse/mshrs 64/width 4/treelet->L2/Baseline
+    (6342, 0xe19dbedbe28eda4b, 6913),   // CAR diffuse/mshrs 64/width 4/treelet->L2/OMR
+    (5862, 0x253f65735b1d6a4a, 7100),   // CAR diffuse/mshrs 64/width 4/treelet->L2/PMR
 ];
 
 /// Runs each `starvation_benches` × `configs` cell that `select` keeps
