@@ -2,55 +2,32 @@
 //! "optimizing treelet formation with statistical metrics") — the paper's
 //! greedy BFS vs a depth-first variant vs surface-area-weighted growth.
 
-use rt_bench::{pct, print_scene_table, Suite};
-use treelet_rt::{geometric_mean, FormationPolicy, SimConfig, TreeletAssignment, TreeletMetrics};
+use rt_bench::{print_speedups, run_grid, suite};
+use treelet_rt::{FormationPolicy, SimConfig, Sweep, TreeletAssignment, TreeletMetrics};
 
 fn main() {
-    let suite = Suite::prepare_default();
-    let base = suite.run_all(&SimConfig::paper_baseline());
     let policies = [
         ("greedy-bfs", FormationPolicy::GreedyBfs),
         ("greedy-dfs", FormationPolicy::GreedyDfs),
         ("surface-area", FormationPolicy::SurfaceArea),
     ];
-    let results: Vec<Vec<_>> = policies
-        .iter()
-        .map(|(_, p)| {
+    let sweep = policies.into_iter().fold(
+        Sweep::new(suite()).with_config("baseline", SimConfig::paper_baseline()),
+        |sweep, (name, p)| {
             let mut c = SimConfig::paper_treelet_prefetch();
-            c.formation = *p;
-            suite.run_all(&c)
-        })
-        .collect();
-
-    let rows: Vec<_> = suite
-        .benches()
-        .iter()
-        .enumerate()
-        .map(|(i, b)| {
-            (
-                b.scene(),
-                results
-                    .iter()
-                    .map(|r| r[i].speedup_over(&base[i]))
-                    .collect(),
-            )
-        })
-        .collect();
-    let columns: Vec<&str> = policies.iter().map(|(n, _)| *n).collect();
-    print_scene_table(
-        "Ablation 1: treelet formation policy speedups (ALWAYS, PMR, 512 B)",
-        &columns,
-        &rows,
-        true,
+            c.formation = p;
+            sweep.with_config(name, c)
+        },
     );
-    for (col, (name, _)) in policies.iter().enumerate() {
-        let vals: Vec<f64> = rows.iter().map(|(_, c)| c[col]).collect();
-        println!("{name}: {}", pct(geometric_mean(&vals)));
-    }
+    print_speedups(
+        "Ablation 1: treelet formation policy speedups (ALWAYS, PMR, 512 B)",
+        &sweep,
+        &run_grid(&sweep),
+    );
 
     // Structural explanation: treelet-quality metrics per policy on a
     // representative scene.
-    let bench = &suite.benches()[9]; // BUNNY
+    let bench = &sweep.benches()[9]; // BUNNY
     println!("\ntreelet quality on {} (512 B):", bench.scene());
     for (name, policy) in policies {
         let assignment = TreeletAssignment::form_with_policy(bench.bvh(), 512, policy);

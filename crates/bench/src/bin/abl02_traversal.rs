@@ -3,12 +3,10 @@
 //! efficiency each contributes (DESIGN.md §6 calls these out as ablation
 //! targets).
 
-use rt_bench::{print_scene_table, Suite};
-use treelet_rt::{geometric_mean, SimConfig, TraversalOptions};
+use rt_bench::{column_gmean, print_scene_table, run_grid, suite};
+use treelet_rt::{SimConfig, Sweep, TraversalOptions};
 
 fn main() {
-    let suite = Suite::prepare_default();
-    let base = suite.run_all(&SimConfig::paper_baseline());
     let variants = [
         (
             "no-order",
@@ -32,27 +30,29 @@ fn main() {
             },
         ),
     ];
-    let results: Vec<Vec<_>> = variants
-        .iter()
-        .map(|(_, opts)| {
+    let sweep = variants.into_iter().fold(
+        Sweep::new(suite()).with_config("baseline", SimConfig::paper_baseline()),
+        |sweep, (name, opts)| {
             let mut c = SimConfig::paper_baseline();
-            c.traversal_options = *opts;
-            suite.run_all(&c)
-        })
-        .collect();
+            c.traversal_options = opts;
+            sweep.with_config(name, c)
+        },
+    );
+    let results = run_grid(&sweep);
+    let (base, results) = results.split_first().expect("a baseline column");
 
     // Report slowdown factors (cycles relative to the full baseline) and
     // node inflation.
-    let rows: Vec<_> = suite
+    let rows: Vec<_> = sweep
         .benches()
         .iter()
         .enumerate()
         .map(|(i, b)| {
             let mut cells = Vec::new();
-            for r in &results {
+            for r in results {
                 cells.push(r[i].cycles as f64 / base[i].cycles as f64);
             }
-            for r in &results {
+            for r in results {
                 cells.push(r[i].traversal.avg_nodes_per_ray / base[i].traversal.avg_nodes_per_ray);
             }
             (b.scene(), cells)
@@ -71,11 +71,10 @@ fn main() {
         &rows,
         true,
     );
-    for (col, (name, _)) in variants.iter().enumerate() {
-        let vals: Vec<f64> = rows.iter().map(|(_, c)| c[col]).collect();
+    for (col, (name, _)) in sweep.configs()[1..].iter().enumerate() {
         println!(
             "{name}: {:.2}x cycles vs full baseline",
-            geometric_mean(&vals)
+            column_gmean(&rows, col)
         );
     }
 }

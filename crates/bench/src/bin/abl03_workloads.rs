@@ -4,15 +4,12 @@
 //! rays, true diffuse bounces (traced off the primary hits), specular
 //! bounces, and surface-sampled shadow rays.
 
-use rt_bench::pct;
+use rt_bench::{pct, suite_detail};
 use rt_scene::{Scene, SceneId, Workload, WorkloadKind};
 use treelet_rt::{bounce_rays, direction_coherence, BounceKind, SimConfig, SimSession};
 
 fn main() {
-    let detail = std::env::var("TREELET_DETAIL")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1.0);
+    let detail = suite_detail();
     println!("== Ablation 3: workload incoherence vs prefetch benefit ==");
     println!(
         "{:<7} {:<10} {:>9} {:>10} {:>10} {:>10}",

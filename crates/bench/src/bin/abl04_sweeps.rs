@@ -2,64 +2,81 @@
 //! warp-buffer depth, RT-unit issue width, and L1 capacity — showing how
 //! sensitive the treelet-prefetching gain is to each.
 
-use rt_bench::pct;
+use rt_bench::{pct, run_grid, suite_detail};
 use rt_scene::{SceneId, Workload};
-use treelet_rt::{Bench, SimConfig};
+use treelet_rt::{Bench, SimConfig, Sweep};
 
-fn run_pair(bench: &Bench, mutate: impl Fn(&mut SimConfig)) -> (u64, u64, f64) {
-    let mut base = SimConfig::paper_baseline();
-    mutate(&mut base);
-    let mut pf = SimConfig::paper_treelet_prefetch();
-    mutate(&mut pf);
-    let b = bench.run(&base);
-    let p = bench.run(&pf);
-    (b.cycles, p.cycles, p.speedup_over(&b))
-}
+/// One swept knob: its heading, its values, each value's row label, and
+/// how a value is applied to a config.
+type Section = (
+    &'static str,
+    [usize; 4],
+    fn(usize) -> String,
+    fn(&mut SimConfig, usize),
+);
+
+const SECTIONS: [Section; 5] = [
+    (
+        "warp buffer size (Table 1: 16)",
+        [4, 8, 16, 32],
+        |v| format!("{v:>3} entries:"),
+        |c, v| c.warp_buffer_size = v,
+    ),
+    (
+        "RT-unit issue width",
+        [1, 2, 4, 8],
+        |v| format!("{v:>3}/cycle:  "),
+        |c, v| c.issue_width = v,
+    ),
+    (
+        "L1 capacity (Table 1: 64 KB)",
+        [16, 32, 64, 128],
+        |v| format!("{v:>3} KB:     "),
+        |c, v| c.mem.l1_lines = v * 1024 / 64,
+    ),
+    (
+        "raygen shader stagger (cycles between warp launches)",
+        [0, 100, 400, 1600],
+        |v| format!("{v:>4} cyc:   "),
+        |c, v| c.raygen_interval = v as u64,
+    ),
+    (
+        "prefetch queue capacity",
+        [16, 32, 64, 128],
+        |v| format!("{v:>3} entries:"),
+        |c, v| c.prefetch_queue_capacity = v,
+    ),
+];
 
 fn main() {
-    let detail = std::env::var("TREELET_DETAIL")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1.0);
-    let bench = Bench::prepare(SceneId::Car, detail, Workload::paper_default());
+    let bench = Bench::prepare(SceneId::Car, suite_detail(), Workload::paper_default());
+    // One baseline and one prefetch column per swept value.
+    let mut sweep = Sweep::new(vec![bench]);
+    for (_, values, label, apply) in SECTIONS {
+        for v in values {
+            for mut config in [
+                SimConfig::paper_baseline(),
+                SimConfig::paper_treelet_prefetch(),
+            ] {
+                apply(&mut config, v);
+                sweep = sweep.with_config(label(v), config);
+            }
+        }
+    }
+    let results = run_grid(&sweep);
+    let mut pairs = results.chunks(2).zip(sweep.configs().iter().step_by(2));
+
     println!("== Ablation 4: microarchitecture sweeps (CAR) ==");
-
-    println!("\n-- warp buffer size (Table 1: 16) --");
-    for size in [4usize, 8, 16, 32] {
-        let (b, p, s) = run_pair(&bench, |c| c.warp_buffer_size = size);
-        println!(
-            "{size:>3} entries: base {b:>8} pf {p:>8} speedup {}",
-            pct(s)
-        );
-    }
-
-    println!("\n-- RT-unit issue width --");
-    for width in [1usize, 2, 4, 8] {
-        let (b, p, s) = run_pair(&bench, |c| c.issue_width = width);
-        println!(
-            "{width:>3}/cycle:   base {b:>8} pf {p:>8} speedup {}",
-            pct(s)
-        );
-    }
-
-    println!("\n-- L1 capacity (Table 1: 64 KB) --");
-    for kb in [16usize, 32, 64, 128] {
-        let (b, p, s) = run_pair(&bench, |c| c.mem.l1_lines = kb * 1024 / 64);
-        println!("{kb:>3} KB:      base {b:>8} pf {p:>8} speedup {}", pct(s));
-    }
-
-    println!("\n-- raygen shader stagger (cycles between warp launches) --");
-    for interval in [0u64, 100, 400, 1600] {
-        let (b, p, s) = run_pair(&bench, |c| c.raygen_interval = interval);
-        println!(
-            "{interval:>4} cyc:    base {b:>8} pf {p:>8} speedup {}",
-            pct(s)
-        );
-    }
-
-    println!("\n-- prefetch queue capacity --");
-    for cap in [16usize, 32, 64, 128] {
-        let (b, p, s) = run_pair(&bench, |c| c.prefetch_queue_capacity = cap);
-        println!("{cap:>3} entries: base {b:>8} pf {p:>8} speedup {}", pct(s));
+    for (heading, values, _, _) in SECTIONS {
+        println!("\n-- {heading} --");
+        for (pair, (label, _)) in pairs.by_ref().take(values.len()) {
+            let (b, p) = (&pair[0][0], &pair[1][0]);
+            println!(
+                "{label} base {:>8} pf {:>8} speedup {}",
+                b.cycles,
+                p.cycles,
+                pct(p.speedup_over(b))
+            );
+        }
     }
 }

@@ -10,7 +10,7 @@
 //! The question: how fast does treelet-prefetching quality decay when the
 //! treelets no longer match the deformed geometry?
 
-use rt_bench::pct;
+use rt_bench::{pct, suite_detail};
 use rt_bvh::WideBvh;
 use rt_geometry::{Triangle, Vec3};
 use rt_scene::{Scene, SceneId, Workload};
@@ -38,10 +38,7 @@ fn deform(rest: &[Triangle], phase: f32) -> Vec<Triangle> {
 }
 
 fn main() {
-    let detail = std::env::var("TREELET_DETAIL")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1.0);
+    let detail = suite_detail();
     let scene = Scene::build_with_detail(SceneId::Bunny, detail);
     let rays = Workload::paper_default().generate(&scene);
     let rest = scene.mesh.into_triangles();

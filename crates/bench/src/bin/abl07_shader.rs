@@ -5,22 +5,12 @@
 //! much of the treelet-prefetching benefit survives when the workload is
 //! no longer pure traversal.
 
-use rt_bench::pct;
+use rt_bench::{pct, run_grid, suite_detail};
 use rt_scene::{SceneId, Workload};
-use treelet_rt::{Bench, BounceKind, ShaderProgram, SimConfig};
+use treelet_rt::{Bench, BounceKind, ShaderProgram, SimConfig, Sweep};
 
 fn main() {
-    let detail = std::env::var("TREELET_DETAIL")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1.0);
-    let bench = Bench::prepare(SceneId::Crnvl, detail, Workload::paper_default());
-
-    println!("== Ablation 7: shader pipeline around the RT unit (CRNVL) ==");
-    println!(
-        "{:<26} {:>10} {:>10} {:>9} {:>7}",
-        "program", "base cyc", "pf cyc", "speedup", "SIMT"
-    );
+    let bench = Bench::prepare(SceneId::Crnvl, suite_detail(), Workload::paper_default());
     let programs: Vec<(&str, Option<ShaderProgram>)> = vec![
         ("trace replay (paper §5)", None),
         (
@@ -65,19 +55,32 @@ fn main() {
             }),
         ),
     ];
+    // One baseline and one prefetch column per program.
+    let mut sweep = Sweep::new(vec![bench]);
     for (name, shader) in programs {
-        let mut base_cfg = SimConfig::paper_baseline();
-        base_cfg.shader = shader;
-        let mut pf_cfg = SimConfig::paper_treelet_prefetch();
-        pf_cfg.shader = shader;
-        let base = bench.run(&base_cfg);
-        let pf = bench.run(&pf_cfg);
+        for mut config in [
+            SimConfig::paper_baseline(),
+            SimConfig::paper_treelet_prefetch(),
+        ] {
+            config.shader = shader;
+            sweep = sweep.with_config(name, config);
+        }
+    }
+    let results = run_grid(&sweep);
+
+    println!("== Ablation 7: shader pipeline around the RT unit (CRNVL) ==");
+    println!(
+        "{:<26} {:>10} {:>10} {:>9} {:>7}",
+        "program", "base cyc", "pf cyc", "speedup", "SIMT"
+    );
+    for (pair, (name, _)) in results.chunks(2).zip(sweep.configs().iter().step_by(2)) {
+        let (base, pf) = (&pair[0][0], &pair[1][0]);
         println!(
             "{:<26} {:>10} {:>10} {:>9} {:>6.1}%",
             name,
             base.cycles,
             pf.cycles,
-            pct(pf.speedup_over(&base)),
+            pct(pf.speedup_over(base)),
             pf.simt_efficiency * 100.0
         );
     }

@@ -1,18 +1,20 @@
 //! Figure 1: average DRAM utilization (a) and average memory latency of
 //! demand BVH loads (b), baseline RT unit vs. treelet prefetching.
 
-use rt_bench::{print_scene_table, Suite};
-use treelet_rt::SimConfig;
+use rt_bench::{print_scene_table, run_grid, suite};
+use treelet_rt::{SimConfig, Sweep};
 
 fn main() {
-    let suite = Suite::prepare_default();
-    let base = suite.run_all(&SimConfig::paper_baseline());
-    let pf = suite.run_all(&SimConfig::paper_treelet_prefetch());
+    let sweep = Sweep::new(suite())
+        .with_config("baseline", SimConfig::paper_baseline())
+        .with_config("prefetch", SimConfig::paper_treelet_prefetch());
+    let results = run_grid(&sweep);
+    let (base, pf) = (&results[0], &results[1]);
 
-    let util_rows: Vec<_> = suite
+    let util_rows: Vec<_> = sweep
         .benches()
         .iter()
-        .zip(base.iter().zip(&pf))
+        .zip(base.iter().zip(pf))
         .map(|(b, (r0, r1))| (b.scene(), vec![r0.dram_utilization, r1.dram_utilization]))
         .collect();
     print_scene_table(
@@ -22,10 +24,10 @@ fn main() {
         false,
     );
 
-    let lat_rows: Vec<_> = suite
+    let lat_rows: Vec<_> = sweep
         .benches()
         .iter()
-        .zip(base.iter().zip(&pf))
+        .zip(base.iter().zip(pf))
         .map(|(b, (r0, r1))| {
             (
                 b.scene(),
@@ -47,7 +49,7 @@ fn main() {
 
     let reduction: Vec<f64> = base
         .iter()
-        .zip(&pf)
+        .zip(pf)
         .map(|(r0, r1)| 1.0 - r1.node_load_latency / r0.node_load_latency)
         .collect();
     let mean = reduction.iter().sum::<f64>() / reduction.len() as f64;

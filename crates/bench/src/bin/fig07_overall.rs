@@ -1,18 +1,20 @@
 //! Figure 7: overall speedup and power of treelet prefetching with the
 //! ALWAYS heuristic, PMR scheduler, and 512-byte treelets.
 
-use rt_bench::{pct, print_scene_table, Suite};
-use treelet_rt::{geometric_mean, SimConfig};
+use rt_bench::{column_gmean, pct, print_scene_table, run_grid, suite};
+use treelet_rt::{SimConfig, Sweep};
 
 fn main() {
-    let suite = Suite::prepare_default();
-    let base = suite.run_all(&SimConfig::paper_baseline());
-    let pf = suite.run_all(&SimConfig::paper_treelet_prefetch());
+    let sweep = Sweep::new(suite())
+        .with_config("baseline", SimConfig::paper_baseline())
+        .with_config("prefetch", SimConfig::paper_treelet_prefetch());
+    let results = run_grid(&sweep);
+    let (base, pf) = (&results[0], &results[1]);
 
-    let rows: Vec<_> = suite
+    let rows: Vec<_> = sweep
         .benches()
         .iter()
-        .zip(base.iter().zip(&pf))
+        .zip(base.iter().zip(pf))
         .map(|(b, (r0, r1))| {
             (
                 b.scene(),
@@ -30,9 +32,8 @@ fn main() {
         true,
     );
 
-    let speedups: Vec<f64> = rows.iter().map(|(_, c)| c[0]).collect();
     println!(
         "\nmean speedup: {} (paper: +32.1%); power stays ~constant (paper: same power)",
-        pct(geometric_mean(&speedups))
+        pct(column_gmean(&rows, 0))
     );
 }

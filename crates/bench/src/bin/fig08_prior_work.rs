@@ -3,9 +3,12 @@
 //! and a global history buffer against treelet prefetching, with a
 //! per-prefetcher useful/late/useless timeliness taxonomy.
 
-use rt_bench::{pct, print_scene_table, Suite, SUITE_DETAIL};
+use rt_bench::{
+    column_gmean, pct, prepare_suite, print_scene_table, run_grid, speedup_rows, suite,
+    suite_detail,
+};
 use rt_scene::{Workload, WorkloadKind};
-use treelet_rt::{geometric_mean, PrefetchConfig, PrefetchUsefulness, SimConfig, SimResult};
+use treelet_rt::{PrefetchConfig, PrefetchUsefulness, SimConfig, SimResult, Sweep};
 
 fn taxonomy(results: &[SimResult]) -> (PrefetchUsefulness, u64) {
     let mut acc = PrefetchUsefulness::default();
@@ -20,48 +23,37 @@ fn taxonomy(results: &[SimResult]) -> (PrefetchUsefulness, u64) {
     (acc, total)
 }
 
+/// `sweep` with the bakeoff's three prefetchers appended as columns.
+fn with_prefetchers(sweep: Sweep) -> Sweep {
+    sweep
+        .with_config(
+            "MTA (Lee+)",
+            SimConfig::paper_baseline().with_prefetcher(PrefetchConfig::mta()),
+        )
+        .with_config(
+            "GHB",
+            SimConfig::paper_baseline().with_prefetcher(PrefetchConfig::ghb()),
+        )
+        .with_config("treelet-pf", SimConfig::paper_treelet_prefetch())
+}
+
 fn main() {
-    let detail = std::env::var("TREELET_DETAIL")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(SUITE_DETAIL);
     // Speedup comparison at the paper-default workload, like every
     // other figure.
-    let suite = Suite::prepare(detail, Workload::paper_default());
-    let base = suite.run_all(&SimConfig::paper_baseline());
-    let mta = suite.run_all(&SimConfig::paper_baseline().with_prefetcher(PrefetchConfig::mta()));
-    let ghb = suite.run_all(&SimConfig::paper_baseline().with_prefetcher(PrefetchConfig::ghb()));
-    let pf = suite.run_all(&SimConfig::paper_treelet_prefetch());
-
-    let rows: Vec<_> = suite
-        .benches()
-        .iter()
-        .enumerate()
-        .map(|(i, b)| {
-            (
-                b.scene(),
-                vec![
-                    mta[i].speedup_over(&base[i]),
-                    ghb[i].speedup_over(&base[i]),
-                    pf[i].speedup_over(&base[i]),
-                ],
-            )
-        })
-        .collect();
+    let sweep =
+        with_prefetchers(Sweep::new(suite()).with_config("baseline", SimConfig::paper_baseline()));
+    let rows = speedup_rows(sweep.benches(), &run_grid(&sweep));
     print_scene_table(
         "Fig. 8: speedup vs prior work",
         &["MTA (Lee+)", "GHB", "treelet-pf"],
         &rows,
         true,
     );
-    let mta_s: Vec<f64> = rows.iter().map(|(_, c)| c[0]).collect();
-    let ghb_s: Vec<f64> = rows.iter().map(|(_, c)| c[1]).collect();
-    let pf_s: Vec<f64> = rows.iter().map(|(_, c)| c[2]).collect();
     println!(
         "\nMTA mean: {} (paper: ~0%, ineffective); GHB mean: {} (paper §2.4: unsuitable); treelet mean: {}",
-        pct(geometric_mean(&mta_s)),
-        pct(geometric_mean(&ghb_s)),
-        pct(geometric_mean(&pf_s))
+        pct(column_gmean(&rows, 0)),
+        pct(column_gmean(&rows, 1)),
+        pct(column_gmean(&rows, 2))
     );
 
     // Timeliness taxonomy: where each prefetcher's lines ended up.
@@ -71,22 +63,15 @@ fn main() {
     // once, so each SM fills and drains it a single time; 16,384 rays
     // turn it over four times, the steady state a longer frame runs in,
     // and every prefetcher issues 6-14x the lines it issues at 32x32.
-    let turnover = Suite::prepare(detail, Workload::new(WorkloadKind::Primary, 128, 128));
-    let mta_t =
-        turnover.run_all(&SimConfig::paper_baseline().with_prefetcher(PrefetchConfig::mta()));
-    let ghb_t =
-        turnover.run_all(&SimConfig::paper_baseline().with_prefetcher(PrefetchConfig::ghb()));
-    let pf_t = turnover.run_all(&SimConfig::paper_treelet_prefetch());
+    let workload = Workload::new(WorkloadKind::Primary, 128, 128);
+    let turnover = with_prefetchers(Sweep::new(prepare_suite(suite_detail(), workload)));
+    let results = run_grid(&turnover);
     println!("\n== Prefetch timeliness per prefetcher (128x128 suite totals) ==");
     println!(
         "{:<12} {:>10} {:>9} {:>9} {:>9}",
         "Prefetcher", "issued", "useful", "late", "useless"
     );
-    for (name, results) in [
-        ("MTA (Lee+)", &mta_t),
-        ("GHB", &ghb_t),
-        ("treelet-pf", &pf_t),
-    ] {
+    for ((name, _), results) in turnover.configs().iter().zip(&results) {
         let (u, total) = taxonomy(results);
         let share = |n: u64| {
             if total == 0 {
@@ -104,7 +89,7 @@ fn main() {
             share(u.useless)
         );
     }
-    let (u, total) = taxonomy(&mta_t);
+    let (u, total) = taxonomy(&results[0]);
     if total > 0 {
         println!(
             "\nMTA prefetches that fetched nothing useful: {:.0}% (paper: 'does not fetch many useful BVH nodes')",

@@ -1,24 +1,26 @@
 //! Figure 11: L2 bandwidth of the prefetch heuristics, normalized to the
 //! baseline RT unit (no prefetching).
 
-use rt_bench::{print_scene_table, Suite};
-use treelet_rt::{PrefetchHeuristic, SimConfig};
+use rt_bench::{print_scene_table, run_grid, suite};
+use treelet_rt::{PrefetchHeuristic, SimConfig, Sweep};
 
 fn main() {
-    let suite = Suite::prepare_default();
-    let base = suite.run_all(&SimConfig::paper_baseline());
     let line = SimConfig::paper_baseline().mem.line_bytes;
     let heuristics = [
         ("ALWAYS", PrefetchHeuristic::Always),
         ("POP:0.5", PrefetchHeuristic::Popularity(0.5)),
         ("PARTIAL", PrefetchHeuristic::Partial),
     ];
-    let results: Vec<Vec<_>> = heuristics
-        .iter()
-        .map(|(_, h)| suite.run_all(&SimConfig::paper_treelet_prefetch().with_heuristic(*h)))
-        .collect();
+    let sweep = heuristics.into_iter().fold(
+        Sweep::new(suite()).with_config("baseline", SimConfig::paper_baseline()),
+        |sweep, (name, h)| {
+            sweep.with_config(name, SimConfig::paper_treelet_prefetch().with_heuristic(h))
+        },
+    );
+    let results = run_grid(&sweep);
+    let (base, results) = results.split_first().expect("a baseline column");
 
-    let rows: Vec<_> = suite
+    let rows: Vec<_> = sweep
         .benches()
         .iter()
         .enumerate()

@@ -1,41 +1,25 @@
 //! Figure 13: performance of the RT-unit treelet schedulers (baseline,
 //! OMR, PMR) with treelet prefetching enabled.
 
-use rt_bench::{pct, print_scene_table, Suite};
-use treelet_rt::{geometric_mean, SchedulerPolicy, SimConfig};
+use rt_bench::{print_speedups, run_grid, suite};
+use treelet_rt::{SchedulerPolicy, SimConfig, Sweep};
 
 fn main() {
-    let suite = Suite::prepare_default();
-    let base = suite.run_all(&SimConfig::paper_baseline());
     let policies = [
         ("baseline", SchedulerPolicy::Baseline),
         ("OMR", SchedulerPolicy::OldestMatchingRay),
         ("PMR", SchedulerPolicy::PrioritizeMostRays),
     ];
-    let results: Vec<Vec<_>> = policies
-        .iter()
-        .map(|(_, p)| suite.run_all(&SimConfig::paper_treelet_prefetch().with_scheduler(*p)))
-        .collect();
-
-    let rows: Vec<_> = suite
-        .benches()
-        .iter()
-        .enumerate()
-        .map(|(i, b)| {
-            (
-                b.scene(),
-                results
-                    .iter()
-                    .map(|r| r[i].speedup_over(&base[i]))
-                    .collect(),
-            )
-        })
-        .collect();
-    let columns: Vec<&str> = policies.iter().map(|(n, _)| *n).collect();
-    print_scene_table("Fig. 13: treelet scheduler speedups", &columns, &rows, true);
-    for (col, (name, _)) in policies.iter().enumerate() {
-        let vals: Vec<f64> = rows.iter().map(|(_, c)| c[col]).collect();
-        println!("{name}: {}", pct(geometric_mean(&vals)));
-    }
+    let sweep = policies.into_iter().fold(
+        Sweep::new(suite()).with_config("baseline", SimConfig::paper_baseline()),
+        |sweep, (name, p)| {
+            sweep.with_config(name, SimConfig::paper_treelet_prefetch().with_scheduler(p))
+        },
+    );
+    print_speedups(
+        "Fig. 13: treelet scheduler speedups",
+        &sweep,
+        &run_grid(&sweep),
+    );
     println!("(paper: all within ~0.3% of each other; PMR +32.1% best)");
 }

@@ -1,33 +1,28 @@
 //! Figure 15: DRAM load-balancing effect of adding a 256-byte stride
 //! between 512-byte treelet slots (roots 768 B apart instead of 512 B).
 
-use rt_bench::{pct, print_scene_table, Suite};
-use treelet_rt::{geometric_mean, LayoutChoice, SimConfig};
+use rt_bench::{column_gmean, pct, print_scene_table, run_grid, speedup_rows, suite};
+use treelet_rt::{LayoutChoice, SimConfig, Sweep};
 
 fn main() {
-    let suite = Suite::prepare_default();
-    let packed = SimConfig::paper_treelet_prefetch();
     let mut strided = SimConfig::paper_treelet_prefetch();
     strided.layout = LayoutChoice::TreeletPacked { extra_stride: 256 };
-    let r0 = suite.run_all(&packed);
-    let r1 = suite.run_all(&strided);
+    let sweep = Sweep::new(suite())
+        .with_config("512B slots", SimConfig::paper_treelet_prefetch())
+        .with_config("+256B stride", strided);
+    let results = run_grid(&sweep);
+    let (r0, r1) = (&results[0], &results[1]);
 
-    let rows: Vec<_> = suite
-        .benches()
-        .iter()
-        .enumerate()
-        .map(|(i, b)| (b.scene(), vec![r1[i].speedup_over(&r0[i])]))
-        .collect();
+    let rows = speedup_rows(sweep.benches(), &results);
     print_scene_table(
         "Fig. 15: +256 B stride speedup over plain 512 B packing",
         &["speedup"],
         &rows,
         true,
     );
-    let vals: Vec<f64> = rows.iter().map(|(_, c)| c[0]).collect();
     println!(
         "\nmean stride benefit: {} (paper: +5.7%)",
-        pct(geometric_mean(&vals))
+        pct(column_gmean(&rows, 0))
     );
 
     // Channel imbalance evidence: coefficient of variation of per-channel
@@ -47,7 +42,7 @@ fn main() {
     };
     println!("\nper-channel DRAM access imbalance (coefficient of variation):");
     println!("{:<7} {:>12} {:>12}", "Scene", "512B slots", "+256B stride");
-    for (i, b) in suite.benches().iter().enumerate() {
+    for (i, b) in sweep.benches().iter().enumerate() {
         println!(
             "{:<7} {:>12.3} {:>12.3}",
             b.scene().name(),

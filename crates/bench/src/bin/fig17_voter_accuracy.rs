@@ -2,22 +2,20 @@
 //! how often it agrees with a full majority voter on the most popular
 //! treelet.
 
-use rt_bench::{print_scene_table, Suite};
-use treelet_rt::{SimConfig, VoterKind};
+use rt_bench::{print_scene_table, run_grid, suite};
+use treelet_rt::{SimConfig, Sweep, VoterKind};
 
 fn main() {
-    let suite = Suite::prepare_default();
-    let latencies = [0u64, 32, 128];
-    let results: Vec<Vec<_>> = latencies
-        .iter()
-        .map(|&lat| {
-            suite.run_all(
-                &SimConfig::paper_treelet_prefetch().with_voter(VoterKind::PseudoTwoLevel, lat),
-            )
-        })
-        .collect();
+    let sweep = [0u64, 32, 128]
+        .into_iter()
+        .fold(Sweep::new(suite()), |sweep, lat| {
+            let config =
+                SimConfig::paper_treelet_prefetch().with_voter(VoterKind::PseudoTwoLevel, lat);
+            sweep.with_config(format!("{lat} cyc"), config)
+        });
+    let results = run_grid(&sweep);
 
-    let rows: Vec<_> = suite
+    let rows: Vec<_> = sweep
         .benches()
         .iter()
         .enumerate()

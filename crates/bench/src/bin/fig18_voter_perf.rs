@@ -2,41 +2,28 @@
 //! the idealized full voter — the accuracy loss should not cost
 //! performance.
 
-use rt_bench::{pct, print_scene_table, Suite};
-use treelet_rt::{geometric_mean, SimConfig, VoterKind};
+use rt_bench::{column_gmean, pct, print_scene_table, run_grid, speedup_rows, suite};
+use treelet_rt::{SimConfig, Sweep, VoterKind};
 
 fn main() {
-    let suite = Suite::prepare_default();
-    let base = suite.run_all(&SimConfig::paper_baseline());
-    let full = suite.run_all(&SimConfig::paper_treelet_prefetch().with_voter(VoterKind::Full, 0));
-    let pseudo = suite
-        .run_all(&SimConfig::paper_treelet_prefetch().with_voter(VoterKind::PseudoTwoLevel, 0));
-
-    let rows: Vec<_> = suite
-        .benches()
-        .iter()
-        .enumerate()
-        .map(|(i, b)| {
-            (
-                b.scene(),
-                vec![
-                    full[i].speedup_over(&base[i]),
-                    pseudo[i].speedup_over(&base[i]),
-                ],
-            )
-        })
-        .collect();
+    let prefetch = SimConfig::paper_treelet_prefetch;
+    let sweep = Sweep::new(suite())
+        .with_config("baseline", SimConfig::paper_baseline())
+        .with_config("full", prefetch().with_voter(VoterKind::Full, 0))
+        .with_config(
+            "pseudo",
+            prefetch().with_voter(VoterKind::PseudoTwoLevel, 0),
+        );
+    let rows = speedup_rows(sweep.benches(), &run_grid(&sweep));
     print_scene_table(
         "Fig. 18: full vs pseudo two-level voter speedups",
         &["full", "pseudo"],
         &rows,
         true,
     );
-    let f: Vec<f64> = rows.iter().map(|(_, c)| c[0]).collect();
-    let p: Vec<f64> = rows.iter().map(|(_, c)| c[1]).collect();
     println!(
         "\nfull: {} pseudo: {} (paper: accuracy loss does not impact performance)",
-        pct(geometric_mean(&f)),
-        pct(geometric_mean(&p))
+        pct(column_gmean(&rows, 0)),
+        pct(column_gmean(&rows, 1))
     );
 }

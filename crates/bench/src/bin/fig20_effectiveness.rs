@@ -2,15 +2,15 @@
 //! baseline scheduler and ALWAYS heuristic — each prefetch classified as
 //! timely, late, too late, early, or unused.
 
-use rt_bench::{print_scene_table, Suite};
-use treelet_rt::{SchedulerPolicy, SimConfig};
+use rt_bench::{print_scene_table, run_grid, suite};
+use treelet_rt::{SchedulerPolicy, SimConfig, Sweep};
 
 fn main() {
-    let suite = Suite::prepare_default();
     let config = SimConfig::paper_treelet_prefetch().with_scheduler(SchedulerPolicy::Baseline);
-    let results = suite.run_all(&config);
+    let sweep = Sweep::new(suite()).with_config("prefetch", config);
+    let results = &run_grid(&sweep)[0];
 
-    let rows: Vec<_> = suite
+    let rows: Vec<_> = sweep
         .benches()
         .iter()
         .enumerate()

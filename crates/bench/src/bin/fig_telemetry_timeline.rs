@@ -11,7 +11,7 @@
 //! opening the files. `TREELET_TELEMETRY_EVERY` overrides the sampling
 //! interval (default 1000 cycles).
 
-use rt_bench::Suite;
+use rt_bench::suite;
 use std::path::PathBuf;
 use treelet_rt::{SimConfig, Telemetry, TelemetryOptions};
 
@@ -28,12 +28,11 @@ fn main() -> std::io::Result<()> {
     let opts = TelemetryOptions::new(every);
     let config = SimConfig::paper_treelet_prefetch();
 
-    let suite = Suite::prepare_default();
     println!(
         "{:<7} {:>8} {:>9} {:>7} {:>9} {:>9}",
         "Scene", "samples", "useful%", "late%", "useless%", "dram CV"
     );
-    for bench in suite.benches() {
+    for bench in suite() {
         let mut telemetry = Telemetry::new(&opts);
         let result = match bench
             .session(config.clone())

@@ -1,20 +1,34 @@
 //! Renders SVG charts of the key reproduced figures into `charts/`
 //! (override with the `TREELET_CHART_DIR` environment variable).
 
-use rt_bench::{bar_chart, Suite};
+use rt_bench::{bar_chart, run_grid, speedup_rows, suite};
 use std::path::PathBuf;
-use treelet_rt::{PrefetchHeuristic, SimConfig};
+use treelet_rt::{PrefetchHeuristic, SimConfig, Sweep};
 
 fn main() -> std::io::Result<()> {
     let dir =
         PathBuf::from(std::env::var("TREELET_CHART_DIR").unwrap_or_else(|_| "charts".to_string()));
     std::fs::create_dir_all(&dir)?;
-    let suite = Suite::prepare_default();
-    let base = suite.run_all(&SimConfig::paper_baseline());
+    let heuristics = [
+        ("ALWAYS", PrefetchHeuristic::Always),
+        ("POP 0.5", PrefetchHeuristic::Popularity(0.5)),
+        ("PARTIAL", PrefetchHeuristic::Partial),
+    ];
+    let sweep = heuristics
+        .into_iter()
+        .fold(
+            Sweep::new(suite()).with_config("baseline", SimConfig::paper_baseline()),
+            |sweep, (name, h)| {
+                sweep.with_config(name, SimConfig::paper_treelet_prefetch().with_heuristic(h))
+            },
+        )
+        .with_config("prefetch", SimConfig::paper_treelet_prefetch())
+        .with_config("traversal", SimConfig::paper_treelet_traversal_only());
+    let results = run_grid(&sweep);
+    let (base, pf, trav) = (&results[0], &results[4], &results[5]);
 
     // Fig. 7: overall speedup + normalized power.
-    let pf = suite.run_all(&SimConfig::paper_treelet_prefetch());
-    let rows: Vec<_> = suite
+    let rows: Vec<_> = sweep
         .benches()
         .iter()
         .enumerate()
@@ -39,8 +53,7 @@ fn main() -> std::io::Result<()> {
     )?;
 
     // Fig. 9: breakdown.
-    let trav = suite.run_all(&SimConfig::paper_treelet_traversal_only());
-    let rows: Vec<_> = suite
+    let rows: Vec<_> = sweep
         .benches()
         .iter()
         .enumerate()
@@ -62,29 +75,7 @@ fn main() -> std::io::Result<()> {
     )?;
 
     // Fig. 10: heuristics.
-    let heuristics = [
-        ("ALWAYS", PrefetchHeuristic::Always),
-        ("POP 0.5", PrefetchHeuristic::Popularity(0.5)),
-        ("PARTIAL", PrefetchHeuristic::Partial),
-    ];
-    let results: Vec<Vec<_>> = heuristics
-        .iter()
-        .map(|(_, h)| suite.run_all(&SimConfig::paper_treelet_prefetch().with_heuristic(*h)))
-        .collect();
-    let rows: Vec<_> = suite
-        .benches()
-        .iter()
-        .enumerate()
-        .map(|(i, b)| {
-            (
-                b.scene(),
-                results
-                    .iter()
-                    .map(|r| r[i].speedup_over(&base[i]))
-                    .collect(),
-            )
-        })
-        .collect();
+    let rows = speedup_rows(sweep.benches(), &results[..4]);
     let columns: Vec<&str> = heuristics.iter().map(|(n, _)| *n).collect();
     std::fs::write(
         dir.join("fig10_heuristics.svg"),
@@ -92,7 +83,7 @@ fn main() -> std::io::Result<()> {
     )?;
 
     // Fig. 20: effectiveness stack rendered as grouped bars.
-    let rows: Vec<_> = suite
+    let rows: Vec<_> = sweep
         .benches()
         .iter()
         .enumerate()

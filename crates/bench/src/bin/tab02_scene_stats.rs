@@ -4,16 +4,15 @@
 //! stand-ins are scaled down (see DESIGN.md) — but the relative ordering
 //! of the suite is preserved.
 
-use rt_bench::Suite;
+use rt_bench::suite;
 
 fn main() {
-    let suite = Suite::prepare_default();
     println!("== Table 2: evaluation scenes (ours vs. paper) ==");
     println!(
         "{:<7} {:>12} {:>7} {:>12} | {:>12} {:>7} {:>12}",
         "Scene", "size MB", "depth", "treelets", "paper MB", "depth", "treelets"
     );
-    for bench in suite.benches() {
+    for bench in suite() {
         let stats = bench.tree_stats();
         let treelets = bench.treelets();
         let paper = bench.scene().paper_stats();

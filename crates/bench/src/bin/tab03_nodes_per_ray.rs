@@ -1,13 +1,15 @@
 //! Table 3: average and maximum nodes traversed per ray, baseline DFS vs
 //! treelet-based traversal. Lower is better.
 
-use rt_bench::Suite;
-use treelet_rt::{geometric_mean, SimConfig};
+use rt_bench::{run_grid, suite};
+use treelet_rt::{geometric_mean, SimConfig, Sweep};
 
 fn main() {
-    let suite = Suite::prepare_default();
-    let dfs = suite.run_all(&SimConfig::paper_baseline());
-    let two = suite.run_all(&SimConfig::paper_treelet_traversal_only());
+    let sweep = Sweep::new(suite())
+        .with_config("baseline", SimConfig::paper_baseline())
+        .with_config("traversal", SimConfig::paper_treelet_traversal_only());
+    let results = run_grid(&sweep);
+    let (dfs, two) = (&results[0], &results[1]);
 
     println!("== Table 3: nodes traversed per ray (DFS vs treelet traversal) ==");
     println!(
@@ -16,7 +18,7 @@ fn main() {
     );
     let mut avg_ratio = Vec::new();
     let mut max_ratio = Vec::new();
-    for (i, b) in suite.benches().iter().enumerate() {
+    for (i, b) in sweep.benches().iter().enumerate() {
         let (d, t) = (&dfs[i].traversal, &two[i].traversal);
         let ar = t.avg_nodes_per_ray / d.avg_nodes_per_ray;
         let mr = t.max_nodes_per_ray as f64 / d.max_nodes_per_ray as f64;

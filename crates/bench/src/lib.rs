@@ -1,10 +1,11 @@
 //! Shared experiment harness for reproducing the paper's tables and
 //! figures.
 //!
-//! Every `fig*`/`tab*` binary in `src/bin/` prepares the sixteen-scene
-//! suite once with [`Suite::prepare`], runs the configurations the
-//! corresponding paper experiment compares, and prints the same rows or
-//! series the paper reports (plus the paper's published numbers where
+//! Every `fig*`/`tab*`/`abl*` binary in `src/bin/` prepares the
+//! sixteen-scene suite once with [`suite`], describes the configurations
+//! the corresponding paper experiment compares as one [`Sweep`], runs
+//! that grid once with [`run_grid`], and prints the same rows or series
+//! the paper reports (plus the paper's published numbers where
 //! available, for side-by-side comparison).
 
 #![warn(missing_docs)]
@@ -15,14 +16,11 @@ mod svg;
 use rt_scene::{SceneId, Workload};
 use std::time::Instant;
 pub use svg::bar_chart;
-use treelet_rt::{
-    catch_job_panic, default_jobs_for, geometric_mean, run_weighted, Bench, BvhCache, SimConfig,
-    SimError, SimResult,
-};
+use treelet_rt::{default_jobs_for, geometric_mean, Bench, BvhCache, SimResult, Sweep};
 
 /// Default scene detail for the experiment suite (full evaluation scale;
 /// see `DESIGN.md` for the scaling rationale).
-pub const SUITE_DETAIL: f32 = 1.0;
+const SUITE_DETAIL: f32 = 1.0;
 
 /// Parses an optional `TREELET_DETAIL`-style override. Pure (no
 /// environment access) so the rejection paths are unit-testable:
@@ -48,12 +46,12 @@ fn parse_detail_override(raw: Option<&str>) -> Result<Option<f32>, String> {
     }
 }
 
-/// The suite detail to use: the `TREELET_DETAIL` override when it is
-/// set and valid, otherwise [`SUITE_DETAIL`]. An unparseable override
-/// warns on stderr (it used to be silently ignored — a typo'd
-/// `TREELET_DETAIL=0.1x` would quietly run the full-detail suite for
-/// minutes) and falls back to the default.
-fn suite_detail_from_env() -> f32 {
+/// The scene detail every harness binary runs at: the `TREELET_DETAIL`
+/// override when it is set and valid, otherwise full detail (1.0). An
+/// invalid override (a typo such as `0.1x`, or `0` or `-1`) warns on
+/// stderr and falls back to full detail, so it never reaches scene
+/// preparation.
+pub fn suite_detail() -> f32 {
     let raw = std::env::var("TREELET_DETAIL").ok();
     match parse_detail_override(raw.as_deref()) {
         Ok(Some(detail)) => detail,
@@ -65,205 +63,94 @@ fn suite_detail_from_env() -> f32 {
     }
 }
 
-/// The sixteen-scene evaluation suite, prepared once and reused across
-/// configurations.
-#[derive(Debug)]
-pub struct Suite {
-    benches: Vec<Bench>,
+/// The sixteen scenes of the paper's Table 2 at [`suite_detail`] with
+/// the paper's default workload (32×32 primary rays, 1 SPP).
+pub fn suite() -> Vec<Bench> {
+    prepare_suite(suite_detail(), Workload::paper_default())
 }
 
-impl Suite {
-    /// Prepares every scene of the paper's Table 2 at `detail` with the
-    /// given ray workload, printing progress to stderr: preparation is
-    /// sharded across the cost-model scheduler (biggest scenes first,
-    /// `RT_JOBS` overriding the worker count) and served from the
-    /// `RT_BVH_CACHE` cache when one is configured.
-    pub fn prepare(detail: f32, workload: Workload) -> Suite {
-        let jobs = default_jobs_for(SceneId::ALL.len());
-        Suite::prepare_with(detail, workload, jobs, BvhCache::from_env().as_ref())
+/// The sixteen scenes of the paper's Table 2 at `detail` with the given
+/// ray workload, in Table 2 order, prepared by [`Bench::prepare_all`] on
+/// the machine's worker pool (`RT_JOBS` overriding the worker count) and
+/// through the `RT_BVH_CACHE` cache when one is configured. The
+/// preparation time and cache hit counts go to stderr.
+///
+/// # Panics
+///
+/// Panics with the scene error if `detail` is rejected.
+pub fn prepare_suite(detail: f32, workload: Workload) -> Vec<Bench> {
+    let t0 = Instant::now();
+    let cache = BvhCache::from_env();
+    let jobs = default_jobs_for(SceneId::ALL.len());
+    let benches = Bench::prepare_all(&SceneId::ALL, detail, workload, jobs, cache.as_ref())
+        .unwrap_or_else(|e| panic!("preparing the suite: {e}"));
+    match cache {
+        Some(c) => eprintln!(
+            "suite prepared in {:.1?} ({} cache hits, {} misses)",
+            t0.elapsed(),
+            c.hits(),
+            c.misses()
+        ),
+        None => eprintln!("suite prepared in {:.1?}", t0.elapsed()),
     }
+    benches
+}
 
-    /// Prepares the suite on `jobs` workers, through `cache` if given.
-    ///
-    /// Scene generation, BVH construction, and ray generation for each
-    /// scene are independent and deterministic, so the cells shard
-    /// across the same cost-model scheduler the simulations use —
-    /// planned by the paper's Table 2 tree sizes (the best available
-    /// estimate before any tree is built) so the heaviest builds start
-    /// first. Results come back in suite order, and every bench is
-    /// bit-identical to a serial, uncached preparation at any worker
-    /// count: the cache stores the exact built artifact, and each cell
-    /// is single-threaded.
-    ///
-    /// Progress is one complete `eprintln!` line per scene emitted from
-    /// this harness (never a split `eprint!` pair that would interleave
-    /// across workers), plus a summary with cache hit counts.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the scene's [`SceneError`](rt_scene::SceneError)
-    /// message if `detail` is rejected.
-    fn prepare_with(
-        detail: f32,
-        workload: Workload,
-        jobs: usize,
-        cache: Option<&BvhCache>,
-    ) -> Suite {
-        let t0 = Instant::now();
-        let scenes = SceneId::ALL;
-        let costs = Bench::prepare_costs(&scenes);
-        let benches = run_weighted(jobs, &costs, |i| {
-            let id = scenes[i];
-            let c0 = Instant::now();
-            let bench = match Bench::try_prepare_cached(id, detail, workload, cache) {
-                Ok(bench) => bench,
-                Err(e) => panic!("preparing {id}: {e}"),
-            };
-            eprintln!(
-                "prepared {id}: {} triangles, {} nodes in {:.1?}",
-                bench.bvh().triangles().len(),
-                bench.bvh().node_count(),
-                c0.elapsed()
-            );
-            bench
-        });
-        match cache {
-            Some(c) => eprintln!(
-                "suite prepared in {:.1?} ({} cache hits, {} misses)",
-                t0.elapsed(),
-                c.hits(),
-                c.misses()
-            ),
-            None => eprintln!("suite prepared in {:.1?}", t0.elapsed()),
-        }
-        Suite { benches }
-    }
+/// Runs every cell of `sweep` in one [`Sweep::run_parallel`] call on
+/// the machine's worker pool (`RT_JOBS` overriding the worker count) and
+/// returns one column per config, in config order, each holding the
+/// config's results in bench order.
+///
+/// # Panics
+///
+/// Panics on the first failed cell in grid order, naming its config
+/// label, scene and error. Cells are deterministic, so a rerun fails
+/// the same way.
+pub fn run_grid(sweep: &Sweep) -> Vec<Vec<SimResult>> {
+    let jobs = default_jobs_for(sweep.cell_count());
+    let mut cells = sweep.run_parallel(jobs).into_iter().map(|cell| {
+        cell.result
+            .unwrap_or_else(|e| panic!("config {} on scene {} failed: {e}", cell.label, cell.scene))
+    });
+    let per_config = sweep.benches().len();
+    sweep
+        .configs()
+        .iter()
+        .map(|_| cells.by_ref().take(per_config).collect())
+        .collect()
+}
 
-    /// Prepares the suite with the paper's default workload (32×32
-    /// primary rays, 1 SPP) at the default detail, honoring the
-    /// `TREELET_DETAIL` environment variable for quick runs (an invalid
-    /// value warns on stderr and falls back to [`SUITE_DETAIL`]).
-    pub fn prepare_default() -> Suite {
-        Suite::prepare(suite_detail_from_env(), Workload::paper_default())
-    }
-
-    /// The prepared per-scene benches, in Table 2 order.
-    pub fn benches(&self) -> &[Bench] {
-        &self.benches
-    }
-
-    /// Per-scene cost estimates in suite order — the inputs the
-    /// cost-model scheduler plans with (see [`run_weighted`]).
-    fn scene_costs(&self) -> Vec<u64> {
-        self.benches.iter().map(Bench::estimated_cost).collect()
-    }
-
-    /// Runs `config` on every scene, in suite order. Scenes are sharded
-    /// across the machine's worker pool (each simulation itself is
-    /// deterministic and single-threaded, so results are identical to a
-    /// serial run). The pool never exceeds the scene count or the
-    /// machine's core count.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the failing scene's recorded reason if any scene
-    /// fails.
-    // A 16-scene suite makes the `SimError` payload size irrelevant.
-    #[allow(clippy::result_large_err)]
-    pub fn run_all(&self, config: &SimConfig) -> Vec<SimResult> {
-        let jobs = default_jobs_for(self.benches.len());
-        self.run_with(jobs, |_, b| b.try_run(config))
-            .into_iter()
-            .map(|outcome| match outcome {
-                SceneOutcome::Completed { result } => result,
-                SceneOutcome::Failed { scene, reason } => {
-                    panic!("scene {scene} failed: {reason}")
-                }
-            })
-            .collect()
-    }
-
-    /// Runs `run(index, bench)` on every scene across `jobs` workers,
-    /// recording failures instead of propagating them: a scene that
-    /// returns a [`SimError`] or panics is reported as
-    /// [`SceneOutcome::Failed`] while the other scenes' results survive.
-    /// A panicking scene is retried once (a typed error is
-    /// deterministic, so it is not); retries are surfaced on stderr.
-    ///
-    /// Scenes are scheduled by the cost model ([`run_weighted`]): each
-    /// scene's estimated cost is its ray count × its tree's SAH-expected
-    /// node visits per ray ([`Bench::estimated_cost`]), scenes are
-    /// claimed one at a time longest-first, and the worker count is
-    /// clamped to the machine's core count. Outcomes come back
-    /// in suite order regardless of which scene finished first, and any
-    /// worker count produces bit-identical per-scene results — including
-    /// their [`state_digest`](SimResult::state_digest)s.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `jobs` is zero. Panics *inside* `run` are contained per
-    /// scene as typed [`SimError::WorkerPanicked`] failures — they never
-    /// unwind through the pool, so one poisoned scene cannot take the
-    /// rest of the sweep with it.
-    #[allow(clippy::result_large_err)]
-    fn run_with<F>(&self, jobs: usize, run: F) -> Vec<SceneOutcome>
-    where
-        F: Fn(usize, &Bench) -> Result<SimResult, SimError> + Sync,
-    {
-        let costs = self.scene_costs();
-        run_weighted(jobs, &costs, |i| {
-            let b = &self.benches[i];
-            let mut attempts = 1;
-            let mut attempt = catch_job_panic(i, || run(i, b));
-            if matches!(attempt, Err(SimError::WorkerPanicked { .. })) {
-                // A panic may be environmental (e.g. stack exhaustion
-                // under thread contention); give the scene one more
-                // chance before recording it as lost. Typed errors are
-                // deterministic and are not retried.
-                attempts = 2;
-                attempt = catch_job_panic(i, || run(i, b));
-            }
-            match attempt {
-                Ok(result) => {
-                    if attempts > 1 {
-                        eprintln!("scene {} completed on attempt {attempts}", b.scene());
-                    }
-                    SceneOutcome::Completed { result }
-                }
-                Err(e) => {
-                    eprintln!(
-                        "scene {} failed after {attempts} attempt(s): {e}",
-                        b.scene()
-                    );
-                    SceneOutcome::Failed {
-                        scene: b.scene(),
-                        reason: e.to_string(),
-                    }
-                }
-            }
+/// One row per bench: the speedup of every column after the first over
+/// the first (the baseline), as [`run_grid`] returns them.
+pub fn speedup_rows(benches: &[Bench], results: &[Vec<SimResult>]) -> Vec<(SceneId, Vec<f64>)> {
+    let (base, variants) = results.split_first().expect("a baseline column");
+    benches
+        .iter()
+        .enumerate()
+        .map(|(i, b)| {
+            let cells = variants.iter().map(|r| r[i].speedup_over(&base[i]));
+            (b.scene(), cells.collect())
         })
-    }
+        .collect()
 }
 
-/// What happened to one scene of a [`Suite::run_with`] sweep.
-// One outcome per scene: the size gap between a full `SimResult` and a
-// failure record doesn't matter at this cardinality.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
-enum SceneOutcome {
-    /// The simulation finished and produced a result.
-    Completed {
-        /// The scene's result.
-        result: SimResult,
-    },
-    /// The simulation returned an error or panicked; the sweep went on
-    /// without it.
-    Failed {
-        /// The scene that was lost.
-        scene: SceneId,
-        /// The `SimError` message or panic payload.
-        reason: String,
-    },
+/// The geometric mean of column `col` of `rows`.
+pub fn column_gmean(rows: &[(SceneId, Vec<f64>)], col: usize) -> f64 {
+    let vals: Vec<f64> = rows.iter().map(|(_, cells)| cells[col]).collect();
+    geometric_mean(&vals)
+}
+
+/// Prints the speedup of every config of `sweep` after its first over
+/// the first, as a scene table titled `title` with one column per
+/// config label, then one `label: +x.y%` geometric-mean line per
+/// column.
+pub fn print_speedups(title: &str, sweep: &Sweep, results: &[Vec<SimResult>]) {
+    let rows = speedup_rows(sweep.benches(), results);
+    let labels: Vec<&str> = sweep.configs()[1..].iter().map(|(l, _)| &**l).collect();
+    print_scene_table(title, &labels, &rows, true);
+    for (col, label) in labels.iter().enumerate() {
+        println!("{label}: {}", pct(column_gmean(&rows, col)));
+    }
 }
 
 /// Slugifies a table title into a file-name-safe stem.
@@ -358,47 +245,10 @@ pub fn pct(speedup: f64) -> String {
 }
 
 #[cfg(test)]
-#[allow(clippy::result_large_err)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
-    use std::sync::Mutex;
-    use treelet_rt::{encode_prepared_bench, CheckpointOptions};
-
-    impl SceneOutcome {
-        /// The result, if the scene completed.
-        fn result(&self) -> Option<&SimResult> {
-            match self {
-                SceneOutcome::Completed { result } => Some(result),
-                SceneOutcome::Failed { .. } => None,
-            }
-        }
-
-        /// Whether the scene completed.
-        fn is_completed(&self) -> bool {
-            matches!(self, SceneOutcome::Completed { .. })
-        }
-    }
-
-    /// Counts the runner invocations each scene gets, so the retry tests
-    /// can see how many attempts [`Suite::run_with`] made.
-    #[derive(Default)]
-    struct Attempts(Mutex<HashMap<SceneId, u32>>);
-
-    impl Attempts {
-        /// Records one invocation for `scene`; returns its attempt number.
-        fn record(&self, scene: SceneId) -> u32 {
-            let mut counts = self.0.lock().unwrap();
-            let n = counts.entry(scene).or_default();
-            *n += 1;
-            *n
-        }
-
-        /// How many invocations `scene` got.
-        fn of(&self, scene: SceneId) -> u32 {
-            self.0.lock().unwrap().get(&scene).copied().unwrap_or(0)
-        }
-    }
+    use rt_scene::WorkloadKind;
+    use treelet_rt::{CheckpointOptions, SimConfig};
 
     #[test]
     fn pct_formats_paper_style() {
@@ -423,51 +273,41 @@ mod tests {
         }
     }
 
-    /// Per-bench serialized artifact bytes — the bit-identity oracle
-    /// for preparation paths (covers nodes, triangles, rays, and the
-    /// default treelet assignment).
-    fn prepared_digests(suite: &Suite) -> Vec<Vec<u8>> {
-        suite
-            .benches()
-            .iter()
-            .map(|b| encode_prepared_bench(b, 0))
-            .collect()
+    /// Two tiny scenes crossed with a baseline and a prefetch column.
+    fn two_scene_sweep() -> Sweep {
+        let workload = Workload::new(WorkloadKind::Primary, 2, 2);
+        let benches = [SceneId::Wknd, SceneId::Ship].map(|id| Bench::prepare(id, 0.05, workload));
+        Sweep::new(benches.into())
+            .with_config("baseline", SimConfig::paper_baseline())
+            .with_config("prefetch", SimConfig::paper_treelet_prefetch())
     }
 
     #[test]
-    fn cold_warm_parallel_prepares_are_bit_identical() {
-        let dir =
-            std::env::temp_dir().join(format!("rt_bench_prepare_cache_{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let workload = Workload::new(rt_scene::WorkloadKind::Primary, 4, 4);
-        let detail = 0.05;
-        // Cold serial prepare populates the cache.
-        let cold_cache = BvhCache::open(&dir).unwrap();
-        let cold = Suite::prepare_with(detail, workload, 1, Some(&cold_cache));
-        // Parallel uncached prepare.
-        let parallel = Suite::prepare_with(detail, workload, 4, None);
-        // Warm parallel prepare must be all hits.
-        let warm_cache = BvhCache::open(&dir).unwrap();
-        let warm = Suite::prepare_with(detail, workload, 4, Some(&warm_cache));
-        assert_eq!(
-            (warm_cache.hits(), warm_cache.misses()),
-            (SceneId::ALL.len() as u64, 0),
-            "warm prepare must be served entirely from cache"
-        );
-        let cold_d = prepared_digests(&cold);
-        assert_eq!(cold_d, prepared_digests(&parallel));
-        assert_eq!(cold_d, prepared_digests(&warm));
-        // And the acceptance-level oracle: simulation state digests are
-        // bit-identical regardless of how the suite was prepared.
-        let config = SimConfig::paper_baseline();
-        let from_cold = cold.run_with(1, |_, b| b.try_run(&config));
-        let from_warm = warm.run_with(4, |_, b| b.try_run(&config));
-        for (a, b) in from_cold.iter().zip(&from_warm) {
-            let (a, b) = (a.result().unwrap(), b.result().unwrap());
-            assert_eq!(a.state_digest, b.state_digest);
-            assert_eq!(a.cycles, b.cycles);
+    fn run_grid_returns_one_column_per_config_in_bench_order() {
+        let sweep = two_scene_sweep();
+        let results = run_grid(&sweep);
+        assert_eq!(results.len(), 2);
+        for (column, (_, config)) in results.iter().zip(sweep.configs()) {
+            let expected: Vec<u64> = sweep
+                .benches()
+                .iter()
+                .map(|b| b.run(config).state_digest)
+                .collect();
+            let got: Vec<u64> = column.iter().map(|r| r.state_digest).collect();
+            assert_eq!(got, expected);
         }
-        std::fs::remove_dir_all(&dir).ok();
+        let rows = speedup_rows(sweep.benches(), &results);
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows[1].0, SceneId::Ship);
+        assert_eq!(rows[1].1, vec![results[1][1].speedup_over(&results[0][1])]);
+    }
+
+    #[test]
+    #[should_panic(expected = "config bad on scene WKND failed: invalid simulation config")]
+    fn run_grid_panics_naming_the_failed_cell() {
+        let mut bad = SimConfig::paper_baseline();
+        bad.num_sms = 0;
+        let _ = run_grid(&two_scene_sweep().with_config("bad", bad));
     }
 
     #[test]
@@ -493,110 +333,8 @@ mod tests {
     }
 
     #[test]
-    fn parallel_suite_digests_match_serial() {
-        // The determinism contract behind `--jobs N` and `idle_skip`: for
-        // both paper configs, every worker count and the naive
-        // cycle-by-cycle loop yield the serial run's per-scene cycles and
-        // digests, in suite order.
-        let suite = Suite::prepare(0.1, Workload::new(rt_scene::WorkloadKind::Primary, 16, 16));
-        for config in [
-            SimConfig::paper_baseline(),
-            SimConfig::paper_treelet_prefetch(),
-        ] {
-            let no_skip = SimConfig {
-                idle_skip: false,
-                ..config.clone()
-            };
-            let run = |jobs, config: &SimConfig| -> Vec<(u64, u64)> {
-                suite
-                    .run_with(jobs, |_, b| b.try_run(config))
-                    .iter()
-                    .map(|o| o.result().unwrap())
-                    .map(|r| (r.cycles, r.state_digest))
-                    .collect()
-            };
-            let serial = run(1, &config);
-            assert_eq!(serial.len(), SceneId::ALL.len());
-            assert_eq!(serial, run(4, &config), "--jobs 4");
-            assert_eq!(serial, run(4, &no_skip), "idle_skip = false");
-        }
-    }
-
-    #[test]
-    fn robust_sweep_survives_a_panicking_scene() {
-        // Full 16-scene suite at tiny detail with a minimal workload; one
-        // scene's runner panics deliberately. The other fifteen must
-        // still report results.
-        let suite = Suite::prepare(0.05, Workload::new(rt_scene::WorkloadKind::Primary, 4, 4));
-        let config = SimConfig::paper_baseline();
-        let attempts = Attempts::default();
-        let outcomes = suite.run_with(default_jobs_for(SceneId::ALL.len()), |_, b| {
-            attempts.record(b.scene());
-            if b.scene() == SceneId::Ship {
-                panic!("injected fault");
-            }
-            b.try_run(&config)
-        });
-        assert_eq!(outcomes.len(), SceneId::ALL.len());
-        let completed = outcomes.iter().filter(|o| o.is_completed()).count();
-        assert_eq!(completed, SceneId::ALL.len() - 1);
-        let failed: Vec<_> = outcomes.iter().filter(|o| !o.is_completed()).collect();
-        match failed.as_slice() {
-            [SceneOutcome::Failed { scene, reason }] => {
-                assert_eq!(*scene, SceneId::Ship);
-                assert!(reason.contains("injected fault"), "reason: {reason}");
-                // A panicking scene gets its one retry before being lost.
-                assert_eq!(attempts.of(SceneId::Ship), 2);
-            }
-            other => panic!("expected exactly one failure, got {other:?}"),
-        }
-        // Scenes that never panicked completed on their first attempt.
-        for scene in SceneId::ALL.into_iter().filter(|&s| s != SceneId::Ship) {
-            assert_eq!(attempts.of(scene), 1, "{scene}");
-        }
-    }
-
-    #[test]
-    fn robust_sweep_records_typed_errors_without_retry() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let suite = Suite::prepare(0.05, Workload::new(rt_scene::WorkloadKind::Primary, 2, 2));
-        let calls = AtomicUsize::new(0);
-        let mut bad = SimConfig::paper_baseline();
-        bad.num_sms = 0;
-        let outcomes = suite.run_with(default_jobs_for(SceneId::ALL.len()), |_, b| {
-            calls.fetch_add(1, Ordering::SeqCst);
-            b.try_run(&bad)
-        });
-        // Typed errors are deterministic: one attempt per scene, no retry.
-        assert_eq!(calls.load(Ordering::SeqCst), SceneId::ALL.len());
-        assert!(outcomes.iter().all(|o| !o.is_completed()));
-        for o in &outcomes {
-            if let SceneOutcome::Failed { reason, .. } = o {
-                assert!(reason.contains("invalid simulation config"));
-            }
-        }
-    }
-
-    #[test]
-    fn robust_sweep_retries_a_transient_panic() {
-        let suite = Suite::prepare(0.05, Workload::new(rt_scene::WorkloadKind::Primary, 2, 2));
-        let config = SimConfig::paper_baseline();
-        let attempts = Attempts::default();
-        let outcomes = suite.run_with(default_jobs_for(SceneId::ALL.len()), |_, b| {
-            if attempts.record(b.scene()) == 1 {
-                panic!("transient");
-            }
-            b.try_run(&config)
-        });
-        // Every scene panicked on its first attempt and succeeded on the
-        // retry, so the whole sweep still completes — in two attempts.
-        assert!(outcomes.iter().all(|o| o.is_completed()));
-        assert!(SceneId::ALL.into_iter().all(|s| attempts.of(s) == 2));
-    }
-
-    #[test]
     fn resumable_sweep_checkpoints_and_reruns_identically() {
-        let suite = Suite::prepare(0.05, Workload::new(rt_scene::WorkloadKind::Primary, 4, 4));
+        let benches = prepare_suite(0.05, Workload::new(WorkloadKind::Primary, 4, 4));
         let config = SimConfig::paper_treelet_prefetch();
         let dir =
             std::env::temp_dir().join(format!("rt_bench_resumable_sweep_{}", std::process::id()));
@@ -604,19 +342,25 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         // Each scene checkpoints into `dir/<scene>.rtsnap` (with a digest
         // log alongside) and resumes from its checkpoint when present.
-        let resumable = |_: usize, b: &Bench| {
-            let slug = b.scene().name().to_ascii_lowercase();
-            let opts = CheckpointOptions::new(2_000, dir.join(format!("{slug}.rtsnap")))
-                .with_digest_log(dir.join(format!("{slug}.digests")));
-            b.try_run_resumable(&config, &opts)
+        let sweep = || -> Vec<(u64, u64)> {
+            benches
+                .iter()
+                .map(|b| {
+                    let slug = b.scene().name().to_ascii_lowercase();
+                    let opts = CheckpointOptions::new(2_000, dir.join(format!("{slug}.rtsnap")))
+                        .with_digest_log(dir.join(format!("{slug}.digests")));
+                    let r = b
+                        .try_run_resumable(&config, &opts)
+                        .expect("scene completes");
+                    (r.cycles, r.state_digest)
+                })
+                .collect()
         };
-        let jobs = default_jobs_for(SceneId::ALL.len());
-        let first = suite.run_with(jobs, resumable);
-        assert!(first.iter().all(|o| o.is_completed()));
+        let first = sweep();
         // Every scene opened its digest log; scenes that ran past the
         // first epoch also left a checkpoint behind.
         let mut checkpoints = 0;
-        for b in suite.benches() {
+        for b in &benches {
             let slug = b.scene().name().to_ascii_lowercase();
             assert!(dir.join(format!("{slug}.digests")).exists(), "{slug}");
             checkpoints += usize::from(dir.join(format!("{slug}.rtsnap")).exists());
@@ -624,12 +368,7 @@ mod tests {
         assert!(checkpoints > 0, "no scene reached its first epoch");
         // A second sweep resumes from the left-over final checkpoints,
         // replays each scene's tail, and lands on the same state.
-        let second = suite.run_with(jobs, resumable);
-        for (a, b) in first.iter().zip(&second) {
-            let (a, b) = (a.result().unwrap(), b.result().unwrap());
-            assert_eq!(a.state_digest, b.state_digest);
-            assert_eq!(a.cycles, b.cycles);
-        }
+        assert_eq!(first, sweep());
         std::fs::remove_dir_all(&dir).ok();
     }
 

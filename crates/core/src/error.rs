@@ -3,8 +3,9 @@
 //! Every way a simulation can refuse to run or fail to make progress is
 //! enumerated here, so callers (the CLI, the `Bench` sweep harness,
 //! scripted experiments) can react per cause instead of parsing panic
-//! strings. Harnesses that do abort on failure (`Suite::run_all` in
-//! `rt-bench`, the experiment binaries) panic with the `Display` output.
+//! strings. Harnesses that do abort on failure (`rt_bench::run_grid`,
+//! which every experiment binary runs its grid through) panic with the
+//! `Display` output.
 
 use crate::config::LayoutChoice;
 use crate::prefetch::MappingMode;

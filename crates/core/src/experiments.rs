@@ -124,6 +124,40 @@ impl Bench {
         Ok(bench)
     }
 
+    /// [`Bench::try_prepare_cached`] for every scene of `scenes` on
+    /// `jobs` workers, in order.
+    ///
+    /// Scene generation, BVH construction and ray generation are
+    /// independent and deterministic per scene, so the scenes shard
+    /// across the cost-model scheduler ([`run_weighted`](crate::run_weighted)),
+    /// planned by [`Bench::prepare_costs`] so the heaviest builds start
+    /// first. Every bench is bit-identical to a serial, uncached
+    /// preparation at any worker count: the cache stores the exact built
+    /// artifact, and each scene is prepared on one thread.
+    ///
+    /// # Errors
+    ///
+    /// The first error in `scenes` order, as [`Bench::try_prepare`]
+    /// returns it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `jobs` is zero.
+    pub fn prepare_all(
+        scenes: &[SceneId],
+        detail: f32,
+        workload: Workload,
+        jobs: usize,
+        cache: Option<&crate::BvhCache>,
+    ) -> Result<Vec<Bench>, SceneError> {
+        let costs = Bench::prepare_costs(scenes);
+        crate::run_weighted(jobs, &costs, |i| {
+            Bench::try_prepare_cached(scenes[i], detail, workload, cache)
+        })
+        .into_iter()
+        .collect()
+    }
+
     /// Cold-preparation cost estimates for `scenes`, in order, for the
     /// cost-model scheduler ([`run_weighted`](crate::run_weighted)):
     /// each scene's paper Table 2 tree size in bytes. Before any tree
@@ -325,6 +359,57 @@ mod tests {
             .unwrap();
         assert_eq!(plain.state_digest, sampled.state_digest);
         assert!(!telemetry.is_empty());
+    }
+
+    #[test]
+    fn cold_warm_parallel_prepares_are_bit_identical() {
+        let dir = std::env::temp_dir().join(format!("rt_prepare_all_cache_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let workload = Workload::new(WorkloadKind::Primary, 4, 4);
+        let prepare = |jobs, cache: Option<&crate::BvhCache>| {
+            Bench::prepare_all(&SceneId::ALL, 0.05, workload, jobs, cache).unwrap()
+        };
+        // Per-bench artifact bytes: nodes, triangles, rays and the
+        // default treelet assignment.
+        let artifacts = |benches: &[Bench]| -> Vec<Vec<u8>> {
+            benches
+                .iter()
+                .map(|b| crate::encode_prepared_bench(b, 0))
+                .collect()
+        };
+        // A cold serial prepare populates the cache.
+        let cold_cache = crate::BvhCache::open(&dir).unwrap();
+        let cold = prepare(1, Some(&cold_cache));
+        assert_eq!(cold_cache.misses(), SceneId::ALL.len() as u64);
+        let parallel = prepare(4, None);
+        // A warm prepare is served entirely from the cache.
+        let warm_cache = crate::BvhCache::open(&dir).unwrap();
+        let warm = prepare(4, Some(&warm_cache));
+        assert_eq!(
+            (warm_cache.hits(), warm_cache.misses()),
+            (SceneId::ALL.len() as u64, 0)
+        );
+        let cold_bytes = artifacts(&cold);
+        assert_eq!(cold_bytes, artifacts(&parallel));
+        assert_eq!(cold_bytes, artifacts(&warm));
+        // Simulation state digests do not depend on how the suite was
+        // prepared either.
+        let digests = |benches: Vec<Bench>, jobs| -> Vec<(u64, u64)> {
+            crate::Sweep::new(benches)
+                .with_config("baseline", SimConfig::paper_baseline())
+                .run_parallel(jobs)
+                .into_iter()
+                .map(|c| c.result.unwrap())
+                .map(|r| (r.cycles, r.state_digest))
+                .collect()
+        };
+        assert_eq!(digests(cold, 1), digests(warm, 4));
+        std::fs::remove_dir_all(&dir).ok();
+        // A rejected detail is the scene error, not a panic.
+        assert!(matches!(
+            Bench::prepare_all(&SceneId::ALL, 0.0, workload, 4, None),
+            Err(SceneError::InvalidDetail { .. })
+        ));
     }
 
     #[test]

@@ -16,8 +16,10 @@
 //!   the caller's thread; no worker threads are spawned.
 //!
 //! There is one pool: the cost-model scheduler [`run_weighted`]
-//! (planned by [`plan_schedule`], executed by [`run_scheduled`]), used
-//! by [`Sweep`], the `rt-bench` suite, and suite preparation. Each cell
+//! (planned by [`plan_schedule`], executed by [`run_scheduled`]). It
+//! runs every simulation grid through [`Sweep`] (the CLI's `suite` and
+//! `sweep`, every `rt-bench` binary) and every suite-wide preparation
+//! through [`Bench::prepare_all`]. Each cell
 //! carries an estimated cost (a simulation: rays × the tree's
 //! SAH-expected node visits per ray; a preparation: the scene's paper
 //! tree size), cells are sorted longest-first and every worker claims
@@ -27,7 +29,7 @@
 //! context-switch overhead, which makes a parallel run slower than a
 //! serial one on small machines.
 //! Panics inside a cell unwind through the pool unless the caller wraps
-//! the cell in [`catch_job_panic`], as `Sweep` and the suite do.
+//! the cell in [`catch_job_panic`], as `Sweep` does.
 
 use crate::config::SimConfig;
 use crate::error::SimError;
@@ -261,9 +263,10 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 /// every sibling job's results.
 ///
 /// This is the robust-path complement to [`run_scheduled`]'s
-/// resume-unwind behaviour: sweeps and suite harnesses wrap each cell's
-/// runner in `catch_job_panic` so one poisoned cell is reported as a
-/// typed per-cell error while the rest of the grid completes.
+/// resume-unwind behaviour: [`Sweep`] and the daemon's supervisor wrap
+/// each cell's runner in `catch_job_panic` so one poisoned cell is
+/// reported as a typed per-cell error while the rest of the grid
+/// completes.
 pub fn catch_job_panic<T>(
     job: usize,
     f: impl FnOnce() -> Result<T, SimError>,
@@ -693,14 +696,18 @@ mod tests {
         assert_eq!(panic_message(&*s), "non-string panic payload");
     }
 
-    fn two_scene_sweep() -> Sweep {
+    fn two_scenes() -> Vec<Bench> {
         let workload = Workload::new(WorkloadKind::Primary, 4, 4);
-        Sweep::new(vec![
+        vec![
             Bench::prepare(SceneId::Wknd, 0.1, workload),
             Bench::prepare(SceneId::Car, 0.1, workload),
-        ])
-        .with_config("baseline", SimConfig::paper_baseline())
-        .with_config("prefetch", SimConfig::paper_treelet_prefetch())
+        ]
+    }
+
+    fn two_scene_sweep() -> Sweep {
+        Sweep::new(two_scenes())
+            .with_config("baseline", SimConfig::paper_baseline())
+            .with_config("prefetch", SimConfig::paper_treelet_prefetch())
     }
 
     #[test]
@@ -741,30 +748,41 @@ mod tests {
 
     #[test]
     fn sweep_digests_identical_across_job_counts() {
-        // The tentpole contract: `--jobs N` is bit-identical to serial.
-        let sweep = two_scene_sweep();
-        let digests = |jobs: usize| -> Vec<(Arc<str>, SceneId, u64)> {
+        // The determinism contract behind `--jobs N` and `idle_skip`:
+        // every worker count and the naive cycle-by-cycle loop yield the
+        // serial run's cycles and digests, in config-major order.
+        let digests = |sweep: &Sweep, jobs: usize| -> Vec<(Arc<str>, SceneId, u64, u64)> {
             sweep
                 .run_parallel(jobs)
                 .into_iter()
                 .map(|c| {
-                    (
-                        c.label,
-                        c.scene,
-                        c.result.expect("cell completes").state_digest,
-                    )
+                    let r = c.result.expect("cell completes");
+                    (c.label, c.scene, r.cycles, r.state_digest)
                 })
                 .collect()
         };
-        let serial = digests(1);
+        let sweep = two_scene_sweep();
+        let serial = digests(&sweep, 1);
         assert_eq!(serial.len(), 4);
         // Config-major ordering: both scenes of a label are adjacent.
         assert_eq!(&*serial[0].0, "baseline");
         assert_eq!(&*serial[1].0, "baseline");
         assert_eq!(serial[0].1, SceneId::Wknd);
         assert_eq!(serial[1].1, SceneId::Car);
-        assert_eq!(serial, digests(2));
-        assert_eq!(serial, digests(4));
+        assert_eq!(serial, digests(&sweep, 2));
+        assert_eq!(serial, digests(&sweep, 4));
+        let no_skip =
+            sweep
+                .configs()
+                .iter()
+                .fold(Sweep::new(two_scenes()), |s, (label, config)| {
+                    let naive = SimConfig {
+                        idle_skip: false,
+                        ..config.clone()
+                    };
+                    s.with_config(Arc::clone(label), naive)
+                });
+        assert_eq!(serial, digests(&no_skip, 4), "idle_skip = false");
     }
 
     #[test]

@@ -1264,23 +1264,18 @@ fn cmd_sweep(options: &SweepOptions) -> Result<(), Failure> {
         options.scenes.len(),
         options.scenes.len() * grid.len()
     );
-    // Scene preparation (geometry + BVH build) is independent per scene:
-    // shard it across the same pool the simulations use, weighted by
-    // each scene's paper tree size so the big builds start first, and
-    // route each build through the preparation cache when one is
-    // configured.
     let cache = resolve_bvh_cache(options.bvh_cache.as_deref())?;
-    let costs = Bench::prepare_costs(&options.scenes);
-    let prepared = treelet_prefetching::treelet::run_weighted(jobs, &costs, |i| {
-        Bench::try_prepare_cached(options.scenes[i], options.detail, workload, cache.as_ref())
-    });
-    let mut benches = Vec::with_capacity(prepared.len());
-    for bench in prepared {
-        benches.push(bench.map_err(|e| Failure {
-            message: e.to_string(),
-            code: 2,
-        })?);
-    }
+    let benches = Bench::prepare_all(
+        &options.scenes,
+        options.detail,
+        workload,
+        jobs,
+        cache.as_ref(),
+    )
+    .map_err(|e| Failure {
+        message: e.to_string(),
+        code: 2,
+    })?;
     if let Some(cache) = &cache {
         eprintln!(
             "bvh cache: {} hit(s), {} miss(es) at {}",
