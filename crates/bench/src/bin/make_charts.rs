@@ -22,10 +22,10 @@ fn main() -> std::io::Result<()> {
                 sweep.with_config(name, SimConfig::paper_treelet_prefetch().with_heuristic(h))
             },
         )
-        .with_config("prefetch", SimConfig::paper_treelet_prefetch())
         .with_config("traversal", SimConfig::paper_treelet_traversal_only());
     let results = run_grid(&sweep);
-    let (base, pf, trav) = (&results[0], &results[4], &results[5]);
+    // ALWAYS is the paper's treelet-prefetch configuration.
+    let (base, pf, trav) = (&results[0], &results[1], &results[4]);
 
     // Fig. 7: overall speedup + normalized power.
     let rows: Vec<_> = sweep
