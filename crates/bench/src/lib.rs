@@ -248,7 +248,8 @@ pub fn pct(speedup: f64) -> String {
 mod tests {
     use super::*;
     use rt_scene::WorkloadKind;
-    use treelet_rt::{CheckpointOptions, SimConfig};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use treelet_rt::{catch_job_panic, run_weighted, CheckpointOptions, SimConfig, SimError};
 
     #[test]
     fn pct_formats_paper_style() {
@@ -330,6 +331,101 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text, "scene,a,b-x\nWKND,1,2.5\nCAR,0.5,4\n");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn parallel_suite_digests_match_serial() {
+        // The determinism contract behind `--jobs N` and `idle_skip`, over
+        // the whole suite: for both paper configs, every worker count and
+        // the naive cycle-by-cycle loop yield the serial run's per-scene
+        // cycles and digests, in suite order.
+        let benches = prepare_suite(0.1, Workload::new(WorkloadKind::Primary, 16, 16));
+        let naive = |config: SimConfig| SimConfig {
+            idle_skip: false,
+            ..config
+        };
+        let sweep = Sweep::new(benches)
+            .with_config("baseline", SimConfig::paper_baseline())
+            .with_config("prefetch", SimConfig::paper_treelet_prefetch())
+            .with_config("baseline naive", naive(SimConfig::paper_baseline()))
+            .with_config("prefetch naive", naive(SimConfig::paper_treelet_prefetch()));
+        let run = |jobs| -> Vec<Vec<(u64, u64)>> {
+            let results = sweep.run_parallel(jobs);
+            let cells: Vec<(u64, u64)> = results
+                .into_iter()
+                .map(|c| c.result.expect("cell completes"))
+                .map(|r| (r.cycles, r.state_digest))
+                .collect();
+            cells
+                .chunks(SceneId::ALL.len())
+                .map(<[_]>::to_vec)
+                .collect()
+        };
+        let serial = run(1);
+        assert_eq!(serial.len(), 4);
+        assert!(serial
+            .iter()
+            .all(|column| column.len() == SceneId::ALL.len()));
+        assert_eq!(serial, run(4), "--jobs 4");
+        assert_eq!(serial[0], serial[2], "baseline, idle_skip = false");
+        assert_eq!(serial[1], serial[3], "prefetch, idle_skip = false");
+    }
+
+    #[test]
+    fn robust_sweep_survives_a_panicking_scene() {
+        // Full 16-scene suite at tiny detail with a minimal workload; one
+        // scene's cell panics deliberately. Each cell is contained the way
+        // `Sweep::run_parallel` contains it, so the other fifteen still
+        // report results and the panic becomes that scene's typed error.
+        let benches = prepare_suite(0.05, Workload::new(WorkloadKind::Primary, 4, 4));
+        let config = SimConfig::paper_baseline();
+        let costs: Vec<u64> = benches.iter().map(Bench::estimated_cost).collect();
+        let calls = AtomicUsize::new(0);
+        // The closures' Err type is the simulator's SimError (128+ bytes);
+        // one cell per call, so the large-variant cost does not matter.
+        #[allow(clippy::result_large_err)]
+        let outcomes = run_weighted(default_jobs_for(benches.len()), &costs, |i| {
+            catch_job_panic(i, || {
+                calls.fetch_add(1, Ordering::SeqCst);
+                if benches[i].scene() == SceneId::Ship {
+                    panic!("injected fault");
+                }
+                benches[i].try_run(&config)
+            })
+        });
+        assert_eq!(outcomes.len(), SceneId::ALL.len());
+        // One attempt per scene: a panicking cell is not retried.
+        assert_eq!(calls.load(Ordering::SeqCst), SceneId::ALL.len());
+        for (b, outcome) in benches.iter().zip(&outcomes) {
+            match (b.scene(), outcome) {
+                (SceneId::Ship, Err(SimError::WorkerPanicked { message, .. })) => {
+                    assert!(message.contains("injected fault"), "message: {message}");
+                }
+                (scene, Ok(_)) if scene != SceneId::Ship => {}
+                (scene, other) => panic!("{scene}: unexpected outcome {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn robust_sweep_records_typed_errors_without_retry() {
+        let benches = prepare_suite(0.05, Workload::new(WorkloadKind::Primary, 2, 2));
+        let mut bad = SimConfig::paper_baseline();
+        bad.num_sms = 0;
+        let sweep = Sweep::new(benches).with_config("bad", bad);
+        let outcomes = sweep.run_parallel(default_jobs_for(sweep.cell_count()));
+        // Typed errors are deterministic: one outcome per scene, in suite
+        // order, each the config error rather than a contained panic.
+        assert_eq!(outcomes.len(), SceneId::ALL.len());
+        for (cell, scene) in outcomes.iter().zip(SceneId::ALL) {
+            assert_eq!(cell.scene, scene);
+            match &cell.result {
+                Err(e @ SimError::Config(_)) => {
+                    assert!(e.to_string().contains("invalid simulation config"), "{e}");
+                }
+                other => panic!("{scene}: expected a config error, got {other:?}"),
+            }
+        }
     }
 
     #[test]
