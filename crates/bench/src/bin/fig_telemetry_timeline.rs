@@ -9,9 +9,10 @@
 //! `TREELET_CHART_DIR`), and prints the end-of-run usefulness shares
 //! and DRAM channel imbalance so the table can be eyeballed without
 //! opening the files. `TREELET_TELEMETRY_EVERY` overrides the sampling
-//! interval (default 1000 cycles).
+//! interval (default 1000 cycles); an invalid value warns on stderr and
+//! falls back to the default.
 
-use rt_bench::suite;
+use rt_bench::{env_override, suite};
 use std::path::PathBuf;
 use treelet_rt::{SimConfig, Telemetry, TelemetryOptions};
 
@@ -20,11 +21,12 @@ fn main() -> std::io::Result<()> {
         PathBuf::from(std::env::var("TREELET_CHART_DIR").unwrap_or_else(|_| "charts".to_string()))
             .join("data");
     std::fs::create_dir_all(&dir)?;
-    let every = std::env::var("TREELET_TELEMETRY_EVERY")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(treelet_rt::DEFAULT_TELEMETRY_EVERY);
+    let every = env_override(
+        "TREELET_TELEMETRY_EVERY",
+        treelet_rt::DEFAULT_TELEMETRY_EVERY,
+        "a positive integer",
+        |&n| n > 0,
+    );
     let opts = TelemetryOptions::new(every);
     let config = SimConfig::paper_treelet_prefetch();
 

@@ -14,6 +14,8 @@
 mod svg;
 
 use rt_scene::{SceneId, Workload};
+use std::fmt::Display;
+use std::str::FromStr;
 use std::time::Instant;
 pub use svg::bar_chart;
 use treelet_rt::{default_jobs_for, geometric_mean, Bench, BvhCache, SimResult, Sweep};
@@ -22,29 +24,59 @@ use treelet_rt::{default_jobs_for, geometric_mean, Bench, BvhCache, SimResult, S
 /// see `DESIGN.md` for the scaling rationale).
 const SUITE_DETAIL: f32 = 1.0;
 
-/// Parses an optional `TREELET_DETAIL`-style override. Pure (no
-/// environment access) so the rejection paths are unit-testable:
-/// `None`/empty means "no override", a finite positive number is the
-/// override, and anything else is an error naming the bad value —
-/// never a silent fallback.
+/// Parses an optional numeric override of the environment variable
+/// `var`. Pure (no environment access) so the rejection paths are
+/// unit-testable: `None`/empty means "no override", a value that parses
+/// and passes `valid` is the override, and anything else is an error
+/// naming the bad value and `what` a valid one is — never a silent
+/// fallback.
 ///
 /// # Errors
 ///
 /// A human-readable description of why the value was rejected.
-fn parse_detail_override(raw: Option<&str>) -> Result<Option<f32>, String> {
+fn parse_override<T: FromStr + Display>(
+    var: &str,
+    raw: Option<&str>,
+    what: &str,
+    valid: fn(&T) -> bool,
+) -> Result<Option<T>, String> {
     let Some(raw) = raw else { return Ok(None) };
     let trimmed = raw.trim();
     if trimmed.is_empty() {
         return Ok(None);
     }
-    match trimmed.parse::<f32>() {
-        Ok(d) if d.is_finite() && d > 0.0 => Ok(Some(d)),
-        Ok(d) => Err(format!(
-            "TREELET_DETAIL={trimmed} must be a finite positive number (parsed as {d})"
-        )),
-        Err(_) => Err(format!("TREELET_DETAIL={trimmed} is not a number")),
+    match trimmed.parse::<T>() {
+        Ok(v) if valid(&v) => Ok(Some(v)),
+        Ok(v) => Err(format!("{var}={trimmed} must be {what} (parsed as {v})")),
+        Err(_) => Err(format!("{var}={trimmed} is not a number")),
     }
 }
+
+/// The value of the numeric environment override `var` when it is set
+/// and valid, otherwise `default`. Unset or empty means no override. An
+/// invalid value (a typo such as `0.1x`, or one that `valid` refuses)
+/// warns on stderr, naming the value and `what` a valid one is, and
+/// falls back to `default` — never silently.
+pub fn env_override<T: FromStr + Display>(
+    var: &str,
+    default: T,
+    what: &str,
+    valid: fn(&T) -> bool,
+) -> T {
+    let raw = std::env::var(var).ok();
+    match parse_override(var, raw.as_deref(), what, valid) {
+        Ok(Some(v)) => v,
+        Ok(None) => default,
+        Err(why) => {
+            eprintln!("warning: ignoring invalid override: {why}; using {default}");
+            default
+        }
+    }
+}
+
+/// What a valid `TREELET_DETAIL` is, and the test for it.
+const DETAIL_RULE: (&str, fn(&f32) -> bool) =
+    ("a finite positive number", |d| d.is_finite() && *d > 0.0);
 
 /// The scene detail every harness binary runs at: the `TREELET_DETAIL`
 /// override when it is set and valid, otherwise full detail (1.0). An
@@ -52,15 +84,8 @@ fn parse_detail_override(raw: Option<&str>) -> Result<Option<f32>, String> {
 /// stderr and falls back to full detail, so it never reaches scene
 /// preparation.
 pub fn suite_detail() -> f32 {
-    let raw = std::env::var("TREELET_DETAIL").ok();
-    match parse_detail_override(raw.as_deref()) {
-        Ok(Some(detail)) => detail,
-        Ok(None) => SUITE_DETAIL,
-        Err(why) => {
-            eprintln!("warning: ignoring invalid detail override: {why}; using {SUITE_DETAIL}");
-            SUITE_DETAIL
-        }
-    }
+    let (what, valid) = DETAIL_RULE;
+    env_override("TREELET_DETAIL", SUITE_DETAIL, what, valid)
 }
 
 /// The sixteen scenes of the paper's Table 2 at [`suite_detail`] with
@@ -260,17 +285,30 @@ mod tests {
 
     #[test]
     fn detail_override_parsing_is_strict() {
-        assert_eq!(parse_detail_override(None), Ok(None));
-        assert_eq!(parse_detail_override(Some("")), Ok(None));
-        assert_eq!(parse_detail_override(Some("  ")), Ok(None));
-        assert_eq!(parse_detail_override(Some("0.25")), Ok(Some(0.25)));
-        assert_eq!(parse_detail_override(Some(" 2 ")), Ok(Some(2.0)));
+        let (what, valid) = DETAIL_RULE;
+        let parse = |raw| parse_override("TREELET_DETAIL", raw, what, valid);
+        assert_eq!(parse(None), Ok(None));
+        assert_eq!(parse(Some("")), Ok(None));
+        assert_eq!(parse(Some("  ")), Ok(None));
+        assert_eq!(parse(Some("0.25")), Ok(Some(0.25)));
+        assert_eq!(parse(Some(" 2 ")), Ok(Some(2.0)));
         // Every rejection names the offending value instead of being
         // silently swallowed (the old `.ok().and_then(parse().ok())`
         // fell back to the full-detail suite on a typo).
         for bad in ["0.1x", "abc", "0", "-1", "inf", "NaN"] {
-            let err = parse_detail_override(Some(bad)).unwrap_err();
+            let err = parse(Some(bad)).unwrap_err();
             assert!(err.contains(bad.trim()), "{bad:?} -> {err}");
+        }
+    }
+
+    #[test]
+    fn integer_override_parsing_is_strict() {
+        let parse = |raw| parse_override("EVERY", raw, "a positive integer", |&n: &u64| n > 0);
+        assert_eq!(parse(None), Ok(None));
+        assert_eq!(parse(Some(" 250 ")), Ok(Some(250)));
+        for bad in ["10x", "0", "-5", "1.5"] {
+            let err = parse(Some(bad)).unwrap_err();
+            assert!(err.contains(&format!("EVERY={bad}")), "{bad:?} -> {err}");
         }
     }
 

@@ -4,14 +4,39 @@
 //! the 6-wide tree the paper's RT unit traverses. The binned surface area
 //! heuristic follows the standard construction (Wald 2007) that Embree's
 //! default builder is also based on.
+//!
+//! Like those builders, it builds independent subtrees on parallel
+//! threads, and the tree it returns is bit-identical at any thread count:
+//!
+//! - Each primitive's box and centroid travel in one [`Prim`] record that
+//!   the partition permutes, so a node's primitives are one contiguous
+//!   slice and no thread reads another's.
+//! - A large enough range forks ([`build_subtree`]): its left half is
+//!   built on a scoped thread and its right half on the calling thread,
+//!   over the two `split_at_mut` halves of its slice.
+//! - The serial loop pops a node's right child first, so the right
+//!   subtree's nodes take one contiguous block of ids right after the
+//!   node's two children, and the left subtree's block follows it. The
+//!   forked left subtree is numbered from 0 on its own, then shifted by
+//!   one offset as it is appended after the right block. Its leaf `first`
+//!   offsets already count from the start of the whole array.
+//! - Every node runs the same per-node step ([`split_node`]) over the
+//!   same records in the same order, whichever thread builds it, so every
+//!   bound and split equals the serial build's.
 
 use rt_geometry::{Aabb, Triangle, Vec3};
+use std::num::NonZeroUsize;
+use std::{panic, thread};
 
 /// Number of SAH bins per axis.
 const BIN_COUNT: usize = 16;
 
+/// Ranges of fewer triangles than this are built on one thread: starting
+/// a thread would cost more than it saves.
+pub(crate) const FORK_MIN_TRIS: usize = 4096;
+
 /// A node of the intermediate binary BVH.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct BinaryNode {
     /// Bounds of everything below this node.
     pub aabb: Aabb,
@@ -27,8 +52,31 @@ pub(crate) struct BinaryNode {
 }
 
 impl BinaryNode {
+    /// A node whose bounds and children are not known yet.
+    fn pending() -> BinaryNode {
+        BinaryNode {
+            aabb: Aabb::empty(),
+            left: 0,
+            right: 0,
+            first: 0,
+            count: 0,
+        }
+    }
+
     pub fn is_leaf(&self) -> bool {
         self.count > 0
+    }
+
+    /// This node with its child ids moved up by `offset`.
+    fn shifted(&self, offset: u32) -> BinaryNode {
+        if self.is_leaf() {
+            return self.clone();
+        }
+        BinaryNode {
+            left: self.left + offset,
+            right: self.right + offset,
+            ..self.clone()
+        }
     }
 }
 
@@ -41,121 +89,181 @@ pub(crate) struct BinaryBvh {
     pub order: Vec<u32>,
 }
 
+/// One triangle's build inputs, kept in partition order.
+#[derive(Debug, Clone, Copy)]
+struct Prim {
+    aabb: Aabb,
+    centroid: Vec3,
+    /// The triangle's index in the input soup.
+    index: u32,
+}
+
+/// The threads a build of `triangles` triangles forks onto: the cores
+/// this process may run on, or one for a range too small to fork.
+pub(crate) fn build_threads(triangles: usize) -> usize {
+    if triangles < FORK_MIN_TRIS {
+        return 1;
+    }
+    thread::available_parallelism().map_or(1, NonZeroUsize::get)
+}
+
 /// Builds a binary BVH over `triangles` with at most `max_leaf_tris`
-/// triangles per leaf.
-pub(crate) fn build_binary(triangles: &[Triangle], max_leaf_tris: u32) -> BinaryBvh {
+/// triangles per leaf, on up to `threads` threads. The result does not
+/// depend on `threads`.
+pub(crate) fn build_binary(
+    triangles: &[Triangle],
+    max_leaf_tris: u32,
+    threads: usize,
+) -> BinaryBvh {
     assert!(
         !triangles.is_empty(),
         "cannot build a BVH over zero triangles"
     );
-    let mut order: Vec<u32> = (0..triangles.len() as u32).collect();
-    let prim_aabbs: Vec<Aabb> = triangles.iter().map(Triangle::aabb).collect();
-    let centroids: Vec<Vec3> = triangles.iter().map(Triangle::centroid).collect();
-
+    let mut prims: Vec<Prim> = (0u32..)
+        .zip(triangles)
+        .map(|(index, t)| Prim {
+            aabb: t.aabb(),
+            centroid: t.centroid(),
+            index,
+        })
+        .collect();
     let mut nodes = Vec::with_capacity(2 * triangles.len());
-    nodes.push(BinaryNode {
-        aabb: Aabb::empty(),
-        left: 0,
-        right: 0,
-        first: 0,
-        count: 0,
-    });
-    // One pending range per level: only a tree deeper than 64 levels
-    // regrows it, so the build allocates the same blocks for any scene.
-    let mut stack = Vec::with_capacity(64);
-    stack.push((0usize, 0usize, triangles.len()));
-    while let Some((node_idx, begin, end)) = stack.pop() {
-        let mut bounds = Aabb::empty();
-        let mut centroid_bounds = Aabb::empty();
-        for &t in &order[begin..end] {
-            bounds.grow_box(&prim_aabbs[t as usize]);
-            centroid_bounds.grow_point(centroids[t as usize]);
-        }
-        nodes[node_idx].aabb = bounds;
-        let count = end - begin;
-        let split = if count <= max_leaf_tris as usize {
-            None
-        } else {
-            find_binned_split(
-                &order[begin..end],
-                &prim_aabbs,
-                &centroids,
-                &centroid_bounds,
-            )
-            .or_else(|| Some(Split::median(count)))
-        };
-        // Even when SAH would keep the range together, ranges larger than
-        // the leaf capacity must split (fall back to a median split).
-        match split {
-            None => {
-                nodes[node_idx].first = begin as u32;
-                nodes[node_idx].count = count as u32;
-            }
-            Some(split) => {
-                let mid = match split.axis {
-                    Some(axis) => {
-                        let pivot = split.position;
-                        partition(&mut order[begin..end], |&t| {
-                            centroids[t as usize][axis] < pivot
-                        }) + begin
-                    }
-                    None => begin + count / 2,
-                };
-                // Degenerate partitions (all centroids equal) fall back to
-                // an even split so recursion always terminates.
-                let mid = if mid == begin || mid == end {
-                    begin + count / 2
-                } else {
-                    mid
-                };
-                let left = nodes.len();
-                nodes.push(BinaryNode {
-                    aabb: Aabb::empty(),
-                    left: 0,
-                    right: 0,
-                    first: 0,
-                    count: 0,
-                });
-                nodes.push(BinaryNode {
-                    aabb: Aabb::empty(),
-                    left: 0,
-                    right: 0,
-                    first: 0,
-                    count: 0,
-                });
-                nodes[node_idx].left = left as u32;
-                nodes[node_idx].right = (left + 1) as u32;
-                stack.push((left, begin, mid));
-                stack.push((left + 1, mid, end));
-            }
-        }
-    }
+    nodes.push(BinaryNode::pending());
+    build_subtree(&mut nodes, 0, &mut prims, 0, max_leaf_tris, threads);
+    let order = prims.iter().map(|p| p.index).collect();
     BinaryBvh { nodes, order }
 }
 
-/// A chosen split: axis + position, or `None` axis for a median fallback.
-struct Split {
-    axis: Option<usize>,
-    position: f32,
+/// Builds the subtree of the pending node `root` over `prims`, whose
+/// first record is triangle `first` of the whole build, appending its
+/// nodes to `nodes` in the serial loop's order. A range of at least
+/// [`FORK_MIN_TRIS`] triangles with `threads ≥ 2` forks its left half
+/// onto a scoped thread with half the threads; anything else runs
+/// [`build_serial`].
+fn build_subtree(
+    nodes: &mut Vec<BinaryNode>,
+    root: usize,
+    prims: &mut [Prim],
+    first: usize,
+    max_leaf_tris: u32,
+    threads: usize,
+) {
+    if threads < 2 || prims.len() < FORK_MIN_TRIS || prims.len() <= max_leaf_tris as usize {
+        return build_serial(nodes, root, prims, first, max_leaf_tris);
+    }
+    let (aabb, mid) = split_node(prims, max_leaf_tris);
+    let mid = mid.expect("a range above the leaf capacity splits");
+    nodes[root].aabb = aabb;
+    let left = push_children(nodes, root);
+    let (lo, hi) = prims.split_at_mut(mid);
+    let left_threads = threads / 2;
+    let subtree = thread::scope(|s| {
+        let forked = s.spawn(|| {
+            let mut subtree = Vec::with_capacity(2 * lo.len());
+            subtree.push(BinaryNode::pending());
+            build_subtree(&mut subtree, 0, lo, first, max_leaf_tris, left_threads);
+            subtree
+        });
+        build_subtree(
+            nodes,
+            left + 1,
+            hi,
+            first + mid,
+            max_leaf_tris,
+            threads - left_threads,
+        );
+        forked
+            .join()
+            .unwrap_or_else(|payload| panic::resume_unwind(payload))
+    });
+    // The subtree's node j ≥ 1 becomes node `offset + j`; its root is the
+    // left child pushed above.
+    let offset = (nodes.len() - 1) as u32;
+    nodes[left] = subtree[0].shifted(offset);
+    nodes.extend(subtree[1..].iter().map(|n| n.shifted(offset)));
 }
 
-impl Split {
-    fn median(_count: usize) -> Split {
-        Split {
-            axis: None,
-            position: 0.0,
+/// The serial build of the pending node `root` over `prims` (see
+/// [`build_subtree`]): a depth-first loop that pops the right child
+/// first.
+fn build_serial(
+    nodes: &mut Vec<BinaryNode>,
+    root: usize,
+    prims: &mut [Prim],
+    first: usize,
+    max_leaf_tris: u32,
+) {
+    // One pending range per level: only a tree deeper than 64 levels
+    // regrows it, so the loop allocates the same blocks for any scene.
+    let mut stack = Vec::with_capacity(64);
+    stack.push((root, 0usize, prims.len()));
+    while let Some((node_idx, begin, end)) = stack.pop() {
+        let (aabb, mid) = split_node(&mut prims[begin..end], max_leaf_tris);
+        nodes[node_idx].aabb = aabb;
+        match mid {
+            None => {
+                nodes[node_idx].first = (first + begin) as u32;
+                nodes[node_idx].count = (end - begin) as u32;
+            }
+            Some(mid) => {
+                let left = push_children(nodes, node_idx);
+                stack.push((left, begin, begin + mid));
+                stack.push((left + 1, begin + mid, end));
+            }
         }
     }
+}
+
+/// The step every node runs, on whichever thread builds it: folds the
+/// bounds of `prims` in order, then either keeps them as one leaf
+/// (`None`) or partitions them and returns how many go left.
+fn split_node(prims: &mut [Prim], max_leaf_tris: u32) -> (Aabb, Option<usize>) {
+    let mut bounds = Aabb::empty();
+    let mut centroid_bounds = Aabb::empty();
+    for p in prims.iter() {
+        bounds.grow_box(&p.aabb);
+        centroid_bounds.grow_point(p.centroid);
+    }
+    let count = prims.len();
+    if count <= max_leaf_tris as usize {
+        return (bounds, None);
+    }
+    // Even when SAH would keep the range together, ranges larger than
+    // the leaf capacity must split (fall back to a median split).
+    let mid = match find_binned_split(prims, &centroid_bounds) {
+        Some(split) => partition(prims, |p| p.centroid[split.axis] < split.position),
+        None => count / 2,
+    };
+    // Degenerate partitions (all centroids equal) fall back to an even
+    // split so recursion always terminates.
+    let mid = if mid == 0 || mid == count {
+        count / 2
+    } else {
+        mid
+    };
+    (bounds, Some(mid))
+}
+
+/// Appends two pending children of `parent` and returns the left one's
+/// index; the right one's is the next.
+fn push_children(nodes: &mut Vec<BinaryNode>, parent: usize) -> usize {
+    let left = nodes.len();
+    nodes.extend([BinaryNode::pending(), BinaryNode::pending()]);
+    nodes[parent].left = left as u32;
+    nodes[parent].right = (left + 1) as u32;
+    left
+}
+
+/// A chosen SAH split: primitives whose centroid lies below `position`
+/// on `axis` go left.
+struct Split {
+    axis: usize,
+    position: f32,
 }
 
 /// Finds the best binned SAH split of `prims`, or `None` if no split is
 /// cheaper than keeping the range together (callers may still force one).
-fn find_binned_split(
-    prims: &[u32],
-    prim_aabbs: &[Aabb],
-    centroids: &[Vec3],
-    centroid_bounds: &Aabb,
-) -> Option<Split> {
+fn find_binned_split(prims: &[Prim], centroid_bounds: &Aabb) -> Option<Split> {
     let extent = centroid_bounds.extent();
     let axis = extent.largest_axis();
     if extent[axis] < 1e-12 {
@@ -163,15 +271,14 @@ fn find_binned_split(
     }
     let k = BIN_COUNT as f32 / extent[axis];
     let min = centroid_bounds.min[axis];
-    let bin_of = |t: u32| -> usize {
-        (((centroids[t as usize][axis] - min) * k) as usize).min(BIN_COUNT - 1)
-    };
+    let bin_of =
+        |p: &Prim| -> usize { (((p.centroid[axis] - min) * k) as usize).min(BIN_COUNT - 1) };
 
     let mut bin_bounds = [Aabb::empty(); BIN_COUNT];
     let mut bin_counts = [0usize; BIN_COUNT];
-    for &t in prims {
-        let b = bin_of(t);
-        bin_bounds[b].grow_box(&prim_aabbs[t as usize]);
+    for p in prims {
+        let b = bin_of(p);
+        bin_bounds[b].grow_box(&p.aabb);
         bin_counts[b] += 1;
     }
 
@@ -203,7 +310,7 @@ fn find_binned_split(
         }
     }
     best.map(|(_, i)| Split {
-        axis: Some(axis),
+        axis,
         position: min + (i + 1) as f32 / k,
     })
 }
@@ -263,7 +370,7 @@ mod tests {
     #[test]
     fn single_triangle_builds_leaf_root() {
         let tris = grid_triangles(1);
-        let bvh = build_binary(&tris, 4);
+        let bvh = build_binary(&tris, 4, 1);
         assert_eq!(bvh.nodes.len(), 1);
         assert!(bvh.nodes[0].is_leaf());
         validate(&bvh, &tris);
@@ -272,7 +379,7 @@ mod tests {
     #[test]
     fn small_grid_is_valid() {
         let tris = grid_triangles(100);
-        let bvh = build_binary(&tris, 4);
+        let bvh = build_binary(&tris, 4, 1);
         validate(&bvh, &tris);
         // There must be internal structure, not one giant leaf.
         assert!(bvh.nodes.len() > 20);
@@ -281,7 +388,7 @@ mod tests {
     #[test]
     fn leaf_capacity_respected() {
         let tris = grid_triangles(64);
-        let bvh = build_binary(&tris, 2);
+        let bvh = build_binary(&tris, 2, 1);
         for node in &bvh.nodes {
             if node.is_leaf() {
                 assert!(node.count <= 2, "leaf holds {} triangles", node.count);
@@ -295,14 +402,24 @@ mod tests {
         // must fall back to median splits and terminate.
         let tri = Triangle::new(Vec3::ZERO, Vec3::X, Vec3::Y);
         let tris = vec![tri; 33];
-        let bvh = build_binary(&tris, 4);
+        let bvh = build_binary(&tris, 4, 1);
         validate(&bvh, &tris);
     }
 
     #[test]
     #[should_panic(expected = "zero triangles")]
     fn empty_input_panics() {
-        let _ = build_binary(&[], 4);
+        let _ = build_binary(&[], 4, 1);
+    }
+
+    #[test]
+    fn forked_grid_is_valid_and_numbered_serially() {
+        let tris = grid_triangles(3 * FORK_MIN_TRIS);
+        let serial = build_binary(&tris, 4, 1);
+        let forked = build_binary(&tris, 4, 4);
+        validate(&forked, &tris);
+        assert_eq!(forked.nodes, serial.nodes);
+        assert_eq!(forked.order, serial.order);
     }
 
     #[test]

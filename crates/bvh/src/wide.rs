@@ -6,7 +6,7 @@
 //! bounding box and a pointer; leaf nodes reference a contiguous run of
 //! triangles in the primitive buffer.
 
-use crate::binary::{build_binary, BinaryBvh};
+use crate::binary::{build_binary, build_threads, BinaryBvh};
 use crate::soa::{ChildHits, ChildSoa};
 use rt_geometry::{Aabb, HitRecord, Ray, Triangle};
 
@@ -154,11 +154,20 @@ impl WideBvhBuilder {
 
     /// Builds the wide BVH, consuming and reordering `triangles`.
     ///
+    /// A large soup's independent subtrees are built on the cores this
+    /// process may run on; the tree is bit-identical at any core count.
+    ///
     /// # Panics
     ///
     /// Panics if `triangles` is empty.
     pub fn build(&self, triangles: Vec<Triangle>) -> WideBvh {
-        let binary = build_binary(&triangles, self.max_leaf_tris);
+        let threads = build_threads(triangles.len());
+        self.build_on(triangles, threads)
+    }
+
+    /// [`WideBvhBuilder::build`] on up to `threads` threads.
+    pub(crate) fn build_on(&self, triangles: Vec<Triangle>, threads: usize) -> WideBvh {
+        let binary = build_binary(&triangles, self.max_leaf_tris, threads);
         collapse(binary, triangles)
     }
 }
@@ -869,5 +878,56 @@ mod tests {
         let same = bvh.triangles().to_vec();
         bvh.refit(same);
         assert_one_record_per_node(&bvh);
+    }
+
+    /// A soup of `count` small random triangles scattered through a
+    /// 200-unit cube, drawn from `seed`.
+    fn random_soup(seed: u64, count: usize) -> Vec<Triangle> {
+        let mut rng = rt_rng::SmallRng::seed_from_u64(seed);
+        let mut f = |scale: f32| {
+            let u = (rng.next_u64() >> 40) as f32 / (1u64 << 24) as f32;
+            (u * 2.0 - 1.0) * scale
+        };
+        (0..count)
+            .map(|_| {
+                let base = Vec3::new(f(100.0), f(100.0), f(100.0));
+                let a = Vec3::new(f(2.0), f(2.0), f(2.0));
+                let b = Vec3::new(f(2.0), f(2.0), f(2.0));
+                Triangle::new(base, base + a, base + b)
+            })
+            .collect()
+    }
+
+    /// Builds `triangles` on 1, 2, 3 and 4 threads and asserts that the
+    /// four trees encode to the same bytes.
+    fn assert_same_on_any_thread_count(builder: &WideBvhBuilder, triangles: Vec<Triangle>) {
+        let encoded = |threads| {
+            let mut w = rt_gpu_sim::ByteWriter::new();
+            crate::encode_wide_bvh(&builder.build_on(triangles.clone(), threads), &mut w);
+            w.into_bytes()
+        };
+        let serial = encoded(1);
+        for threads in 2..=4 {
+            assert!(encoded(threads) == serial, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn forked_builds_are_bit_identical_to_the_serial_build() {
+        use crate::binary::FORK_MIN_TRIS;
+        let builder = WideBvhBuilder::new();
+        // Below, at and above the fork threshold; 5x forks twice on four
+        // threads and on three (whose right half gets two).
+        for count in [FORK_MIN_TRIS - 1, FORK_MIN_TRIS, 5 * FORK_MIN_TRIS] {
+            assert_same_on_any_thread_count(&builder, random_soup(count as u64, count));
+        }
+        // A leaf root.
+        assert_same_on_any_thread_count(&builder, grid(1));
+        // Coincident centroids take the median split, forked ones too.
+        let tri = Triangle::new(Vec3::ZERO, Vec3::X, Vec3::Y);
+        assert_same_on_any_thread_count(&builder, vec![tri; 3 * FORK_MIN_TRIS]);
+        // One triangle per leaf.
+        let single = WideBvhBuilder::new().max_leaf_tris(1);
+        assert_same_on_any_thread_count(&single, random_soup(1, 3 * FORK_MIN_TRIS));
     }
 }

@@ -17,6 +17,29 @@ use rt_scene::{Scene, SceneError, SceneId, Workload};
 /// ordering (see `DESIGN.md`).
 pub const DEFAULT_DETAIL: f32 = 0.5;
 
+/// A scene that refused to prepare, as [`Bench::prepare_all`] reports
+/// it: the scene's id beside its [`SceneError`], so a suite-wide
+/// preparation names the scene it stopped at.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PrepareError {
+    /// The scene that refused.
+    pub scene: SceneId,
+    /// Why it refused.
+    pub error: SceneError,
+}
+
+impl std::fmt::Display for PrepareError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "scene {}: {}", self.scene, self.error)
+    }
+}
+
+impl std::error::Error for PrepareError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        Some(&self.error)
+    }
+}
+
 /// A prepared scene workload: geometry built, BVH constructed, rays
 /// generated, default treelets formed — ready to simulate under any
 /// [`SimConfig`].
@@ -131,14 +154,16 @@ impl Bench {
     /// independent and deterministic per scene, so the scenes shard
     /// across the cost-model scheduler ([`run_weighted`](crate::run_weighted)),
     /// planned by [`Bench::prepare_costs`] so the heaviest builds start
-    /// first. Every bench is bit-identical to a serial, uncached
-    /// preparation at any worker count: the cache stores the exact built
-    /// artifact, and each scene is prepared on one thread.
+    /// first. Each scene's BVH build also forks its subtrees onto the
+    /// machine's spare cores, whatever `jobs` is. Every bench is
+    /// bit-identical to a serial, uncached preparation at any worker and
+    /// core count: the cache stores the exact built artifact, and the
+    /// forked build restores the serial build's tree bit for bit.
     ///
     /// # Errors
     ///
     /// The first error in `scenes` order, as [`Bench::try_prepare`]
-    /// returns it.
+    /// returns it, naming its scene.
     ///
     /// # Panics
     ///
@@ -149,10 +174,12 @@ impl Bench {
         workload: Workload,
         jobs: usize,
         cache: Option<&crate::BvhCache>,
-    ) -> Result<Vec<Bench>, SceneError> {
+    ) -> Result<Vec<Bench>, PrepareError> {
         let costs = Bench::prepare_costs(scenes);
         crate::run_weighted(jobs, &costs, |i| {
-            Bench::try_prepare_cached(scenes[i], detail, workload, cache)
+            let scene = scenes[i];
+            Bench::try_prepare_cached(scene, detail, workload, cache)
+                .map_err(|error| PrepareError { scene, error })
         })
         .into_iter()
         .collect()
@@ -405,11 +432,11 @@ mod tests {
         };
         assert_eq!(digests(cold, 1), digests(warm, 4));
         std::fs::remove_dir_all(&dir).ok();
-        // A rejected detail is the scene error, not a panic.
-        assert!(matches!(
-            Bench::prepare_all(&SceneId::ALL, 0.0, workload, 4, None),
-            Err(SceneError::InvalidDetail { .. })
-        ));
+        // A rejected detail is the first scene's error, not a panic.
+        let refused = Bench::prepare_all(&SceneId::ALL, 0.0, workload, 4, None).unwrap_err();
+        assert_eq!(refused.scene, SceneId::ALL[0]);
+        assert!(matches!(refused.error, SceneError::InvalidDetail { .. }));
+        assert!(refused.to_string().contains(SceneId::ALL[0].name()));
     }
 
     #[test]

@@ -72,7 +72,7 @@ pub use config::{
     ShaderProgram, SimConfig,
 };
 pub use error::{ConfigError, ProgressSnapshot, SimError};
-pub use experiments::{geometric_mean, Bench, DEFAULT_DETAIL};
+pub use experiments::{geometric_mean, Bench, PrepareError, DEFAULT_DETAIL};
 pub use ghb::{GhbPrefetcher, GhbStats};
 pub use metrics::TreeletMetrics;
 pub use mta::{MtaPrefetcher, MtaStats};

@@ -70,6 +70,13 @@ fn bad_input_exits_with_code_2_and_no_panic() {
             needle: "triangles",
         },
         Case {
+            // WKND is the first scene of the suite, so its error is the
+            // one reported.
+            name: "huge suite detail names the scene that refused",
+            args: &["suite", "--detail", "1e30"],
+            needle: "scene WKND",
+        },
+        Case {
             name: "unknown flag",
             args: &["run", "--frobnicate"],
             needle: "--frobnicate",
