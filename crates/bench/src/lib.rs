@@ -48,7 +48,7 @@ fn parse_override<T: FromStr + Display>(
     match trimmed.parse::<T>() {
         Ok(v) if valid(&v) => Ok(Some(v)),
         Ok(v) => Err(format!("{var}={trimmed} must be {what} (parsed as {v})")),
-        Err(_) => Err(format!("{var}={trimmed} is not a number")),
+        Err(_) => Err(format!("{var}={trimmed} is not {what}")),
     }
 }
 
@@ -298,6 +298,7 @@ mod tests {
         for bad in ["0.1x", "abc", "0", "-1", "inf", "NaN"] {
             let err = parse(Some(bad)).unwrap_err();
             assert!(err.contains(bad.trim()), "{bad:?} -> {err}");
+            assert!(err.contains(what), "{bad:?} -> {err}");
         }
     }
 
@@ -309,6 +310,7 @@ mod tests {
         for bad in ["10x", "0", "-5", "1.5"] {
             let err = parse(Some(bad)).unwrap_err();
             assert!(err.contains(&format!("EVERY={bad}")), "{bad:?} -> {err}");
+            assert!(err.contains("a positive integer"), "{bad:?} -> {err}");
         }
     }
 

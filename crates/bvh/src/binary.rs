@@ -25,7 +25,6 @@
 //!   bound and split equals the serial build's.
 
 use rt_geometry::{Aabb, Triangle, Vec3};
-use std::num::NonZeroUsize;
 use std::{panic, thread};
 
 /// Number of SAH bins per axis.
@@ -98,15 +97,6 @@ struct Prim {
     index: u32,
 }
 
-/// The threads a build of `triangles` triangles forks onto: the cores
-/// this process may run on, or one for a range too small to fork.
-pub(crate) fn build_threads(triangles: usize) -> usize {
-    if triangles < FORK_MIN_TRIS {
-        return 1;
-    }
-    thread::available_parallelism().map_or(1, NonZeroUsize::get)
-}
-
 /// Builds a binary BVH over `triangles` with at most `max_leaf_tris`
 /// triangles per leaf, on up to `threads` threads. The result does not
 /// depend on `threads`.
@@ -114,6 +104,16 @@ pub(crate) fn build_binary(
     triangles: &[Triangle],
     max_leaf_tris: u32,
     threads: usize,
+) -> BinaryBvh {
+    build_binary_with(triangles, max_leaf_tris, threads, thread::Builder::new)
+}
+
+/// [`build_binary`], forking onto threads that `spawner` configures.
+fn build_binary_with(
+    triangles: &[Triangle],
+    max_leaf_tris: u32,
+    threads: usize,
+    spawner: fn() -> thread::Builder,
 ) -> BinaryBvh {
     assert!(
         !triangles.is_empty(),
@@ -129,7 +129,15 @@ pub(crate) fn build_binary(
         .collect();
     let mut nodes = Vec::with_capacity(2 * triangles.len());
     nodes.push(BinaryNode::pending());
-    build_subtree(&mut nodes, 0, &mut prims, 0, max_leaf_tris, threads);
+    build_subtree(
+        &mut nodes,
+        0,
+        &mut prims,
+        0,
+        max_leaf_tris,
+        threads,
+        spawner,
+    );
     let order = prims.iter().map(|p| p.index).collect();
     BinaryBvh { nodes, order }
 }
@@ -138,8 +146,10 @@ pub(crate) fn build_binary(
 /// first record is triangle `first` of the whole build, appending its
 /// nodes to `nodes` in the serial loop's order. A range of at least
 /// [`FORK_MIN_TRIS`] triangles with `threads ≥ 2` forks its left half
-/// onto a scoped thread with half the threads; anything else runs
-/// [`build_serial`].
+/// onto a scoped thread from `spawner` with half the threads; anything
+/// else runs [`build_serial`]. If the OS refuses the thread (at a
+/// process or thread limit, say), the calling thread builds the left
+/// half too, after the right one: the nodes are the same either way.
 fn build_subtree(
     nodes: &mut Vec<BinaryNode>,
     root: usize,
@@ -147,6 +157,7 @@ fn build_subtree(
     first: usize,
     max_leaf_tris: u32,
     threads: usize,
+    spawner: fn() -> thread::Builder,
 ) {
     if threads < 2 || prims.len() < FORK_MIN_TRIS || prims.len() <= max_leaf_tris as usize {
         return build_serial(nodes, root, prims, first, max_leaf_tris);
@@ -157,13 +168,23 @@ fn build_subtree(
     let left = push_children(nodes, root);
     let (lo, hi) = prims.split_at_mut(mid);
     let left_threads = threads / 2;
-    let subtree = thread::scope(|s| {
-        let forked = s.spawn(|| {
-            let mut subtree = Vec::with_capacity(2 * lo.len());
-            subtree.push(BinaryNode::pending());
-            build_subtree(&mut subtree, 0, lo, first, max_leaf_tris, left_threads);
-            subtree
-        });
+    // The left subtree, numbered from 0 in an array of its own.
+    let build_left = |lo: &mut [Prim]| {
+        let mut subtree = Vec::with_capacity(2 * lo.len());
+        subtree.push(BinaryNode::pending());
+        build_subtree(
+            &mut subtree,
+            0,
+            lo,
+            first,
+            max_leaf_tris,
+            left_threads,
+            spawner,
+        );
+        subtree
+    };
+    let forked = thread::scope(|s| {
+        let forked = spawner().spawn_scoped(s, || build_left(lo));
         build_subtree(
             nodes,
             left + 1,
@@ -171,11 +192,15 @@ fn build_subtree(
             first + mid,
             max_leaf_tris,
             threads - left_threads,
+            spawner,
         );
-        forked
-            .join()
-            .unwrap_or_else(|payload| panic::resume_unwind(payload))
+        forked.map(|handle| {
+            handle
+                .join()
+                .unwrap_or_else(|payload| panic::resume_unwind(payload))
+        })
     });
+    let subtree = forked.unwrap_or_else(|_refused| build_left(lo));
     // The subtree's node j ≥ 1 becomes node `offset + j`; its root is the
     // left child pushed above.
     let offset = (nodes.len() - 1) as u32;
@@ -413,13 +438,15 @@ mod tests {
     }
 
     #[test]
-    fn forked_grid_is_valid_and_numbered_serially() {
+    fn a_refused_thread_leaves_its_half_to_the_calling_thread() {
+        // No OS maps a 4 EiB stack, so every fork's spawn fails.
+        let refused = || thread::Builder::new().stack_size(1 << 62);
+        assert!(thread::scope(|s| refused().spawn_scoped(s, || ()).is_err()));
         let tris = grid_triangles(3 * FORK_MIN_TRIS);
+        let bvh = build_binary_with(&tris, 4, 4, refused);
+        validate(&bvh, &tris);
         let serial = build_binary(&tris, 4, 1);
-        let forked = build_binary(&tris, 4, 4);
-        validate(&forked, &tris);
-        assert_eq!(forked.nodes, serial.nodes);
-        assert_eq!(forked.order, serial.order);
+        assert_eq!((bvh.nodes, bvh.order), (serial.nodes, serial.order));
     }
 
     #[test]

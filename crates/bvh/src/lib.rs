@@ -42,6 +42,8 @@
 #![warn(missing_debug_implementations)]
 
 mod binary;
+#[cfg(test)]
+mod build_alloc;
 mod codec;
 mod layout;
 mod record;

@@ -6,9 +6,11 @@
 //! bounding box and a pointer; leaf nodes reference a contiguous run of
 //! triangles in the primitive buffer.
 
-use crate::binary::{build_binary, build_threads, BinaryBvh};
+use crate::binary::{build_binary, BinaryBvh};
 use crate::soa::{ChildHits, ChildSoa};
 use rt_geometry::{Aabb, HitRecord, Ray, Triangle};
+use std::num::NonZeroUsize;
+use std::thread;
 
 /// Maximum number of children of an internal node (the paper's 6-wide BVH).
 pub const WIDE_ARITY: usize = 6;
@@ -161,7 +163,7 @@ impl WideBvhBuilder {
     ///
     /// Panics if `triangles` is empty.
     pub fn build(&self, triangles: Vec<Triangle>) -> WideBvh {
-        let threads = build_threads(triangles.len());
+        let threads = thread::available_parallelism().map_or(1, NonZeroUsize::get);
         self.build_on(triangles, threads)
     }
 

@@ -154,8 +154,8 @@ impl Bench {
     /// independent and deterministic per scene, so the scenes shard
     /// across the cost-model scheduler ([`run_weighted`](crate::run_weighted)),
     /// planned by [`Bench::prepare_costs`] so the heaviest builds start
-    /// first. Each scene's BVH build also forks its subtrees onto the
-    /// machine's spare cores, whatever `jobs` is. Every bench is
+    /// first. Each scene's BVH build also forks its subtrees onto all
+    /// the cores the process may use, whatever `jobs` is. Every bench is
     /// bit-identical to a serial, uncached preparation at any worker and
     /// core count: the cache stores the exact built artifact, and the
     /// forked build restores the serial build's tree bit for bit.

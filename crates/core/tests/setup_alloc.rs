@@ -24,7 +24,8 @@
 //! and on CRNVL at detail 0.6 (1,648 nodes, below the size at which the
 //! build forks onto other cores): the nodes are flat record arrays sized
 //! up front, so a heap block per node, or an array that grows by
-//! doubling, would show as a difference.
+//! doubling, would show as a difference. A forked build is counted over
+//! all its threads by `rt-bvh`'s own `build_alloc` test.
 //!
 //! The allocator also tracks this thread's live heap bytes and their
 //! high-water mark, so a cell's peak footprint per added ray is pinned
