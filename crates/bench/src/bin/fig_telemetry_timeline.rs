@@ -14,7 +14,7 @@
 
 use rt_bench::{env_override, suite};
 use std::path::PathBuf;
-use treelet_rt::{SimConfig, Telemetry, TelemetryOptions};
+use treelet_rt::{SimConfig, Telemetry};
 
 fn main() -> std::io::Result<()> {
     let dir =
@@ -27,7 +27,6 @@ fn main() -> std::io::Result<()> {
         "a positive integer",
         |&n| n > 0,
     );
-    let opts = TelemetryOptions::new(every);
     let config = SimConfig::paper_treelet_prefetch();
 
     println!(
@@ -35,7 +34,7 @@ fn main() -> std::io::Result<()> {
         "Scene", "samples", "useful%", "late%", "useless%", "dram CV"
     );
     for bench in suite() {
-        let mut telemetry = Telemetry::new(&opts);
+        let mut telemetry = Telemetry::new(every);
         let result = match bench
             .session(config.clone())
             .telemetry(&mut telemetry)

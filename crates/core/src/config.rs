@@ -178,10 +178,12 @@ impl fmt::Display for SchedulerPolicy {
 /// Every `every` cycles (an *epoch*), the engine serializes its complete
 /// dynamic state into `path` — atomically, so a crash at any instant
 /// leaves either the previous checkpoint or the new one, never a torn
-/// file. A session built with
-/// [`resume_from_checkpoint`](crate::SimSession::resume_from_checkpoint)
-/// restarts a killed run from that file and produces a bit-identical
-/// [`SimResult`](crate::SimResult) to the uninterrupted run.
+/// file. Hand the options to [`SimSession::checkpoint`](crate::SimSession::checkpoint)
+/// to start fresh, or the same options to
+/// [`SimSession::resume`](crate::SimSession::resume) to restart a killed
+/// run from that file with a bit-identical
+/// [`SimResult`](crate::SimResult) to the uninterrupted run; `every`
+/// must stay what it was when the file was written.
 ///
 /// # Examples
 ///

@@ -10,7 +10,6 @@
 use crate::config::LayoutChoice;
 use crate::prefetch::MappingMode;
 use crate::snapshot::SnapshotError;
-use crate::trace_io::ParseTraceError;
 use rt_gpu_sim::RequestId;
 use std::fmt;
 
@@ -52,8 +51,6 @@ pub enum ConfigError {
     ZeroCheckpointInterval,
     /// The telemetry sampling interval is zero.
     ZeroTelemetryInterval,
-    /// A session asked to resume without configuring checkpointing.
-    ResumeWithoutCheckpoint,
 }
 
 impl fmt::Display for ConfigError {
@@ -88,9 +85,6 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::ZeroTelemetryInterval => {
                 write!(f, "telemetry sampling interval must be nonzero")
-            }
-            ConfigError::ResumeWithoutCheckpoint => {
-                write!(f, "resuming requires checkpoint options")
             }
         }
     }
@@ -190,8 +184,6 @@ pub enum SimError {
         /// The panic payload's message, when it carried one.
         message: String,
     },
-    /// A trace file failed to load or parse.
-    Trace(ParseTraceError),
     /// A checkpoint could not be written, read, or applied (corrupt
     /// bytes, I/O failure, or a checkpoint from different inputs).
     Snapshot(SnapshotError),
@@ -201,7 +193,7 @@ impl SimError {
     /// Whether re-running the same inputs could plausibly succeed.
     ///
     /// The simulator is deterministic, so genuine simulation failures
-    /// (invalid configs, cycle limits, livelocks, bad traces) recur
+    /// (invalid configs, cycle limits, livelocks) recur
     /// identically on a retry; only environmental failures — a panicked
     /// worker, an I/O error while checkpointing — are worth one. This is
     /// the retry policy for every supervising layer (the sweep harness,
@@ -239,7 +231,6 @@ impl fmt::Display for SimError {
             SimError::WorkerPanicked { job, message } => {
                 write!(f, "worker panicked on job {job}: {message}")
             }
-            SimError::Trace(e) => write!(f, "{e}"),
             SimError::Snapshot(e) => write!(f, "checkpoint failure: {e}"),
         }
     }
@@ -249,7 +240,6 @@ impl std::error::Error for SimError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SimError::Config(e) => Some(e),
-            SimError::Trace(e) => Some(e),
             SimError::Snapshot(e) => Some(e),
             _ => None,
         }
@@ -259,12 +249,6 @@ impl std::error::Error for SimError {
 impl From<ConfigError> for SimError {
     fn from(e: ConfigError) -> Self {
         SimError::Config(e)
-    }
-}
-
-impl From<ParseTraceError> for SimError {
-    fn from(e: ParseTraceError) -> Self {
-        SimError::Trace(e)
     }
 }
 
@@ -332,12 +316,6 @@ mod tests {
         use std::error::Error;
         let e = SimError::from(ConfigError::ZeroProgressWindow);
         assert!(e.source().is_some());
-        let e = SimError::from(ParseTraceError::Malformed {
-            line: 3,
-            message: "bad".into(),
-        });
-        assert!(e.to_string().contains("line 3"));
-        assert!(e.source().is_some());
         assert!(SimError::EmptyInput { what: "ray" }.source().is_none());
     }
 
@@ -353,6 +331,13 @@ mod tests {
         assert!(e.source().is_some());
         let e = SimError::from(SnapshotError::Decode(rt_gpu_sim::DecodeError::BadMagic));
         assert!(e.to_string().contains("invalid checkpoint"));
+        let e = SimError::from(SnapshotError::IntervalMismatch {
+            epoch: 2,
+            cycle: 4000,
+            every: 3000,
+        });
+        assert!(e.to_string().contains("not written every 3000 cycles"));
+        assert!(!e.is_transient());
     }
 
     #[test]

@@ -305,11 +305,7 @@ impl Bench {
         opts: &crate::CheckpointOptions,
     ) -> Result<SimResult, crate::SimError> {
         if opts.path.exists() {
-            let resumed = self
-                .session(config.clone())
-                .checkpoint(opts.clone())
-                .resume_from_checkpoint()
-                .run();
+            let resumed = self.session(config.clone()).resume(opts.clone()).run();
             match resumed {
                 Err(crate::SimError::Snapshot(_)) => {}
                 other => return other,
@@ -378,7 +374,7 @@ mod tests {
         );
         let config = SimConfig::paper_treelet_prefetch();
         let plain = bench.try_run(&config).unwrap();
-        let mut telemetry = crate::Telemetry::new(&crate::TelemetryOptions::new(128));
+        let mut telemetry = crate::Telemetry::new(128);
         let sampled = bench
             .session(config)
             .telemetry(&mut telemetry)

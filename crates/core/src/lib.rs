@@ -96,8 +96,8 @@ pub use snapshot::{
     first_divergence, parse_digest_log, read_checkpoint, read_digest_log, write_atomic, Checkpoint,
     DigestRecord, SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
-pub use telemetry::{Telemetry, TelemetryOptions, TelemetrySample, DEFAULT_TELEMETRY_EVERY};
-pub use trace_io::{read_traces, write_traces, ParseTraceError};
+pub use telemetry::{Telemetry, TelemetrySample, DEFAULT_TELEMETRY_EVERY};
+pub use trace_io::write_traces;
 pub use traversal::{
     compile_trace, trace_ray, trace_ray_with, CompiledStep, RayTrace, TraceStep,
     TraversalAlgorithm, TraversalOptions, TraversalStats,

@@ -15,18 +15,18 @@
 //! println!("{} cycles, digest {:#018x}", result.cycles, result.state_digest);
 //! ```
 //!
-//! Every option combination funnels into the same engine invocation, so
-//! the result — including its
-//! [`state_digest`](crate::SimResult::state_digest) — is bit-identical
-//! regardless of which observers (telemetry, checkpointing) are
-//! attached. Warm multi-generation traffic (a path tracer's bounces)
-//! runs inside that one invocation through
+//! Every option combination funnels into the same engine invocation:
+//! the observers (checkpointing, resume, telemetry) ride into it as one
+//! probe value that reads the engine and never writes it, so the result
+//! — including its [`state_digest`](crate::SimResult::state_digest) — is
+//! bit-identical regardless of which of them are attached. Warm
+//! multi-generation traffic (a path tracer's bounces) runs inside that
+//! one invocation through
 //! [`SimConfig::shader`](crate::SimConfig::shader).
 
 use crate::config::{CheckpointOptions, SimConfig};
 use crate::error::{ConfigError, SimError};
-use crate::sim::{run_identity, try_run_engine, SimResult};
-use crate::snapshot::{self, SnapshotError};
+use crate::sim::{run_identity, try_run_engine, CheckpointRunner, Probes, SimResult};
 use crate::telemetry::Telemetry;
 use crate::treelet::{FormationPolicy, TreeletAssignment, DEFAULT_TREELET_BYTES};
 use rt_bvh::WideBvh;
@@ -37,8 +37,8 @@ use std::borrow::Cow;
 ///
 /// Build with [`SimSession::new`] or [`SimSession::borrowed`], chain
 /// option setters, and finish with [`SimSession::run`]. Options compose:
-/// a checkpointed run can collect telemetry, a resumed run keeps
-/// checkpointing on the same cadence, and an external treelet
+/// a checkpointed run can collect telemetry, a [resumed](SimSession::resume)
+/// run keeps checkpointing on the same cadence, and an external treelet
 /// assignment works with all of them.
 #[derive(Debug)]
 pub struct SimSession<'a> {
@@ -47,6 +47,7 @@ pub struct SimSession<'a> {
     config: Cow<'a, SimConfig>,
     telemetry: Option<&'a mut Telemetry>,
     checkpoint: Option<CheckpointOptions>,
+    /// Whether `checkpoint` names a checkpoint to resume from.
     resume: bool,
     treelets: Option<&'a TreeletAssignment>,
     /// A bench's default-budget assignment, used in place of forming one
@@ -94,19 +95,27 @@ impl<'a> SimSession<'a> {
 
     /// Writes a crash-safe checkpoint of the complete simulator state
     /// every `opts.every` cycles (and, when configured, appends a
-    /// per-epoch state digest to `opts.digest_log`).
+    /// per-epoch state digest to `opts.digest_log`), starting fresh.
+    /// Replaces any earlier `checkpoint` or `resume`.
     pub fn checkpoint(mut self, opts: CheckpointOptions) -> SimSession<'a> {
         self.checkpoint = Some(opts);
+        self.resume = false;
         self
     }
 
-    /// Resumes from the checkpoint at the configured
-    /// [`checkpoint`](SimSession::checkpoint) path instead of starting
-    /// fresh. The inputs must be the ones that produced the checkpoint
-    /// (`max_cycles` and `progress_window` excluded); a mismatch is
-    /// refused with [`SnapshotError::IdentityMismatch`]. The resumed
-    /// run's result is bit-identical to an uninterrupted run's.
-    pub fn resume_from_checkpoint(mut self) -> SimSession<'a> {
+    /// Resumes from the checkpoint at `opts.path` instead of starting
+    /// fresh, and keeps checkpointing as [`checkpoint`](Self::checkpoint)
+    /// does. The inputs must be the ones that produced the checkpoint
+    /// (`max_cycles` and `progress_window` excluded), or the resume is
+    /// refused with
+    /// [`SnapshotError::IdentityMismatch`](crate::SnapshotError::IdentityMismatch);
+    /// `opts.every` must be the interval it was written under, or it is
+    /// refused with
+    /// [`SnapshotError::IntervalMismatch`](crate::SnapshotError::IntervalMismatch).
+    /// The resumed run's result is bit-identical to an uninterrupted
+    /// run's. Replaces any earlier `checkpoint` or `resume`.
+    pub fn resume(mut self, opts: CheckpointOptions) -> SimSession<'a> {
+        self.checkpoint = Some(opts);
         self.resume = true;
         self
     }
@@ -130,20 +139,20 @@ impl<'a> SimSession<'a> {
         self
     }
 
-    /// Validates the option combination, forms treelets when none were
-    /// supplied or offered, and runs the session to completion.
+    /// Validates the inputs, forms treelets when none were supplied or
+    /// offered, attaches the probes, and runs the session to completion.
     ///
     /// # Errors
     ///
-    /// - [`SimError::Config`] for an invalid config, a zero telemetry or
-    ///   checkpoint interval, or resume without checkpointing,
+    /// - [`SimError::Config`] for an invalid config or a zero telemetry
+    ///   or checkpoint interval,
     /// - [`SimError::EmptyInput`] for an empty ray set,
     /// - [`SimError::TreeletCoverage`] if an external assignment does
     ///   not cover the BVH,
     /// - [`SimError::CycleLimitExceeded`] / [`SimError::NoForwardProgress`]
     ///   from the watchdog,
     /// - [`SimError::Snapshot`] for checkpoint I/O failures, corrupt or
-    ///   foreign checkpoints.
+    ///   foreign checkpoints, or a resume under another interval.
     pub fn run(self) -> Result<SimResult, SimError> {
         let SimSession {
             bvh,
@@ -159,11 +168,8 @@ impl<'a> SimSession<'a> {
         if telemetry.as_ref().is_some_and(|t| t.every() == 0) {
             return Err(ConfigError::ZeroTelemetryInterval.into());
         }
-        if let Some(opts) = &checkpoint {
-            opts.validate()?;
-        }
-        if resume && checkpoint.is_none() {
-            return Err(ConfigError::ResumeWithoutCheckpoint.into());
+        if rays.is_empty() {
+            return Err(SimError::EmptyInput { what: "ray" });
         }
         let default_config = config.treelet_bytes == DEFAULT_TREELET_BYTES
             && config.formation == FormationPolicy::GreedyBfs;
@@ -179,37 +185,30 @@ impl<'a> SimSession<'a> {
                 &formed
             }
         };
-        let resumed = match (&checkpoint, resume) {
-            (Some(opts), true) => {
-                let ck = snapshot::read_checkpoint(&opts.path)?;
+        let assigned = treelets.covered_nodes();
+        if bvh.node_count() != assigned {
+            return Err(SimError::TreeletCoverage {
+                nodes: bvh.node_count(),
+                assigned,
+            });
+        }
+        let checkpoint = checkpoint
+            .map(|opts| {
                 let identity = run_identity(bvh, rays, &config, treelets);
-                if ck.identity != identity {
-                    return Err(SnapshotError::IdentityMismatch {
-                        expected: ck.identity,
-                        found: identity,
-                    }
-                    .into());
-                }
-                Some(ck)
-            }
-            _ => None,
-        };
-        try_run_engine(
-            bvh,
-            rays,
-            &config,
-            treelets,
-            checkpoint.as_ref(),
-            resumed,
+                CheckpointRunner::start(&opts, identity, resume)
+            })
+            .transpose()?;
+        let probes = Probes {
+            checkpoint,
             telemetry,
-        )
+        };
+        try_run_engine(bvh, rays, &config, treelets, probes)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::TelemetryOptions;
     use rt_geometry::{Triangle, Vec3};
     use rt_scene::{Scene, SceneId, Workload, WorkloadKind};
 
@@ -241,7 +240,7 @@ mod tests {
         let dir = scratch("combo");
         let ck = CheckpointOptions::new(500, dir.join("combo.rtsnap"))
             .with_digest_log(dir.join("combo.digests"));
-        let mut telemetry = Telemetry::new(&TelemetryOptions::new(250));
+        let mut telemetry = Telemetry::new(250);
         let decked = SimSession::new(&bvh, &rays, config.clone())
             .treelets(&treelets)
             .checkpoint(ck.clone())
@@ -255,31 +254,16 @@ mod tests {
 
         // The left-over final checkpoint resumes — with telemetry still
         // attached — and replays the tail onto the same final state.
-        let mut telemetry = Telemetry::new(&TelemetryOptions::new(250));
+        let mut telemetry = Telemetry::new(250);
         let resumed = SimSession::new(&bvh, &rays, config)
             .treelets(&treelets)
-            .checkpoint(ck)
-            .resume_from_checkpoint()
+            .resume(ck)
             .telemetry(&mut telemetry)
             .run()
             .unwrap();
         assert_eq!(plain.state_digest, resumed.state_digest);
         assert_eq!(plain.cycles, resumed.cycles);
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn resume_without_checkpoint_is_a_typed_error() {
-        let (bvh, rays) = fixture();
-        let err = SimSession::new(&bvh, &rays, SimConfig::paper_baseline())
-            .resume_from_checkpoint()
-            .run()
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            SimError::Config(ConfigError::ResumeWithoutCheckpoint)
-        ));
-        assert!(err.to_string().contains("requires checkpoint options"));
     }
 
     #[test]

@@ -145,30 +145,15 @@ fn memory_image(bvh: &WideBvh, config: &SimConfig, treelets: &TreeletAssignment)
     }
 }
 
-/// Runs `rays` to retirement on a fresh memory hierarchy, checkpointing
-/// to `checkpoint`, resuming from `resume` and sampling into `telemetry`
-/// when given.
+/// Runs `rays` to retirement on a fresh memory hierarchy, with `probes`
+/// attached. The session has validated the inputs.
 pub(crate) fn try_run_engine(
     bvh: &WideBvh,
     rays: &[Ray],
     config: &SimConfig,
     treelets: &TreeletAssignment,
-    checkpoint: Option<&CheckpointOptions>,
-    resume: Option<Checkpoint>,
-    mut telemetry: Option<&mut Telemetry>,
+    mut probes: Probes<'_>,
 ) -> Result<SimResult, SimError> {
-    config.validate()?;
-    if rays.is_empty() {
-        return Err(SimError::EmptyInput { what: "ray" });
-    }
-    let assigned = treelets.covered_nodes();
-    if bvh.node_count() != assigned {
-        return Err(SimError::TreeletCoverage {
-            nodes: bvh.node_count(),
-            assigned,
-        });
-    }
-
     let replay = Replay::compile(bvh, rays, config, treelets);
     // The image is needed only to list each node's and each treelet's
     // lines.
@@ -184,39 +169,10 @@ pub(crate) fn try_run_engine(
     let mut activity = replay.activity(&node_lines);
 
     let mem = MemorySystem::new(config.mem, config.num_sms);
-    let mut start_cycle = mem.cycle();
     let mut engine = Engine::new(config, replay, node_lines, treelets, treelet_lines, mem);
-    let mut resumed_epoch = None;
-    if let Some(ck) = resume {
-        engine
-            .restore_dynamic(&ck.payload)
-            .map_err(|e| SimError::Snapshot(SnapshotError::Decode(e)))?;
-        // `cycles` must measure the whole logical run, not just the
-        // resumed tail, so the original start carries over.
-        start_cycle = ck.start_cycle;
-        resumed_epoch = Some(ck.epoch);
-    }
-    let mut runner = match checkpoint {
-        None => None,
-        Some(opts) => {
-            let identity = run_identity(bvh, rays, config, treelets);
-            Some(CheckpointRunner::start(
-                opts,
-                identity,
-                start_cycle,
-                resumed_epoch,
-            )?)
-        }
-    };
-    let end_cycle = engine.run(runner.as_mut(), telemetry.as_deref_mut())?;
-    // A closing sample at the retiring cycle, so short runs (and the tail
-    // between the last epoch and retirement) are never invisible.
-    if let Some(t) = telemetry {
-        if t.samples().last().is_none_or(|s| s.cycle != end_cycle) {
-            let sample = engine.telemetry_sample(end_cycle);
-            t.record(sample);
-        }
-    }
+    let start_cycle = probes.restore(&mut engine)?;
+    let end_cycle = engine.run(&mut probes)?;
+    probes.finish(&engine, end_cycle);
     let cycles = end_cycle - start_cycle;
     // Always-on-in-debug memory audit: every request the engine issued
     // must have been answered exactly once (fault injection legitimately
@@ -1175,18 +1131,11 @@ impl<'a> Engine<'a> {
     }
 
     /// Advances the engine until every ray retires, watching both the
-    /// hard cycle budget and forward progress. When `ckpt` is set, the
-    /// complete dynamic state is checkpointed at every epoch boundary —
-    /// including the one on which a budget error fires, so an exhausted
-    /// run can be resumed under a larger budget. When `telem` is set, a
-    /// read-only counter sample is recorded on its own epoch boundary;
-    /// sampling never touches digested state, so the run's trajectory is
-    /// bit-identical with telemetry on or off.
-    fn run(
-        &mut self,
-        mut ckpt: Option<&mut CheckpointRunner>,
-        mut telem: Option<&mut Telemetry>,
-    ) -> Result<u64, SimError> {
+    /// hard cycle budget and forward progress. `probes` observe every
+    /// cycle before the watchdog does, so the epoch on which a budget
+    /// error fires is still checkpointed and an exhausted run can be
+    /// resumed under a larger budget.
+    fn run(&mut self, probes: &mut Probes<'_>) -> Result<u64, SimError> {
         let max_cycles = self.config.max_cycles;
         let window = self.config.progress_window;
         while self.remaining > 0 {
@@ -1201,18 +1150,7 @@ impl<'a> Engine<'a> {
             if advanced {
                 self.last_progress = now;
             }
-            if let Some(c) = ckpt.as_deref_mut() {
-                if now.is_multiple_of(c.every) {
-                    let payload = self.encode_dynamic();
-                    c.emit(payload, now, self.remaining as u64)?;
-                }
-            }
-            if let Some(t) = telem.as_deref_mut() {
-                if now.is_multiple_of(t.every()) {
-                    let sample = self.telemetry_sample(now);
-                    t.record(sample);
-                }
-            }
+            probes.observe(self, now)?;
             if !advanced && now - self.last_progress >= window {
                 return Err(SimError::NoForwardProgress {
                     window,
@@ -1226,9 +1164,7 @@ impl<'a> Engine<'a> {
                 });
             }
             if self.config.idle_skip && !self.progress {
-                let ckpt_every = ckpt.as_deref().map(|c| c.every);
-                let telem_every = telem.as_deref().map(|t| t.every());
-                self.try_skip_idle(now, ckpt_every, telem_every);
+                self.try_skip_idle(now, probes.next_boundary(now));
             }
         }
         Ok(self.mem.cycle())
@@ -1240,13 +1176,13 @@ impl<'a> Engine<'a> {
     /// progress; the next iteration's work happens at entry cycle `now`.
     /// If no unit can possibly act before some entry cycle `r > now`,
     /// every iteration in between is a no-op except for three per-cycle
-    /// integrations — the occupancy integral, the watchdog's
-    /// `last_progress` tracking, and the checkpoint/telemetry epoch
-    /// boundaries — which are applied here in closed form (and the skip
-    /// is capped so no epoch boundary, watchdog deadline, or cycle-limit
-    /// observation falls inside the skipped range). The resulting
+    /// integrations — the occupancy integral and the watchdog's
+    /// `last_progress` tracking — which are applied here in closed form.
+    /// The skip is capped so that no probe's epoch `boundary` (see
+    /// [`Probes::next_boundary`]), watchdog deadline, or cycle-limit
+    /// observation falls inside the skipped range. The resulting
     /// trajectory is bit-identical to single-stepping.
-    fn try_skip_idle(&mut self, now: u64, ckpt_every: Option<u64>, telem_every: Option<u64>) {
+    fn try_skip_idle(&mut self, now: u64, boundary: Option<u64>) {
         // Eligibility: nothing may be able to act at entry cycle `now`.
         // Occupied slots must have drained `ready` queues — a ready ray
         // issues (or bumps cache MSHR-rejection counters on Retry, which
@@ -1321,13 +1257,10 @@ impl<'a> Engine<'a> {
             };
             r = r.min(deadline_base.saturating_add(window).saturating_sub(1));
         }
-        // Never jump a checkpoint/telemetry epoch boundary or the cycle
-        // limit: skipped observation cycles are now+1..=r.
-        if let Some(every) = ckpt_every {
-            r = r.min((now / every + 1).saturating_mul(every) - 1);
-        }
-        if let Some(every) = telem_every {
-            r = r.min((now / every + 1).saturating_mul(every) - 1);
+        // Never jump a probe's epoch boundary or the cycle limit: skipped
+        // observation cycles are now+1..=r.
+        if let Some(b) = boundary {
+            r = r.min(b - 1);
         }
         r = r.min(self.config.max_cycles.saturating_sub(1));
         if r <= now {
@@ -2276,36 +2209,136 @@ fn decode_counts_vec(r: &mut ByteReader<'_>) -> Result<CountVec, DecodeError> {
     Ok(counts)
 }
 
+/// The observers attached to one run, in one place: the checkpoint
+/// runner (holding the checkpoint the run resumes from, if any) and the
+/// telemetry sink. A probe fires on the cycles its interval divides —
+/// its *epoch boundaries* — and reads the engine through `&Engine`
+/// only, so no probe can change the run's trajectory: the state digest
+/// is the same with any set of probes attached.
+pub(crate) struct Probes<'t> {
+    /// Checkpoints every `every` cycles, resuming from one when asked.
+    pub(crate) checkpoint: Option<CheckpointRunner>,
+    /// Records a counter sample every `every()` cycles.
+    pub(crate) telemetry: Option<&'t mut Telemetry>,
+}
+
+impl Probes<'_> {
+    /// Restores the checkpoint being resumed, if any, into `engine` and
+    /// returns the cycle the logical run started at: a resumed run's
+    /// `cycles` measures the whole run, not just the resumed tail.
+    fn restore(&mut self, engine: &mut Engine<'_>) -> Result<u64, SimError> {
+        let mut start = engine.mem.cycle();
+        if let Some(runner) = &mut self.checkpoint {
+            if let Some(ck) = runner.resume.take() {
+                engine
+                    .restore_dynamic(&ck.payload)
+                    .map_err(|e| SimError::Snapshot(SnapshotError::Decode(e)))?;
+                start = ck.start_cycle;
+            }
+            runner.start_cycle = start;
+        }
+        Ok(start)
+    }
+
+    /// Lets every probe whose epoch boundary `now` is observe the
+    /// engine.
+    fn observe(&mut self, engine: &Engine<'_>, now: u64) -> Result<(), SimError> {
+        if let Some(c) = self.checkpoint.as_mut() {
+            if now.is_multiple_of(c.every) {
+                c.emit(engine.encode_dynamic(), now, engine.remaining as u64)?;
+            }
+        }
+        if let Some(t) = self.telemetry.as_deref_mut() {
+            if now.is_multiple_of(t.every()) {
+                t.record(engine.telemetry_sample(now));
+            }
+        }
+        Ok(())
+    }
+
+    /// The first epoch boundary of any probe after `now`, which an idle
+    /// skip must not jump.
+    fn next_boundary(&self, now: u64) -> Option<u64> {
+        let checkpoint = self.checkpoint.as_ref().map(|c| c.every);
+        let telemetry = self.telemetry.as_deref().map(Telemetry::every);
+        checkpoint
+            .into_iter()
+            .chain(telemetry)
+            .map(|every| (now / every + 1).saturating_mul(every))
+            .min()
+    }
+
+    /// Closes the run at `end_cycle`: a last telemetry sample at the
+    /// retiring cycle, so short runs (and the tail after the last epoch)
+    /// are never invisible.
+    fn finish(&mut self, engine: &Engine<'_>, end_cycle: u64) {
+        if let Some(t) = self.telemetry.as_deref_mut() {
+            if t.samples().last().is_none_or(|s| s.cycle != end_cycle) {
+                t.record(engine.telemetry_sample(end_cycle));
+            }
+        }
+    }
+}
+
 /// Live I/O state of a checkpointing run: where checkpoints land, the
-/// header fields they all share, and the open digest log.
-struct CheckpointRunner {
+/// header fields they all share, the open digest log, and, until the
+/// engine restores it, the checkpoint being resumed.
+pub(crate) struct CheckpointRunner {
     every: u64,
     path: std::path::PathBuf,
     identity: u64,
     start_cycle: u64,
     log: Option<(std::path::PathBuf, std::fs::File)>,
+    resume: Option<Checkpoint>,
 }
 
 impl CheckpointRunner {
-    /// Validates the options and opens the digest log: fresh runs
-    /// truncate it; resumed runs keep only the records at or before the
-    /// resumed epoch, so the log never claims epochs the resumed
-    /// timeline has not yet reached.
-    fn start(
+    /// Validates the options, reads the checkpoint at `opts.path` when
+    /// `resume` is set, and opens the digest log: fresh runs truncate
+    /// it; resumed runs keep only the records at or before the resumed
+    /// epoch, so the log never claims epochs the resumed timeline has
+    /// not yet reached.
+    ///
+    /// A resumed checkpoint must come from a run with this `identity`
+    /// and this interval: epochs are numbered `cycle / every`, so a
+    /// log kept under one interval and continued under another would
+    /// number the same epoch twice.
+    pub(crate) fn start(
         opts: &CheckpointOptions,
         identity: u64,
-        start_cycle: u64,
-        resumed_epoch: Option<u64>,
+        resume: bool,
     ) -> Result<CheckpointRunner, SimError> {
         opts.validate()?;
+        let resume = if resume {
+            let ck = snapshot::read_checkpoint(&opts.path)?;
+            if ck.identity != identity {
+                return Err(SnapshotError::IdentityMismatch {
+                    expected: ck.identity,
+                    found: identity,
+                }
+                .into());
+            }
+            // Every written epoch is at least 1, so this holds for
+            // the writing run's interval only.
+            if ck.epoch.checked_mul(opts.every) != Some(ck.cycle) {
+                return Err(SnapshotError::IntervalMismatch {
+                    epoch: ck.epoch,
+                    cycle: ck.cycle,
+                    every: opts.every,
+                }
+                .into());
+            }
+            Some(ck)
+        } else {
+            None
+        };
         let log = match &opts.digest_log {
             None => None,
             Some(path) => {
-                let kept: Vec<DigestRecord> = match resumed_epoch {
-                    Some(epoch) if path.exists() => snapshot::read_digest_log(path)
-                        .map_err(SimError::Snapshot)?
+                let kept: Vec<DigestRecord> = match &resume {
+                    Some(ck) if path.exists() => snapshot::read_digest_log(path)?
                         .into_iter()
-                        .filter(|rec| rec.epoch <= epoch)
+                        .filter(|rec| rec.epoch <= ck.epoch)
                         .collect(),
                     _ => Vec::new(),
                 };
@@ -2329,8 +2362,10 @@ impl CheckpointRunner {
             every: opts.every,
             path: opts.path.clone(),
             identity,
-            start_cycle,
+            // Set when `Probes::restore` knows where the run started.
+            start_cycle: 0,
             log,
+            resume,
         })
     }
 
@@ -2372,7 +2407,6 @@ mod tests {
     use crate::config::{PrefetchConfig, SimConfig};
     use crate::prefetch::MappingMode;
     use crate::session::SimSession;
-    use crate::telemetry::TelemetryOptions;
     use crate::traversal::{compile_trace, trace_ray_with};
     use rt_scene::{Scene, SceneId, Workload, WorkloadKind};
 
@@ -2426,53 +2460,186 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_sampling_is_zero_perturbation() {
+    fn probes_are_zero_perturbation() {
+        // The probe matrix: no probe, telemetry, checkpoint, or both;
+        // idle-skip on and off; each prefetcher kind; run straight, or
+        // stopped by the cycle budget and resumed. Probes only read the
+        // engine, so per prefetcher every cell ends on one state, logs
+        // one digest history and samples one time series. Resuming needs
+        // the checkpoint probe, so resumed cells run with it alone and
+        // with both.
+        let (bvh, rays) = fixture();
+        let dir = ckpt_dir("probes");
+        let with = |prefetch| SimConfig::paper_baseline().with_prefetcher(prefetch);
+        let kinds = [
+            ("baseline", SimConfig::paper_baseline()),
+            ("treelet", SimConfig::paper_treelet_prefetch()),
+            ("mta", with(PrefetchConfig::Mta)),
+            ("ghb", with(PrefetchConfig::Ghb)),
+        ];
+        for (kind, base) in kinds {
+            let plain = SimSession::borrowed(&bvh, &rays, &base).run().unwrap();
+            let opts = CheckpointOptions::new((plain.cycles / 7).max(1), dir.join("ck.rtsnap"))
+                .with_digest_log(dir.join("ck.digests"));
+            let mut history: Option<Vec<DigestRecord>> = None;
+            let mut series: Option<Vec<TelemetrySample>> = None;
+            for idle_skip in [true, false] {
+                let mut config = base.clone();
+                config.idle_skip = idle_skip;
+                for (sampled, checkpointed, resumed) in [
+                    (false, false, false),
+                    (true, false, false),
+                    (false, true, false),
+                    (true, true, false),
+                    (false, true, true),
+                    (true, true, true),
+                ] {
+                    let cell = format!(
+                        "{kind}, idle_skip {idle_skip}, telemetry {sampled}, \
+                         checkpoint {checkpointed}, resumed {resumed}"
+                    );
+                    let mut resumed_at = None;
+                    if resumed {
+                        let mut stopped = config.clone();
+                        stopped.max_cycles = plain.cycles / 2;
+                        match SimSession::borrowed(&bvh, &rays, &stopped)
+                            .checkpoint(opts.clone())
+                            .run()
+                        {
+                            Err(SimError::CycleLimitExceeded { .. }) => {}
+                            other => {
+                                panic!("{cell}: expected the budget to stop it, got {other:?}")
+                            }
+                        }
+                        resumed_at = Some(snapshot::read_checkpoint(&opts.path).unwrap().cycle);
+                    }
+                    let mut telemetry = Telemetry::new(64);
+                    let mut session = SimSession::borrowed(&bvh, &rays, &config);
+                    if resumed {
+                        session = session.resume(opts.clone());
+                    } else if checkpointed {
+                        session = session.checkpoint(opts.clone());
+                    }
+                    if sampled {
+                        session = session.telemetry(&mut telemetry);
+                    }
+                    let result = session.run().unwrap();
+                    assert_eq!(result.state_digest, plain.state_digest, "{cell}");
+                    assert_eq!(result.cycles, plain.cycles, "{cell}");
+                    assert_eq!(result.l1, plain.l1, "{cell}");
+                    assert_eq!(
+                        result.dram_channel_accesses, plain.dram_channel_accesses,
+                        "{cell}"
+                    );
+                    if checkpointed {
+                        let log =
+                            snapshot::read_digest_log(opts.digest_log.as_ref().unwrap()).unwrap();
+                        assert!(log.len() >= 3, "{cell}: {} epochs", log.len());
+                        assert_eq!(history.get_or_insert_with(|| log.clone()), &log, "{cell}");
+                    }
+                    if !sampled {
+                        continue;
+                    }
+                    // The time series: cycle-ordered epochs with never
+                    // falling running totals, closed by a sample at the
+                    // retiring cycle that agrees with the result.
+                    let samples = telemetry.samples();
+                    assert!(samples
+                        .windows(2)
+                        .all(|w| w[0].cycle < w[1].cycle
+                            && w[0].l2_to_l1_lines <= w[1].l2_to_l1_lines));
+                    let last = samples.last().expect("a closing sample");
+                    assert_eq!(last.cycle, result.cycles, "{cell}");
+                    assert_eq!(last.rays_remaining, 0, "{cell}");
+                    assert_eq!(last.dram_channel_accesses.len(), 4, "{cell}");
+                    assert_eq!(last.dram_channel_accesses, result.dram_channel_accesses);
+                    for (b, a) in last
+                        .dram_channel_bytes
+                        .iter()
+                        .zip(&last.dram_channel_accesses)
+                    {
+                        assert_eq!(*b, a * config.mem.line_bytes, "{cell}");
+                    }
+                    // The treelet prefetcher's fills show up in the
+                    // taxonomy; with no prefetcher it stays empty.
+                    let classified =
+                        last.prefetch_useful + last.prefetch_late + last.prefetch_useless;
+                    match kind {
+                        "treelet" => assert!(classified > 0, "{cell}"),
+                        "baseline" => assert_eq!(classified, 0, "{cell}"),
+                        _ => {}
+                    }
+                    // A resumed run samples the straight run's tail.
+                    let straight = series.get_or_insert_with(|| samples.to_vec());
+                    let tail: Vec<TelemetrySample> = straight
+                        .iter()
+                        .filter(|s| resumed_at.is_none_or(|at| s.cycle > at))
+                        .cloned()
+                        .collect();
+                    assert_eq!(samples, &tail[..], "{cell}");
+                }
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn resume_under_another_interval_is_refused() {
+        // Epochs are numbered `cycle / every`. A run resumed under an
+        // interval other than its checkpoint's would log epochs numbered
+        // under both, and a straight run's log would then read as
+        // diverged. The resume is refused before the log is touched.
         let (bvh, rays) = fixture();
         let config = SimConfig::paper_treelet_prefetch();
-        let plain = SimSession::borrowed(&bvh, &rays, &config)
+        let straight = SimSession::borrowed(&bvh, &rays, &config).run().unwrap();
+        let dir = ckpt_dir("interval");
+        let every = (straight.cycles / 7).max(1);
+        let opts = CheckpointOptions::new(every, dir.join("ck.rtsnap"))
+            .with_digest_log(dir.join("ck.digests"));
+        let log_path = opts.digest_log.clone().unwrap();
+        let mut stopped = config.clone();
+        stopped.max_cycles = straight.cycles / 2;
+        assert!(SimSession::borrowed(&bvh, &rays, &stopped)
+            .checkpoint(opts.clone())
             .run()
-            .expect("plain run");
-        let mut telemetry = Telemetry::new(&TelemetryOptions::new(64));
-        let sampled = SimSession::borrowed(&bvh, &rays, &config)
-            .telemetry(&mut telemetry)
-            .run()
-            .expect("telemetry run");
-        // Bit-identical trajectory: same digest, same cycle count, same
-        // cache counters.
-        assert_eq!(plain.state_digest, sampled.state_digest);
-        assert_eq!(plain.cycles, sampled.cycles);
-        assert_eq!(plain.l1, sampled.l1);
-        assert_eq!(plain.dram_channel_accesses, sampled.dram_channel_accesses);
-        // The time-series itself: epochs are present, cycle-ordered, and
-        // close with a final sample at the retiring cycle.
-        assert!(!telemetry.is_empty());
-        let samples = telemetry.samples();
-        assert!(samples.windows(2).all(|w| w[0].cycle < w[1].cycle));
-        let last = samples.last().unwrap();
-        assert_eq!(last.cycle, sampled.cycles);
-        assert_eq!(last.rays_remaining, 0);
-        assert_eq!(last.dram_channel_accesses.len(), 4);
-        assert_eq!(&last.dram_channel_accesses, &sampled.dram_channel_accesses);
-        // Per-channel bytes are accesses × line size.
-        for (b, a) in last
-            .dram_channel_bytes
-            .iter()
-            .zip(last.dram_channel_accesses.iter())
-        {
-            assert_eq!(*b, a * config.mem.line_bytes);
+            .is_err());
+        let ck = snapshot::read_checkpoint(&opts.path).unwrap();
+        assert!(ck.epoch >= 2, "the checkpoint must be past epoch 1");
+        let log = snapshot::read_digest_log(&log_path).unwrap();
+        // A longer interval, and one the checkpoint's cycle is a
+        // multiple of.
+        for moved_every in [every + 1, ck.cycle] {
+            let moved = CheckpointOptions {
+                every: moved_every,
+                ..opts.clone()
+            };
+            match SimSession::borrowed(&bvh, &rays, &config)
+                .resume(moved)
+                .run()
+            {
+                Err(SimError::Snapshot(SnapshotError::IntervalMismatch {
+                    epoch,
+                    cycle,
+                    every: asked,
+                })) => assert_eq!((epoch, cycle, asked), (ck.epoch, ck.cycle, moved_every)),
+                other => panic!("expected an interval mismatch, got {other:?}"),
+            }
+            assert_eq!(snapshot::read_digest_log(&log_path).unwrap(), log);
         }
-        // Cumulative counters never decrease across epochs.
-        assert!(samples
-            .windows(2)
-            .all(|w| w[0].l2_to_l1_lines <= w[1].l2_to_l1_lines));
-        // The prefetch taxonomy shows up for a prefetching config.
-        assert!(last.prefetch_useful + last.prefetch_late + last.prefetch_useless > 0);
+        // Under its own interval the checkpoint resumes onto the straight
+        // run's final state.
+        let resumed = SimSession::borrowed(&bvh, &rays, &config)
+            .resume(opts)
+            .run()
+            .unwrap();
+        assert_eq!(resumed.state_digest, straight.state_digest);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn telemetry_rejects_zero_interval() {
         let (bvh, rays) = fixture();
-        let mut telemetry = Telemetry::new(&TelemetryOptions::new(0));
+        let mut telemetry = Telemetry::new(0);
         let err = SimSession::borrowed(&bvh, &rays, &SimConfig::paper_baseline())
             .telemetry(&mut telemetry)
             .run()
@@ -3165,8 +3332,7 @@ mod tests {
             );
             assert!(ck.rays_remaining > 0, "{name}");
             let resumed = SimSession::borrowed(&bvh, &rays, &config)
-                .checkpoint(opts.clone())
-                .resume_from_checkpoint()
+                .resume(opts.clone())
                 .run()
                 .unwrap();
             assert_eq!(
@@ -3213,8 +3379,7 @@ mod tests {
         let ck = snapshot::read_checkpoint(&opts.path).unwrap();
         assert!(ck.cycle < straight.cycles && ck.rays_remaining > 0);
         let resumed = SimSession::borrowed(&bvh, &rays, &config)
-            .checkpoint(opts.clone())
-            .resume_from_checkpoint()
+            .resume(opts.clone())
             .run()
             .unwrap();
         assert_eq!(resumed.state_digest, straight.state_digest);
@@ -3368,8 +3533,7 @@ mod tests {
             .unwrap();
         // A checkpoint from a different configuration is refused up front.
         match SimSession::borrowed(&bvh, &rays, &SimConfig::paper_treelet_traversal_only())
-            .checkpoint(opts.clone())
-            .resume_from_checkpoint()
+            .resume(opts.clone())
             .run()
         {
             Err(SimError::Snapshot(SnapshotError::IdentityMismatch { expected, found })) => {
@@ -3382,8 +3546,7 @@ mod tests {
         let mut roomy = config.clone();
         roomy.max_cycles = config.max_cycles + 1;
         let resumed = SimSession::borrowed(&bvh, &rays, &roomy)
-            .checkpoint(opts.clone())
-            .resume_from_checkpoint()
+            .resume(opts.clone())
             .run()
             .unwrap();
         assert_eq!(resumed.state_digest, straight.state_digest);
@@ -3391,8 +3554,7 @@ mod tests {
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
         match SimSession::borrowed(&bvh, &rays, &config)
-            .checkpoint(opts.clone())
-            .resume_from_checkpoint()
+            .resume(opts.clone())
             .run()
         {
             Err(SimError::Snapshot(SnapshotError::Decode(_))) => {}
@@ -3403,8 +3565,7 @@ mod tests {
         flipped[mid] ^= 0x40;
         std::fs::write(&path, &flipped).unwrap();
         match SimSession::borrowed(&bvh, &rays, &config)
-            .checkpoint(opts.clone())
-            .resume_from_checkpoint()
+            .resume(opts.clone())
             .run()
         {
             Err(SimError::Snapshot(SnapshotError::Decode(_))) => {}
@@ -3412,8 +3573,7 @@ mod tests {
         }
         std::fs::remove_file(&path).unwrap();
         match SimSession::borrowed(&bvh, &rays, &config)
-            .checkpoint(opts.clone())
-            .resume_from_checkpoint()
+            .resume(opts.clone())
             .run()
         {
             Err(SimError::Snapshot(SnapshotError::Io { .. })) => {}

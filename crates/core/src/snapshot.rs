@@ -3,7 +3,7 @@
 //! Long sweeps die — machines reboot, schedulers kill jobs, fault
 //! injection wedges runs. This module gives the simulator a durable
 //! restart point: the engine's complete dynamic state, serialized with
-//! the same hand-rolled zero-dependency codec as `trace_io`, wrapped in
+//! a hand-rolled zero-dependency codec, wrapped in
 //! a versioned, checksummed, self-describing container that is written
 //! atomically (temp file + rename) so a crash mid-write can never leave
 //! a half-checkpoint behind.
@@ -35,7 +35,9 @@
 //! The *identity* pins a checkpoint to the exact scene, ray set, and
 //! configuration that produced it (cycle budgets excluded, so an
 //! exhausted run can resume under a larger budget); resuming against
-//! different inputs is a typed error, not silent garbage. The payload's
+//! different inputs is a typed error, not silent garbage. So is resuming
+//! under another checkpoint interval: `cycle == epoch * every` must hold
+//! for the resuming run's `every`. The payload's
 //! FNV-1a digest doubles as the run's per-epoch *state digest*: two runs
 //! are bit-identical exactly when their digest sequences match, which is
 //! what [`first_divergence`] bisects.
@@ -74,6 +76,18 @@ pub enum SnapshotError {
         /// Identity digest of the run attempting to resume.
         found: u64,
     },
+    /// The checkpoint was written under a different checkpoint interval
+    /// than the one resuming it; its epoch and cycle disagree with
+    /// `every`, and continuing would number the digest log's epochs
+    /// under two intervals.
+    IntervalMismatch {
+        /// The checkpoint's epoch.
+        epoch: u64,
+        /// The checkpoint's cycle.
+        cycle: u64,
+        /// The interval the resuming run asked for.
+        every: u64,
+    },
     /// A digest-log line did not parse (`line` is 1-based).
     MalformedDigestLog {
         /// The offending line number.
@@ -94,6 +108,15 @@ impl fmt::Display for SnapshotError {
                 f,
                 "checkpoint belongs to a different run \
                  (identity {expected:#018x}, this run is {found:#018x})"
+            ),
+            SnapshotError::IntervalMismatch {
+                epoch,
+                cycle,
+                every,
+            } => write!(
+                f,
+                "checkpoint epoch {epoch} at cycle {cycle} was not written every \
+                 {every} cycles; resume with the interval it was written under"
             ),
             SnapshotError::MalformedDigestLog { line, message } => {
                 write!(f, "digest log line {line}: {message}")

@@ -9,48 +9,18 @@
 //! hierarchy's counters through `&self` accessors only: nothing the
 //! state digest covers is touched, so a run's
 //! [`state_digest`](crate::SimResult::state_digest) is bit-identical
-//! with telemetry on or off. Disabled runs pay one `Option` check per
-//! cycle, the same gating the checkpoint runner uses.
+//! with telemetry on or off. The sink is one of the engine's probes: it
+//! samples on the cycles its interval divides, under the epoch rule every
+//! probe shares, and a run without it pays one `Option` check per cycle.
 //!
 //! Samples accumulate in memory; CSV/JSON export happens after the run
 //! so the simulation itself never performs I/O.
 
-use crate::error::ConfigError;
 use std::io::Write;
 use std::path::Path;
 
 /// Default sampling interval in core cycles.
 pub const DEFAULT_TELEMETRY_EVERY: u64 = 1000;
-
-/// Telemetry sampling parameters.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TelemetryOptions {
-    /// Sample every this many core cycles (must be nonzero).
-    pub every: u64,
-}
-
-impl TelemetryOptions {
-    /// Sampling every `every` cycles.
-    pub fn new(every: u64) -> TelemetryOptions {
-        TelemetryOptions { every }
-    }
-
-    /// Rejects a zero sampling interval.
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.every == 0 {
-            return Err(ConfigError::ZeroTelemetryInterval);
-        }
-        Ok(())
-    }
-}
-
-impl Default for TelemetryOptions {
-    fn default() -> TelemetryOptions {
-        TelemetryOptions {
-            every: DEFAULT_TELEMETRY_EVERY,
-        }
-    }
-}
 
 /// One telemetry epoch: every counter is the value *at* `cycle`
 /// (cumulative counters are running totals, depths are instantaneous).
@@ -156,12 +126,13 @@ pub struct Telemetry {
 }
 
 impl Telemetry {
-    /// An empty sink sampling at `opts.every`. A run handed a sink with
-    /// a zero interval refuses it with
-    /// [`ConfigError::ZeroTelemetryInterval`] before the engine starts.
-    pub fn new(opts: &TelemetryOptions) -> Telemetry {
+    /// An empty sink sampling every `every` core cycles. A run handed a
+    /// sink with a zero interval refuses it with
+    /// [`ConfigError::ZeroTelemetryInterval`](crate::ConfigError::ZeroTelemetryInterval)
+    /// before the engine starts.
+    pub fn new(every: u64) -> Telemetry {
         Telemetry {
-            every: opts.every,
+            every,
             samples: Vec::new(),
         }
     }
@@ -353,18 +324,8 @@ mod tests {
     }
 
     #[test]
-    fn options_validate_rejects_zero_interval() {
-        assert!(TelemetryOptions::new(1).validate().is_ok());
-        assert_eq!(
-            TelemetryOptions::new(0).validate(),
-            Err(ConfigError::ZeroTelemetryInterval)
-        );
-        assert_eq!(TelemetryOptions::default().every, DEFAULT_TELEMETRY_EVERY);
-    }
-
-    #[test]
     fn csv_has_header_plus_one_row_per_epoch() {
-        let mut t = Telemetry::new(&TelemetryOptions::new(100));
+        let mut t = Telemetry::new(100);
         assert!(t.is_empty());
         t.record(sample(100));
         t.record(sample(200));
@@ -389,7 +350,7 @@ mod tests {
 
     #[test]
     fn json_is_an_array_of_epoch_objects() {
-        let mut t = Telemetry::new(&TelemetryOptions::new(100));
+        let mut t = Telemetry::new(100);
         t.record(sample(100));
         let json = t.to_json();
         assert!(json.starts_with('[') && json.ends_with(']'));
@@ -403,7 +364,7 @@ mod tests {
 
     #[test]
     fn empty_sink_renders_header_only_csv_and_empty_json() {
-        let t = Telemetry::new(&TelemetryOptions::default());
+        let t = Telemetry::new(DEFAULT_TELEMETRY_EVERY);
         assert_eq!(t.to_csv().lines().count(), 1);
         assert_eq!(t.to_json(), "[]");
     }

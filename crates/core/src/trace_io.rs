@@ -1,9 +1,11 @@
-//! Serialization of compiled memory-access traces.
+//! Export of compiled memory-access traces (`treelet-prefetching trace
+//! --out FILE`).
 //!
 //! The per-ray dependent cache-line sequences the timing model replays
 //! are the natural interchange artifact for memory-system studies: dump
 //! them here to feed other cache/DRAM simulators, or to inspect exactly
-//! what the RT unit fetches.
+//! what the RT unit fetches. The simulator itself never reads a trace
+//! file back; every run traces its rays afresh.
 //!
 //! Format (line-oriented text; `#` starts a comment):
 //!
@@ -19,48 +21,7 @@
 //! ray, step *i+1* cannot issue until step *i*'s lines returned.
 
 use crate::traversal::CompiledStep;
-use std::fmt;
-use std::io::{self, BufRead, Write};
-
-/// Error from trace parsing.
-#[derive(Debug)]
-pub enum ParseTraceError {
-    /// Underlying I/O failure.
-    Io(io::Error),
-    /// A malformed line, with its 1-based number and a description.
-    Malformed {
-        /// 1-based line number.
-        line: usize,
-        /// What was wrong.
-        message: String,
-    },
-}
-
-impl fmt::Display for ParseTraceError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ParseTraceError::Io(e) => write!(f, "i/o error reading trace: {e}"),
-            ParseTraceError::Malformed { line, message } => {
-                write!(f, "malformed trace at line {line}: {message}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ParseTraceError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ParseTraceError::Io(e) => Some(e),
-            ParseTraceError::Malformed { .. } => None,
-        }
-    }
-}
-
-impl From<io::Error> for ParseTraceError {
-    fn from(e: io::Error) -> Self {
-        ParseTraceError::Io(e)
-    }
-}
+use std::io::{self, Write};
 
 /// Writes compiled traces in the text format.
 ///
@@ -95,94 +56,6 @@ pub fn write_traces<W: Write>(mut w: W, traces: &[Vec<CompiledStep>]) -> io::Res
     Ok(())
 }
 
-/// Parses traces written by [`write_traces`].
-///
-/// # Errors
-///
-/// Returns [`ParseTraceError`] on I/O failure or malformed input.
-pub fn read_traces<R: BufRead>(r: R) -> Result<Vec<Vec<CompiledStep>>, ParseTraceError> {
-    let mut traces: Vec<Vec<CompiledStep>> = Vec::new();
-    for (idx, line) in r.lines().enumerate() {
-        let line_no = idx + 1;
-        let line = line?;
-        let text = line.trim();
-        if text.is_empty() || text.starts_with('#') {
-            continue;
-        }
-        let malformed = |message: String| ParseTraceError::Malformed {
-            line: line_no,
-            message,
-        };
-        if let Some(index_text) = text.strip_prefix("ray ") {
-            let index: usize = index_text
-                .trim()
-                .parse()
-                .map_err(|e| malformed(format!("bad ray index: {e}")))?;
-            if index != traces.len() {
-                return Err(malformed(format!(
-                    "ray {index} out of order (expected {})",
-                    traces.len()
-                )));
-            }
-            traces.push(Vec::new());
-        } else if let Some(rest) = text.strip_prefix("step ") {
-            let current = traces
-                .last_mut()
-                .ok_or_else(|| malformed("step before any ray".into()))?;
-            let mut node = None;
-            let mut treelet = None;
-            let mut leaf = None;
-            let mut lines = None;
-            for field in rest.split_whitespace() {
-                let (key, value) = field
-                    .split_once('=')
-                    .ok_or_else(|| malformed(format!("field {field:?} has no '='")))?;
-                match key {
-                    "node" => {
-                        node = Some(value.parse().map_err(|e| malformed(format!("node: {e}")))?)
-                    }
-                    "treelet" => {
-                        treelet = Some(
-                            value
-                                .parse()
-                                .map_err(|e| malformed(format!("treelet: {e}")))?,
-                        )
-                    }
-                    "leaf" => {
-                        leaf = Some(match value {
-                            "0" => false,
-                            "1" => true,
-                            other => {
-                                return Err(malformed(format!("leaf must be 0/1, got {other}")))
-                            }
-                        })
-                    }
-                    "lines" => {
-                        let mut parsed = Vec::new();
-                        for addr in value.split(',') {
-                            parsed.push(
-                                u64::from_str_radix(addr, 16)
-                                    .map_err(|e| malformed(format!("address {addr:?}: {e}")))?,
-                            );
-                        }
-                        lines = Some(parsed);
-                    }
-                    other => return Err(malformed(format!("unknown field {other:?}"))),
-                }
-            }
-            current.push(CompiledStep {
-                node: node.ok_or_else(|| malformed("missing node".into()))?,
-                treelet: treelet.ok_or_else(|| malformed("missing treelet".into()))?,
-                is_leaf: leaf.ok_or_else(|| malformed("missing leaf".into()))?,
-                lines: lines.ok_or_else(|| malformed("missing lines".into()))?,
-            });
-        } else {
-            return Err(malformed(format!("unrecognized line {text:?}")));
-        }
-    }
-    Ok(traces)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,70 +87,16 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_preserves_traces() {
-        let traces = sample();
+    fn writes_the_documented_format_byte_for_byte() {
         let mut buffer = Vec::new();
-        write_traces(&mut buffer, &traces).unwrap();
-        let parsed = read_traces(buffer.as_slice()).unwrap();
-        assert_eq!(parsed, traces);
-    }
-
-    #[test]
-    fn comments_and_blank_lines_ignored() {
-        let text = "# header\n\nray 0\n# inner comment\nstep node=1 treelet=2 leaf=0 lines=40\n";
-        let parsed = read_traces(text.as_bytes()).unwrap();
-        assert_eq!(parsed.len(), 1);
-        assert_eq!(parsed[0][0].lines, vec![0x40]);
-    }
-
-    #[test]
-    fn out_of_order_ray_errors() {
-        let text = "ray 1\n";
-        let err = read_traces(text.as_bytes()).unwrap_err();
-        assert!(err.to_string().contains("out of order"));
-    }
-
-    #[test]
-    fn step_before_ray_errors() {
-        let text = "step node=1 treelet=2 leaf=0 lines=40\n";
-        assert!(read_traces(text.as_bytes()).is_err());
-    }
-
-    #[test]
-    fn missing_field_errors_with_line_number() {
-        let text = "ray 0\nstep node=1 leaf=0 lines=40\n";
-        let err = read_traces(text.as_bytes()).unwrap_err();
-        assert!(err.to_string().contains("line 2"));
-        assert!(err.to_string().contains("treelet"));
-    }
-
-    #[test]
-    fn bad_hex_address_errors() {
-        let text = "ray 0\nstep node=1 treelet=2 leaf=0 lines=zz\n";
-        assert!(read_traces(text.as_bytes()).is_err());
-    }
-
-    #[test]
-    fn real_scene_traces_round_trip() {
-        use crate::traversal::{compile_trace, trace_ray, TraversalAlgorithm};
-        use crate::treelet::TreeletAssignment;
-        let scene = rt_scene::Scene::build_with_detail(rt_scene::SceneId::Wknd, 0.3);
-        let rays = rt_scene::Workload::new(rt_scene::WorkloadKind::Primary, 8, 8).generate(&scene);
-        let bvh = rt_bvh::WideBvh::build(scene.mesh.into_triangles());
-        let treelets = TreeletAssignment::form(&bvh, 512);
-        let image = rt_bvh::MemoryImage::depth_first(&bvh);
-        let traces: Vec<Vec<CompiledStep>> = rays
-            .iter()
-            .map(|r| {
-                compile_trace(
-                    &trace_ray(&bvh, &treelets, r, TraversalAlgorithm::TwoStackTreelet),
-                    &image,
-                    64,
-                )
-            })
-            .collect();
-        let mut buffer = Vec::new();
-        write_traces(&mut buffer, &traces).unwrap();
-        assert_eq!(read_traces(buffer.as_slice()).unwrap(), traces);
+        write_traces(&mut buffer, &sample()).unwrap();
+        let want = "# treelet-rt compiled memory trace, 3 rays\n\
+                    ray 0\n\
+                    step node=0 treelet=0 leaf=0 lines=100000000\n\
+                    step node=9 treelet=3 leaf=1 lines=100000240,100010000,100010040\n\
+                    ray 1\n\
+                    ray 2\n\
+                    step node=2 treelet=1 leaf=0 lines=100000080\n";
+        assert_eq!(String::from_utf8(buffer).unwrap(), want);
     }
 }

@@ -14,7 +14,7 @@
 
 use treelet_rt::{
     Bench, CheckpointOptions, MappingMode, PrefetchConfig, PrefetchDestination, PrefetchHeuristic,
-    SchedulerPolicy, ShaderProgram, SimConfig, SimSession, Telemetry, TelemetryOptions, VoterKind,
+    SchedulerPolicy, ShaderProgram, SimConfig, SimSession, Telemetry, VoterKind,
 };
 
 use rt_scene::{SceneId, Workload, WorkloadKind};
@@ -201,8 +201,7 @@ fn checkpoint_resume_round_trips_over_the_dense_tables() {
             .run();
         assert!(interrupted.is_err(), "{scene}/{name} must hit the budget");
         let resumed = SimSession::borrowed(b.bvh(), b.rays(), &config)
-            .checkpoint(opts)
-            .resume_from_checkpoint()
+            .resume(opts)
             .run()
             .unwrap();
         assert_eq!(resumed.cycles, cycles, "{scene}/{name} resumed cycles");
@@ -478,7 +477,7 @@ fn checkpoint_taken_mid_stall_resumes_bit_identically() {
     config.num_sms = 2;
     config.mem.l1_mshrs = 1;
     let straight = b.run(&config);
-    let mut telemetry = Telemetry::new(&TelemetryOptions::new(1));
+    let mut telemetry = Telemetry::new(1);
     SimSession::borrowed(b.bvh(), b.rays(), &config)
         .telemetry(&mut telemetry)
         .run()
@@ -508,8 +507,7 @@ fn checkpoint_taken_mid_stall_resumes_bit_identically() {
             .run();
         assert!(interrupted.is_err(), "cycle {at} must hit the budget");
         let resumed = SimSession::borrowed(b.bvh(), b.rays(), &config)
-            .checkpoint(opts)
-            .resume_from_checkpoint()
+            .resume(opts)
             .run()
             .unwrap();
         assert_eq!(resumed.cycles, straight.cycles, "resumed at {at}: cycles");

@@ -24,7 +24,7 @@ use treelet_prefetching::scene::{
 use treelet_prefetching::treelet::{
     compile_trace, default_jobs_for, first_divergence, read_digest_log, trace_ray, write_traces,
     Bench, BvhCache, CheckpointOptions, PrefetchConfig, PrefetchHeuristic, SchedulerPolicy,
-    SimConfig, SimError, Sweep, SweepOutcome, Telemetry, TelemetryOptions, TreeletAssignment,
+    SimConfig, SimError, Sweep, SweepOutcome, Telemetry, TreeletAssignment,
     DEFAULT_TELEMETRY_EVERY, DEFAULT_TREELET_BYTES,
 };
 
@@ -258,9 +258,7 @@ impl From<SimError> for Failure {
             SimError::CycleLimitExceeded { .. } => 3,
             SimError::NoForwardProgress { .. } => 4,
             SimError::Snapshot(_) => 5,
-            SimError::TreeletCoverage { .. }
-            | SimError::Trace(_)
-            | SimError::WorkerPanicked { .. } => 1,
+            SimError::TreeletCoverage { .. } | SimError::WorkerPanicked { .. } => 1,
         };
         Failure {
             message: e.to_string(),
@@ -934,9 +932,8 @@ fn cmd_stats(options: &Options) -> Result<(), Failure> {
     // `stats --telemetry` additionally runs the workload once and
     // summarizes the sampled time-series (writing it out when a path
     // was given), so a scene can be profiled in one command.
-    if let Some(telemetry_opts) = telemetry_options(options).map_err(invalid)? {
+    if let Some(mut telemetry) = telemetry_sink(options).map_err(invalid)? {
         let config = build_config(options);
-        let mut telemetry = Telemetry::new(&telemetry_opts);
         let result = bench.session(config).telemetry(&mut telemetry).run()?;
         print_telemetry_summary(&telemetry, result.cycles);
         if let Some(path) = &options.telemetry_path {
@@ -952,9 +949,9 @@ fn invalid(message: String) -> Failure {
     Failure { message, code: 2 }
 }
 
-/// Assembles [`TelemetryOptions`] from the CLI flags, or `None` when
-/// telemetry was not requested.
-fn telemetry_options(options: &Options) -> Result<Option<TelemetryOptions>, String> {
+/// An empty [`Telemetry`] sink at the CLI flags' interval, or `None`
+/// when telemetry was not requested.
+fn telemetry_sink(options: &Options) -> Result<Option<Telemetry>, String> {
     if !options.telemetry {
         if options.telemetry_every.is_some() {
             return Err("--telemetry-every requires --telemetry".into());
@@ -962,7 +959,7 @@ fn telemetry_options(options: &Options) -> Result<Option<TelemetryOptions>, Stri
         return Ok(None);
     }
     let every = options.telemetry_every.unwrap_or(DEFAULT_TELEMETRY_EVERY);
-    Ok(Some(TelemetryOptions::new(every)))
+    Ok(Some(Telemetry::new(every)))
 }
 
 /// Writes the telemetry time-series to `path`: JSON when the extension
@@ -1055,15 +1052,14 @@ fn checkpoint_options(options: &Options) -> Result<Option<CheckpointOptions>, St
 fn cmd_run(options: &Options) -> Result<(), Failure> {
     let bench = prepare_inputs(options)?;
     let config = build_config(options);
-    let mut telemetry = telemetry_options(options)
-        .map_err(invalid)?
-        .map(|opts| Telemetry::new(&opts));
+    let mut telemetry = telemetry_sink(options).map_err(invalid)?;
     let mut session = bench.session(config);
     if let Some(ck) = checkpoint_options(options).map_err(invalid)? {
-        session = session.checkpoint(ck);
-        if options.resume {
-            session = session.resume_from_checkpoint();
-        }
+        session = if options.resume {
+            session.resume(ck)
+        } else {
+            session.checkpoint(ck)
+        };
     }
     if let Some(sink) = telemetry.as_mut() {
         session = session.telemetry(sink);
@@ -1988,8 +1984,8 @@ mod tests {
         };
         assert!(opts.telemetry);
         assert_eq!(opts.telemetry_path, None);
-        let t = telemetry_options(&opts).unwrap().expect("telemetry on");
-        assert_eq!(t.every, DEFAULT_TELEMETRY_EVERY);
+        let t = telemetry_sink(&opts).unwrap().expect("telemetry on");
+        assert_eq!(t.every(), DEFAULT_TELEMETRY_EVERY);
         // --telemetry FILE captures the path; a following flag does not.
         let opts = match parse(&["run", "--telemetry", "out.csv", "--res", "8"]).unwrap() {
             Command::Run(o) => o,
@@ -2009,7 +2005,7 @@ mod tests {
             Command::Run(o) => o,
             other => panic!("expected run, got {other:?}"),
         };
-        assert_eq!(telemetry_options(&opts).unwrap().unwrap().every, 250);
+        assert_eq!(telemetry_sink(&opts).unwrap().unwrap().every(), 250);
         assert!(parse(&["run", "--telemetry", "--telemetry-every", "0"]).is_err());
     }
 
@@ -2020,7 +2016,7 @@ mod tests {
             telemetry_every: Some(100),
             ..Options::default()
         };
-        assert!(telemetry_options(&lonely).is_err());
+        assert!(telemetry_sink(&lonely).is_err());
         // Telemetry and checkpointing compose now that the session owns
         // both: sampling stays read-only across checkpoint epochs.
         let both = Options {
@@ -2028,9 +2024,9 @@ mod tests {
             checkpoint_every: Some(1000),
             ..Options::default()
         };
-        assert!(telemetry_options(&both).unwrap().is_some());
+        assert!(telemetry_sink(&both).unwrap().is_some());
         // No telemetry flags at all: no telemetry.
-        assert_eq!(telemetry_options(&Options::default()).unwrap(), None);
+        assert!(telemetry_sink(&Options::default()).unwrap().is_none());
     }
 
     #[test]

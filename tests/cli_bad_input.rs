@@ -400,6 +400,50 @@ fn telemetry_composes_with_checkpointing() {
 }
 
 #[test]
+fn resume_under_another_checkpoint_interval_exits_5() {
+    // A checkpoint numbers its epoch under the interval it was written
+    // with; resuming it under another would log one epoch number for two
+    // cycles, so the CLI refuses it as a checkpoint failure.
+    let dir = std::env::temp_dir().join(format!("treelet-cli-interval-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (ckpt, log) = (dir.join("run.rtsnap"), dir.join("run.digests"));
+    let (ckpt_arg, log_arg) = (ckpt.to_str().unwrap(), log.to_str().unwrap());
+    let args = |every: &str, extra: &[&str]| {
+        let mut args = vec![
+            "run",
+            "--scene",
+            "WKND",
+            "--detail",
+            "0.2",
+            "--res",
+            "8",
+            "--config",
+            "prefetch",
+            "--checkpoint-every",
+            every,
+            "--checkpoint-path",
+            ckpt_arg,
+            "--digest-log",
+            log_arg,
+        ];
+        args.extend_from_slice(extra);
+        run_cli(&args)
+    };
+    let stopped = args("200", &["--max-cycles", "500"]);
+    assert_eq!(stopped.status.code(), Some(3), "the budget stops the run");
+    let written = std::fs::read(&log).unwrap();
+    let moved = args("300", &["--resume"]);
+    assert_eq!(moved.status.code(), Some(5));
+    let stderr = String::from_utf8_lossy(&moved.stderr);
+    assert!(stderr.contains("not written every 300 cycles"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(std::fs::read(&log).unwrap(), written, "log left as written");
+    let resumed = args("200", &["--resume"]);
+    assert!(resumed.status.success(), "its own interval resumes");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn suite_digest_logs_are_identical_across_job_counts() {
     // The CLI-level determinism contract: the per-scene digest logs a
     // parallel suite writes are byte-identical to a serial run's.
